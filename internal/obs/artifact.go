@@ -19,12 +19,11 @@ const (
 // Artifacts lists the exportable formats in a fixed order.
 func Artifacts() []Artifact { return []Artifact{ArtifactTrace, ArtifactReport} }
 
-// WriteArtifact streams the named export to w. Exports only read the
-// recorded data (spans are copied, aggregation uses local state), so
-// concurrent WriteArtifact calls on the same finished Sink are safe —
-// the serving layer relies on this to stream one run's artifacts to
-// several HTTP clients at once. Unknown names are an error; a nil sink
-// writes the corresponding empty export.
+// WriteArtifact writes the named export to w. Exports only read the
+// recorded data (sort records and aggregates are local to each call),
+// so concurrent WriteArtifact calls on the same finished Sink are safe.
+// Unknown names are an error; a nil sink writes the corresponding
+// empty export.
 func (s *Sink) WriteArtifact(a Artifact, w io.Writer) error {
 	switch a {
 	case ArtifactTrace:

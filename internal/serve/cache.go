@@ -11,8 +11,11 @@
 // One bounded LRU holds two kinds of entries under one capacity:
 //
 //   - job entries (*jobResultEntry): a finished job's values, lines,
-//     and rendered artifact bytes, keyed "job|...". A hit completes
-//     the submission synchronously without occupying a queue slot.
+//     and artifact bytes, keyed "job|...". The entry is the job's own
+//     result, whose artifacts were rendered once when the run
+//     completed, so a hit serves the exact bytes the cold job serves.
+//     A hit completes the submission synchronously without occupying a
+//     queue slot.
 //   - cell entries: individual sweep-cell outputs, keyed
 //     "cell|<job key>|<cell key>" through the cellCache adapter
 //     (experiments.Options.Cache). These exist so a cancelled sweep's
@@ -30,7 +33,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"sync"
 
@@ -58,32 +60,16 @@ type CacheStats struct {
 	CellMisses uint64 `json:"cellMisses"`
 }
 
-// jobResultEntry is a finished job's cacheable output: everything a
-// client can fetch after the job completes, with artifacts rendered to
-// bytes so a hit serves the exact bytes a cold run would stream.
-// Entries are immutable once published; completeCached copies values
-// on the way out and serves artifact bytes read-only.
+// jobResultEntry is a finished job's output: everything a client can
+// fetch after the job completes, artifacts as the bytes rendered when
+// the run finished (observed jobs only). One entry is the result of the
+// job that ran, its cache entry, and the result of every job completed
+// from it; it is immutable once set, so all of them share it read-only
+// and Job.results copies values on the way out.
 type jobResultEntry struct {
 	values    map[string]float64
 	lines     []string
 	artifacts map[obs.Artifact][]byte
-}
-
-// renderEntry builds an entry from a finished job's outputs, rendering
-// each artifact through the same exporter the HTTP layer streams from,
-// so cached bytes are identical to cold-run bytes.
-func renderEntry(values map[string]float64, lines []string, sink *obs.Sink) *jobResultEntry {
-	e := &jobResultEntry{values: values, lines: lines}
-	if sink != nil {
-		e.artifacts = make(map[obs.Artifact][]byte, len(obs.Artifacts()))
-		for _, a := range obs.Artifacts() {
-			var buf bytes.Buffer
-			if err := sink.WriteArtifact(a, &buf); err == nil {
-				e.artifacts[a] = buf.Bytes()
-			}
-		}
-	}
-	return e
 }
 
 // resultCache is a bounded LRU over job and cell entries. Safe for

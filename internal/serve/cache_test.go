@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"accelflow/internal/obs"
 )
 
 // cachedServer boots a cache-enabled scheduler behind HTTP.
@@ -89,8 +91,44 @@ func TestCacheHitExperiment(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterDoneHits: a client that waits for a job's "done"
+// event and resubmits is always served from the cache. The leader
+// publishes its entry before it emits "done"; published after, the
+// resubmission could still find the leader's flight open and coalesce
+// onto a run that had already finished.
+func TestResubmitAfterDoneHits(t *testing.T) {
+	sched := NewScheduler(Config{Workers: 2, QueueDepth: 4, CacheEntries: 1024})
+	defer sched.Close()
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		// A distinct seed per round keeps every first submission cold.
+		req := JobRequest{Type: JobExperiment, Experiment: "area", Quick: true, Seed: int64(i + 1)}
+		cold, err := sched.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-cold.Done()
+		if st := cold.snapshot().State; st != StateDone {
+			t.Fatalf("round %d: cold job ended %s", i, st)
+		}
+		again, err := sched.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := again.snapshot(); !v.Cached || v.State != StateDone {
+			st, _ := sched.CacheStats()
+			t.Fatalf("round %d: resubmission after done was not a completed cache hit (state %s, cached %t, stats %+v)",
+				i, v.State, v.Cached, st)
+		}
+	}
+	st, _ := sched.CacheStats()
+	if st.Hits != rounds || st.Coalesced != 0 {
+		t.Fatalf("cache stats %+v, want %d hits and nothing coalesced", st, rounds)
+	}
+}
+
 // TestCacheHitObservedArtifacts: observed jobs cache their rendered
-// artifact bytes; a hit serves the exact bytes the cold run streamed,
+// artifact bytes; a hit serves the exact bytes the cold run served,
 // and a sharded resubmission hits the serial run's entry (the key is
 // the normalized HashResult).
 func TestCacheHitObservedArtifacts(t *testing.T) {
@@ -172,6 +210,14 @@ func TestCoalesceConcurrentSubmissions(t *testing.T) {
 			want = vals
 		} else if !reflect.DeepEqual(vals, want) {
 			t.Fatalf("job %d values diverged", i)
+		}
+	}
+	// Every job serves the one trace rendering the leader made when
+	// its run completed, not a copy or a re-render.
+	trace, _ := jobs[0].artifact(obs.ArtifactTrace)
+	for i, j := range jobs {
+		if b, _ := j.artifact(obs.ArtifactTrace); len(b) == 0 || &b[0] != &trace[0] {
+			t.Fatalf("job %d serves its own trace bytes, not the leader's rendering", i)
 		}
 	}
 	// Late submissions may land after the leader finished and hit the

@@ -16,6 +16,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -331,7 +332,8 @@ type JobView struct {
 }
 
 // Job is one admitted simulation run. All mutable state sits behind mu;
-// the HTTP layer only reads through snapshot/eventsSince/valuesCopy.
+// the HTTP layer only reads through snapshot/eventsSince/results/
+// artifact.
 type Job struct {
 	ID  string
 	Req JobRequest
@@ -347,15 +349,13 @@ type Job struct {
 	cancel          func() // non-nil while running
 	cancelRequested bool
 	cellsDone       int
-	values          map[string]float64
-	lines           []string
-	sink            *obs.Sink
-	// cached marks completion from the result cache; cachedArtifacts
-	// then holds the rendered artifact bytes (shared read-only with the
-	// cache entry) in place of a sink.
-	cached          bool
-	cachedArtifacts map[obs.Artifact][]byte
-	events          []Event
+	// result is the finished job's values, lines, and artifact bytes
+	// (nil until it succeeds). Immutable once set, and shared read-only
+	// with its cache entry and coalesced followers.
+	result *jobResultEntry
+	// cached marks completion from the result cache.
+	cached bool
+	events []Event
 	// updated is closed and replaced on every emit, so progress
 	// streamers can wait for new events without polling.
 	updated chan struct{}
@@ -453,10 +453,9 @@ func (j *Job) requestCancel() {
 // completeCached finishes the job from a cache entry, emitting the
 // same started/done event sequence a run would so the progress-stream
 // contract (EOF after the "done" event) holds for cached jobs. The
-// entry's maps and artifact bytes are shared read-only — entries are
-// immutable and every accessor copies values on the way out. A job
-// already terminal (e.g. a coalesced follower cancelled while its
-// leader ran) is left untouched.
+// entry is shared read-only — entries are immutable and results copies
+// values on the way out. A job already terminal (e.g. a coalesced
+// follower cancelled while its leader ran) is left untouched.
 func (j *Job) completeCached(e *jobResultEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -469,9 +468,7 @@ func (j *Job) completeCached(e *jobResultEntry) {
 		j.appendEvent(Event{Event: "started"})
 	}
 	j.cached = true
-	j.values = e.values
-	j.lines = e.lines
-	j.cachedArtifacts = e.artifacts
+	j.result = e
 	j.finishLocked(StateDone, "")
 }
 
@@ -482,19 +479,15 @@ func (j *Job) outcome() (JobState, string) {
 	return j.state, j.errMsg
 }
 
-// cacheEntry renders a successful job's outputs into an immutable
-// cache entry (nil unless the job is done).
+// cacheEntry returns a successful job's immutable result (nil unless
+// the job is done).
 func (j *Job) cacheEntry() *jobResultEntry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
 		return nil
 	}
-	if j.cached {
-		// Already served from cache; reshare the same immutable data.
-		return &jobResultEntry{values: j.values, lines: j.lines, artifacts: j.cachedArtifacts}
-	}
-	return renderEntry(j.values, j.lines, j.sink)
+	return j.result
 }
 
 // cellDone is the experiments.Options.OnCell hook; it runs on sweep
@@ -519,12 +512,28 @@ func (j *Job) generationDone(pr tune.Progress) {
 }
 
 // setResult stores the finished run's outputs; call before finish.
-func (j *Job) setResult(values map[string]float64, lines []string, sink *obs.Sink) {
+func (j *Job) setResult(e *jobResultEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.values = values
-	j.lines = lines
-	j.sink = sink
+	j.result = e
+}
+
+// renderArtifacts renders each export of a finished observed run to
+// bytes. The daemon does this once, when the run completes, so the
+// sink can be released and every download — cold, cached, or
+// coalesced — serves the same immutable bytes.
+func renderArtifacts(sink *obs.Sink) (map[obs.Artifact][]byte, error) {
+	arts := make(map[obs.Artifact][]byte, len(obs.Artifacts()))
+	for _, a := range obs.Artifacts() {
+		var buf bytes.Buffer
+		if err := sink.WriteArtifact(a, &buf); err != nil {
+			return nil, fmt.Errorf("serve: render %s artifact: %w", a, err)
+		}
+		// The job retains these bytes for its lifetime; trim the
+		// buffer's growth slack.
+		arts[a] = bytes.Clone(buf.Bytes())
+	}
+	return arts, nil
 }
 
 // snapshot returns the status view.
@@ -545,7 +554,7 @@ func (j *Job) snapshot() JobView {
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 	}
-	if j.state == StateDone && (j.sink != nil || len(j.cachedArtifacts) > 0) {
+	if j.state == StateDone && j.result != nil && len(j.result.artifacts) > 0 {
 		for _, a := range obs.Artifacts() {
 			v.Artifacts = append(v.Artifacts, string(a))
 		}
@@ -565,24 +574,29 @@ func (j *Job) eventsSince(n int) (evs []Event, more <-chan struct{}, terminal bo
 	return evs, j.updated, j.state.Terminal()
 }
 
-// results returns the stored values/lines and whether the job is done.
+// results returns copies of the stored values/lines and the job state.
 func (j *Job) results() (map[string]float64, []string, JobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	vals := make(map[string]float64, len(j.values))
-	for k, v := range j.values {
+	if j.result == nil {
+		return map[string]float64{}, nil, j.state
+	}
+	vals := make(map[string]float64, len(j.result.values))
+	for k, v := range j.result.values {
 		vals[k] = v
 	}
-	return vals, append([]string(nil), j.lines...), j.state
+	return vals, append([]string(nil), j.result.lines...), j.state
 }
 
-// artifactSource returns where artifact bytes come from: a live sink
-// (cold run) or pre-rendered cache bytes (cached completion). At most
-// one is non-nil.
-func (j *Job) artifactSource() (*obs.Sink, map[obs.Artifact][]byte, JobState) {
+// artifact returns the rendered bytes of one export (nil when the job
+// has none) and the job state. The bytes are shared read-only.
+func (j *Job) artifact(a obs.Artifact) ([]byte, JobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.sink, j.cachedArtifacts, j.state
+	if j.result == nil {
+		return nil, j.state
+	}
+	return j.result.artifacts[a], j.state
 }
 
 // Done exposes the terminal-state channel (closed when finished).

@@ -418,31 +418,37 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	return j, nil
 }
 
-// settle closes out a dispatched job after its worker is done with it:
-// a successful cacheable leader publishes its result entry, and every
-// coalesced follower completes — from the entry on success, mirroring
-// the leader's terminal state otherwise (a follower of a cancelled or
+// succeed completes a job whose run succeeded. A cacheable leader
+// publishes its entry before the "done" event: a client that waits for
+// done and resubmits then hits the entry instead of coalescing onto the
+// flight, which settle retires only after the worker returns.
+func (s *Scheduler) succeed(j *Job, e *jobResultEntry) {
+	j.setResult(e)
+	if j.flightKey != "" {
+		s.cache.putJob(j.flightKey, e)
+	}
+	j.finish(StateDone, "")
+}
+
+// settle closes out a dispatched cacheable leader after its worker is
+// done with it: the flight retires, and every coalesced follower
+// completes — from the leader's entry on success, mirroring the
+// leader's terminal state otherwise (a follower of a cancelled or
 // failed run reports that same outcome; resubmitting starts fresh).
-// The entry is published and the flight retired under one lock
-// acquisition, so a concurrent Submit either sees the flight (and
-// coalesces) or sees the entry (and hits) — never neither.
+// succeed published the entry before the flight retires, so a
+// concurrent Submit either sees the entry (and hits) or the flight
+// (and coalesces) — never neither.
 func (s *Scheduler) settle(j *Job) {
 	if j.flightKey == "" {
 		return
 	}
 	state, errMsg := j.outcome()
-	var entry *jobResultEntry
-	if state == StateDone {
-		entry = j.cacheEntry()
-	}
+	entry := j.cacheEntry()
 	s.mu.Lock()
 	var followers []*Job
 	if f := s.flights[j.flightKey]; f != nil && f.leader == j {
 		delete(s.flights, j.flightKey)
 		followers = f.followers
-	}
-	if entry != nil {
-		s.cache.putJob(j.flightKey, entry)
 	}
 	s.mu.Unlock()
 	for _, fo := range followers {
@@ -561,8 +567,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) {
 		for k, v := range res.Values {
 			vals[k] = v
 		}
-		j.setResult(vals, append([]string(nil), res.Lines...), nil)
-		j.finish(StateDone, "")
+		s.succeed(j, &jobResultEntry{values: vals, lines: append([]string(nil), res.Lines...)})
 	case JobTune:
 		p := j.Req.tuneParams()
 		p.Check = s.cfg.Check
@@ -602,8 +607,7 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) {
 			lines = append(lines, fmt.Sprintf("  %s = %s", name, level))
 		}
 		sort.Strings(lines[2:])
-		j.setResult(vals, lines, nil)
-		j.finish(StateDone, "")
+		s.succeed(j, &jobResultEntry{values: vals, lines: lines})
 	case JobObserved:
 		p := j.Req.observedParams()
 		p.Check = s.cfg.Check
@@ -626,8 +630,13 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) {
 			"meanUs":    res.All.Mean().Micros(),
 			"spans":     float64(sink.SpanCount()),
 		}
-		j.setResult(vals, nil, sink)
-		j.finish(StateDone, "")
+		// Render once and drop the sink: the job keeps only the bytes.
+		arts, err := renderArtifacts(sink)
+		if err != nil {
+			j.finish(StateFailed, err.Error())
+			return
+		}
+		s.succeed(j, &jobResultEntry{values: vals, artifacts: arts})
 	default:
 		// Validate rejected anything else at admission.
 		j.finish(StateFailed, fmt.Sprintf("unreachable job type %q", j.Req.Type))

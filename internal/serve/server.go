@@ -10,15 +10,16 @@
 //	POST   /v1/jobs/{id}/cancel         cancel  -> 202 JobView
 //	GET    /v1/jobs/{id}/values          results -> {"values":{...},"lines":[...]}
 //	GET    /v1/jobs/{id}/progress        NDJSON event stream until the job ends
-//	GET    /v1/jobs/{id}/artifacts/{kind} Chrome trace / JSON report, streamed
+//	GET    /v1/jobs/{id}/artifacts/{kind} Chrome trace / JSON report
 //	GET    /v1/experiments               registered experiment IDs
 //	GET    /v1/cache                     result-cache stats ({"enabled":false} when off)
 //	GET    /healthz                      liveness + drain state
 //
-// Artifact and values bytes come straight from the same exporters the
-// CLI uses, so they are byte-identical to a local run with the same
-// parameters — including when served from the result cache, which
-// stores the rendered bytes themselves.
+// Artifact and values bytes come from the same exporters the CLI uses,
+// so they are byte-identical to a local run with the same parameters.
+// An observed job renders its artifacts once, when its run completes;
+// every download of that job, of a cache hit on it, or of a follower
+// coalesced onto it serves those same bytes.
 package serve
 
 import (
@@ -306,28 +307,24 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown artifact %q (want trace or report)", kind))
 		return
 	}
-	sink, cached, state := j.artifactSource()
+	b, state := j.artifact(kind)
 	if !state.Terminal() {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("serve: job %s is %s; artifacts are available once it finishes", j.ID, state))
 		return
 	}
-	if state != StateDone || (sink == nil && cached[kind] == nil) {
+	if b == nil {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("serve: job %s has no %s artifact (only successful observed jobs export artifacts)", j.ID, kind))
 		return
 	}
+	// The bytes were rendered when the run finished and are immutable,
+	// so concurrent downloads share them. A write error means the
+	// client went away; there is no one left to report it to.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s-%s.json", j.ID, kind))
-	if sink != nil {
-		// Streamed straight from the sink; exports are read-only, so
-		// concurrent downloads of the same job are safe.
-		_ = sink.WriteArtifact(kind, w)
-		return
-	}
-	// Cache-served job: the entry holds the exact bytes the exporter
-	// rendered when the cold run finished.
-	_, _ = w.Write(cached[kind])
+	_, _ = w.Write(b)
 }
 
 // handleCache reports result-cache statistics; a daemon started
