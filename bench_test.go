@@ -257,7 +257,7 @@ const (
 
 // benchRunSharded measures the sharded kernel's real parallelism: an
 // 8-replica fleet (workload.FleetSpec) executed at 1/2/4/8 workers.
-// Results are byte-identical at every shard count — the determinism
+// Results are byte-identical at every worker count — the determinism
 // tests enforce it — so the sub-benchmarks differ only in wall clock,
 // and events/op divided by ns/op gives the events/sec scaling curve.
 // Compare against BenchmarkRunObsDisabled for the serial single-server
@@ -266,7 +266,7 @@ const (
 //	go test -bench='BenchmarkRun(ObsDisabled|Sharded)' -benchtime=5x
 var benchRunShardedResult *workload.FleetResult
 
-func benchRunSharded(b *testing.B, shards int) {
+func benchRunSharded(b *testing.B, workers int) {
 	svcs := services.SocialNetwork()
 	cfg := config.Default()
 	pol := engine.AccelFlow()
@@ -279,7 +279,7 @@ func benchRunSharded(b *testing.B, shards int) {
 			Sources:  workload.Mix(svcs, benchFleetReplicas, benchFleetRequests),
 			Seed:     1,
 			Replicas: benchFleetReplicas,
-			Shards:   shards,
+			Workers:  workers,
 		}
 		res, err := spec.Run()
 		if err != nil {
@@ -293,9 +293,12 @@ func benchRunSharded(b *testing.B, shards int) {
 	b.ReportMetric(benchFleetRequests, "requests/op")
 }
 
+// BenchmarkRunSharded keeps its "shards=N" sub-benchmark names, where N
+// is FleetSpec.Workers, so snapshots taken before the rename still
+// compare.
 func BenchmarkRunSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { benchRunSharded(b, shards) })
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", workers), func(b *testing.B) { benchRunSharded(b, workers) })
 	}
 }
 

@@ -15,10 +15,7 @@
 //
 // Results are bit-identical at any -parallel value: every simulation
 // cell draws from an RNG stream derived from (seed, cell key), so the
-// worker count only changes wall clock, never Values. The same holds
-// for -shards, which routes each cell's simulation through the sharded
-// execution path (see internal/sim.Sharded): any shard count produces
-// the same bytes as the serial kernel.
+// worker count only changes wall clock, never Values.
 //
 // The -tune mode searches a bounded design space (chiplet plan, PE
 // provisioning, policy, queue depths, TCP timeout — set via the
@@ -60,7 +57,6 @@ type cliArgs struct {
 	faultRate float64
 	faultLoss float64
 	check     bool
-	shards    int
 
 	// Dynamic-control knobs for the observed run (-trace/-report).
 	// ctlTarget enables the autoscaler; the shed/retry knobs enable
@@ -94,20 +90,14 @@ type cliArgs struct {
 // fail fast (exit 2) with a clear message, not surface as a late panic
 // or a silent zero run. Returns the first violation.
 func (a cliArgs) validate() error {
-	if a.faultRate < 0 {
-		return fmt.Errorf("-faults must be non-negative, got %v", a.faultRate)
-	}
-	if a.faultLoss < 0 || a.faultLoss > 1 {
-		return fmt.Errorf("-faultloss must be in [0,1], got %v", a.faultLoss)
+	if err := (workload.ObservedParams{FaultRate: a.faultRate, FaultLoss: a.faultLoss}).Validate(); err != nil {
+		return fmt.Errorf("-faults/-faultloss: %w", err)
 	}
 	if a.n <= 0 {
 		return fmt.Errorf("-n must be positive, got %d", a.n)
 	}
 	if a.parallel < 0 {
 		return fmt.Errorf("-parallel must be non-negative, got %d", a.parallel)
-	}
-	if a.shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", a.shards)
 	}
 	if a.exp != "" && a.exp != "all" {
 		if _, ok := experiments.Registry[a.exp]; !ok {
@@ -217,7 +207,6 @@ func (a cliArgs) tuneParams() (tune.Params, error) {
 		Patience:       a.tunePatience,
 		Quick:          a.quick,
 		Parallelism:    a.parallel,
-		Shards:         a.shards,
 		Check:          a.check,
 	}, nil
 }
@@ -274,7 +263,6 @@ func main() {
 	flag.Float64Var(&a.faultRate, "faults", 0, "fault-window arrival rate in windows/s for the observed run (0 = off)")
 	flag.Float64Var(&a.faultLoss, "faultloss", 0, "remote-response loss rate override in [0,1] for the observed run")
 	flag.BoolVar(&a.check, "check", false, "run with runtime invariant checking (same results; violations fail the run)")
-	flag.IntVar(&a.shards, "shards", 0, "intra-run shard count for the sharded execution path (0/1 = serial kernel); results are identical at any value")
 	flag.StringVar(&a.ctlTarget, "ctl", "", "attach the autoscaler to the observed run, scaling this pool: pe or cores")
 	flag.Float64Var(&a.ctlUp, "ctlup", 0.75, "scale up when windowed utilization exceeds this (requires -ctl)")
 	flag.Float64Var(&a.ctlDown, "ctldown", 0.25, "scale down when windowed utilization falls below this (requires -ctl)")
@@ -332,7 +320,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Requests: a.n, Seed: a.seed, Quick: a.quick, Parallelism: a.parallel, Check: a.check, Shards: a.shards}
+	opts := experiments.Options{Requests: a.n, Seed: a.seed, Quick: a.quick, Parallelism: a.parallel, Check: a.check}
 	ids := []string{a.exp}
 	if a.exp == "all" {
 		ids = experiments.IDs()
@@ -483,7 +471,6 @@ func observedRun(tracePath, reportPath string, a cliArgs, faultWin time.Duration
 		FaultLoss:   a.faultLoss,
 		Control:     a.controlSpec(),
 		Check:       a.check,
-		Shards:      a.shards,
 	})
 	if err != nil {
 		return err

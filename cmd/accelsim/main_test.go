@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -26,12 +27,12 @@ func TestValidateFlags(t *testing.T) {
 		{"negative faults", func(a *cliArgs) { a.faultRate = -1 }, "-faults"},
 		{"faultloss above one", func(a *cliArgs) { a.faultLoss = 1.5 }, "-faultloss"},
 		{"negative faultloss", func(a *cliArgs) { a.faultLoss = -0.1 }, "-faultloss"},
+		{"NaN faults", func(a *cliArgs) { a.faultRate = math.NaN() }, "-faults"},
+		{"NaN faultloss", func(a *cliArgs) { a.faultLoss = math.NaN() }, "-faultloss"},
+		{"faults beyond the window cap", func(a *cliArgs) { a.faultRate = 1e8 }, "windows"},
 		{"zero requests", func(a *cliArgs) { a.n = 0 }, "-n"},
 		{"negative requests", func(a *cliArgs) { a.n = -5 }, "-n"},
 		{"negative parallel", func(a *cliArgs) { a.parallel = -1 }, "-parallel"},
-		{"shards serial", func(a *cliArgs) { a.shards = 1; a.exp = "area" }, ""},
-		{"shards sharded", func(a *cliArgs) { a.shards = 4; a.exp = "area" }, ""},
-		{"negative shards", func(a *cliArgs) { a.shards = -2 }, "-shards"},
 		{"unknown experiment", func(a *cliArgs) { a.exp = "fig99" }, "unknown experiment"},
 
 		{"ctl pe", func(a *cliArgs) { a.ctlTarget = "pe" }, ""},

@@ -35,8 +35,9 @@ import (
 // sweep, the sharded fleet scaling curve, and the end-to-end serving
 // round trip. Small enough to run on every CI push, load-bearing
 // enough to anchor every speed claim. BenchmarkRunSharded expands to
-// one snapshot entry per shard count (RunSharded/shards=N), so the
-// trajectory records the whole scaling curve, not one point.
+// one snapshot entry per fleet worker count (RunSharded/shards=N, N
+// being FleetSpec.Workers), so the trajectory records the whole
+// scaling curve, not one point.
 const defaultBench = "^(BenchmarkRunObsDisabled|BenchmarkRunObsEnabled|BenchmarkRunCheckDisabled|BenchmarkRunControlledDisabled|BenchmarkRunControlledEnabled|BenchmarkRunSharded|BenchmarkSweepSerial|BenchmarkServeSubmitQuick|BenchmarkServeSubmitCached)$"
 
 func main() {

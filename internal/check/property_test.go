@@ -187,50 +187,8 @@ func TestMetamorphicMorePEs(t *testing.T) {
 	}
 }
 
-// TestPropertyShardedEquivalence: the sharded execution path is a
-// metamorphic identity — every generated scenario, including its fault
-// spec (whose apply/revert windows resize resources mid-run), must
-// produce the same results through workload.RunSpec.Shards as through
-// the serial kernel, with the full invariant suite attached to both
-// runs. The budget is capped below the main harness's because each
-// scenario simulates twice.
-func TestPropertyShardedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("property harness runs full simulations")
-	}
-	iters := *propIters
-	if iters > 10 {
-		iters = 10
-	}
-	for i := 0; i < iters; i++ {
-		sc := check.GenScenario(*propSeed, i)
-		serial := specFor(t, sc)
-		a, err := serial.Run()
-		if err != nil {
-			writeRepro(t, sc, err)
-			t.Fatalf("serial scenario (seed %d, index %d): %v", sc.BaseSeed, sc.Index, err)
-		}
-		sharded := specFor(t, sc)
-		sharded.Shards = 4
-		b, err := sharded.Run()
-		if err != nil {
-			writeRepro(t, sc, err)
-			t.Fatalf("sharded scenario (seed %d, index %d): %v", sc.BaseSeed, sc.Index, err)
-		}
-		if a.Completed != b.Completed || a.TimedOut != b.TimedOut || a.FellBack != b.FellBack ||
-			a.Elapsed != b.Elapsed || a.All.Mean() != b.All.Mean() || a.All.P99() != b.All.P99() ||
-			a.Engine.K.Processed() != b.Engine.K.Processed() {
-			t.Errorf("scenario (seed %d, index %d, policy %s): sharded run diverged from serial: "+
-				"serial (%d/%d/%d, %v, mean %v, p99 %v, %d events) vs sharded (%d/%d/%d, %v, mean %v, p99 %v, %d events)",
-				sc.BaseSeed, sc.Index, sc.PolicyName,
-				a.Completed, a.TimedOut, a.FellBack, a.Elapsed, a.All.Mean(), a.All.P99(), a.Engine.K.Processed(),
-				b.Completed, b.TimedOut, b.FellBack, b.Elapsed, b.All.Mean(), b.All.P99(), b.Engine.K.Processed())
-		}
-	}
-}
-
 // TestPropertyFleetCheckedSharded drives generated scenarios through a
-// checked 3-replica fleet at shard counts 1 and 4. Fault windows here
+// checked 3-replica fleet at worker counts 1 and 4. Fault windows here
 // genuinely cross epoch boundaries: each replica's injector resizes
 // its resources (SetServers / SetEngines) at window edges scheduled
 // independently of the coordinator's ~RTT/2 epochs, so apply and
@@ -248,22 +206,22 @@ func TestPropertyFleetCheckedSharded(t *testing.T) {
 	const replicas = 3
 	for i := 0; i < iters; i++ {
 		sc := check.GenScenario(*propSeed, i)
-		run := func(shards int) *workload.FleetResult {
+		run := func(workers int) *workload.FleetResult {
 			spec := &workload.FleetSpec{
 				Config:   sc.Cfg,
 				Policy:   policyByName(t, sc.PolicyName),
 				Sources:  workload.Mix(services.SocialNetwork(), sc.LoadScale*replicas, sc.Requests),
 				Seed:     sc.Seed,
 				Replicas: replicas,
-				Shards:   shards,
+				Workers:  workers,
 				Faults:   sc.Faults,
 				Check:    true,
 			}
 			res, err := spec.Run()
 			if err != nil {
 				writeRepro(t, sc, err)
-				t.Fatalf("fleet scenario (seed %d, index %d, shards %d): %v",
-					sc.BaseSeed, sc.Index, shards, err)
+				t.Fatalf("fleet scenario (seed %d, index %d, workers %d): %v",
+					sc.BaseSeed, sc.Index, workers, err)
 			}
 			return res
 		}
@@ -272,7 +230,7 @@ func TestPropertyFleetCheckedSharded(t *testing.T) {
 			a.Merged.FellBack != b.Merged.FellBack || a.Merged.Elapsed != b.Merged.Elapsed ||
 			a.Merged.All.Mean() != b.Merged.All.Mean() || a.Merged.All.P99() != b.Merged.All.P99() ||
 			a.Events != b.Events || a.Epochs != b.Epochs || a.Mail != b.Mail {
-			t.Errorf("fleet scenario (seed %d, index %d, policy %s): shards=1 and shards=4 diverged",
+			t.Errorf("fleet scenario (seed %d, index %d, policy %s): workers=1 and workers=4 diverged",
 				sc.BaseSeed, sc.Index, sc.PolicyName)
 		}
 		for ri := range a.Routed {

@@ -20,8 +20,8 @@
 //
 // Determinism contract, mirroring internal/fault: every decision is a
 // pure function of (Spec, seed, observed simulation state), so
-// controlled runs are bit-identical at any sweep parallelism or shard
-// count. A controller whose thresholds can never fire (UpUtil above 1,
+// controlled runs are bit-identical at any sweep parallelism or fleet
+// worker count. A controller whose thresholds can never fire (UpUtil above 1,
 // negative DownUtil, MaxAdd/MaxRemove zero) performs zero actions and
 // draws from no RNG stream, and a ShedSpec with Prob 0 never creates
 // its stream — so an effectively-disabled controller leaves

@@ -108,7 +108,6 @@ func Fig3OrchOverhead(o Options) (*Result, error) {
 				})
 			}
 			spec := &workload.RunSpec{
-				Shards: o.Shards,
 				Config: config.Default(), Policy: pol,
 				Sources: sources, Seed: o.Seed,
 				Check: o.newCheck(),
@@ -223,7 +222,6 @@ func Fig5DataSizes(o Options) (*Result, error) {
 	res.Linef("%-6s %28s %28s", "accel", "input min/med/max", "output min/med/max")
 	// Run the full mix under AccelFlow to populate the samplers.
 	spec := &workload.RunSpec{
-		Shards:  o.Shards,
 		Config:  config.Default(),
 		Policy:  engine.AccelFlow(),
 		Sources: workload.Mix(services.SocialNetwork(), 0.3, o.reqs()),

@@ -57,8 +57,7 @@ func surgeSpec(scale float64, controlled bool, n int, seed int64) *workload.RunS
 // SLOSurge measures SLO attainment under traffic surges, static
 // provisioning vs the dynamic controller: attainment (share of served
 // requests within the 300 us P99 target), P99, shed share, and scale
-// actions per (surge, mode) cell. Deterministic at any parallelism
-// and shard count.
+// actions per (surge, mode) cell. Deterministic at any parallelism.
 func SLOSurge(o Options) (*Result, error) {
 	res := newResult("slosurge")
 	res.Linef("SLO attainment vs traffic surge — static vs controller (SLO %.0f us)", controlSLOUs)
@@ -77,7 +76,6 @@ func SLOSurge(o Options) (*Result, error) {
 				Run: func(seed int64) (out, error) {
 					spec := surgeSpec(scale, m.controlled, o.reqs(), seed)
 					spec.Check = o.newCheck()
-					spec.Shards = o.Shards
 					run, err := spec.RunCtx(o.ctx())
 					if err != nil {
 						return out{}, err
@@ -171,7 +169,6 @@ func Overprovision(o Options) (*Result, error) {
 					Sources: workload.Mix(services.SocialNetwork(), overprovLoad, o.reqs()),
 					Seed:    seed,
 					Check:   o.newCheck(),
-					Shards:  o.Shards,
 				}
 				if m.scaled {
 					spec.Control = &control.Spec{Autoscale: &control.AutoscaleSpec{
@@ -286,7 +283,6 @@ func Recovery(o Options) (*Result, error) {
 					Faults:  burst,
 					Control: ctl,
 					Check:   o.newCheck(),
-					Shards:  o.Shards,
 				}
 				run, err := spec.RunCtx(o.ctx())
 				if err != nil {

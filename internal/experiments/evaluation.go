@@ -35,7 +35,6 @@ func Fig11Latency(o Options) (*Result, error) {
 			Key: "fig11/" + pol.Name,
 			Run: func(seed int64) (latencies, error) {
 				spec := &workload.RunSpec{
-					Shards:  o.Shards,
 					Config:  config.Default(),
 					Policy:  pol,
 					Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
@@ -146,7 +145,6 @@ func Fig12Loads(o Options) (*Result, error) {
 						})
 					}
 					spec := &workload.RunSpec{
-						Shards: o.Shards,
 						Config: config.Default(), Policy: pol,
 						Sources: sources, Seed: seed,
 						Check: o.newCheck(),
@@ -207,7 +205,6 @@ func Fig13Ablation(o Options) (*Result, error) {
 			Key: "fig13/" + pol.Name,
 			Run: func(seed int64) (map[string]float64, error) {
 				spec := &workload.RunSpec{
-					Shards:  o.Shards,
 					Config:  config.Default(),
 					Policy:  pol,
 					Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
@@ -409,7 +406,6 @@ func Fig15Coarse(o Options) (*Result, error) {
 					slo := sim.FromMicros(5 * um)
 					measure := func(rps float64) sim.Time {
 						spec := &workload.RunSpec{
-							Shards:   o.Shards,
 							Config:   cfg,
 							Policy:   pol,
 							Sources:  workload.SingleService(app, workload.Poisson{RPS: rps}, n),
@@ -457,7 +453,6 @@ func Fig15Coarse(o Options) (*Result, error) {
 
 func unloadedMeanCoarse(o Options, cfg *config.Config, pol engine.Policy, app *services.Service, seed int64) (float64, error) {
 	spec := &workload.RunSpec{
-		Shards:   o.Shards,
 		Config:   cfg,
 		Policy:   pol,
 		Sources:  workload.SingleService(app, workload.Poisson{RPS: 20}, 40),
@@ -500,7 +495,6 @@ func Fig16Serverless(o Options) (*Result, error) {
 			})
 		}
 		spec := &workload.RunSpec{
-			Shards: o.Shards,
 			Config: config.Default(), Policy: pol,
 			Sources: sources, Seed: o.Seed,
 			Check: o.newCheck(),
@@ -566,7 +560,6 @@ func GlueInstructions(o Options) (*Result, error) {
 	res := newResult("glue")
 	res.Linef("§VII-B.2 — output dispatcher glue instructions")
 	spec := &workload.RunSpec{
-		Shards:  o.Shards,
 		Config:  config.Default(),
 		Policy:  engine.AccelFlow(),
 		Sources: workload.Mix(services.SocialNetwork(), 0.3, o.reqs()),
@@ -600,7 +593,6 @@ func AccelUtilization(o Options) (*Result, error) {
 	res.Linef("§VII-B.4 — accelerator utilization near peak")
 	// Load the mix close to the AccelFlow saturation point.
 	spec := &workload.RunSpec{
-		Shards:  o.Shards,
 		Config:  config.Default(),
 		Policy:  engine.AccelFlow(),
 		Sources: workload.Mix(services.SocialNetwork(), 3.1, o.reqs()*2),
@@ -634,7 +626,6 @@ func EnergyReport(o Options) (*Result, error) {
 	var rows []row
 	for _, pol := range []engine.Policy{engine.NonAcc(), engine.RELIEF(), engine.AccelFlow()} {
 		spec := &workload.RunSpec{
-			Shards:  o.Shards,
 			Config:  config.Default(),
 			Policy:  pol,
 			Sources: workload.Mix(services.SocialNetwork(), 1.0, o.reqs()*2),
@@ -686,7 +677,6 @@ func HighOverheadEvents(o Options) (*Result, error) {
 		scale float64
 	}{{"production", 1.0}, {"peak", 3.0}} {
 		spec := &workload.RunSpec{
-			Shards:  o.Shards,
 			Config:  config.Default(),
 			Policy:  engine.AccelFlow(),
 			Sources: workload.Mix(services.SocialNetwork(), load.scale, o.reqs()*2),

@@ -49,12 +49,6 @@ type Options struct {
 	// but any violated invariant fails the cell with a structured
 	// error instead of reporting numbers from broken physics.
 	Check bool
-	// Shards routes every simulation through the sharded kernel
-	// coordinator (the accelsim -shards flag). A registry experiment
-	// simulates one server — one resource domain — so Shards never
-	// changes Values: sharded output is byte-identical to serial at
-	// any shard count (pinned by TestShardsDoNotChangeResults).
-	Shards int
 	// Cache, when non-nil, memoizes finished sweep-cell outputs across
 	// runs: RunCells consults it before executing a cell and stores each
 	// successful cell's output after. Because cell outputs are pure
@@ -231,7 +225,6 @@ func architectures() []engine.Policy {
 // see RunSpec.RunCtx) and whether to attach an invariant checker.
 func runOne(o Options, cfg *config.Config, pol engine.Policy, svc *services.Service, arr workload.Arrivals, n int, seed int64) (*workload.RunResult, error) {
 	spec := &workload.RunSpec{
-		Shards:  o.Shards,
 		Config:  cfg,
 		Policy:  pol,
 		Sources: workload.SingleService(svc, arr, n),

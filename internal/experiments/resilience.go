@@ -87,7 +87,6 @@ func Resilience(o Options) (*Result, error) {
 				Run: func(seed int64) (out, error) {
 					spec := resilienceSpec(pol, rate, o.reqs(), seed)
 					spec.Check = o.newCheck()
-					spec.Shards = o.Shards
 					run, err := spec.RunCtx(o.ctx())
 					if err != nil {
 						return out{}, err

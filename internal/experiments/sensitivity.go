@@ -18,7 +18,6 @@ import (
 func avgP99(o Options, cfg *config.Config, pol engine.Policy, seed int64) (float64, error) {
 	svcs := services.SocialNetwork()
 	spec := &workload.RunSpec{
-		Shards:  o.Shards,
 		Config:  cfg,
 		Policy:  pol,
 		Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
@@ -141,7 +140,6 @@ func Fig19PECount(o Options) (*Result, error) {
 				cfg.PEsPerAccel = pes
 				svcs := services.SocialNetwork()
 				spec := &workload.RunSpec{
-					Shards:  o.Shards,
 					Config:  cfg,
 					Policy:  engine.AccelFlow(),
 					Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),

@@ -59,13 +59,23 @@ type Spec struct {
 	RemoteLossRate float64
 }
 
+// MaxWindows caps a spec's expected window count, Rate times the
+// effective Horizon. Attach books every window up front, so without a
+// cap a large rate would exhaust memory before the run starts.
+const MaxWindows = 100_000
+
 // Validate rejects out-of-range parameters.
 func (s Spec) Validate() error {
 	switch {
+	case !finite(s.Rate) || !finite(s.PEDegradeFrac) || !finite(s.NoCInflate) || !finite(s.RemoteLossRate):
+		return fmt.Errorf("fault: Rate, PEDegradeFrac, NoCInflate and RemoteLossRate must be finite, got %v/%v/%v/%v",
+			s.Rate, s.PEDegradeFrac, s.NoCInflate, s.RemoteLossRate)
 	case s.Rate < 0:
 		return fmt.Errorf("fault: Rate must be non-negative, got %v", s.Rate)
 	case s.MeanWindow < 0 || s.Horizon < 0:
 		return fmt.Errorf("fault: MeanWindow/Horizon must be non-negative")
+	case s.Rate*s.horizon().Seconds() > MaxWindows:
+		return fmt.Errorf("fault: Rate %v over Horizon %v expects more than %d windows", s.Rate, s.horizon(), MaxWindows)
 	case s.PEDegradeFrac < 0 || s.PEDegradeFrac > 1:
 		return fmt.Errorf("fault: PEDegradeFrac must be in [0,1], got %v", s.PEDegradeFrac)
 	case s.ADMARemove < 0:
@@ -82,6 +92,16 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("fault: MeanWindow (%v) must not exceed Horizon (%v)", s.MeanWindow, s.Horizon)
 	}
 	return nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// horizon is Horizon with its 100ms default applied.
+func (s Spec) horizon() sim.Time {
+	if s.Horizon <= 0 {
+		return 100 * sim.Millisecond
+	}
+	return s.Horizon
 }
 
 // Stats counts applied windows per mechanism.
@@ -242,10 +262,7 @@ func (in *Injector) Attach(k *sim.Kernel, tg Targets) {
 	if mw <= 0 {
 		mw = 200 * sim.Microsecond
 	}
-	hz := in.Spec.Horizon
-	if hz <= 0 {
-		hz = 100 * sim.Millisecond
-	}
+	hz := in.Spec.horizon()
 	t := sim.Time(0)
 	for {
 		gap := arrivals.Exp(meanGap)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"accelflow/internal/accel"
@@ -177,6 +178,14 @@ func TestSpecValidate(t *testing.T) {
 		{"window exceeds horizon", Spec{MeanWindow: 2 * sim.Millisecond, Horizon: sim.Millisecond}, false},
 		{"window equals horizon", Spec{MeanWindow: sim.Millisecond, Horizon: sim.Millisecond}, true},
 		{"window without horizon", Spec{MeanWindow: sim.Millisecond}, true},
+		{"rate NaN", Spec{Rate: math.NaN()}, false},
+		{"rate infinite", Spec{Rate: math.Inf(1)}, false},
+		{"degrade frac NaN", Spec{PEDegradeFrac: math.NaN()}, false},
+		{"noc inflate infinite", Spec{NoCInflate: math.Inf(1)}, false},
+		{"loss rate NaN", Spec{RemoteLossRate: math.NaN()}, false},
+		{"window count at cap", Spec{Rate: MaxWindows, Horizon: sim.Second}, true},
+		{"window count above cap", Spec{Rate: 1e8, Horizon: sim.Second}, false},
+		{"window count above cap at default horizon", Spec{Rate: 2e6}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {

@@ -2,11 +2,10 @@
 // makes every simulation result cacheable forever: a job's Values,
 // report lines, and artifact bytes are pure functions of its submitted
 // parameters (pinned by determinism_test.go), so the cache keys off a
-// normalized result identity — workload.RunSpec.HashResult for
-// observed jobs, a canonical parameter digest for experiment jobs (see
-// JobRequest.resultKey) — with the execution-only knobs (Parallelism,
-// Shards) stripped: a sharded submission hits the entry a serial run
-// populated and vice versa.
+// result identity — workload.RunSpec.Hash for observed jobs, a
+// canonical parameter digest for experiment jobs (see
+// JobRequest.resultKey) — that leaves out the execution-only
+// Parallelism knob.
 //
 // One bounded LRU holds two kinds of entries under one capacity:
 //

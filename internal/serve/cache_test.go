@@ -128,22 +128,17 @@ func TestResubmitAfterDoneHits(t *testing.T) {
 }
 
 // TestCacheHitObservedArtifacts: observed jobs cache their rendered
-// artifact bytes; a hit serves the exact bytes the cold run served,
-// and a sharded resubmission hits the serial run's entry (the key is
-// the normalized HashResult).
+// artifact bytes; a hit serves the exact bytes the cold run served.
 func TestCacheHitObservedArtifacts(t *testing.T) {
 	_, base := cachedServer(t)
 
 	cold := submitAndWait(t, base, `{"type":"observed","requests":120,"quick":true,"seed":4}`)
 	warm := submitAndWait(t, base, `{"type":"observed","requests":120,"quick":true,"seed":4}`)
-	sharded := submitAndWait(t, base, `{"type":"observed","requests":120,"quick":true,"seed":4,"shards":2}`)
 
 	for _, kind := range []string{"trace", "report"} {
 		want := fetchBytes(t, base+"/v1/jobs/"+cold+"/artifacts/"+kind)
-		for _, id := range []string{warm, sharded} {
-			if got := fetchBytes(t, base+"/v1/jobs/"+id+"/artifacts/"+kind); !bytes.Equal(got, want) {
-				t.Errorf("%s artifact of %s differs from cold run (%d vs %d bytes)", kind, id, len(got), len(want))
-			}
+		if got := fetchBytes(t, base+"/v1/jobs/"+warm+"/artifacts/"+kind); !bytes.Equal(got, want) {
+			t.Errorf("%s artifact of the cached job differs from cold run (%d vs %d bytes)", kind, len(got), len(want))
 		}
 	}
 	coldVals, _ := jobValues(t, base, cold)
@@ -151,8 +146,8 @@ func TestCacheHitObservedArtifacts(t *testing.T) {
 	if !reflect.DeepEqual(coldVals, warmVals) {
 		t.Fatal("cached observed values differ from the cold run")
 	}
-	if !jobView(t, base, warm).Cached || !jobView(t, base, sharded).Cached {
-		t.Error("repeat/sharded observed submissions not reported cached")
+	if !jobView(t, base, warm).Cached {
+		t.Error("repeat observed submission not reported cached")
 	}
 	if arts := jobView(t, base, warm).Artifacts; len(arts) != 2 {
 		t.Errorf("cached job lists artifacts %v, want trace+report", arts)

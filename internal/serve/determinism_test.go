@@ -117,24 +117,6 @@ func TestDeterminismRepeatSubmission(t *testing.T) {
 	}
 }
 
-// TestDeterminismShardedJob: an observed job submitted with a shard
-// count yields byte-identical artifacts to the same job on the serial
-// kernel — the sharded execution path never leaks into results, over
-// HTTP included.
-func TestDeterminismShardedJob(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 4}, nil)
-
-	serial := submitAndWait(t, ts.URL, `{"type":"observed","requests":120,"quick":true,"seed":11}`)
-	sharded := submitAndWait(t, ts.URL, `{"type":"observed","requests":120,"quick":true,"seed":11,"shards":4}`)
-	for _, kind := range obs.Artifacts() {
-		sb := fetchBytes(t, fmt.Sprintf("%s/v1/jobs/%s/artifacts/%s", ts.URL, serial, kind))
-		hb := fetchBytes(t, fmt.Sprintf("%s/v1/jobs/%s/artifacts/%s", ts.URL, sharded, kind))
-		if !bytes.Equal(sb, hb) {
-			t.Errorf("%s artifact differs between serial and sharded jobs", kind)
-		}
-	}
-}
-
 // TestDeterminismCheckedDaemon: a daemon booted with -check produces
 // byte-identical artifacts and values to an unchecked one — the
 // invariant checker rides along without touching results, and every

@@ -7,7 +7,7 @@
 //
 // Determinism contract: a job only carries the same parameters the CLI
 // accepts (experiment ID or observed-run knobs, request budget, seed,
-// quick, parallelism, shards), and execution goes through exactly the same
+// quick, parallelism), and execution goes through exactly the same
 // code paths — experiments.Registry runners over RunCells, or
 // workload.BuildObserved + RunSpec.Run. Values and artifact bytes
 // therefore depend only on the submitted parameters, never on the
@@ -80,9 +80,6 @@ type JobRequest struct {
 	Seed        int64 `json:"seed,omitempty"`
 	Quick       bool  `json:"quick,omitempty"`
 	Parallelism int   `json:"parallelism,omitempty"`
-	// Shards mirrors -shards: the intra-run shard count for the sharded
-	// execution path. Results are byte-identical at any value.
-	Shards int `json:"shards,omitempty"`
 	// Fault knobs, observed jobs only; they mirror -faults,
 	// -faultwindow (in microseconds) and -faultloss.
 	FaultRate     float64 `json:"faultRate,omitempty"`
@@ -183,9 +180,6 @@ func (r JobRequest) Validate() error {
 	if r.Parallelism < 0 {
 		return badRequestf("serve: parallelism must be non-negative, got %d", r.Parallelism)
 	}
-	if r.Shards < 0 {
-		return badRequestf("serve: shards must be non-negative, got %d", r.Shards)
-	}
 	switch r.Priority {
 	case "", PriorityInteractive, PriorityBatch:
 	default:
@@ -197,15 +191,13 @@ func (r JobRequest) Validate() error {
 // resultKey is the content-addressed identity of the job's result:
 // two requests with equal keys produce byte-identical values, lines,
 // and artifacts, so the scheduler caches and coalesces on it. The key
-// covers only result-affecting parameters — Parallelism and Shards are
-// execution knobs that provably never change bytes (the sharded-vs-
-// serial equivalence suite), Tenant/Priority only steer scheduling,
-// and the daemon-level Check flag is observe-only — so a sharded
-// resubmission hits the entry a serial run populated. Observed jobs
-// key off the built RunSpec's HashResult (requests/quick normalization
-// happens inside BuildObserved); experiment jobs hash their raw
-// parameter tuple. Empty means "not cacheable" (never the case for a
-// validated request).
+// covers only result-affecting parameters — Parallelism is an
+// execution knob that provably never changes bytes, Tenant/Priority
+// only steer scheduling, and the daemon-level Check flag is
+// observe-only. Observed jobs key off the built RunSpec's Hash
+// (requests/quick normalization happens inside BuildObserved);
+// experiment jobs hash their raw parameter tuple. Empty means "not
+// cacheable" (never the case for a validated request).
 func (r JobRequest) resultKey() string {
 	switch r.Type {
 	case JobExperiment:
@@ -217,7 +209,7 @@ func (r JobRequest) resultKey() string {
 		if err != nil {
 			return ""
 		}
-		return "job|obs|" + spec.HashResult()
+		return "job|obs|" + spec.Hash()
 	case JobTune:
 		sig, err := r.tuneParams().Signature()
 		if err != nil {
@@ -239,7 +231,7 @@ func (r JobRequest) validateNoTuneKnobs() error {
 }
 
 // tuneParams maps the wire request onto the search parameters.
-// Parallelism/Shards are execution-only (outside the signature), and
+// Parallelism is execution-only (outside the signature), and
 // Check is stamped in by the scheduler from the daemon flag.
 func (r JobRequest) tuneParams() tune.Params {
 	space := tune.DefaultSpace()
@@ -258,7 +250,6 @@ func (r JobRequest) tuneParams() tune.Params {
 		Patience:       r.Patience,
 		Quick:          r.Quick,
 		Parallelism:    r.Parallelism,
-		Shards:         r.Shards,
 	}
 }
 
@@ -273,7 +264,6 @@ func (r JobRequest) observedParams() workload.ObservedParams {
 		FaultWindow: sim.FromMicros(r.FaultWindowUs),
 		FaultLoss:   r.FaultLoss,
 		Control:     r.Control,
-		Shards:      r.Shards,
 	}
 }
 
@@ -285,7 +275,6 @@ func (r JobRequest) options() experiments.Options {
 		Seed:        r.Seed,
 		Quick:       r.Quick,
 		Parallelism: r.Parallelism,
-		Shards:      r.Shards,
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -43,8 +44,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: JobObserved, FaultLoss: 1.5},                      // loss out of range
 		{Type: JobObserved, FaultRate: -1},                       // negative rate
 		{Type: JobExperiment, Experiment: "fig11", Parallelism: -2},
-		{Type: JobExperiment, Experiment: "fig11", Shards: -1}, // negative shard count
-		{Type: JobObserved, Shards: -4},                        // negative shard count
+		{Type: JobObserved, FaultRate: 1e8},         // too many fault windows
+		{Type: JobObserved, FaultRate: math.Inf(1)}, // infinite rate
+		{Type: JobObserved, FaultLoss: math.NaN()},  // NaN loss rate
 		{Type: JobExperiment, Experiment: "fig11", // control on experiment
 			Control: &control.Spec{Shed: &control.ShedSpec{Queue: 64}}},
 		{Type: JobTune, Control: &control.Spec{Shed: &control.ShedSpec{Queue: 64}}},

@@ -332,7 +332,9 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		`{"type":"experiment"}`,
 		`{"type":"experiment","experiment":"nope"}`,
 		`{"type":"observed","faultLoss":2}`,
+		`{"type":"observed","faultRate":1e8}`, // ~1e8 fault windows booked at load time
 		`{"type":"experiment","experiment":"fig11","bogusField":1}`,
+		`{"type":"observed","shards":2}`, // removed field: a stale client gets a 400
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		resp.Body.Close()
@@ -340,6 +342,9 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 			t.Errorf("submit %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
+	// The rejected requests never reached a worker: a valid job still
+	// runs to completion.
+	submitAndWait(t, ts.URL, `{"type":"observed","requests":60,"quick":true,"seed":1}`)
 
 	// Listing and registry endpoints respond.
 	lr, err := http.Get(ts.URL + "/v1/jobs")

@@ -1,18 +1,15 @@
 package sim
 
-import "context"
-
 // Hooks is the kernel's single instrumentation surface. It replaces
 // the hook points that accreted on Kernel one field at a time — the
 // per-event observer, the runaway-event budget, the cancellation poll
 // cadence, and periodic samplers registered through Every — with one
-// value installed through one call (SetHooks), so the serial Kernel
-// and the Sharded coordinator implement one contract instead of each
-// re-plumbing four ad-hoc knobs.
+// value installed through one call (SetHooks). A sharded run installs
+// hooks per domain, through Sharded.Domain(i).SetHooks.
 //
 // All hook callbacks must only read simulation state: a mutating hook
-// would change results, and determinism (serial == sharded, byte for
-// byte) depends on hooks being pure observers.
+// would change results, and determinism (byte-identical at any worker
+// count) depends on hooks being pure observers.
 type Hooks struct {
 	// OnEvent, when non-nil, observes every executed event's timestamp
 	// just before its callback runs (the invariant checker uses it to
@@ -49,36 +46,3 @@ type Periodic struct {
 // defaultCheckEvery is the cancellation poll cadence when
 // Hooks.CheckEvery is unset.
 const defaultCheckEvery = 4096
-
-// Runner is the contract shared by the serial Kernel and the Sharded
-// coordinator: install instrumentation once, run to completion (or
-// cancellation), read the clock and the processed-event count. Code
-// that drives a simulation against Runner works identically — byte for
-// byte — over either implementation.
-type Runner interface {
-	// SetHooks installs the full instrumentation surface, replacing
-	// any previously installed hooks, and arms Periodic entries at the
-	// current point in the schedule. Call it before the run starts.
-	SetHooks(h Hooks)
-
-	// RunCtx executes events until none remain or ctx is cancelled
-	// (returning ctx's error in the latter case, nil when drained).
-	RunCtx(ctx context.Context) error
-
-	// Now returns the current simulated time: for a sharded run, the
-	// maximum across domains (the fleet-wide clock at quiescence).
-	Now() Time
-
-	// Processed returns the number of executed events, summed across
-	// domains for a sharded run.
-	Processed() uint64
-
-	// Pending reports queued events not yet executed, summed across
-	// domains plus undelivered cross-domain mail for a sharded run.
-	Pending() int
-}
-
-var (
-	_ Runner = (*Kernel)(nil)
-	_ Runner = (*Sharded)(nil)
-)

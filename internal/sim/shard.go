@@ -36,9 +36,8 @@ import (
 //     pending event across all domains) is a pure function of the
 //     event population, which by 1-3 is scheduling-independent.
 //
-// With a single domain Sharded degenerates to exactly the serial
-// kernel: RunCtx delegates to the domain's own RunCtx, so a Shards=1
-// run is the serial run, not a simulation of it.
+// A single domain is just a Kernel, so Sharded always has at least
+// two.
 type Sharded struct {
 	domains   []*Kernel
 	lookahead Time
@@ -86,18 +85,18 @@ type routed struct {
 }
 
 // NewSharded builds a coordinator with the given number of domain
-// kernels. lookahead is the epoch width — it must be a lower bound on
-// every cross-domain latency in the model (Send enforces this at run
-// time) and must be positive when domains > 1. workers is the number
-// of goroutines executing domains each epoch; <= 0 means one per
-// domain, and values above the domain count are clamped. The worker
-// count affects wall-clock speed only, never results.
+// kernels (at least two). lookahead is the epoch width — it must be
+// positive and a lower bound on every cross-domain latency in the
+// model (Send enforces this at run time). workers is the number of
+// goroutines executing domains each epoch; <= 0 means one per domain,
+// and values above the domain count are clamped. The worker count
+// affects wall-clock speed only, never results.
 func NewSharded(domains int, lookahead Time, workers int) *Sharded {
-	if domains < 1 {
-		panic(fmt.Sprintf("sim: NewSharded needs at least one domain, got %d", domains))
+	if domains < 2 {
+		panic(fmt.Sprintf("sim: NewSharded needs at least two domains, got %d", domains))
 	}
-	if domains > 1 && lookahead <= 0 {
-		panic(fmt.Sprintf("sim: multi-domain sharding needs positive lookahead, got %v", lookahead))
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("sim: NewSharded needs positive lookahead, got %v", lookahead))
 	}
 	if workers <= 0 || workers > domains {
 		workers = domains
@@ -141,38 +140,6 @@ func (s *Sharded) Processed() uint64 {
 		n += k.processed
 	}
 	return n
-}
-
-// Pending sums queued events across domains plus undelivered mail.
-func (s *Sharded) Pending() int {
-	n := 0
-	for _, k := range s.domains {
-		n += k.events.Len()
-	}
-	for _, ob := range s.outbox {
-		n += len(ob)
-	}
-	return n
-}
-
-// SetHooks installs instrumentation. With one domain the hooks pass
-// straight through to that kernel. With several domains only the
-// value-typed knobs (MaxEvents as a per-domain budget, CheckEvery)
-// broadcast; OnEvent and Periodic would run one closure from many
-// goroutines, so multi-domain runs must install those per domain via
-// Domain(i).SetHooks — passing them here panics.
-func (s *Sharded) SetHooks(h Hooks) {
-	if len(s.domains) == 1 {
-		s.domains[0].SetHooks(h)
-		return
-	}
-	if h.OnEvent != nil || len(h.Periodic) > 0 {
-		panic("sim: OnEvent/Periodic hooks on a multi-domain Sharded must be installed per domain")
-	}
-	for _, k := range s.domains {
-		k.hooks.MaxEvents = h.MaxEvents
-		k.hooks.CheckEvery = h.CheckEvery
-	}
 }
 
 // post queues a cross-domain send for barrier delivery (Kernel.Send).
@@ -239,17 +206,12 @@ func (s *Sharded) nextAt() (Time, bool) {
 }
 
 // RunCtx executes all domains to quiescence (or cancellation) under
-// epoch-barrier synchronization. See Runner for the contract and the
-// Sharded doc for the determinism argument.
+// epoch-barrier synchronization, returning ctx's error when cancelled
+// and nil when drained. See the Sharded doc for the determinism
+// argument.
 func (s *Sharded) RunCtx(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if len(s.domains) == 1 {
-		// Degenerate case: one domain IS the serial kernel. Delegating
-		// runs the identical code path, so Shards=1 results are the
-		// serial results by construction, not by equivalence proof.
-		return s.domains[0].RunCtx(ctx)
 	}
 	if err := ctx.Err(); err != nil {
 		return err

@@ -76,37 +76,6 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedSingleDomainIsSerial pins the degenerate case: a
-// one-domain Sharded delegates to the kernel's own RunCtx, so results
-// match a standalone Kernel exactly.
-func TestShardedSingleDomainIsSerial(t *testing.T) {
-	program := func(k *Kernel) {
-		for i := 0; i < 5; i++ {
-			i := i
-			k.At(Time(5-i)*Nanosecond, func() {
-				if i == 0 {
-					// Self-sends on a single domain are plain local
-					// scheduling — exercised here to pin that rule.
-					k.Send(0, k.Now()+Nanosecond, func() {})
-				}
-			})
-		}
-	}
-	plain := NewKernel()
-	program(plain)
-	plain.Run()
-
-	s := NewSharded(1, 0, 4)
-	program(s.Domain(0))
-	if err := s.RunCtx(context.Background()); err != nil {
-		t.Fatalf("RunCtx: %v", err)
-	}
-	if plain.Processed() != s.Processed() || plain.Now() != s.Now() {
-		t.Fatalf("single-domain sharded diverged: processed %d/%d now %v/%v",
-			plain.Processed(), s.Processed(), plain.Now(), s.Now())
-	}
-}
-
 // TestShardedConservativeSendPanics pins the lookahead guard: a
 // cross-domain send landing inside the current epoch is a modeling
 // bug (the declared lookahead exceeds the true cross-domain latency)
@@ -129,11 +98,17 @@ func TestShardedConservativeSendPanics(t *testing.T) {
 // TestShardedMailMergeOrder pins the barrier merge key: same-instant
 // mail from different domains is delivered in source-domain order,
 // then send order, so destination seq assignment is deterministic.
+// A self-send is plain local scheduling: it may land inside the epoch
+// and never passes through the barrier.
 func TestShardedMailMergeOrder(t *testing.T) {
 	hop := 10 * Microsecond
 	s := NewSharded(3, hop, 1)
 	var got []string
 	at := 20 * Microsecond
+	s.Domain(0).At(Microsecond, func() {
+		k := s.Domain(0)
+		k.Send(0, k.Now()+Nanosecond, func() { got = append(got, "self") })
+	})
 	// Domains 2 and 1 both send two messages to domain 0 for the same
 	// instant; delivery must come out (from=1 idx=0), (1,1), (2,0), (2,1)
 	// regardless of the order the sends were scheduled in.
@@ -149,12 +124,30 @@ func TestShardedMailMergeOrder(t *testing.T) {
 	if err := s.RunCtx(context.Background()); err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}
-	want := []string{"from1.0", "from1.1", "from2.0", "from2.1"}
+	want := []string{"self", "from1.0", "from1.1", "from2.0", "from2.1"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order = %v, want %v", got, want)
 	}
 	if s.Stats.Delivered != 4 {
 		t.Fatalf("Delivered = %d, want 4", s.Stats.Delivered)
+	}
+}
+
+// TestNewShardedRejectsDegenerate: one domain is a plain Kernel, and
+// a zero lookahead leaves the epoch schedule no room to advance.
+func TestNewShardedRejectsDegenerate(t *testing.T) {
+	for _, c := range []struct {
+		domains   int
+		lookahead Time
+	}{{1, Microsecond}, {0, Microsecond}, {2, 0}, {2, -Nanosecond}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSharded(%d, %v, 1) did not panic", c.domains, c.lookahead)
+				}
+			}()
+			NewSharded(c.domains, c.lookahead, 1)
+		}()
 	}
 }
 
@@ -180,24 +173,6 @@ func TestShardedCancellation(t *testing.T) {
 	if err := s.RunCtx(ctx); err == nil {
 		t.Fatal("cancelled sharded run returned nil error")
 	}
-}
-
-// TestShardedMultiDomainHookRestrictions: value knobs broadcast;
-// closure hooks must be installed per domain.
-func TestShardedMultiDomainHookRestrictions(t *testing.T) {
-	s := NewSharded(2, Microsecond, 1)
-	s.SetHooks(Hooks{MaxEvents: 10, CheckEvery: 7})
-	for d := 0; d < 2; d++ {
-		if s.Domain(d).hooks.MaxEvents != 10 || s.Domain(d).hooks.CheckEvery != 7 {
-			t.Fatalf("domain %d hooks not broadcast: %+v", d, s.Domain(d).hooks)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("OnEvent on multi-domain Sharded did not panic")
-		}
-	}()
-	s.SetHooks(Hooks{OnEvent: func(Time) {}})
 }
 
 // TestShardedPerDomainHooks: per-domain OnEvent observes exactly that

@@ -22,8 +22,7 @@ import (
 // execution-only block is folded into Signature(), so two Params with
 // equal signatures provably walk the same trajectory; the
 // execution-only knobs change wall clock, never results (the same
-// contract experiments.Options documents for Parallelism, Check, and
-// Shards).
+// contract experiments.Options documents for Parallelism and Check).
 type Params struct {
 	// Strategy picks the searcher: "hill" (batch-neighbor hill
 	// climbing, the default) or "anneal" (simulated annealing).
@@ -57,7 +56,6 @@ type Params struct {
 	// Execution-only knobs: excluded from Signature() because they
 	// never change search results, only how they are computed.
 	Parallelism int  `json:"-"`
-	Shards      int  `json:"-"`
 	Check       bool `json:"-"`
 }
 
@@ -242,7 +240,7 @@ func (c *memoCache) PutCell(key string, v any) {
 // the same Params; passing nil starts fresh. Determinism contract:
 // the full trajectory — every candidate visited, every score, the
 // final SearchState bytes — is a pure function of Params, regardless
-// of Parallelism, Shards, Check, cache warmth, or where a resumed
+// of Parallelism, Check, cache warmth, or where a resumed
 // snapshot was taken. Only Result.CacheHits may differ.
 func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, error) {
 	p = p.withDefaults()
@@ -303,7 +301,6 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 						Policy:  pol,
 						Sources: workload.Mix(svcs, p.LoadScale, p.Requests),
 						Seed:    seed,
-						Shards:  p.Shards,
 					}
 					if p.Check {
 						spec.Check = check.New()

@@ -201,7 +201,6 @@ func TestSignatureCoversResultParametersOnly(t *testing.T) {
 	// Execution-only knobs must not move the signature.
 	exec := p
 	exec.Parallelism = 8
-	exec.Shards = 4
 	exec.Check = true
 	if sig, _ := exec.Signature(); sig != base {
 		t.Errorf("execution knobs changed the signature")

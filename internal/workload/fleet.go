@@ -25,7 +25,7 @@ import (
 // magnitude above the epoch floor, so domains run concurrently with
 // barriers that stay off the critical path.
 //
-// Determinism: results are byte-identical at every Shards value
+// Determinism: results are byte-identical at every Workers value
 // because the sharded coordinator's execution is worker-count
 // invariant (see sim.Sharded) and the merge below walks replicas in
 // index order.
@@ -38,10 +38,10 @@ type FleetSpec struct {
 	// injector's seed (DeriveSeed(Seed, "faults/replica/<i>")).
 	Seed     int64
 	Replicas int
-	// Shards is the execution worker count for the sharded kernel:
+	// Workers is the execution worker count for the sharded kernel:
 	// <= 0 means one worker per domain (ingress + replicas), 1 forces
 	// the serial reference execution. Never changes results.
-	Shards int
+	Workers int
 	// Balance selects the ingress policy: "rr" (default) round-robins;
 	// "least" routes to the replica with the fewest outstanding
 	// requests as observed at the ingress — completions report back
@@ -66,7 +66,7 @@ type FleetSpec struct {
 	// drain). Retry budgets are not supported in fleets: the ingress
 	// would have to replay jobs across domains. All controller state
 	// is ingress-domain-confined, so controlled fleets stay
-	// byte-identical at every Shards value.
+	// byte-identical at every Workers value.
 	Control *control.Spec
 	// Check attaches a runtime invariant checker to every replica and
 	// runs the end-of-run suite per replica after the fleet drains.
@@ -131,7 +131,7 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	}
 
 	nd := 1 + s.Replicas // domain 0 = ingress, 1..R = servers
-	sk := sim.NewSharded(nd, forward, s.Shards)
+	sk := sim.NewSharded(nd, forward, s.Workers)
 
 	programs := s.Programs
 	if programs == nil {
@@ -211,7 +211,7 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 		// completion notice has been delivered back to the ingress — so
 		// it spans the run and stops at global quiescence. Everything it
 		// reads and writes is ingress-domain-confined, so the schedule
-		// is byte-identical at every Shards value.
+		// is byte-identical at every Workers value.
 		ing := sk.Domain(0)
 		iv := ctl.Interval()
 		var tick func()

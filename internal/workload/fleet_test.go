@@ -12,14 +12,14 @@ import (
 	"accelflow/internal/sim"
 )
 
-func fleetSpec(replicas, requests, shards int, balance string) *FleetSpec {
+func fleetSpec(replicas, requests, workers int, balance string) *FleetSpec {
 	return &FleetSpec{
 		Config:   config.Default(),
 		Policy:   engine.AccelFlow(),
 		Sources:  Mix(services.SocialNetwork(), float64(replicas), requests),
 		Seed:     11,
 		Replicas: replicas,
-		Shards:   shards,
+		Workers:  workers,
 		Balance:  balance,
 	}
 }
@@ -61,14 +61,14 @@ func fingerprint(t *testing.T, res *FleetResult) fleetFingerprint {
 
 // TestFleetWorkerCountInvariance is the fleet-level determinism
 // acceptance test: a genuinely multi-domain run (mailbox traffic,
-// concurrent replica servers) is byte-identical at shard counts
+// concurrent replica servers) is byte-identical at worker counts
 // {1, 2, 4, 8}.
 func TestFleetWorkerCountInvariance(t *testing.T) {
 	for _, balance := range []string{"rr", "least"} {
-		run := func(shards int) fleetFingerprint {
-			res, err := fleetSpec(4, 240, shards, balance).Run()
+		run := func(workers int) fleetFingerprint {
+			res, err := fleetSpec(4, 240, workers, balance).Run()
 			if err != nil {
-				t.Fatalf("balance=%s shards=%d: %v", balance, shards, err)
+				t.Fatalf("balance=%s workers=%d: %v", balance, workers, err)
 			}
 			return fingerprint(t, res)
 		}
@@ -80,9 +80,9 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("balance=%s: no cross-domain traffic (mail=%d epochs=%d) — test is vacuous",
 				balance, ref.mail, ref.epochs)
 		}
-		for _, shards := range []int{2, 4, 8} {
-			if got := run(shards); got != ref {
-				t.Errorf("balance=%s shards=%d diverged:\n got %+v\nwant %+v", balance, shards, got, ref)
+		for _, workers := range []int{2, 4, 8} {
+			if got := run(workers); got != ref {
+				t.Errorf("balance=%s workers=%d diverged:\n got %+v\nwant %+v", balance, workers, got, ref)
 			}
 		}
 	}
@@ -128,8 +128,8 @@ func TestFleetBalancing(t *testing.T) {
 // ~9us epochs every window crosses many epoch barriers. The run must
 // pass every per-replica invariant and stay worker-count invariant.
 func TestFleetCheckedWithFaults(t *testing.T) {
-	mk := func(shards int) *FleetSpec {
-		s := fleetSpec(3, 150, shards, "rr")
+	mk := func(workers int) *FleetSpec {
+		s := fleetSpec(3, 150, workers, "rr")
 		s.Check = true
 		s.Faults = &fault.Spec{
 			Rate:           3000,
@@ -145,10 +145,10 @@ func TestFleetCheckedWithFaults(t *testing.T) {
 		}
 		return s
 	}
-	run := func(shards int) (*FleetResult, fleetFingerprint) {
-		res, err := mk(shards).Run()
+	run := func(workers int) (*FleetResult, fleetFingerprint) {
+		res, err := mk(workers).Run()
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return res, fingerprint(t, res)
 	}

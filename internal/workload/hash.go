@@ -12,35 +12,21 @@ import (
 
 // Hash returns a stable content hash of the spec's simulation inputs:
 // config, policy, sources (service definitions, arrival processes,
-// budgets, tenants), seed, shards, program/remote overrides, the
-// fault spec, and the control spec. Two specs with equal hashes produce bit-identical
-// results, so the hash is the spec identity that sharded-vs-serial
-// equivalence tests, golden files, and result caches key off.
+// budgets, tenants), seed, program/remote overrides, the fault spec,
+// and the control spec. Two specs with equal hashes produce
+// bit-identical results, so the hash is the result identity that
+// golden files and result caches key off.
 //
 // Excluded on purpose: Obs and Check (attachments that observe a run
 // without changing its results) and any runtime state (an Arrivals
 // value is hashed by its declared parameters, not its internal
-// phase). Shards IS included even though it never changes results —
-// the hash names the exact execution request; cache consumers that
-// want result identity use HashResult, which normalizes it away.
+// phase).
 //
 // The encoding is canonical: struct fields serialize in declaration
 // order via encoding/json, map-valued fields are emitted in sorted key
 // order, and every section is length- and label-delimited so field
 // boundaries cannot alias.
-func (s *RunSpec) Hash() string { return s.hash(s.Shards) }
-
-// HashResult is the spec's result identity: Hash with the Shards knob
-// normalized to zero. Shards selects an execution path and provably
-// never changes output bytes (TestShardsDoNotChangeResults pins every
-// registry experiment at shard counts 1/2/4/8), so two specs that
-// differ only in Shards produce bit-identical Values and artifacts.
-// Content-addressed result caches key off HashResult so a sharded
-// submission hits the cache entry a serial run populated and vice
-// versa; Hash remains the execution-request identity.
-func (s *RunSpec) HashResult() string { return s.hash(0) }
-
-func (s *RunSpec) hash(shards int) string {
+func (s *RunSpec) Hash() string {
 	h := sha256.New()
 	section(h, "config", mustJSON(s.Config))
 
@@ -72,7 +58,7 @@ func (s *RunSpec) hash(shards int) string {
 		section(h, "arrivals", mustJSON(src.Arrivals))
 	}
 
-	fmt.Fprintf(h, "seed|%d\nshards|%d\n", s.Seed, shards)
+	fmt.Fprintf(h, "seed|%d\n", s.Seed)
 
 	programs := s.Programs
 	if programs == nil {

@@ -48,7 +48,6 @@ func TestHashSensitivity(t *testing.T) {
 	ref := hashSpec().Hash()
 	cases := map[string]func(*RunSpec){
 		"seed":    func(s *RunSpec) { s.Seed++ },
-		"shards":  func(s *RunSpec) { s.Shards = 4 },
 		"config":  func(s *RunSpec) { s.Config.Cores++ },
 		"policy":  func(s *RunSpec) { s.Policy = engine.RELIEF() },
 		"budget":  func(s *RunSpec) { s.Sources[0].Requests++ },
@@ -64,38 +63,6 @@ func TestHashSensitivity(t *testing.T) {
 		if s.Hash() == ref {
 			t.Errorf("%s change did not move the hash", name)
 		}
-	}
-}
-
-// TestHashResultNormalizesShards: HashResult is invariant under the
-// Shards knob (which never changes result bytes) but still tracks
-// every genuine simulation input, and Hash keeps distinguishing shard
-// counts as distinct execution requests.
-func TestHashResultNormalizesShards(t *testing.T) {
-	ref := hashSpec()
-	refResult := ref.HashResult()
-	for _, shards := range []int{0, 1, 2, 4, 8} {
-		s := hashSpec()
-		s.Shards = shards
-		if s.HashResult() != refResult {
-			t.Errorf("Shards=%d moved HashResult; shards never change result bytes", shards)
-		}
-	}
-	sharded := hashSpec()
-	sharded.Shards = 4
-	if sharded.Hash() == ref.Hash() {
-		t.Error("Hash ignored Shards; it names the execution request")
-	}
-	if got := hashSpec().HashResult(); got != refResult {
-		t.Error("repeat HashResult of equal specs differs")
-	}
-	reseeded := hashSpec()
-	reseeded.Seed++
-	if reseeded.HashResult() == refResult {
-		t.Error("seed change did not move HashResult")
-	}
-	if zero := hashSpec(); zero.Hash() != zero.HashResult() {
-		t.Error("with Shards unset, Hash and HashResult must agree")
 	}
 }
 

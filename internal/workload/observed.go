@@ -52,12 +52,6 @@ type ObservedParams struct {
 	// -check flag on both binaries). Checking never changes results;
 	// a violation fails the run with a structured error.
 	Check bool
-
-	// Shards selects the sharded execution path (RunSpec.Shards; the
-	// -shards flag on both binaries). Artifacts stay byte-identical at
-	// any value, so it is excluded from the determinism contract above
-	// only in the trivial sense: it cannot change the bytes.
-	Shards int
 }
 
 // Validate rejects out-of-range parameters with a caller-facing
@@ -73,8 +67,11 @@ func (p ObservedParams) Validate() error {
 		return fmt.Errorf("observed run: fault window must be non-negative, got %v", p.FaultWindow)
 	case p.FaultLoss < 0 || p.FaultLoss > 1:
 		return fmt.Errorf("observed run: fault loss rate must be in [0,1], got %v", p.FaultLoss)
-	case p.Shards < 0:
-		return fmt.Errorf("observed run: shards must be non-negative, got %d", p.Shards)
+	}
+	if f := p.faults(); f != nil {
+		if err := f.Validate(); err != nil {
+			return fmt.Errorf("observed run: %w", err)
+		}
 	}
 	if p.Control != nil {
 		if err := p.Control.Validate(); err != nil {
@@ -109,30 +106,35 @@ func BuildObserved(p ObservedParams) (*RunSpec, *obs.Sink, error) {
 		Policy:  engine.AccelFlow(),
 		Sources: Mix(services.SocialNetwork(), 1.0, n),
 		Seed:    p.Seed,
-		Shards:  p.Shards,
 		Obs:     sink,
+		Faults:  p.faults(),
 		Control: p.Control,
 	}
 	if p.Check {
 		spec.Check = check.New()
 	}
-	if p.FaultRate > 0 || p.FaultLoss > 0 {
-		win := p.FaultWindow
-		if win <= 0 {
-			win = 200 * sim.Microsecond
-		}
-		spec.Faults = &fault.Spec{
-			Rate:           p.FaultRate,
-			MeanWindow:     win,
-			Horizon:        sim.Second,
-			PEDegradeFrac:  0.5,
-			PEFail:         true,
-			ADMARemove:     2,
-			ManagerStall:   true,
-			ATMStall:       500 * sim.Nanosecond,
-			NoCInflate:     4,
-			RemoteLossRate: p.FaultLoss,
-		}
-	}
 	return spec, sink, nil
+}
+
+// faults is the run's fault spec, nil when both fault knobs are off.
+func (p ObservedParams) faults() *fault.Spec {
+	if p.FaultRate <= 0 && p.FaultLoss <= 0 {
+		return nil
+	}
+	win := p.FaultWindow
+	if win <= 0 {
+		win = 200 * sim.Microsecond
+	}
+	return &fault.Spec{
+		Rate:           p.FaultRate,
+		MeanWindow:     win,
+		Horizon:        sim.Second,
+		PEDegradeFrac:  0.5,
+		PEFail:         true,
+		ADMARemove:     2,
+		ManagerStall:   true,
+		ATMStall:       500 * sim.Nanosecond,
+		NoCInflate:     4,
+		RemoteLossRate: p.FaultLoss,
+	}
 }

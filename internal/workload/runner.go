@@ -96,15 +96,6 @@ type RunSpec struct {
 	// read state, so an attached checker never changes Values. Each
 	// Checker covers exactly one run.
 	Check *check.Checker
-	// Shards > 1 routes execution through the sharded coordinator
-	// (sim.Sharded) instead of a bare kernel. A single simulated server
-	// is one resource domain — every component shares the engine's
-	// state — so a RunSpec run always occupies one domain and the knob
-	// changes the execution path, never the results: sharded output is
-	// byte-identical to serial at any shard count. Multi-domain
-	// parallelism (one domain per server plus an ingress balancer)
-	// comes from FleetSpec, where Shards sets the worker count.
-	Shards int
 }
 
 // Run drives one engine with the spec's sources until every request
@@ -121,22 +112,7 @@ func (s *RunSpec) Run() (*RunResult, error) {
 // misleading. With a background (or nil) context the behavior and
 // results are bit-identical to Run.
 func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
-	var (
-		k      *sim.Kernel
-		runner sim.Runner
-	)
-	if s.Shards > 1 {
-		// One server = one domain (see the Shards doc): the coordinator
-		// delegates a single domain to the kernel's own run loop, so
-		// this path is the serial path, executed through the unified
-		// Runner contract.
-		sk := sim.NewSharded(1, 0, s.Shards)
-		k = sk.Domain(0)
-		runner = sk
-	} else {
-		k = sim.NewKernel()
-		runner = k
-	}
+	k := sim.NewKernel()
 	p := engine.Params{Seed: s.Seed, Obs: s.Obs, Check: s.Check}
 	if s.Faults != nil {
 		p.Faults = fault.New(*s.Faults, sim.DeriveSeed(s.Seed, "faults"))
@@ -217,7 +193,7 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		h.Periodic = append(h.Periodic, samplerHook(k, e, s.Obs))
 		k.SetHooks(h)
 	}
-	if err := runner.RunCtx(ctx); err != nil {
+	if err := k.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("workload: run interrupted: %w", err)
 	}
 	res.Elapsed = k.Now()

@@ -281,35 +281,3 @@ func TestRunCoarseCatalog(t *testing.T) {
 		t.Errorf("coarse app mean %v implausibly fast", res.All.Mean())
 	}
 }
-
-// TestShardsKnobIsByteIdentical pins the RunSpec.Shards contract: the
-// sharded execution path produces exactly the serial results — same
-// recorder contents, same counters — at every shard count.
-func TestShardsKnobIsByteIdentical(t *testing.T) {
-	svc := services.SocialNetwork()[6]
-	mk := func(shards int) *RunResult {
-		spec := &RunSpec{
-			Config:  config.Default(),
-			Policy:  engine.AccelFlow(),
-			Sources: SingleService(svc, Poisson{RPS: 2000}, 80),
-			Seed:    3,
-			Shards:  shards,
-		}
-		res, err := spec.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := mk(0)
-	for _, shards := range []int{1, 2, 4, 8} {
-		got := mk(shards)
-		if got.All.Mean() != ref.All.Mean() || got.All.P99() != ref.All.P99() ||
-			got.Completed != ref.Completed || got.Elapsed != ref.Elapsed ||
-			got.Engine.K.Processed() != ref.Engine.K.Processed() {
-			t.Errorf("shards=%d diverged from serial: mean %v vs %v, processed %d vs %d",
-				shards, got.All.Mean(), ref.All.Mean(),
-				got.Engine.K.Processed(), ref.Engine.K.Processed())
-		}
-	}
-}
