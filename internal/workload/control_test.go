@@ -53,6 +53,28 @@ func controlledSpec() *RunSpec {
 	}
 }
 
+// controlledFleetSpec is a 4-replica fleet with ingress shedding and
+// the replicas autoscaler.
+func controlledFleetSpec(workers int) *FleetSpec {
+	return &FleetSpec{
+		Config:   config.Default(),
+		Policy:   engine.AccelFlow(),
+		Sources:  Mix(services.SocialNetwork(), 4.0, 240),
+		Seed:     11,
+		Replicas: 4,
+		Workers:  workers,
+		Control: &control.Spec{
+			Autoscale: &control.AutoscaleSpec{
+				Target:    control.TargetReplicas,
+				UpUtil:    0.9,
+				DownUtil:  0.3,
+				MaxRemove: 2,
+			},
+			Shed: &control.ShedSpec{Queue: 64},
+		},
+	}
+}
+
 // TestControlledRunEngagesEveryPolicy: the surge, queue threshold
 // and fault burst in controlledSpec really drive the autoscaler, the
 // shedder and the retry budget, so tests built on it are not vacuous.
@@ -76,25 +98,7 @@ func TestControlledRunEngagesEveryPolicy(t *testing.T) {
 // autoscaler and ingress shedding is byte-identical at any worker
 // count, controller counters included.
 func TestControlledFleetShardInvariance(t *testing.T) {
-	mk := func(workers int) *FleetSpec {
-		return &FleetSpec{
-			Config:   config.Default(),
-			Policy:   engine.AccelFlow(),
-			Sources:  Mix(services.SocialNetwork(), 4.0, 240),
-			Seed:     11,
-			Replicas: 4,
-			Workers:  workers,
-			Control: &control.Spec{
-				Autoscale: &control.AutoscaleSpec{
-					Target:    control.TargetReplicas,
-					UpUtil:    0.9,
-					DownUtil:  0.3,
-					MaxRemove: 2,
-				},
-				Shed: &control.ShedSpec{Queue: 64},
-			},
-		}
-	}
+	mk := controlledFleetSpec
 	type fleetCtl struct {
 		fp    fleetFingerprint
 		shed  uint64

@@ -122,31 +122,34 @@ func TestFleetBalancing(t *testing.T) {
 	}
 }
 
+// faultedFleetSpec is a 3-replica checked fleet under a fault burst
+// that exercises every injection mechanism.
+func faultedFleetSpec(workers int) *FleetSpec {
+	s := fleetSpec(3, 150, workers, "rr")
+	s.Check = true
+	s.Faults = &fault.Spec{
+		Rate:           3000,
+		MeanWindow:     200 * sim.Microsecond,
+		Horizon:        sim.Second,
+		PEDegradeFrac:  0.5,
+		PEFail:         true,
+		ADMARemove:     2,
+		ManagerStall:   true,
+		ATMStall:       500 * sim.Nanosecond,
+		NoCInflate:     4,
+		RemoteLossRate: 1e-3,
+	}
+	return s
+}
+
 // TestFleetCheckedWithFaults runs the invariant checkers over a
 // fault-injected fleet: PE-degrade windows (Resource.SetServers
 // resizes) fire throughout the run, and with ~200us mean windows vs
 // ~9us epochs every window crosses many epoch barriers. The run must
 // pass every per-replica invariant and stay worker-count invariant.
 func TestFleetCheckedWithFaults(t *testing.T) {
-	mk := func(workers int) *FleetSpec {
-		s := fleetSpec(3, 150, workers, "rr")
-		s.Check = true
-		s.Faults = &fault.Spec{
-			Rate:           3000,
-			MeanWindow:     200 * sim.Microsecond,
-			Horizon:        sim.Second,
-			PEDegradeFrac:  0.5,
-			PEFail:         true,
-			ADMARemove:     2,
-			ManagerStall:   true,
-			ATMStall:       500 * sim.Nanosecond,
-			NoCInflate:     4,
-			RemoteLossRate: 1e-3,
-		}
-		return s
-	}
 	run := func(workers int) (*FleetResult, fleetFingerprint) {
-		res, err := mk(workers).Run()
+		res, err := faultedFleetSpec(workers).Run()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
