@@ -203,12 +203,12 @@ func BenchmarkRunCheckDisabled(b *testing.B) { benchRunCheck(b, false) }
 func BenchmarkRunCheckEnabled(b *testing.B)  { benchRunCheck(b, true) }
 
 // benchRunControlled is the same guard for the dynamic-control
-// subsystem: with Control nil the runner takes the exact pre-control
-// scheduling path (scheduleSource, no decision tick), so the Disabled
+// subsystem: with Control nil the runner's request path skips every
+// controller branch and arms no decision tick, so the Disabled
 // benchmark must stay within noise (<2%) of the pre-control baseline.
 // The Enabled variant runs every policy — PE autoscaler, both shed
-// kinds, retry budgets — and so prices the controlled request path's
-// closure plus the decision tick. Compare with
+// kinds, retry budgets — and so prices the controller's work on the
+// request path plus the decision tick. Compare with
 //
 //	go test -bench='BenchmarkRunControlled' -benchtime=20x -count=5
 var benchRunControlledResult *workload.RunResult

@@ -17,12 +17,12 @@ import (
 // Report is the machine-readable summary of one observed run. All
 // times are microseconds (float) to match the trace export.
 type Report struct {
-	Requests    int                        `json:"requests"`
-	Spans       int                        `json:"spans"`
-	Services    []ServiceReport            `json:"services"`
-	SegByKind   map[string]float64         `json:"segUsByKind"`
-	SegByRes    map[string]float64         `json:"segUsByResource"`
-	Utilization []SeriesReport             `json:"utilization"`
+	Requests    int                           `json:"requests"`
+	Spans       int                           `json:"spans"`
+	Services    []ServiceReport               `json:"services"`
+	SegByKind   map[string]float64            `json:"segUsByKind"`
+	SegByRes    map[string]float64            `json:"segUsByResource"`
+	Utilization []SeriesReport                `json:"utilization"`
 	KindByRes   map[string]map[string]float64 `json:"segUsByResourceKind"`
 }
 

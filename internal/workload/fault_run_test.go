@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
+	"accelflow/internal/check"
 	"accelflow/internal/config"
 	"accelflow/internal/engine"
 	"accelflow/internal/fault"
@@ -105,5 +107,52 @@ func TestFaultRunCompletesAndReverts(t *testing.T) {
 	}
 	if inj.Active() != 0 {
 		t.Errorf("%d fault windows still open after the run", inj.Active())
+	}
+}
+
+// TestInvalidFaultSpecRejectedBeforeRun: both specs reject an invalid
+// fault spec while building their servers, before the injector
+// attaches, so a spec past the window cap cannot pre-schedule its
+// windows and a non-finite one cannot reach the injector. The attached
+// checker sees no kernel event.
+func TestInvalidFaultSpecRejectedBeforeRun(t *testing.T) {
+	svc := services.SocialNetwork()[4] // Login
+	cases := []struct {
+		name string
+		spec fault.Spec
+	}{
+		{"over window cap", fault.Spec{Rate: 1e9, Horizon: sim.Second}},
+		{"NaN rate", fault.Spec{Rate: math.NaN()}},
+		{"infinite NoC inflation", fault.Spec{Rate: 10, NoCInflate: math.Inf(1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			chk := check.New()
+			run := &RunSpec{
+				Config:  config.Default(),
+				Policy:  engine.AccelFlow(),
+				Sources: SingleService(svc, Poisson{RPS: 3000}, 20),
+				Seed:    1,
+				Faults:  &tc.spec,
+				Check:   chk,
+			}
+			if res, err := run.Run(); err == nil || res != nil {
+				t.Fatalf("RunSpec accepted the spec: res=%v err=%v", res, err)
+			}
+			if n := chk.Events(); n != 0 {
+				t.Errorf("RunSpec ran %d events before rejecting the spec", n)
+			}
+			fleet := &FleetSpec{
+				Config:   config.Default(),
+				Policy:   engine.AccelFlow(),
+				Sources:  SingleService(svc, Poisson{RPS: 3000}, 20),
+				Seed:     1,
+				Replicas: 2,
+				Faults:   &tc.spec,
+			}
+			if res, err := fleet.Run(); err == nil || res != nil {
+				t.Fatalf("FleetSpec accepted the spec: res=%v err=%v", res, err)
+			}
+		})
 	}
 }

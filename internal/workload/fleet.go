@@ -9,8 +9,6 @@ import (
 	"accelflow/internal/control"
 	"accelflow/internal/engine"
 	"accelflow/internal/fault"
-	"accelflow/internal/metrics"
-	"accelflow/internal/services"
 	"accelflow/internal/sim"
 	"accelflow/internal/trace"
 )
@@ -111,10 +109,10 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown balance policy %q (want rr or least)", s.Balance)
 	}
+	if err := checkInputs(s.Sources, s.Control); err != nil {
+		return nil, err
+	}
 	if s.Control != nil {
-		if err := s.Control.Validate(); err != nil {
-			return nil, err
-		}
 		if s.Control.Retry != nil {
 			return nil, fmt.Errorf("workload: fleet runs do not support retry budgets (the ingress cannot replay jobs across domains)")
 		}
@@ -133,46 +131,25 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	nd := 1 + s.Replicas // domain 0 = ingress, 1..R = servers
 	sk := sim.NewSharded(nd, forward, s.Workers)
 
-	programs := s.Programs
-	if programs == nil {
-		programs = services.Catalog()
-	}
-	remote := s.Remote
-	if remote == nil {
-		remote = services.RemoteTails()
-	}
-
+	programs, remote := catalog(s.Programs, s.Remote)
 	out := &FleetResult{
 		Replicas: make([]*RunResult, s.Replicas),
 		Routed:   make([]uint64, s.Replicas),
 	}
-	engines := make([]*engine.Engine, s.Replicas)
-	checkers := make([]*check.Checker, s.Replicas)
-	for i := 0; i < s.Replicas; i++ {
-		k := sk.Domain(1 + i)
+	for i := range out.Replicas {
 		p := engine.Params{Seed: sim.DeriveSeed(s.Seed, fmt.Sprintf("replica/%d", i))}
 		if s.Faults != nil {
 			p.Faults = fault.New(*s.Faults,
 				sim.DeriveSeed(s.Seed, fmt.Sprintf("faults/replica/%d", i)))
 		}
 		if s.Check {
-			checkers[i] = check.New()
-			p.Check = checkers[i]
+			p.Check = check.New()
 		}
-		e, err := engine.New(k, s.Config, s.Policy, p)
+		rr, err := newServer(sk.Domain(1+i), s.Config, s.Policy, p, programs, remote)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.Register(programs, remote); err != nil {
-			return nil, err
-		}
-		engines[i] = e
-		out.Replicas[i] = &RunResult{
-			PerService: map[string]*metrics.Recorder{},
-			All:        metrics.NewRecorder(s.Policy.Name),
-			Net:        metrics.NewRecorder(s.Policy.Name + "/net"),
-			Engine:     e,
-		}
+		out.Replicas[i] = rr
 	}
 
 	lb := newBalancer(s.Balance, s.Replicas)
@@ -186,20 +163,13 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	rng := sim.NewRNG(s.Seed ^ 0x5eed)
 	total := 0
 	for si, src := range s.Sources {
-		if src.Requests <= 0 {
-			return nil, fmt.Errorf("workload: source %d has no request budget", si)
-		}
 		total += src.Requests
-		for i := range out.Replicas {
-			if out.Replicas[i].PerService[src.Service.Name] == nil {
-				out.Replicas[i].PerService[src.Service.Name] = metrics.NewRecorder(src.Service.Name)
-			}
+		// Created before the run: arrival events on the ingress domain
+		// read the replicas' maps, so no domain may write them later.
+		for _, rr := range out.Replicas {
+			rr.service(src.Service.Name)
 		}
-		srcRNG := rng.Fork(int64(si) + 1)
-		scheduleFleetSource(sk, src, srcRNG, lb, ctl, engines, out, forward)
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("workload: no requests to run")
+		scheduleFleetSource(sk, src, rng.Fork(int64(si)+1), lb, ctl, out, forward)
 	}
 	if ctl != nil && ctl.NeedsTick() {
 		// The decision loop is a manually rescheduled tick on the
@@ -211,7 +181,10 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 		// completion notice has been delivered back to the ingress — so
 		// it spans the run and stops at global quiescence. Everything it
 		// reads and writes is ingress-domain-confined, so the schedule
-		// is byte-identical at every Workers value.
+		// is byte-identical at every Workers value. RunSpec cannot use
+		// this rule: on one kernel the controller tick and the obs
+		// sampler would each see the other pending and never stop
+		// (DESIGN.md §12).
 		ing := sk.Domain(0)
 		iv := ctl.Interval()
 		var tick func()
@@ -230,26 +203,10 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 
 	// Merge in replica-index order — the only order-sensitive step of
 	// result assembly, fixed independent of worker scheduling.
-	merged := &RunResult{
-		PerService: map[string]*metrics.Recorder{},
-		All:        metrics.NewRecorder(s.Policy.Name),
-		Net:        metrics.NewRecorder(s.Policy.Name + "/net"),
-		Elapsed:    sk.Now(),
-	}
+	merged := newResult(s.Policy.Name)
+	merged.Elapsed = sk.Now()
 	for _, rr := range out.Replicas {
-		merged.All.Merge(rr.All)
-		merged.Net.Merge(rr.Net)
-		for name, rec := range rr.PerService {
-			if merged.PerService[name] == nil {
-				merged.PerService[name] = metrics.NewRecorder(name)
-			}
-			merged.PerService[name].Merge(rec)
-		}
-		merged.Completed += rr.Completed
-		merged.TimedOut += rr.TimedOut
-		merged.FellBack += rr.FellBack
-		merged.AccelCount += rr.AccelCount
-		addBreakdown(&merged.Breakdown, rr.Breakdown)
+		merged.merge(rr)
 	}
 	out.Merged = merged
 	out.Events = sk.Processed()
@@ -266,11 +223,8 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 			total, merged.Completed, out.Shed)
 	}
 	if s.Check {
-		for i, chk := range checkers {
-			rr := out.Replicas[i]
-			chk.CheckConservation(sk.Domain(1+i).Now(), rr.Completed, rr.TimedOut, rr.FellBack)
-			engines[i].CheckEnd(chk)
-			if err := chk.Err(); err != nil {
+		for i, rr := range out.Replicas {
+			if err := rr.verify(); err != nil {
 				return out, fmt.Errorf("workload: replica %d invariant check failed: %w", i, err)
 			}
 		}
@@ -284,7 +238,7 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 // callback runs on the replica's domain and owns that replica's
 // recorders (domain confinement keeps the merge deterministic and the
 // run race-free).
-func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer, ctl *control.Controller, engines []*engine.Engine, out *FleetResult, forward sim.Time) {
+func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer, ctl *control.Controller, out *FleetResult, forward sim.Time) {
 	ing := sk.Domain(0)
 	// Completion notices flow back whenever anything at the ingress
 	// consumes them: the least-outstanding balancer's load view, or the
@@ -309,31 +263,16 @@ func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer
 			rec := rr.PerService[src.Service.Name]
 			repK := sk.Domain(1 + ri)
 			ing.Send(1+ri, at+forward, func() {
-				engines[ri].Submit(job, func(r engine.Result) {
-					rec.Add(r.Latency)
-					rr.All.Add(r.Latency)
-					net := r.Latency - r.Breakdown.Remote
-					if net < r.Latency/4 {
-						net = r.Latency / 4
-					}
-					rr.Net.Add(net)
-					rr.Completed++
-					rr.AccelCount += uint64(r.Accels)
-					if r.TimedOut {
-						rr.TimedOut++
-					}
-					if r.FellBack {
-						rr.FellBack++
-					}
-					addBreakdown(&rr.Breakdown, r.Breakdown)
+				rr.Engine.Submit(job, func(r engine.Result) {
+					rr.count(r)
+					rr.record(rec, r)
 					if notify {
 						// Completion notice travels back to the ingress
 						// over the same forwarding latency.
-						done := ri
 						lat := r.Latency
 						repK.Send(0, repK.Now()+forward, func() {
 							if lb.tracksLoad() {
-								lb.done(done)
+								lb.done(ri)
 							}
 							if ctl != nil {
 								ctl.NoteDone(ing.Now(), lat)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"accelflow/internal/services"
 )
 
 // Hash returns a stable content hash of the spec's simulation inputs:
@@ -60,16 +58,9 @@ func (s *RunSpec) Hash() string {
 
 	fmt.Fprintf(h, "seed|%d\n", s.Seed)
 
-	programs := s.Programs
-	if programs == nil {
-		programs = services.Catalog()
-	}
+	programs, remote := catalog(s.Programs, s.Remote)
 	for _, p := range programs {
 		section(h, "program", mustJSON(p))
-	}
-	remote := s.Remote
-	if remote == nil {
-		remote = services.RemoteTails()
 	}
 	names := make([]string, 0, len(remote))
 	for name := range remote {

@@ -112,35 +112,25 @@ func (s *RunSpec) Run() (*RunResult, error) {
 // misleading. With a background (or nil) context the behavior and
 // results are bit-identical to Run.
 func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
+	if err := checkInputs(s.Sources, s.Control); err != nil {
+		return nil, err
+	}
 	k := sim.NewKernel()
 	p := engine.Params{Seed: s.Seed, Obs: s.Obs, Check: s.Check}
 	if s.Faults != nil {
 		p.Faults = fault.New(*s.Faults, sim.DeriveSeed(s.Seed, "faults"))
 	}
-	e, err := engine.New(k, s.Config, s.Policy, p)
+	programs, remote := catalog(s.Programs, s.Remote)
+	res, err := newServer(k, s.Config, s.Policy, p, programs, remote)
 	if err != nil {
-		return nil, err
-	}
-	programs := s.Programs
-	if programs == nil {
-		programs = services.Catalog()
-	}
-	remote := s.Remote
-	if remote == nil {
-		remote = services.RemoteTails()
-	}
-	if err := e.Register(programs, remote); err != nil {
 		return nil, err
 	}
 	var ctl *control.Controller
 	if s.Control != nil {
-		if err := s.Control.Validate(); err != nil {
-			return nil, err
-		}
 		ctl = control.New(*s.Control, sim.DeriveSeed(s.Seed, "control"))
 		ctl.BindObs(s.Obs)
 		if a := s.Control.Autoscale; a != nil {
-			pools, err := e.ControlPools(a.Target)
+			pools, err := res.Engine.ControlPools(a.Target)
 			if err != nil {
 				return nil, err
 			}
@@ -148,31 +138,12 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		}
 	}
 
-	res := &RunResult{
-		PerService: map[string]*metrics.Recorder{},
-		All:        metrics.NewRecorder(s.Policy.Name),
-		Net:        metrics.NewRecorder(s.Policy.Name + "/net"),
-		Engine:     e,
-	}
 	rng := sim.NewRNG(s.Seed ^ 0x5eed)
-
-	total := 0
+	// One allocation for every source's stream, not one each.
+	streams := make([]stream, len(s.Sources))
 	for si, src := range s.Sources {
-		if src.Requests <= 0 {
-			return nil, fmt.Errorf("workload: source %d has no request budget", si)
-		}
-		total += src.Requests
-		rec := metrics.NewRecorder(src.Service.Name)
-		res.PerService[src.Service.Name] = rec
-		srcRNG := rng.Fork(int64(si) + 1)
-		if ctl != nil {
-			scheduleControlledSource(k, e, ctl, src, srcRNG, rec, res)
-		} else {
-			scheduleSource(k, e, src, srcRNG, rec, res)
-		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("workload: no requests to run")
+		streams[si] = stream{res: res, rec: res.service(src.Service.Name), ctl: ctl, src: src}
+		streams[si].schedule(rng.Fork(int64(si) + 1))
 	}
 	if ctl != nil && ctl.NeedsTick() {
 		// The decision tick arms like the obs sampler (below): after all
@@ -190,7 +161,7 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		// fixes its event-sequence position exactly where the run needs
 		// it (see samplerHook).
 		h := k.Hooks()
-		h.Periodic = append(h.Periodic, samplerHook(k, e, s.Obs))
+		h.Periodic = append(h.Periodic, samplerHook(k, res.Engine, s.Obs))
 		k.SetHooks(h)
 	}
 	if err := k.RunCtx(ctx); err != nil {
@@ -201,16 +172,137 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		res.Control = &ctl.Stats
 	}
 	if s.Check.Enabled() {
-		// The heap has drained, so the quiescence-only invariants hold;
-		// the runner's own counters serve as the independent accounting
-		// the conservation check compares against.
-		s.Check.CheckConservation(k.Now(), res.Completed, res.TimedOut, res.FellBack)
-		e.CheckEnd(s.Check)
-		if err := s.Check.Err(); err != nil {
+		if err := res.verify(); err != nil {
 			return res, fmt.Errorf("workload: invariant check failed: %w", err)
 		}
 	}
 	return res, nil
+}
+
+// checkInputs runs the validation RunSpec and FleetSpec share before
+// anything is built. The fault spec is checked by engine.New, in
+// newServer, before its injector attaches.
+func checkInputs(sources []Source, ctl *control.Spec) error {
+	if ctl != nil {
+		if err := ctl.Validate(); err != nil {
+			return err
+		}
+	}
+	if len(sources) == 0 {
+		return fmt.Errorf("workload: no requests to run")
+	}
+	for si, src := range sources {
+		if src.Requests <= 0 {
+			return fmt.Errorf("workload: source %d has no request budget", si)
+		}
+	}
+	return nil
+}
+
+// defaultRemote is the SocialNetwork tail classification, built once:
+// Register copies it into each engine and Hash only reads it, so every
+// run can share it.
+var defaultRemote = services.RemoteTails()
+
+// catalog applies the service-catalog default: nil programs or remote
+// kinds mean the SocialNetwork catalog.
+func catalog(programs []*trace.Program, remote map[string]engine.RemoteKind) ([]*trace.Program, map[string]engine.RemoteKind) {
+	if programs == nil {
+		programs = services.Catalog()
+	}
+	if remote == nil {
+		remote = defaultRemote
+	}
+	return programs, remote
+}
+
+// newServer assembles one AccelFlow server on k — the engine with the
+// catalog registered — and returns its empty result. RunSpec builds
+// its one server here and FleetSpec each of its replicas.
+func newServer(k *sim.Kernel, cfg *config.Config, pol engine.Policy, p engine.Params, programs []*trace.Program, remote map[string]engine.RemoteKind) (*RunResult, error) {
+	e, err := engine.New(k, cfg, pol, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.Register(programs, remote); err != nil {
+		return nil, err
+	}
+	res := newResult(pol.Name)
+	res.Engine = e
+	return res, nil
+}
+
+func newResult(policy string) *RunResult {
+	return &RunResult{
+		PerService: map[string]*metrics.Recorder{},
+		All:        metrics.NewRecorder(policy),
+		Net:        metrics.NewRecorder(policy + "/net"),
+	}
+}
+
+// service returns the recorder for a service name, creating it on
+// first use: sources that share a service share one recorder.
+func (res *RunResult) service(name string) *metrics.Recorder {
+	rec := res.PerService[name]
+	if rec == nil {
+		rec = metrics.NewRecorder(name)
+		res.PerService[name] = rec
+	}
+	return rec
+}
+
+// count records one engine completion. Every completion counts,
+// retries included, so conservation against the engine's admission
+// counter balances exactly.
+func (res *RunResult) count(r engine.Result) {
+	res.Completed++
+	res.AccelCount += uint64(r.Accels)
+	if r.TimedOut {
+		res.TimedOut++
+	}
+	if r.FellBack {
+		res.FellBack++
+	}
+	addBreakdown(&res.Breakdown, r.Breakdown)
+}
+
+// record adds a request's final attempt to the latency recorders.
+func (res *RunResult) record(rec *metrics.Recorder, r engine.Result) {
+	rec.Add(r.Latency)
+	res.All.Add(r.Latency)
+	// Remote sums ALL peer waits, including overlapped parallel ones,
+	// so it can exceed the critical path; floor the on-server estimate
+	// at a quarter of the end-to-end latency.
+	net := r.Latency - r.Breakdown.Remote
+	if net < r.Latency/4 {
+		net = r.Latency / 4
+	}
+	res.Net.Add(net)
+}
+
+// merge folds o's recorders and counters into res.
+func (res *RunResult) merge(o *RunResult) {
+	res.All.Merge(o.All)
+	res.Net.Merge(o.Net)
+	for name, rec := range o.PerService {
+		res.service(name).Merge(rec)
+	}
+	res.Completed += o.Completed
+	res.TimedOut += o.TimedOut
+	res.FellBack += o.FellBack
+	res.AccelCount += o.AccelCount
+	addBreakdown(&res.Breakdown, o.Breakdown)
+}
+
+// verify runs the end-of-run invariant suite on a drained server with
+// a checker attached. The quiescence-only invariants hold once the
+// heap has drained, and the result's own counters serve as the
+// independent accounting the conservation check compares against.
+func (res *RunResult) verify() error {
+	e := res.Engine
+	e.Check.CheckConservation(e.K.Now(), res.Completed, res.TimedOut, res.FellBack)
+	e.CheckEnd(e.Check)
+	return e.Check.Err()
 }
 
 // samplerHook builds the periodic utilization sampler as a Hooks
@@ -277,95 +369,59 @@ func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
 	}}
 }
 
-func scheduleSource(k *sim.Kernel, e *engine.Engine, src Source, rng *sim.RNG, rec *metrics.Recorder, res *RunResult) {
+// stream is one source running on a single server: what an arrival
+// and each of its attempts need, held once per source so that the
+// per-request closures capture a single pointer.
+type stream struct {
+	res *RunResult
+	rec *metrics.Recorder
+	ctl *control.Controller
+	src Source
+}
+
+// schedule pre-schedules the source's arrivals. With a controller
+// attached, arrivals may be shed before submission and timed-out
+// completions re-submitted after a backoff.
+//
+// Accounting contract: count sees every engine completion (retries
+// included); record sees only each request's final attempt, and shed
+// arrivals see nothing, so recorder counts equal arrivals - Shed.
+func (st *stream) schedule(rng *sim.RNG) {
+	k := st.res.Engine.K
 	t := sim.Time(0)
-	for i := 0; i < src.Requests; i++ {
-		t += src.Arrivals.Next(rng)
-		at := t
-		k.At(at, func() {
-			job := src.Service.Job(src.Tenant)
-			e.Submit(job, func(r engine.Result) {
-				rec.Add(r.Latency)
-				res.All.Add(r.Latency)
-				// Remote sums ALL peer waits, including overlapped
-				// parallel ones, so it can exceed the critical path;
-				// floor the on-server estimate at a quarter of the
-				// end-to-end latency.
-				net := r.Latency - r.Breakdown.Remote
-				if net < r.Latency/4 {
-					net = r.Latency / 4
-				}
-				res.Net.Add(net)
-				res.Completed++
-				res.AccelCount += uint64(r.Accels)
-				if r.TimedOut {
-					res.TimedOut++
-				}
-				if r.FellBack {
-					res.FellBack++
-				}
-				addBreakdown(&res.Breakdown, r.Breakdown)
-			})
+	for i := 0; i < st.src.Requests; i++ {
+		t += st.src.Arrivals.Next(rng)
+		k.At(t, func() {
+			if st.ctl != nil && st.ctl.Shed() {
+				st.res.Shed++
+				return
+			}
+			st.submit(1)
 		})
 	}
 }
 
-// scheduleControlledSource is scheduleSource with the controller on
-// the request path: arrivals may be shed before submission, and
-// timed-out completions may be re-submitted after a backoff. It is a
-// separate function (rather than a ctl != nil branch inside the
-// closure) so the uncontrolled hot path keeps its exact event
-// sequence, closure shape, and allocation profile.
-//
-// Accounting contract: Completed/TimedOut/FellBack/AccelCount and the
-// breakdown accrue on every engine completion (retries included), so
-// conservation against the engine's admission counter balances; the
-// latency recorders see only each request's final attempt, and shed
-// arrivals see nothing, so recorder counts equal arrivals - Shed.
-func scheduleControlledSource(k *sim.Kernel, e *engine.Engine, ctl *control.Controller, src Source, rng *sim.RNG, rec *metrics.Recorder, res *RunResult) {
-	t := sim.Time(0)
-	for i := 0; i < src.Requests; i++ {
-		t += src.Arrivals.Next(rng)
-		at := t
-		k.At(at, func() {
-			if ctl.Shed() {
-				res.Shed++
-				return
-			}
-			var submit func(attempt int)
-			submit = func(attempt int) {
-				job := src.Service.Job(src.Tenant)
-				ctl.NoteSubmit()
-				e.Submit(job, func(r engine.Result) {
-					res.Completed++
-					res.AccelCount += uint64(r.Accels)
-					if r.TimedOut {
-						res.TimedOut++
-					}
-					if r.FellBack {
-						res.FellBack++
-					}
-					addBreakdown(&res.Breakdown, r.Breakdown)
-					ctl.NoteDone(k.Now(), r.Latency)
-					if r.TimedOut {
-						if backoff, ok := ctl.RetryAfter(src.Tenant, attempt); ok {
-							res.Retries++
-							k.After(backoff, func() { submit(attempt + 1) })
-							return
-						}
-					}
-					rec.Add(r.Latency)
-					res.All.Add(r.Latency)
-					net := r.Latency - r.Breakdown.Remote
-					if net < r.Latency/4 {
-						net = r.Latency / 4
-					}
-					res.Net.Add(net)
-				})
-			}
-			submit(1)
-		})
+// submit hands one attempt of a request to the engine.
+func (st *stream) submit(attempt int) {
+	e := st.res.Engine
+	job := st.src.Service.Job(st.src.Tenant)
+	if st.ctl != nil {
+		st.ctl.NoteSubmit()
 	}
+	e.Submit(job, func(r engine.Result) {
+		st.res.count(r)
+		if st.ctl != nil {
+			st.ctl.NoteDone(e.K.Now(), r.Latency)
+			if r.TimedOut {
+				if backoff, ok := st.ctl.RetryAfter(st.src.Tenant, attempt); ok {
+					st.res.Retries++
+					e.K.After(backoff, func() { st.submit(attempt + 1) })
+					return
+				}
+			}
+		}
+		st.res.record(st.rec, r)
+	})
 }
 
 func addBreakdown(dst *engine.Breakdown, b engine.Breakdown) {

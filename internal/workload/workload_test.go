@@ -238,6 +238,30 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRepeatedServiceKeepsEverySample: two sources of one service
+// (two tenants) share that service's recorder, so PerService counts
+// both sources' requests in a single server and in a fleet alike.
+func TestRepeatedServiceKeepsEverySample(t *testing.T) {
+	svc := services.SocialNetwork()[4] // Login
+	sources := []Source{
+		{Service: svc, Arrivals: Poisson{RPS: 3000}, Requests: 40},
+		{Service: svc, Arrivals: Poisson{RPS: 3000}, Requests: 60, Tenant: 1},
+	}
+	run, err := (&RunSpec{Config: config.Default(), Policy: engine.AccelFlow(), Sources: sources, Seed: 3}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := (&FleetSpec{Config: config.Default(), Policy: engine.AccelFlow(), Sources: sources, Seed: 3, Replicas: 2}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*RunResult{"run": run, "fleet": fleet.Merged} {
+		if got := res.PerService[svc.Name].Count(); got != 100 || res.All.Count() != 100 {
+			t.Errorf("%s: PerService[%s] counted %d, All %d; want 100 each", name, svc.Name, got, res.All.Count())
+		}
+	}
+}
+
 func TestRunFullMixAllPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mix run is slow")
