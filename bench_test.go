@@ -1,8 +1,12 @@
-// Package-level benchmarks: one testing.B benchmark per paper table
-// and figure. Each benchmark runs the corresponding experiment at a
-// reduced (Quick) scale and reports the headline value as a custom
-// metric, so `go test -bench=. -benchmem` regenerates the whole
-// evaluation sweep.
+// Package-level benchmarks for a developer's `go test -bench` loop:
+// one benchmark per paper table and figure, which runs the experiment
+// at a reduced (Quick) scale and reports the headline value as a
+// custom metric, plus the serial and parallel sweep, one single-server
+// run bare and with each optional layer attached, the sharded fleet,
+// and a daemon round trip. They report single samples; the repository
+// benchmark under bench/ (see bench/README.md) is the one that reports
+// medians with spreads and gates changes, and the allocation-budget
+// tests in alloc_budget_test.go are the exact regression guards.
 package main
 
 import (
@@ -107,8 +111,8 @@ func benchSweep(b *testing.B, parallelism int) {
 }
 
 // benchRunRequests is the fixed request budget of the single-run
-// benchmarks below; benchdump divides allocs/op by it to get the
-// allocs-per-request trajectory metric.
+// benchmarks below; TestRunAllocBudgetPerRequest divides allocations
+// per run by it.
 const benchRunRequests = 300
 
 // benchRunSpec builds the RunSpec for one benchmark iteration. The
@@ -126,126 +130,69 @@ func benchRunSpec(svcs []*services.Service, cfg *config.Config, pol engine.Polic
 	}
 }
 
-// reportRunMetrics attaches the trajectory metrics benchdump consumes:
-// kernel events per iteration (events/op, so events/sec and ns/event
-// fall out of ns/op) and the fixed request budget (requests/op, so
-// allocs/request falls out of allocs/op).
-func reportRunMetrics(b *testing.B, events uint64) {
+// benchRun measures one single-server run per iteration, with attach
+// (when non-nil) adding an optional layer to each fresh spec. It
+// reports kernel events per iteration (events/op), so events/sec and
+// ns/event fall out of ns/op. Compare an attached variant against the
+// baseline with
+//
+//	go test -run '^$' -bench 'BenchmarkRun(Baseline|Obs)$' -count 10
+//
+// The repository benchmark (bench/) reports the same overheads as
+// medians with quartile spreads.
+var benchRunResult *workload.RunResult
+
+func benchRun(b *testing.B, attach func(*workload.RunSpec)) {
+	svcs := services.SocialNetwork()
+	cfg := config.Default()
+	pol := engine.AccelFlow()
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := benchRunSpec(svcs, cfg, pol)
+		if attach != nil {
+			attach(spec)
+		}
+		res, err := spec.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Engine.K.Processed()
+		benchRunResult = res
+	}
+	b.StopTimer()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(benchRunRequests, "requests/op")
 }
 
-// benchRunObs measures the per-run cost of the observability layer.
-// The Disabled/Enabled pair guards the nil-sink fast path: with no
-// sink attached every obs call is a nil-receiver no-op, so the
-// Disabled benchmark must stay within noise (<2%) of the pre-obs
-// baseline. Compare with
-//
-//	go test -bench='BenchmarkRunObs' -benchtime=20x -count=5
-var benchRunObsResult *workload.RunResult
+// BenchmarkRunBaseline attaches nothing: every obs and check call is a
+// nil-receiver no-op and the runner skips every controller branch.
+func BenchmarkRunBaseline(b *testing.B) { benchRun(b, nil) }
 
-func benchRunObs(b *testing.B, observed bool) {
-	svcs := services.SocialNetwork()
-	cfg := config.Default()
-	pol := engine.AccelFlow()
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := benchRunSpec(svcs, cfg, pol)
-		if observed {
-			spec.Obs = obs.New()
-		}
-		res, err := spec.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Engine.K.Processed()
-		benchRunObsResult = res
-	}
-	b.StopTimer()
-	reportRunMetrics(b, events)
+func BenchmarkRunObs(b *testing.B) {
+	benchRun(b, func(s *workload.RunSpec) { s.Obs = obs.New() })
 }
 
-func BenchmarkRunObsDisabled(b *testing.B) { benchRunObs(b, false) }
-func BenchmarkRunObsEnabled(b *testing.B)  { benchRunObs(b, true) }
-
-// benchRunCheck is the same guard for the invariant checker: with no
-// checker attached every check call is a nil-receiver no-op, so the
-// Disabled benchmark must stay within noise (<2%) of the pre-check
-// baseline. Compare with
-//
-//	go test -bench='BenchmarkRunCheck' -benchtime=20x -count=5
-var benchRunCheckResult *workload.RunResult
-
-func benchRunCheck(b *testing.B, checked bool) {
-	svcs := services.SocialNetwork()
-	cfg := config.Default()
-	pol := engine.AccelFlow()
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := benchRunSpec(svcs, cfg, pol)
-		if checked {
-			spec.Check = check.New()
-		}
-		res, err := spec.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Engine.K.Processed()
-		benchRunCheckResult = res
-	}
-	b.StopTimer()
-	reportRunMetrics(b, events)
+func BenchmarkRunCheck(b *testing.B) {
+	benchRun(b, func(s *workload.RunSpec) { s.Check = check.New() })
 }
 
-func BenchmarkRunCheckDisabled(b *testing.B) { benchRunCheck(b, false) }
-func BenchmarkRunCheckEnabled(b *testing.B)  { benchRunCheck(b, true) }
-
-// benchRunControlled is the same guard for the dynamic-control
-// subsystem: with Control nil the runner's request path skips every
-// controller branch and arms no decision tick, so the Disabled
-// benchmark must stay within noise (<2%) of the pre-control baseline.
-// The Enabled variant runs every policy — PE autoscaler, both shed
-// kinds, retry budgets — and so prices the controller's work on the
-// request path plus the decision tick. Compare with
-//
-//	go test -bench='BenchmarkRunControlled' -benchtime=20x -count=5
-var benchRunControlledResult *workload.RunResult
-
-func benchRunControlled(b *testing.B, controlled bool) {
-	svcs := services.SocialNetwork()
-	cfg := config.Default()
-	pol := engine.AccelFlow()
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := benchRunSpec(svcs, cfg, pol)
-		if controlled {
-			spec.Control = &control.Spec{
-				Autoscale: &control.AutoscaleSpec{
-					Target:   control.TargetPE,
-					UpUtil:   0.75,
-					DownUtil: 0.25,
-					MaxAdd:   8,
-				},
-				Shed:  &control.ShedSpec{Queue: 64, Prob: 0.01},
-				Retry: &control.RetrySpec{Budget: 8},
-			}
+// BenchmarkRunControlled runs every control policy — PE autoscaler,
+// both shed kinds, retry budgets — and so prices the controller's work
+// on the request path plus the decision tick.
+func BenchmarkRunControlled(b *testing.B) {
+	benchRun(b, func(s *workload.RunSpec) {
+		s.Control = &control.Spec{
+			Autoscale: &control.AutoscaleSpec{
+				Target:   control.TargetPE,
+				UpUtil:   0.75,
+				DownUtil: 0.25,
+				MaxAdd:   8,
+			},
+			Shed:  &control.ShedSpec{Queue: 64, Prob: 0.01},
+			Retry: &control.RetrySpec{Budget: 8},
 		}
-		res, err := spec.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Engine.K.Processed()
-		benchRunControlledResult = res
-	}
-	b.StopTimer()
-	reportRunMetrics(b, events)
+	})
 }
-
-func BenchmarkRunControlledDisabled(b *testing.B) { benchRunControlled(b, false) }
-func BenchmarkRunControlledEnabled(b *testing.B)  { benchRunControlled(b, true) }
 
 // benchFleetRequests is the fleet benchmark's request budget: 30x the
 // single-run budget, spread over benchFleetReplicas servers so each
@@ -260,10 +207,10 @@ const (
 // Results are byte-identical at every worker count — the determinism
 // tests enforce it — so the sub-benchmarks differ only in wall clock,
 // and events/op divided by ns/op gives the events/sec scaling curve.
-// Compare against BenchmarkRunObsDisabled for the serial single-server
+// Compare against BenchmarkRunBaseline for the serial single-server
 // baseline:
 //
-//	go test -bench='BenchmarkRun(ObsDisabled|Sharded)' -benchtime=5x
+//	go test -run '^$' -bench 'BenchmarkRun(Baseline|Sharded)' -benchtime 5x
 var benchRunShardedResult *workload.FleetResult
 
 func benchRunSharded(b *testing.B, workers int) {
@@ -290,52 +237,52 @@ func benchRunSharded(b *testing.B, workers int) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(benchFleetRequests, "requests/op")
 }
 
-// BenchmarkRunSharded keeps its "shards=N" sub-benchmark names, where N
-// is FleetSpec.Workers, so snapshots taken before the rename still
-// compare.
 func BenchmarkRunSharded(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", workers), func(b *testing.B) { benchRunSharded(b, workers) })
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchRunSharded(b, workers) })
+	}
+}
+
+// serveRoundTrip submits a quick experiment to the in-process HTTP
+// daemon, then reads the NDJSON progress stream to EOF (the completion
+// barrier — its last line is the "done" event).
+func serveRoundTrip(b *testing.B, handler http.Handler) {
+	body := `{"type":"experiment","experiment":"fig19","quick":true,"requests":40,"seed":1,"parallelism":1}`
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		b.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
+	}
+	id := rec.Header().Get("Location")
+	prec := httptest.NewRecorder()
+	handler.ServeHTTP(prec, httptest.NewRequest("GET", id+"/progress", nil))
+	if prec.Code != http.StatusOK {
+		b.Fatalf("progress: status %d", prec.Code)
+	}
+	var last string
+	sc := bufio.NewScanner(prec.Body)
+	for sc.Scan() {
+		if s := strings.TrimSpace(sc.Text()); s != "" {
+			last = s
+		}
+	}
+	if !strings.Contains(last, `"done"`) {
+		b.Fatalf("job did not finish cleanly: %s", last)
 	}
 }
 
 // BenchmarkServeSubmitQuick measures a full job round trip through the
-// in-process HTTP daemon: submit a quick experiment, then read the
-// NDJSON progress stream to EOF (the completion barrier — its last
-// line is the "done" event). This is the serving layer's end-to-end
-// overhead on top of the simulation itself.
+// in-process HTTP daemon: the serving layer's end-to-end overhead on
+// top of the simulation itself.
 func BenchmarkServeSubmitQuick(b *testing.B) {
 	sched := serve.NewScheduler(serve.Config{Workers: 1, QueueDepth: 2})
 	defer sched.Close()
 	handler := serve.NewServer(sched).Handler()
-	body := `{"type":"experiment","experiment":"fig19","quick":true,"requests":40,"seed":1,"parallelism":1}`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		if rec.Code != http.StatusAccepted {
-			b.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
-		}
-		id := rec.Header().Get("Location")
-		prec := httptest.NewRecorder()
-		handler.ServeHTTP(prec, httptest.NewRequest("GET", id+"/progress", nil))
-		if prec.Code != http.StatusOK {
-			b.Fatalf("progress: status %d", prec.Code)
-		}
-		var last string
-		sc := bufio.NewScanner(prec.Body)
-		for sc.Scan() {
-			if s := strings.TrimSpace(sc.Text()); s != "" {
-				last = s
-			}
-		}
-		if !strings.Contains(last, `"done"`) {
-			b.Fatalf("job did not finish cleanly: %s", last)
-		}
+		serveRoundTrip(b, handler)
 	}
 }
 
@@ -349,35 +296,10 @@ func BenchmarkServeSubmitCached(b *testing.B) {
 	sched := serve.NewScheduler(serve.Config{Workers: 1, QueueDepth: 2, CacheEntries: 64})
 	defer sched.Close()
 	handler := serve.NewServer(sched).Handler()
-	body := `{"type":"experiment","experiment":"fig19","quick":true,"requests":40,"seed":1,"parallelism":1}`
-	roundTrip := func() {
-		req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		if rec.Code != http.StatusAccepted {
-			b.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
-		}
-		id := rec.Header().Get("Location")
-		prec := httptest.NewRecorder()
-		handler.ServeHTTP(prec, httptest.NewRequest("GET", id+"/progress", nil))
-		if prec.Code != http.StatusOK {
-			b.Fatalf("progress: status %d", prec.Code)
-		}
-		var last string
-		sc := bufio.NewScanner(prec.Body)
-		for sc.Scan() {
-			if s := strings.TrimSpace(sc.Text()); s != "" {
-				last = s
-			}
-		}
-		if !strings.Contains(last, `"done"`) {
-			b.Fatalf("job did not finish cleanly: %s", last)
-		}
-	}
-	roundTrip() // prime the cache with the one cold run
+	serveRoundTrip(b, handler) // prime the cache with the one cold run
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		roundTrip()
+		serveRoundTrip(b, handler)
 	}
 }
 

@@ -142,12 +142,8 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 	if p.Check != nil {
 		e.Check = p.Check
 		// The kernel hook is only installed when checking is on, so the
-		// disabled hot loop pays a single nil comparison per event.
-		// Layered through the hooks getter so knobs the caller already
-		// installed (e.g. a MaxEvents tripwire) survive.
-		h := k.Hooks()
-		h.OnEvent = e.Check.Event
-		k.SetHooks(h)
+		// disabled run loop takes its hook-free fast path.
+		k.SetHooks(sim.Hooks{OnEvent: e.Check.Event})
 	}
 	return e, nil
 }

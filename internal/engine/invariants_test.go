@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"accelflow/internal/config"
 	"accelflow/internal/sim"
@@ -14,6 +16,10 @@ import (
 // (starvation/deadlock freedom, §IV-A).
 func TestPropertyRequestConservation(t *testing.T) {
 	pols := allPolicies()
+	// A wall-clock bound on the whole property: an event loop fails the
+	// test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	f := func(polIdx uint8, payloadKB uint8, pComp uint8, small bool, n uint8) bool {
 		pol := pols[int(polIdx)%len(pols)]
 		cfg := config.Default()
@@ -24,7 +30,6 @@ func TestPropertyRequestConservation(t *testing.T) {
 			cfg.OverflowEntries = 1
 		}
 		k := sim.NewKernel()
-		k.SetHooks(sim.Hooks{MaxEvents: 20_000_000})
 		e, err := New(k, cfg, pol, Params{Seed: 11})
 		if err != nil {
 			return false
@@ -48,7 +53,9 @@ func TestPropertyRequestConservation(t *testing.T) {
 			}
 			e.Submit(job, func(Result) { done++ })
 		}
-		k.Run()
+		if err := k.RunCtx(ctx); err != nil {
+			t.Fatalf("run did not drain: %v (likely an event loop)", err)
+		}
 		return done == reqs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -7,10 +7,8 @@ import (
 )
 
 // Params collects the engine's optional behavior in one documented
-// struct — the single options surface for engine assembly. It replaced
-// the accreted functional options (WithSeed/WithObserver/WithFaults/
-// WithChecker). workload.RunSpec and workload.FleetSpec are the
-// user-facing specs: each maps its fields onto Params and hands them to
+// struct — the single options surface for engine assembly.
+// workload.RunSpec and workload.FleetSpec are the user-facing specs: each maps its fields onto Params and hands them to
 // the workload package's one server builder (newServer), which calls
 // New and Register for the single server and for every fleet replica,
 // so there is exactly one knob per behavior and one assembly path.

@@ -113,9 +113,16 @@ type JobRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
+// maxRequests caps a job's request budget at admission. An observed
+// run's sink keeps about 5 KiB per request live until its artifacts
+// are rendered, so without a cap one job could exhaust the daemon's
+// memory; at the cap it holds about 500 MiB.
+const maxRequests = 100_000
+
 // Validate rejects requests admission should never accept: unknown
-// types, unresolvable experiment IDs, negative budgets, or fault knobs
-// on job types that cannot honour them. Every error it returns matches
+// types, unresolvable experiment IDs, negative or oversized budgets
+// (see maxRequests), or fault knobs on job types that cannot honour
+// them. Every error it returns matches
 // ErrBadRequest (errors.Is), which is what routes it to HTTP 400; an
 // error from any other Submit stage deliberately does not.
 func (r JobRequest) Validate() error {
@@ -135,9 +142,6 @@ func (r JobRequest) Validate() error {
 		}
 		if err := r.validateNoTuneKnobs(); err != nil {
 			return err
-		}
-		if r.Requests < 0 {
-			return badRequestf("serve: requests must be non-negative, got %d", r.Requests)
 		}
 	case JobObserved:
 		if r.Experiment != "" {
@@ -162,9 +166,6 @@ func (r JobRequest) Validate() error {
 		if r.Control != nil {
 			return badRequestf("serve: the control spec only applies to observed jobs")
 		}
-		if r.Requests < 0 {
-			return badRequestf("serve: requests must be non-negative, got %d", r.Requests)
-		}
 		if r.Generations < 0 || r.Patience < 0 {
 			return badRequestf("serve: generations and patience must be non-negative, got %d/%d", r.Generations, r.Patience)
 		}
@@ -176,6 +177,9 @@ func (r JobRequest) Validate() error {
 		}
 	default:
 		return badRequestf("serve: job type must be %q, %q, or %q, got %q", JobExperiment, JobObserved, JobTune, r.Type)
+	}
+	if r.Requests < 0 || r.Requests > maxRequests {
+		return badRequestf("serve: requests must be in [0, %d], got %d", maxRequests, r.Requests)
 	}
 	if r.Parallelism < 0 {
 		return badRequestf("serve: parallelism must be non-negative, got %d", r.Parallelism)

@@ -55,9 +55,23 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: JobObserved, // replicas target needs a fleet
 			Control: &control.Spec{Autoscale: &control.AutoscaleSpec{
 				Target: control.TargetReplicas, UpUtil: 0.8, DownUtil: 0.2}}},
+		{Type: JobObserved, Requests: -1},                                     // negative budget
+		{Type: JobObserved, Requests: maxRequests + 1},                        // oversized budget
+		{Type: JobExperiment, Experiment: "fig11", Requests: maxRequests + 1}, // oversized budget
+		{Type: JobTune, Requests: maxRequests + 1},                            // oversized budget
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid request", req)
+		}
+	}
+	// The cap is inclusive.
+	for _, typ := range []string{JobExperiment, JobObserved, JobTune} {
+		req := JobRequest{Type: typ, Requests: maxRequests}
+		if typ == JobExperiment {
+			req.Experiment = "fig11"
+		}
+		if err := req.Validate(); err != nil {
+			t.Errorf("%s job at the request cap rejected: %v", typ, err)
 		}
 	}
 }

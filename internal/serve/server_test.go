@@ -334,7 +334,8 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		`{"type":"observed","faultLoss":2}`,
 		`{"type":"observed","faultRate":1e8}`, // ~1e8 fault windows booked at load time
 		`{"type":"experiment","experiment":"fig11","bogusField":1}`,
-		`{"type":"observed","shards":2}`, // removed field: a stale client gets a 400
+		`{"type":"observed","shards":2}`,        // removed field: a stale client gets a 400
+		`{"type":"observed","requests":100001}`, // over the request cap
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		resp.Body.Close()

@@ -2,10 +2,9 @@ package sim
 
 // Hooks is the kernel's single instrumentation surface. It replaces
 // the hook points that accreted on Kernel one field at a time — the
-// per-event observer, the runaway-event budget, the cancellation poll
-// cadence, and periodic samplers registered through Every — with one
-// value installed through one call (SetHooks). A sharded run installs
-// hooks per domain, through Sharded.Domain(i).SetHooks.
+// per-event observer and periodic samplers registered through Every —
+// with one value installed through one call (SetHooks). A sharded run
+// installs hooks per domain, through Sharded.Domain(i).SetHooks.
 //
 // All hook callbacks must only read simulation state: a mutating hook
 // would change results, and determinism (byte-identical at any worker
@@ -15,18 +14,9 @@ type Hooks struct {
 	// just before its callback runs (the invariant checker uses it to
 	// verify event-time monotonicity). Install it before the run
 	// starts: the run loop selects a hook-free tight path up front when
-	// OnEvent is nil and MaxEvents is 0, so a hook installed mid-run
-	// from inside an event callback is not guaranteed to be seen.
+	// OnEvent is nil, so a hook installed mid-run from inside an event
+	// callback is not guaranteed to be seen.
 	OnEvent func(at Time)
-
-	// MaxEvents aborts the run (panics) when the processed-event count
-	// exceeds it; 0 means unlimited. Used as a runaway-loop tripwire.
-	MaxEvents uint64
-
-	// CheckEvery is the cooperative-cancellation poll cadence: RunCtx
-	// checks ctx.Err() every CheckEvery executed events. <= 0 selects
-	// the default of 4096.
-	CheckEvery uint64
 
 	// Periodic samplers armed when the hooks are installed. Each is
 	// scheduled through the kernel's self-terminating tick (see
@@ -43,6 +33,6 @@ type Periodic struct {
 	Fn    func()
 }
 
-// defaultCheckEvery is the cancellation poll cadence when
-// Hooks.CheckEvery is unset.
-const defaultCheckEvery = 4096
+// checkEvery is the cooperative-cancellation poll cadence: RunCtx and
+// Sharded.RunCtx check ctx.Err() once per checkEvery executed events.
+const checkEvery = 4096

@@ -102,17 +102,16 @@ func (k *Kernel) Now() Time { return k.now }
 // Processed returns the number of executed events.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// SetHooks installs the kernel's instrumentation (see Hooks). The
-// value knobs (OnEvent, MaxEvents, CheckEvery) replace any previously
-// installed ones; Periodic entries are armed immediately in slice
+// SetHooks installs the kernel's instrumentation (see Hooks). OnEvent
+// replaces any previously installed observer; Periodic entries are armed immediately in slice
 // order — at the current point in the schedule — and are not retained
 // (Hooks never returns them), so the compose-modify-reinstall pattern
 //
 //	h := k.Hooks(); h.Periodic = [...]; k.SetHooks(h)
 //
-// layers new samplers on top of existing knobs without double-arming.
-// Install before the run starts; the run loop commits to a hook-free
-// fast path up front when OnEvent is nil and MaxEvents is 0.
+// layers new samplers on top of an existing observer without
+// double-arming. Install before the run starts; the run loop commits to
+// a hook-free fast path up front when OnEvent is nil.
 func (k *Kernel) SetHooks(h Hooks) {
 	for _, p := range h.Periodic {
 		k.Every(p.Every, p.Fn)
@@ -162,9 +161,6 @@ func (k *Kernel) RunUntil(deadline Time) {
 		e := k.events.pop()
 		k.now = e.at
 		k.processed++
-		if k.hooks.MaxEvents > 0 && k.processed > k.hooks.MaxEvents {
-			panic("sim: Hooks.MaxEvents exceeded; likely an event loop")
-		}
 		if k.hooks.OnEvent != nil {
 			k.hooks.OnEvent(e.at)
 		}
@@ -176,29 +172,25 @@ func (k *Kernel) RunUntil(deadline Time) {
 // and returns ctx's error in the latter case (nil when the heap
 // drained). Cancellation is cooperative: ctx is polled once up front —
 // an already-cancelled context runs zero events — and then every
-// Hooks.CheckEvery executed events (default 4096), so the hot loop
-// pays one cheap Err() call per batch. Events are never interrupted
-// mid-callback; the kernel always stops on an event boundary, leaving
-// the remaining events queued. A simulation abandoned this way is in a
-// consistent but incomplete state — callers discard it rather than
-// reading partial metrics.
+// checkEvery (4096) executed events, so the hot loop pays one cheap
+// Err() call per batch. Events are never interrupted mid-callback; the
+// kernel always stops on an event boundary, leaving the remaining
+// events queued. A simulation abandoned this way is in a consistent but
+// incomplete state — callers discard it rather than reading partial
+// metrics.
 func (k *Kernel) RunCtx(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	checkEvery := k.hooks.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = defaultCheckEvery
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	var batch uint64
-	if k.hooks.OnEvent == nil && k.hooks.MaxEvents == 0 {
-		// Fast path: no observer/checker hook and no event budget. The
-		// per-event hook and budget branches are hoisted out of the hot
-		// loop entirely (the hook choice is made once, up front — see
-		// the Hooks.OnEvent doc comment).
+	onEvent := k.hooks.OnEvent
+	if onEvent == nil {
+		// Fast path: no observer/checker hook. The per-event hook branch
+		// is hoisted out of the hot loop entirely (the hook choice is
+		// made once, up front — see the Hooks.OnEvent doc comment).
 		for k.events.Len() > 0 {
 			if batch++; batch >= checkEvery {
 				batch = 0
@@ -223,12 +215,7 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 		e := k.events.pop()
 		k.now = e.at
 		k.processed++
-		if k.hooks.MaxEvents > 0 && k.processed > k.hooks.MaxEvents {
-			panic("sim: Hooks.MaxEvents exceeded; likely an event loop")
-		}
-		if k.hooks.OnEvent != nil {
-			k.hooks.OnEvent(e.at)
-		}
+		onEvent(e.at)
 		e.fn()
 	}
 	return nil
@@ -241,8 +228,8 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 // to the next epoch, matching the conservative send rule (Send
 // requires at >= horizon, so mail can never land inside the epoch that
 // produced it).
-func (k *Kernel) runEpoch(ctx context.Context, horizon Time, checkEvery uint64) error {
-	hookFree := k.hooks.OnEvent == nil && k.hooks.MaxEvents == 0
+func (k *Kernel) runEpoch(ctx context.Context, horizon Time) error {
+	onEvent := k.hooks.OnEvent
 	for k.events.Len() > 0 && k.events.minAt() < horizon {
 		if k.ctxBatch++; k.ctxBatch >= checkEvery {
 			k.ctxBatch = 0
@@ -253,13 +240,8 @@ func (k *Kernel) runEpoch(ctx context.Context, horizon Time, checkEvery uint64) 
 		e := k.events.pop()
 		k.now = e.at
 		k.processed++
-		if !hookFree {
-			if k.hooks.MaxEvents > 0 && k.processed > k.hooks.MaxEvents {
-				panic("sim: Hooks.MaxEvents exceeded; likely an event loop")
-			}
-			if k.hooks.OnEvent != nil {
-				k.hooks.OnEvent(e.at)
-			}
+		if onEvent != nil {
+			onEvent(e.at)
 		}
 		e.fn()
 	}

@@ -217,14 +217,6 @@ func (s *Sharded) RunCtx(ctx context.Context) error {
 		return err
 	}
 
-	checkEvery := make([]uint64, len(s.domains))
-	for i, k := range s.domains {
-		checkEvery[i] = k.hooks.CheckEvery
-		if checkEvery[i] == 0 {
-			checkEvery[i] = defaultCheckEvery
-		}
-	}
-
 	nd := len(s.domains)
 	w := s.workers
 	errs := make([]error, nd)
@@ -246,7 +238,7 @@ func (s *Sharded) RunCtx(ctx context.Context) error {
 				for h := range ch {
 					for d := worker; d < nd; d += w {
 						if errs[d] == nil {
-							errs[d] = s.domains[d].runEpoch(ctx, h, checkEvery[d])
+							errs[d] = s.domains[d].runEpoch(ctx, h)
 						}
 					}
 					wg.Done()
@@ -283,7 +275,7 @@ func (s *Sharded) RunCtx(ctx context.Context) error {
 
 		if w == 1 {
 			for d := 0; d < nd; d++ {
-				if err := s.domains[d].runEpoch(ctx, h, checkEvery[d]); err != nil {
+				if err := s.domains[d].runEpoch(ctx, h); err != nil {
 					return err
 				}
 			}
@@ -295,7 +287,7 @@ func (s *Sharded) RunCtx(ctx context.Context) error {
 		}
 		for d := 0; d < nd; d += w {
 			if errs[d] == nil {
-				errs[d] = s.domains[d].runEpoch(ctx, h, checkEvery[d])
+				errs[d] = s.domains[d].runEpoch(ctx, h)
 			}
 		}
 		wg.Wait()
