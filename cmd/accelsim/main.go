@@ -17,6 +17,14 @@
 // cell draws from an RNG stream derived from (seed, cell key), so the
 // worker count only changes wall clock, never Values.
 //
+// Every run is a serve.JobRequest, the request accelsimd takes over
+// HTTP: the flags map onto one, serve's JobRequest.Validate checks it,
+// and serve.Run executes it (-exp fans out through
+// experiments.RunMany with the request's Options). A daemon job with
+// the same fields therefore gives byte-identical values and artifacts.
+// Only flag parsing, -list, stderr summaries, output files and
+// -tunestate/-tuneresume are the CLI's own.
+//
 // The -tune mode searches a bounded design space (chiplet plan, PE
 // provisioning, policy, queue depths, TCP timeout — set via the
 // -tune* space flags) for the configuration minimizing the given
@@ -29,6 +37,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,22 +50,25 @@ import (
 
 	"accelflow/internal/control"
 	"accelflow/internal/experiments"
-	"accelflow/internal/sim"
+	"accelflow/internal/serve"
 	"accelflow/internal/tune"
-	"accelflow/internal/workload"
 )
 
 // cliArgs collects every parsed flag so validation is a pure,
 // table-testable function instead of inline fatalfs.
 type cliArgs struct {
-	exp       string
-	n         int
-	seed      int64
-	quick     bool
-	parallel  int
-	faultRate float64
-	faultLoss float64
-	check     bool
+	list, timing          bool
+	tracePath, reportPath string
+
+	exp         string
+	n           int
+	seed        int64
+	quick       bool
+	parallel    int
+	faultRate   float64
+	faultWindow time.Duration
+	faultLoss   float64
+	check       bool
 
 	// Dynamic-control knobs for the observed run (-trace/-report).
 	// ctlTarget enables the autoscaler; the shed/retry knobs enable
@@ -86,64 +98,142 @@ type cliArgs struct {
 	tuneTimeouts string
 }
 
-// validate rejects bad flag combinations up front: a bad value should
-// fail fast (exit 2) with a clear message, not surface as a late panic
-// or a silent zero run. Returns the first violation.
-func (a cliArgs) validate() error {
-	if err := (workload.ObservedParams{FaultRate: a.faultRate, FaultLoss: a.faultLoss}).Validate(); err != nil {
-		return fmt.Errorf("-faults/-faultloss: %w", err)
-	}
-	if a.n <= 0 {
-		return fmt.Errorf("-n must be positive, got %d", a.n)
-	}
-	if a.parallel < 0 {
-		return fmt.Errorf("-parallel must be non-negative, got %d", a.parallel)
-	}
-	if a.exp != "" && a.exp != "all" {
-		if _, ok := experiments.Registry[a.exp]; !ok {
-			return fmt.Errorf("unknown experiment %s\ntry -list", a.exp)
-		}
-	}
-	if spec := a.controlSpec(); spec != nil {
-		if a.tune != "" {
-			return fmt.Errorf("-ctl* flags apply to the observed run (-trace/-report), not -tune")
-		}
-		if err := spec.Validate(); err != nil {
-			return fmt.Errorf("-ctl*: %w", err)
-		}
-		if as := spec.Autoscale; as != nil && as.Target == control.TargetReplicas {
-			return fmt.Errorf("-ctl %q needs a fleet; the observed run scales %q or %q",
-				control.TargetReplicas, control.TargetPE, control.TargetCores)
-		}
-	}
-	if a.tune == "" {
+// parseArgs parses the command line; a bad flag exits 2 with usage.
+func parseArgs(args []string) cliArgs {
+	var a cliArgs
+	fs := flag.NewFlagSet("accelsim", flag.ExitOnError)
+	fs.BoolVar(&a.list, "list", false, "list experiment IDs")
+	fs.BoolVar(&a.timing, "time", true, "report per-experiment and total wall clock on stderr")
+	fs.StringVar(&a.tracePath, "trace", "", "run an observed SocialNetwork mix and write a Chrome trace-event JSON to this file")
+	fs.StringVar(&a.reportPath, "report", "", "run an observed SocialNetwork mix and write a structured JSON report to this file")
+	fs.StringVar(&a.exp, "exp", "", "experiment ID (see -list), or 'all'")
+	fs.IntVar(&a.n, "n", 2500, "request budget per simulation")
+	fs.Int64Var(&a.seed, "seed", 1, "RNG seed")
+	fs.BoolVar(&a.quick, "quick", false, "shrink workloads for a fast pass")
+	fs.IntVar(&a.parallel, "parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
+	fs.Float64Var(&a.faultRate, "faults", 0, "fault-window arrival rate in windows/s for the observed run (0 = off)")
+	fs.DurationVar(&a.faultWindow, "faultwindow", 0, "mean fault-window duration for -faults (0 = 200us)")
+	fs.Float64Var(&a.faultLoss, "faultloss", 0, "remote-response loss rate override in [0,1] for the observed run")
+	fs.BoolVar(&a.check, "check", false, "run with runtime invariant checking (same results; violations fail the run)")
+	fs.StringVar(&a.ctlTarget, "ctl", "", "attach the autoscaler to the observed run, scaling this pool: pe or cores")
+	fs.Float64Var(&a.ctlUp, "ctlup", 0.75, "scale up when windowed utilization exceeds this (requires -ctl)")
+	fs.Float64Var(&a.ctlDown, "ctldown", 0.25, "scale down when windowed utilization falls below this (requires -ctl)")
+	fs.Float64Var(&a.ctlSLO, "ctlslo", 0, "P99 SLO target in microseconds the autoscaler also reacts to (0 = utilization only)")
+	fs.IntVar(&a.ctlMax, "ctlmax", 8, "autoscaler ceiling: servers it may add over the base pool")
+	fs.IntVar(&a.ctlShedQ, "ctlshedq", 0, "shed observed-run arrivals when this many requests are outstanding (0 = off)")
+	fs.Float64Var(&a.ctlShedP, "ctlshedp", 0, "shed observed-run arrivals with this probability in [0,1] (0 = off)")
+	fs.IntVar(&a.ctlRetry, "ctlretry", 0, "per-tenant retry budget for timed-out observed-run requests (0 = off)")
+	fs.StringVar(&a.tune, "tune", "", "run a design-space search for this objective: p99, energy, or costperf")
+	fs.StringVar(&a.tuneStrategy, "tunestrategy", "", "search strategy: hill (default) or anneal")
+	fs.IntVar(&a.tuneGens, "tunegens", 0, "max search generations (0 = default)")
+	fs.IntVar(&a.tunePatience, "tunepatience", 0, "stop after this many stagnant generations (0 = default)")
+	fs.Float64Var(&a.tuneSLO, "tuneslo", 0, "p99 SLO target in microseconds for the p99 objective (0 = default)")
+	fs.Float64Var(&a.tuneLoad, "tuneload", 0, "workload load scale for evaluations (0 = 1.0)")
+	fs.StringVar(&a.tuneState, "tunestate", "", "snapshot the search state to this file after every generation (atomic rename)")
+	fs.BoolVar(&a.tuneResume, "tuneresume", false, "resume the search from -tunestate instead of starting fresh")
+	fs.StringVar(&a.tuneOut, "tuneout", "", "write the final search result JSON to this file")
+	fs.StringVar(&a.tuneChiplets, "tunechiplets", "", "comma-separated chiplet plans to search (first = start)")
+	fs.StringVar(&a.tunePEs, "tunepes", "", "comma-separated PEs-per-accelerator levels to search")
+	fs.StringVar(&a.tunePolicies, "tunepolicies", "", "comma-separated policies to search (accelflow,relief,cohort,cpucentric,nonacc)")
+	fs.StringVar(&a.tuneQueues, "tunequeues", "", "comma-separated queue depths to search")
+	fs.StringVar(&a.tuneTimeouts, "tunetimeouts", "", "comma-separated TCP timeouts (us) to search")
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns
+	return a
+}
+
+// validate rejects bad flags up front: a bad value should fail fast
+// (exit 2) with a message naming the flag, not surface as a late panic
+// or a silent zero run. Only the rules about flags themselves live
+// here; every rule about the run is JobRequest.Validate's, the one the
+// daemon applies. It returns the validated request for the mode: the
+// search under -tune, else the observed run, whose flags are checked
+// even when -trace/-report is unset.
+func (a cliArgs) validate() (serve.JobRequest, error) {
+	switch {
+	case a.n <= 0:
+		return serve.JobRequest{}, fmt.Errorf("-n must be positive, got %d", a.n)
+	case a.tune == "" && (a.tuneResume || a.tuneState != "" || a.tuneOut != ""):
 		// Tune-only flags require the mode, so a typo like -tuneresume
 		// without -tune cannot silently run the wrong mode.
-		if a.tuneResume || a.tuneState != "" || a.tuneOut != "" {
-			return fmt.Errorf("-tunestate/-tuneresume/-tuneout require -tune <objective>")
-		}
-		return nil
+		return serve.JobRequest{}, fmt.Errorf("-tunestate/-tuneresume/-tuneout require -tune <objective>")
+	case a.tune != "" && a.exp != "":
+		return serve.JobRequest{}, fmt.Errorf("-tune and -exp are separate modes; run them separately")
+	case a.tuneResume && a.tuneState == "":
+		return serve.JobRequest{}, fmt.Errorf("-tuneresume needs -tunestate FILE to resume from")
 	}
-	if a.exp != "" {
-		return fmt.Errorf("-tune and -exp are separate modes; run them separately")
+	typ := serve.JobObserved
+	if a.tune != "" {
+		typ = serve.JobTune
 	}
-	if a.tuneResume && a.tuneState == "" {
-		return fmt.Errorf("-tuneresume needs -tunestate FILE to resume from")
-	}
-	if a.tuneGens < 0 || a.tunePatience < 0 {
-		return fmt.Errorf("-tunegens and -tunepatience must be non-negative, got %d/%d", a.tuneGens, a.tunePatience)
-	}
-	if a.tuneSLO < 0 {
-		return fmt.Errorf("-tuneslo must be non-negative, got %v", a.tuneSLO)
-	}
-	if a.tuneLoad < 0 {
-		return fmt.Errorf("-tuneload must be non-negative, got %v", a.tuneLoad)
-	}
-	p, err := a.tuneParams()
+	req, err := a.request(typ)
 	if err != nil {
+		return req, err
+	}
+	if err := req.Validate(); err != nil {
+		return req, flagError(err)
+	}
+	if a.exp != "" && a.exp != "all" {
+		if err := a.experimentRequest().Validate(); err != nil {
+			return req, fmt.Errorf("%w\ntry -list", flagError(err))
+		}
+	}
+	return req, nil
+}
+
+// request maps the flags onto an observed or tune job request, the
+// request accelsimd decodes from a POST /v1/jobs body. It carries both
+// modes' flags, so Validate rejects a flag of the other mode just as it
+// would in a daemon request.
+func (a cliArgs) request(typ string) (serve.JobRequest, error) {
+	r := a.experimentRequest() // for -n, -seed, -quick and -parallel
+	r.Type, r.Experiment = typ, ""
+	r.FaultRate, r.FaultLoss = a.faultRate, a.faultLoss
+	r.FaultWindowUs = float64(a.faultWindow) / float64(time.Microsecond)
+	r.Control = a.controlSpec()
+	r.Objective, r.Strategy, r.Generations, r.Patience = a.tune, a.tuneStrategy, a.tuneGens, a.tunePatience
+	r.SLOUs, r.LoadScale = a.tuneSLO, a.tuneLoad
+	var err error
+	r.Space, err = a.tuneSpace()
+	return r, err
+}
+
+// experimentRequest maps the flags onto the -exp job request.
+func (a cliArgs) experimentRequest() serve.JobRequest {
+	return serve.JobRequest{Type: serve.JobExperiment, Experiment: a.exp,
+		Requests: a.n, Seed: a.seed, Quick: a.quick, Parallelism: a.parallel}
+}
+
+// flagNames maps job-request fields (JSON names) onto the flags that
+// set them.
+var flagNames = map[string]string{
+	"experiment":    "-exp",
+	"requests":      "-n",
+	"parallelism":   "-parallel",
+	"faultRate":     "-faults",
+	"faultWindowUs": "-faultwindow",
+	"faultLoss":     "-faultloss",
+	"control":       "-ctl*",
+	"objective":     "-tune",
+	"strategy":      "-tunestrategy",
+	"generations":   "-tunegens",
+	"patience":      "-tunepatience",
+	"sloUs":         "-tuneslo",
+	"loadScale":     "-tuneload",
+	"space":         "-tunechiplets/-tunepes/-tunepolicies/-tunequeues/-tunetimeouts",
+}
+
+// flagError prefixes a request-validation error with the flags that
+// set the fields it is about.
+func flagError(err error) error {
+	var fe interface{ Fields() []string }
+	if !errors.As(err, &fe) || len(fe.Fields()) == 0 {
 		return err
 	}
-	return p.Validate()
+	flags := make([]string, len(fe.Fields()))
+	for i, f := range fe.Fields() {
+		flags[i] = flagNames[f]
+	}
+	return fmt.Errorf("%s: %w", strings.Join(flags, " and "), err)
 }
 
 // controlSpec maps the -ctl* flags onto a control spec, or nil when
@@ -173,42 +263,21 @@ func (a cliArgs) controlSpec() *control.Spec {
 	return spec
 }
 
-// tuneParams maps the flags onto search parameters. The space comes
-// from the -tune* list flags; leaving them all empty selects
-// tune.DefaultSpace (three dimensions around the paper's base design).
-func (a cliArgs) tuneParams() (tune.Params, error) {
-	space := tune.DefaultSpace()
-	if a.tuneChiplets != "" || a.tunePEs != "" || a.tunePolicies != "" ||
-		a.tuneQueues != "" || a.tuneTimeouts != "" {
-		space = tune.SpaceSpec{Policies: splitList(a.tunePolicies)}
-		var err error
-		if space.Chiplets, err = parseInts("-tunechiplets", a.tuneChiplets); err != nil {
-			return tune.Params{}, err
-		}
-		if space.PEs, err = parseInts("-tunepes", a.tunePEs); err != nil {
-			return tune.Params{}, err
-		}
-		if space.QueueDepths, err = parseInts("-tunequeues", a.tuneQueues); err != nil {
-			return tune.Params{}, err
-		}
-		if space.TCPTimeoutUs, err = parseFloats("-tunetimeouts", a.tuneTimeouts); err != nil {
-			return tune.Params{}, err
-		}
+// tuneSpace maps the -tune* list flags onto a search space; leaving
+// them all empty gives nil, which selects tune.DefaultSpace (three
+// dimensions around the paper's base design).
+func (a cliArgs) tuneSpace() (*tune.SpaceSpec, error) {
+	if a.tuneChiplets == "" && a.tunePEs == "" && a.tunePolicies == "" &&
+		a.tuneQueues == "" && a.tuneTimeouts == "" {
+		return nil, nil
 	}
-	return tune.Params{
-		Strategy:       a.tuneStrategy,
-		Objective:      a.tune,
-		Space:          space,
-		Seed:           a.seed,
-		Requests:       a.n,
-		LoadScale:      a.tuneLoad,
-		SLOUs:          a.tuneSLO,
-		MaxGenerations: a.tuneGens,
-		Patience:       a.tunePatience,
-		Quick:          a.quick,
-		Parallelism:    a.parallel,
-		Check:          a.check,
-	}, nil
+	space := &tune.SpaceSpec{Policies: splitList(a.tunePolicies)}
+	var errs [4]error
+	space.Chiplets, errs[0] = parseList("-tunechiplets", a.tuneChiplets, strconv.Atoi)
+	space.PEs, errs[1] = parseList("-tunepes", a.tunePEs, strconv.Atoi)
+	space.QueueDepths, errs[2] = parseList("-tunequeues", a.tuneQueues, strconv.Atoi)
+	space.TCPTimeoutUs, errs[3] = parseList("-tunetimeouts", a.tuneTimeouts, parseFloat)
+	return space, errors.Join(errs[:]...)
 }
 
 func splitList(s string) []string {
@@ -222,22 +291,12 @@ func splitList(s string) []string {
 	return parts
 }
 
-func parseInts(flagName, s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated flag value element by element;
+// an error names the flag.
+func parseList[T int | float64](flagName, s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad value %q (want comma-separated integers)", flagName, p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(flagName, s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitList(s) {
-		v, err := strconv.ParseFloat(p, 64)
+		v, err := parse(p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad value %q (want comma-separated numbers)", flagName, p)
 		}
@@ -246,61 +305,25 @@ func parseFloats(flagName, s string) ([]float64, error) {
 	return out, nil
 }
 
-func main() {
-	var a cliArgs
-	var (
-		list       = flag.Bool("list", false, "list experiment IDs")
-		timing     = flag.Bool("time", true, "report per-experiment and total wall clock on stderr")
-		tracePath  = flag.String("trace", "", "run an observed SocialNetwork mix and write a Chrome trace-event JSON to this file")
-		reportPath = flag.String("report", "", "run an observed SocialNetwork mix and write a structured JSON report to this file")
-		faultWin   = flag.Duration("faultwindow", 200*time.Microsecond, "mean fault-window duration for -faults")
-	)
-	flag.StringVar(&a.exp, "exp", "", "experiment ID (see -list), or 'all'")
-	flag.IntVar(&a.n, "n", 2500, "request budget per simulation")
-	flag.Int64Var(&a.seed, "seed", 1, "RNG seed")
-	flag.BoolVar(&a.quick, "quick", false, "shrink workloads for a fast pass")
-	flag.IntVar(&a.parallel, "parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
-	flag.Float64Var(&a.faultRate, "faults", 0, "fault-window arrival rate in windows/s for the observed run (0 = off)")
-	flag.Float64Var(&a.faultLoss, "faultloss", 0, "remote-response loss rate override in [0,1] for the observed run")
-	flag.BoolVar(&a.check, "check", false, "run with runtime invariant checking (same results; violations fail the run)")
-	flag.StringVar(&a.ctlTarget, "ctl", "", "attach the autoscaler to the observed run, scaling this pool: pe or cores")
-	flag.Float64Var(&a.ctlUp, "ctlup", 0.75, "scale up when windowed utilization exceeds this (requires -ctl)")
-	flag.Float64Var(&a.ctlDown, "ctldown", 0.25, "scale down when windowed utilization falls below this (requires -ctl)")
-	flag.Float64Var(&a.ctlSLO, "ctlslo", 0, "P99 SLO target in microseconds the autoscaler also reacts to (0 = utilization only)")
-	flag.IntVar(&a.ctlMax, "ctlmax", 8, "autoscaler ceiling: servers it may add over the base pool")
-	flag.IntVar(&a.ctlShedQ, "ctlshedq", 0, "shed observed-run arrivals when this many requests are outstanding (0 = off)")
-	flag.Float64Var(&a.ctlShedP, "ctlshedp", 0, "shed observed-run arrivals with this probability in [0,1] (0 = off)")
-	flag.IntVar(&a.ctlRetry, "ctlretry", 0, "per-tenant retry budget for timed-out observed-run requests (0 = off)")
-	flag.StringVar(&a.tune, "tune", "", "run a design-space search for this objective: p99, energy, or costperf")
-	flag.StringVar(&a.tuneStrategy, "tunestrategy", "", "search strategy: hill (default) or anneal")
-	flag.IntVar(&a.tuneGens, "tunegens", 0, "max search generations (0 = default)")
-	flag.IntVar(&a.tunePatience, "tunepatience", 0, "stop after this many stagnant generations (0 = default)")
-	flag.Float64Var(&a.tuneSLO, "tuneslo", 0, "p99 SLO target in microseconds for the p99 objective (0 = default)")
-	flag.Float64Var(&a.tuneLoad, "tuneload", 0, "workload load scale for evaluations (0 = 1.0)")
-	flag.StringVar(&a.tuneState, "tunestate", "", "snapshot the search state to this file after every generation (atomic rename)")
-	flag.BoolVar(&a.tuneResume, "tuneresume", false, "resume the search from -tunestate instead of starting fresh")
-	flag.StringVar(&a.tuneOut, "tuneout", "", "write the final search result JSON to this file")
-	flag.StringVar(&a.tuneChiplets, "tunechiplets", "", "comma-separated chiplet plans to search (first = start)")
-	flag.StringVar(&a.tunePEs, "tunepes", "", "comma-separated PEs-per-accelerator levels to search")
-	flag.StringVar(&a.tunePolicies, "tunepolicies", "", "comma-separated policies to search (accelflow,relief,cohort,cpucentric,nonacc)")
-	flag.StringVar(&a.tuneQueues, "tunequeues", "", "comma-separated queue depths to search")
-	flag.StringVar(&a.tuneTimeouts, "tunetimeouts", "", "comma-separated TCP timeouts (us) to search")
-	flag.Parse()
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-	if err := a.validate(); err != nil {
+func main() {
+	a := parseArgs(os.Args[1:])
+	req, err := a.validate()
+	if err != nil {
 		fatalf("%v", err)
 	}
 
 	if a.tune != "" {
-		if err := runTune(a); err != nil {
+		if err := runTune(a, req); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *tracePath != "" || *reportPath != "" {
-		if err := observedRun(*tracePath, *reportPath, a, *faultWin); err != nil {
+	if a.tracePath != "" || a.reportPath != "" {
+		if err := observedRun(a, req); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -309,7 +332,7 @@ func main() {
 		}
 	}
 
-	if *list || a.exp == "" {
+	if a.list || a.exp == "" {
 		fmt.Println("experiments:")
 		for _, id := range experiments.IDs() {
 			fmt.Printf("  %s\n", id)
@@ -320,32 +343,27 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Requests: a.n, Seed: a.seed, Quick: a.quick, Parallelism: a.parallel, Check: a.check}
 	ids := []string{a.exp}
 	if a.exp == "all" {
 		ids = experiments.IDs()
 	}
 	start := time.Now()
-	outcomes := experiments.RunMany(ids, opts)
+	outcomes := experiments.RunMany(ids, a.experimentRequest().Options(serve.Env{Check: a.check}))
 	total := time.Since(start)
 	failed := 0
 	for _, out := range outcomes {
 		if out.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", out.ID, out.Err)
-			if strings.HasPrefix(out.Err.Error(), "unknown experiment") {
-				fmt.Fprintln(os.Stderr, "try -list")
-				os.Exit(2)
-			}
 			failed++
 			continue
 		}
 		fmt.Printf("=== %s ===\n%s\n", out.ID, strings.TrimRight(out.Res.Text(), "\n"))
 		fmt.Println()
-		if *timing {
+		if a.timing {
 			fmt.Fprintf(os.Stderr, "[%s: %v]\n", out.ID, out.Elapsed.Round(time.Millisecond))
 		}
 	}
-	if *timing {
+	if a.timing {
 		fmt.Fprintf(os.Stderr, "[total: %v wall clock, %d experiments, parallelism %d]\n",
 			total.Round(time.Millisecond), len(ids), effectiveParallelism(a.parallel))
 	}
@@ -354,52 +372,45 @@ func main() {
 	}
 }
 
-// runTune drives the closed-loop search: one NDJSON line per
-// generation on stdout ({"event":"generation",...}), a final
+// runTune drives the closed-loop search through serve.Run: one NDJSON
+// line per generation on stdout ({"event":"generation",...}), a final
 // {"event":"result",...} line, optional atomic state snapshots for
 // kill/resume, and an optional result-JSON file.
-func runTune(a cliArgs) error {
-	p, err := a.tuneParams()
-	if err != nil {
-		return err
-	}
-	var st *tune.SearchState
+func runTune(a cliArgs, req serve.JobRequest) error {
+	env := serve.Env{Check: a.check}
 	if a.tuneResume {
 		data, err := os.ReadFile(a.tuneState)
 		if err != nil {
 			return fmt.Errorf("-tuneresume: %w", err)
 		}
-		if st, err = tune.LoadState(data, p); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[tune: resuming from %s at generation %d]\n", a.tuneState, st.Gen)
+		env.TuneState = data
+		fmt.Fprintf(os.Stderr, "[tune: resuming from %s]\n", a.tuneState)
 	}
 
 	enc := json.NewEncoder(os.Stdout)
 	var hookErr error
-	h := tune.Hooks{
-		OnGeneration: func(pr tune.Progress, state []byte) {
-			line := struct {
-				Event string `json:"event"`
-				tune.Progress
-			}{"generation", pr}
-			if err := enc.Encode(line); err != nil && hookErr == nil {
+	env.OnGeneration = func(pr tune.Progress, state []byte) {
+		line := struct {
+			Event string `json:"event"`
+			tune.Progress
+		}{"generation", pr}
+		if err := enc.Encode(line); err != nil && hookErr == nil {
+			hookErr = err
+		}
+		if a.tuneState != "" {
+			if err := writeFileAtomic(a.tuneState, state); err != nil && hookErr == nil {
 				hookErr = err
 			}
-			if a.tuneState != "" {
-				if err := writeFileAtomic(a.tuneState, state); err != nil && hookErr == nil {
-					hookErr = err
-				}
-			}
-		},
+		}
 	}
-	res, err := tune.Run(context.Background(), p, st, h)
+	out, err := serve.Run(context.Background(), req, env)
 	if err != nil {
 		return err
 	}
 	if hookErr != nil {
 		return hookErr
 	}
+	res := out.Tune
 	final := struct {
 		Event string `json:"event"`
 		*tune.Result
@@ -454,31 +465,18 @@ func fatalf(format string, args ...interface{}) {
 	os.Exit(2)
 }
 
-// observedRun drives one AccelFlow SocialNetwork mix with the span and
-// utilization observer attached and writes the requested exports.
-// A nonzero faultRate (or faultLoss) attaches the deterministic fault
-// injector, so Perfetto traces show the fault windows as root spans.
-// The spec comes from workload.BuildObserved — the same builder the
-// accelsimd daemon uses — so a job submitted over HTTP with the same
-// parameters yields byte-identical artifacts.
-func observedRun(tracePath, reportPath string, a cliArgs, faultWin time.Duration) error {
-	spec, sink, err := workload.BuildObserved(workload.ObservedParams{
-		Seed:        a.seed,
-		Requests:    a.n,
-		Quick:       a.quick,
-		FaultRate:   a.faultRate,
-		FaultWindow: sim.FromNanos(float64(faultWin.Nanoseconds())),
-		FaultLoss:   a.faultLoss,
-		Control:     a.controlSpec(),
-		Check:       a.check,
-	})
+// observedRun runs one AccelFlow SocialNetwork mix with the span and
+// utilization observer attached, through serve.Run like an accelsimd
+// observed job, and writes the requested exports — byte-identical to
+// the daemon's artifacts for the same request. A nonzero -faults (or
+// -faultloss) attaches the deterministic fault injector, so Perfetto
+// traces show the fault windows as root spans.
+func observedRun(a cliArgs, req serve.JobRequest) error {
+	out, err := serve.Run(context.Background(), req, serve.Env{Check: a.check})
 	if err != nil {
 		return err
 	}
-	res, err := spec.Run()
-	if err != nil {
-		return err
-	}
+	res, sink := out.Run, out.Sink
 	fmt.Fprintf(os.Stderr, "[observed run: %d requests, %d spans, %v simulated]\n",
 		res.Completed, sink.SpanCount(), res.Elapsed)
 	if inj := res.Engine.Faults; inj != nil {
@@ -489,17 +487,17 @@ func observedRun(tracePath, reportPath string, a cliArgs, faultWin time.Duration
 		fmt.Fprintf(os.Stderr, "[control: %d ticks, +%d/-%d scale actions, %d shed, %d retries]\n",
 			res.Control.Ticks, res.Control.ScaleUps, res.Control.ScaleDowns, res.Shed, res.Retries)
 	}
-	if tracePath != "" {
-		if err := writeFile(tracePath, sink.WriteChromeTrace); err != nil {
+	if a.tracePath != "" {
+		if err := writeFile(a.tracePath, sink.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Chrome trace (%d spans) to %s\n", sink.SpanCount(), tracePath)
+		fmt.Printf("wrote Chrome trace (%d spans) to %s\n", sink.SpanCount(), a.tracePath)
 	}
-	if reportPath != "" {
-		if err := writeFile(reportPath, sink.WriteReport); err != nil {
+	if a.reportPath != "" {
+		if err := writeFile(a.reportPath, sink.WriteReport); err != nil {
 			return err
 		}
-		fmt.Printf("wrote observability report to %s\n", reportPath)
+		fmt.Printf("wrote observability report to %s\n", a.reportPath)
 	}
 	return nil
 }

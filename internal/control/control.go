@@ -32,6 +32,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"accelflow/internal/obs"
@@ -152,6 +153,9 @@ func (s *Spec) Validate() error {
 				TargetPE, TargetCores, TargetReplicas, a.Target)
 		}
 		switch {
+		case !finite(a.UpUtil) || !finite(a.DownUtil) || !finite(a.SLOUs):
+			// NaN fails every comparison below, so it must be caught first.
+			return fmt.Errorf("control: UpUtil, DownUtil and SLOUs must be finite, got %v/%v/%v", a.UpUtil, a.DownUtil, a.SLOUs)
 		case a.Interval < 0 || a.Window < 0:
 			return fmt.Errorf("control: autoscale interval/window must be non-negative")
 		case a.UpUtil <= 0:
@@ -165,7 +169,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if sh := s.Shed; sh != nil {
-		if sh.Prob < 0 || sh.Prob > 1 {
+		if !(sh.Prob >= 0 && sh.Prob <= 1) {
 			return fmt.Errorf("control: shed probability must be in [0,1], got %v", sh.Prob)
 		}
 		if sh.Queue < 0 {
@@ -186,6 +190,8 @@ func (s *Spec) Validate() error {
 	}
 	return nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Stats counts controller activity over one run.
 type Stats struct {

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -271,7 +272,12 @@ func TestValidateTable(t *testing.T) {
 		{"negative interval", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, Interval: -1}}, "interval"},
 		{"negative slo", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, SLOUs: -5}}, "SLOUs"},
 		{"negative bounds", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, MaxAdd: -1}}, "non-negative"},
+		{"NaN uputil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: math.NaN()}}, "UpUtil"},
+		{"NaN downutil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, DownUtil: math.NaN()}}, "DownUtil"},
+		{"infinite uputil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: math.Inf(1)}}, "finite"},
+		{"NaN slo", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, SLOUs: math.NaN()}}, "SLOUs"},
 		{"shed prob above one", &Spec{Shed: &ShedSpec{Prob: 1.5}}, "probability"},
+		{"NaN shed prob", &Spec{Shed: &ShedSpec{Prob: math.NaN()}}, "probability"},
 		{"negative shed queue", &Spec{Shed: &ShedSpec{Queue: -1}}, "queue depth"},
 		{"negative retry budget", &Spec{Retry: &RetrySpec{Budget: -1}}, "budget"},
 		{"backoff cap below base", &Spec{Retry: &RetrySpec{Budget: 1,

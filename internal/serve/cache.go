@@ -3,9 +3,9 @@
 // report lines, and artifact bytes are pure functions of its submitted
 // parameters (pinned by determinism_test.go), so the cache keys off a
 // result identity — workload.RunSpec.Hash for observed jobs, a
-// canonical parameter digest for experiment jobs (see
-// JobRequest.resultKey) — that leaves out the execution-only
-// Parallelism knob.
+// canonical parameter digest for experiment jobs, the search signature
+// for tune jobs (see JobRequest.ResultKey) — that leaves out the
+// execution-only Parallelism knob.
 //
 // One bounded LRU holds two kinds of entries under one capacity:
 //

@@ -5,28 +5,33 @@
 // status, cancel, result values, artifact download, and an NDJSON
 // per-cell progress stream.
 //
-// Determinism contract: a job only carries the same parameters the CLI
-// accepts (experiment ID or observed-run knobs, request budget, seed,
-// quick, parallelism), and execution goes through exactly the same
-// code paths — experiments.Registry runners over RunCells, or
-// workload.BuildObserved + RunSpec.Run. Values and artifact bytes
-// therefore depend only on the submitted parameters, never on the
-// transport, queueing delay, or concurrent jobs; determinism_test.go
-// pins this against direct in-process runs.
+// One request path serves both binaries. A JobRequest describes every
+// run: accelsimd decodes it from the POST /v1/jobs body, and accelsim
+// builds it from its flags. Both check it with JobRequest.Validate and
+// execute it through Run (run.go), which owns the mapping onto
+// experiments.Options, workload.ObservedParams and tune.Params and
+// assembles each job type's values, lines and artifacts. What differs
+// between the callers — the -check flag, the daemon's cell cache and
+// progress hooks, the CLI's tune snapshots — travels in Env and never
+// changes a byte of output. Values and artifact bytes therefore depend
+// only on the request, never on the binary, the transport, queueing
+// delay, or concurrent jobs; determinism_test.go pins this against
+// direct in-process runs.
 package serve
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"accelflow/internal/control"
 	"accelflow/internal/experiments"
 	"accelflow/internal/obs"
-	"accelflow/internal/sim"
 	"accelflow/internal/tune"
 	"accelflow/internal/workload"
 )
@@ -68,7 +73,8 @@ const (
 	PriorityBatch       = "batch"
 )
 
-// JobRequest is the submit payload (POST /v1/jobs body).
+// JobRequest describes one run: the POST /v1/jobs body for accelsimd,
+// and what accelsim builds from its flags.
 type JobRequest struct {
 	// Type is "experiment", "observed", or "tune".
 	Type string `json:"type"`
@@ -113,173 +119,128 @@ type JobRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// maxRequests caps a job's request budget at admission. An observed
-// run's sink keeps about 5 KiB per request live until its artifacts
-// are rendered, so without a cap one job could exhaust the daemon's
-// memory; at the cap it holds about 500 MiB.
-const maxRequests = 100_000
+// knobs lists the type-specific request fields: the job type each one
+// belongs to, the JSON names an error about it reports, and a copy of
+// it from one request to another. Generations and patience share one
+// range check, so they form one knob.
+var knobs = []struct {
+	typ    string
+	fields []string
+	copy   func(dst, src *JobRequest)
+}{
+	{JobExperiment, []string{"experiment"}, func(d, s *JobRequest) { d.Experiment = s.Experiment }},
+	{JobObserved, []string{"faultRate"}, func(d, s *JobRequest) { d.FaultRate = s.FaultRate }},
+	{JobObserved, []string{"faultWindowUs"}, func(d, s *JobRequest) { d.FaultWindowUs = s.FaultWindowUs }},
+	{JobObserved, []string{"faultLoss"}, func(d, s *JobRequest) { d.FaultLoss = s.FaultLoss }},
+	{JobObserved, []string{"control"}, func(d, s *JobRequest) { d.Control = s.Control }},
+	{JobTune, []string{"strategy"}, func(d, s *JobRequest) { d.Strategy = s.Strategy }},
+	{JobTune, []string{"objective"}, func(d, s *JobRequest) { d.Objective = s.Objective }},
+	{JobTune, []string{"generations", "patience"}, func(d, s *JobRequest) { d.Generations, d.Patience = s.Generations, s.Patience }},
+	{JobTune, []string{"sloUs"}, func(d, s *JobRequest) { d.SLOUs = s.SLOUs }},
+	{JobTune, []string{"loadScale"}, func(d, s *JobRequest) { d.LoadScale = s.LoadScale }},
+	{JobTune, []string{"space"}, func(d, s *JobRequest) { d.Space = s.Space }},
+}
 
-// Validate rejects requests admission should never accept: unknown
-// types, unresolvable experiment IDs, negative or oversized budgets
-// (see maxRequests), or fault knobs on job types that cannot honour
-// them. Every error it returns matches
-// ErrBadRequest (errors.Is), which is what routes it to HTTP 400; an
-// error from any other Submit stage deliberately does not.
+// Validate rejects requests no run should accept: unknown types,
+// unresolvable experiment IDs, negative budgets, knobs on a job type
+// that cannot honour them, and out-of-range knob values (checked by
+// workload.ObservedParams.Validate and tune.Params.Validate). Every
+// error it returns matches ErrBadRequest (errors.Is), which is what
+// routes it to HTTP 400; an error from any other Submit stage
+// deliberately does not. An error about particular fields also reports
+// their JSON names through a Fields() []string method, which accelsim
+// maps onto its flag names.
 func (r JobRequest) Validate() error {
 	switch r.Type {
-	case JobExperiment:
-		if r.Experiment == "" {
-			return badRequestf("serve: experiment job needs an experiment ID (see GET /v1/experiments)")
+	case JobExperiment, JobObserved, JobTune:
+	default:
+		return fieldErrorf("type", "serve: job type must be %q, %q, or %q, got %q", JobExperiment, JobObserved, JobTune, r.Type)
+	}
+	switch {
+	case r.Requests < 0:
+		return fieldErrorf("requests", "serve: requests must be non-negative, got %d", r.Requests)
+	case r.Parallelism < 0:
+		return fieldErrorf("parallelism", "serve: parallelism must be non-negative, got %d", r.Parallelism)
+	case r.Priority != "" && r.Priority != PriorityInteractive && r.Priority != PriorityBatch:
+		return fieldErrorf("priority", "serve: priority must be %q or %q, got %q", PriorityInteractive, PriorityBatch, r.Priority)
+	}
+	// The knobs that are set join one at a time and the type's checks
+	// rerun after each, so an error names the knob that broke them; a
+	// check spanning knobs (the fault-window cap needs the rate) names
+	// the last one it needed. Another type's knob is an error if set.
+	var own, set JobRequest
+	own.Type = r.Type
+	for _, k := range knobs {
+		set = JobRequest{}
+		if k.copy(&set, &r); set == (JobRequest{}) {
+			continue // unset: the default
 		}
-		if _, ok := experiments.Registry[r.Experiment]; !ok {
-			return badRequestf("serve: unknown experiment %q", r.Experiment)
+		if k.typ != r.Type {
+			return &requestError{fields: k.fields,
+				msg: fmt.Sprintf("serve: %s applies only to %s jobs", strings.Join(k.fields, "/"), k.typ)}
 		}
-		if r.FaultRate != 0 || r.FaultWindowUs != 0 || r.FaultLoss != 0 {
-			return badRequestf("serve: fault injection knobs only apply to observed jobs")
+		k.copy(&own, &r)
+		if err := own.checkKnobs(); err != nil {
+			return &requestError{fields: k.fields, msg: err.Error()}
 		}
-		if r.Control != nil {
-			return badRequestf("serve: the control spec only applies to observed jobs")
-		}
-		if err := r.validateNoTuneKnobs(); err != nil {
-			return err
-		}
-	case JobObserved:
-		if r.Experiment != "" {
-			return badRequestf("serve: observed jobs take no experiment ID")
-		}
-		if err := r.validateNoTuneKnobs(); err != nil {
-			return err
-		}
-		if err := r.observedParams().Validate(); err != nil {
+	}
+	if own == (JobRequest{Type: r.Type}) {
+		// No knob set: the defaults must pass on their own, and an
+		// experiment job has no default ID.
+		if err := own.checkKnobs(); err != nil {
 			return badRequestf("%s", err)
 		}
-		if r.FaultWindowUs < 0 {
-			return badRequestf("serve: faultWindowUs must be non-negative, got %v", r.FaultWindowUs)
-		}
-	case JobTune:
-		if r.Experiment != "" {
-			return badRequestf("serve: tune jobs take no experiment ID")
-		}
-		if r.FaultRate != 0 || r.FaultWindowUs != 0 || r.FaultLoss != 0 {
-			return badRequestf("serve: fault injection knobs only apply to observed jobs")
-		}
-		if r.Control != nil {
-			return badRequestf("serve: the control spec only applies to observed jobs")
-		}
-		if r.Generations < 0 || r.Patience < 0 {
-			return badRequestf("serve: generations and patience must be non-negative, got %d/%d", r.Generations, r.Patience)
-		}
-		if r.SLOUs < 0 || r.LoadScale < 0 {
-			return badRequestf("serve: sloUs and loadScale must be non-negative, got %v/%v", r.SLOUs, r.LoadScale)
-		}
-		if err := r.tuneParams().Validate(); err != nil {
-			return badRequestf("%s", err)
-		}
-	default:
-		return badRequestf("serve: job type must be %q, %q, or %q, got %q", JobExperiment, JobObserved, JobTune, r.Type)
-	}
-	if r.Requests < 0 || r.Requests > maxRequests {
-		return badRequestf("serve: requests must be in [0, %d], got %d", maxRequests, r.Requests)
-	}
-	if r.Parallelism < 0 {
-		return badRequestf("serve: parallelism must be non-negative, got %d", r.Parallelism)
-	}
-	switch r.Priority {
-	case "", PriorityInteractive, PriorityBatch:
-	default:
-		return badRequestf("serve: priority must be %q or %q, got %q", PriorityInteractive, PriorityBatch, r.Priority)
 	}
 	return nil
 }
 
-// resultKey is the content-addressed identity of the job's result:
+// checkKnobs runs the job type's own checks on the knobs set so far.
+func (r JobRequest) checkKnobs() error {
+	switch r.Type {
+	case JobExperiment:
+		if r.Experiment == "" {
+			return errors.New("serve: experiment job needs an experiment ID (see GET /v1/experiments)")
+		}
+		if _, ok := experiments.Registry[r.Experiment]; !ok {
+			return fmt.Errorf("serve: unknown experiment %q", r.Experiment)
+		}
+		return nil
+	case JobObserved:
+		return r.observedParams(Env{}).Validate()
+	}
+	return r.tuneParams(Env{}).Validate()
+}
+
+// ResultKey is the content-addressed identity of the job's result:
 // two requests with equal keys produce byte-identical values, lines,
 // and artifacts, so the scheduler caches and coalesces on it. The key
 // covers only result-affecting parameters — Parallelism is an
 // execution knob that provably never changes bytes, Tenant/Priority
-// only steer scheduling, and the daemon-level Check flag is
-// observe-only. Observed jobs key off the built RunSpec's Hash
-// (requests/quick normalization happens inside BuildObserved);
-// experiment jobs hash their raw parameter tuple. Empty means "not
-// cacheable" (never the case for a validated request).
-func (r JobRequest) resultKey() string {
+// only steer scheduling, and everything in Env is observe-only.
+// Observed jobs key off the built RunSpec's Hash (requests/quick
+// normalization happens inside BuildObserved); experiment jobs hash
+// their raw parameter tuple. Empty means "not cacheable" (never the
+// case for a validated request).
+func (r JobRequest) ResultKey() string {
 	switch r.Type {
 	case JobExperiment:
 		sum := sha256.Sum256([]byte(fmt.Sprintf("experiment|%s|requests=%d|seed=%d|quick=%t",
 			r.Experiment, r.Requests, r.Seed, r.Quick)))
 		return "job|exp|" + hex.EncodeToString(sum[:])
 	case JobObserved:
-		spec, _, err := workload.BuildObserved(r.observedParams())
+		spec, _, err := workload.BuildObserved(r.observedParams(Env{}))
 		if err != nil {
 			return ""
 		}
 		return "job|obs|" + spec.Hash()
 	case JobTune:
-		sig, err := r.tuneParams().Signature()
+		sig, err := r.tuneParams(Env{}).Signature()
 		if err != nil {
 			return ""
 		}
 		return "job|tune|" + sig
 	}
 	return ""
-}
-
-// validateNoTuneKnobs rejects tune-only fields on other job types, the
-// same cross-type strictness the fault knobs get.
-func (r JobRequest) validateNoTuneKnobs() error {
-	if r.Strategy != "" || r.Objective != "" || r.Space != nil ||
-		r.Generations != 0 || r.Patience != 0 || r.SLOUs != 0 || r.LoadScale != 0 {
-		return badRequestf("serve: tune knobs only apply to tune jobs")
-	}
-	return nil
-}
-
-// tuneParams maps the wire request onto the search parameters.
-// Parallelism is execution-only (outside the signature), and
-// Check is stamped in by the scheduler from the daemon flag.
-func (r JobRequest) tuneParams() tune.Params {
-	space := tune.DefaultSpace()
-	if r.Space != nil {
-		space = *r.Space
-	}
-	return tune.Params{
-		Strategy:       r.Strategy,
-		Objective:      r.Objective,
-		Space:          space,
-		Seed:           r.Seed,
-		Requests:       r.Requests,
-		LoadScale:      r.LoadScale,
-		SLOUs:          r.SLOUs,
-		MaxGenerations: r.Generations,
-		Patience:       r.Patience,
-		Quick:          r.Quick,
-		Parallelism:    r.Parallelism,
-	}
-}
-
-// observedParams maps the wire request onto the shared observed-run
-// builder's parameters.
-func (r JobRequest) observedParams() workload.ObservedParams {
-	return workload.ObservedParams{
-		Seed:        r.Seed,
-		Requests:    r.Requests,
-		Quick:       r.Quick,
-		FaultRate:   r.FaultRate,
-		FaultWindow: sim.FromMicros(r.FaultWindowUs),
-		FaultLoss:   r.FaultLoss,
-		Control:     r.Control,
-	}
-}
-
-// options maps the wire request onto experiment Options; the scheduler
-// adds Ctx and OnCell when it starts the job.
-func (r JobRequest) options() experiments.Options {
-	return experiments.Options{
-		Requests:    r.Requests,
-		Seed:        r.Seed,
-		Quick:       r.Quick,
-		Parallelism: r.Parallelism,
-	}
 }
 
 // Event is one NDJSON progress record on GET /v1/jobs/{id}/progress.

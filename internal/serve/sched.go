@@ -28,18 +28,8 @@ import (
 	"sync"
 	"time"
 
-	"accelflow/internal/experiments"
 	"accelflow/internal/tune"
-	"accelflow/internal/workload"
 )
-
-// boolVal renders a bool into the values map's float domain.
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // Admission errors; the HTTP layer maps them to status codes.
 var (
@@ -58,15 +48,28 @@ var (
 )
 
 // requestError is a validation failure: errors.Is(err, ErrBadRequest)
-// holds for every error built with badRequestf.
-type requestError struct{ msg string }
+// holds for every one. fields holds the JSON names of the offending
+// request fields, empty when the error is about no field in particular.
+type requestError struct {
+	fields []string
+	msg    string
+}
 
 func (e *requestError) Error() string        { return e.msg }
 func (e *requestError) Is(target error) bool { return target == ErrBadRequest }
 
+// Fields returns the JSON names of the request fields the error is
+// about; accelsim maps them onto the flags that set them.
+func (e *requestError) Fields() []string { return e.fields }
+
 // badRequestf builds a client-error (HTTP 400) validation failure.
 func badRequestf(format string, args ...any) error {
 	return &requestError{msg: fmt.Sprintf(format, args...)}
+}
+
+// fieldErrorf is badRequestf about one request field.
+func fieldErrorf(field, format string, args ...any) error {
+	return &requestError{fields: []string{field}, msg: fmt.Sprintf(format, args...)}
 }
 
 // RateLimitError reports token-bucket exhaustion for one tenant; the
@@ -362,11 +365,18 @@ func (s *Scheduler) registerLocked(req JobRequest) *Job {
 	return j
 }
 
+// maxRequests caps a job's request budget at admission. An observed
+// run's sink keeps about 5 KiB per request live until its artifacts
+// are rendered, so without a cap one job could exhaust the daemon's
+// memory; at the cap it holds about 500 MiB. It bounds the daemon
+// only: accelsim runs whatever budget its user asks for.
+const maxRequests = 100_000
+
 // Submit validates and admits one job. It never blocks. Outcomes, in
 // evaluation order:
 //
-//   - a malformed request returns its validation error (matches
-//     ErrBadRequest);
+//   - a malformed request, or one over the maxRequests budget, returns
+//     its validation error (matches ErrBadRequest);
 //   - a draining scheduler returns ErrDraining;
 //   - an exhausted tenant bucket returns *RateLimitError;
 //   - with caching on, a completed identical result completes the job
@@ -379,6 +389,9 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	if req.Requests > maxRequests {
+		return nil, fieldErrorf("requests", "serve: requests must be at most %d, got %d", maxRequests, req.Requests)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -390,7 +403,7 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	}
 	var key string
 	if s.cache != nil {
-		key = req.resultKey()
+		key = req.ResultKey()
 	}
 	if key != "" {
 		if e, ok := s.cache.getJob(key); ok {
@@ -544,103 +557,33 @@ func (s *Scheduler) Close() {
 
 // execute runs one started job to a terminal state.
 func (s *Scheduler) execute(ctx context.Context, j *Job) {
-	switch j.Req.Type {
-	case JobExperiment:
-		o := j.Req.options()
-		o.Ctx = ctx
-		o.OnCell = j.cellDone
-		o.Check = s.cfg.Check
-		if s.cache != nil && j.flightKey != "" {
-			// Per-cell memoization, namespaced under the job's result
-			// key so a cancelled sweep's completed cells are reusable
-			// on resubmission. Safe despite non-concurrency-safe cell
-			// values: singleflight guarantees one execution per key at
-			// a time (see cache.go).
-			o.Cache = cellCache{c: s.cache, prefix: "cell|" + j.flightKey + "|"}
-		}
-		res, err := experiments.Registry[j.Req.Experiment](o)
-		if err != nil {
-			j.finish(classify(ctx, err), err.Error())
-			return
-		}
-		vals := make(map[string]float64, len(res.Values))
-		for k, v := range res.Values {
-			vals[k] = v
-		}
-		s.succeed(j, &jobResultEntry{values: vals, lines: append([]string(nil), res.Lines...)})
-	case JobTune:
-		p := j.Req.tuneParams()
-		p.Check = s.cfg.Check
-		h := tune.Hooks{
-			OnEval:       j.cellDone,
-			OnGeneration: func(pr tune.Progress, _ []byte) { j.generationDone(pr) },
-		}
-		if s.cache != nil && j.flightKey != "" {
-			// Same per-cell memoization as experiment sweeps, namespaced
-			// under the search signature: a revisited candidate — within
-			// one search, after a cancel/resubmit, or across identical
-			// searches — replays its Eval instead of re-simulating.
-			h.Cache = cellCache{c: s.cache, prefix: "cell|" + j.flightKey + "|"}
-		}
-		res, err := tune.Run(ctx, p, nil, h)
-		if err != nil {
-			j.finish(classify(ctx, err), err.Error())
-			return
-		}
-		vals := map[string]float64{
-			"bestScore":     res.BestScore,
-			"bestP99Us":     res.BestEval.P99Us,
-			"bestMeanUs":    res.BestEval.MeanUs,
-			"bestJoulesReq": res.BestEval.JoulesPerReq,
-			"bestRPS":       res.BestEval.ThroughputRPS,
-			"generations":   float64(res.Generations),
-			"evals":         float64(res.Evals),
-			"cacheHits":     float64(res.CacheHits),
-			"converged":     boolVal(res.Converged),
-		}
-		lines := []string{
-			fmt.Sprintf("tune %s/%s: best %s score=%.3f", res.Strategy, res.Objective, res.BestKey, res.BestScore),
-			fmt.Sprintf("generations=%d evals=%d cacheHits=%d converged=%t",
-				res.Generations, res.Evals, res.CacheHits, res.Converged),
-		}
-		for name, level := range res.BestConfig {
-			lines = append(lines, fmt.Sprintf("  %s = %s", name, level))
-		}
-		sort.Strings(lines[2:])
-		s.succeed(j, &jobResultEntry{values: vals, lines: lines})
-	case JobObserved:
-		p := j.Req.observedParams()
-		p.Check = s.cfg.Check
-		spec, sink, err := workload.BuildObserved(p)
-		if err != nil {
-			j.finish(StateFailed, err.Error())
-			return
-		}
-		res, err := spec.RunCtx(ctx)
-		if err != nil {
-			j.finish(classify(ctx, err), err.Error())
-			return
-		}
-		vals := map[string]float64{
-			"completed": float64(res.Completed),
-			"timedOut":  float64(res.TimedOut),
-			"fellBack":  float64(res.FellBack),
-			"elapsedUs": res.Elapsed.Micros(),
-			"p99Us":     res.All.P99().Micros(),
-			"meanUs":    res.All.Mean().Micros(),
-			"spans":     float64(sink.SpanCount()),
-		}
-		// Render once and drop the sink: the job keeps only the bytes.
-		arts, err := renderArtifacts(sink)
-		if err != nil {
-			j.finish(StateFailed, err.Error())
-			return
-		}
-		s.succeed(j, &jobResultEntry{values: vals, artifacts: arts})
-	default:
-		// Validate rejected anything else at admission.
-		j.finish(StateFailed, fmt.Sprintf("unreachable job type %q", j.Req.Type))
+	env := Env{
+		Check:        s.cfg.Check,
+		OnCell:       j.cellDone,
+		OnGeneration: func(pr tune.Progress, _ []byte) { j.generationDone(pr) },
 	}
+	if s.cache != nil && j.flightKey != "" {
+		// Per-cell memoization of sweep cells and tune evaluations,
+		// namespaced under the job's result key so a cancelled run's
+		// completed cells are reusable on resubmission. Safe despite
+		// non-concurrency-safe cell values: singleflight guarantees one
+		// execution per key at a time (see cache.go).
+		env.Cache = cellCache{c: s.cache, prefix: "cell|" + j.flightKey + "|"}
+	}
+	res, err := Run(ctx, j.Req, env)
+	if err != nil {
+		j.finish(classify(ctx, err), err.Error())
+		return
+	}
+	e := &jobResultEntry{values: res.Values, lines: res.Lines}
+	if res.Sink != nil {
+		// Render once and drop the sink: the job keeps only the bytes.
+		if e.artifacts, err = renderArtifacts(res.Sink); err != nil {
+			j.finish(StateFailed, err.Error())
+			return
+		}
+	}
+	s.succeed(j, e)
 }
 
 // classify distinguishes a cancelled run from a genuine failure.

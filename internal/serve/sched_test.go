@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"accelflow/internal/control"
+	"accelflow/internal/tune"
 )
 
 // stubReq is a valid request for stub-runner tests (never actually
@@ -59,19 +61,72 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: JobObserved, Requests: maxRequests + 1},                        // oversized budget
 		{Type: JobExperiment, Experiment: "fig11", Requests: maxRequests + 1}, // oversized budget
 		{Type: JobTune, Requests: maxRequests + 1},                            // oversized budget
+		{Type: JobObserved, FaultRate: 2000, FaultWindowUs: -5},               // negative window
+		{Type: JobTune, SLOUs: math.NaN()},                                    // NaN tune knob
+		{Type: JobTune, Patience: -1},                                         // negative patience
+		{Type: JobObserved, Generations: 2},                                   // tune knob on observed
+		{Type: JobObserved, // NaN threshold passes every comparison
+			Control: &control.Spec{Autoscale: &control.AutoscaleSpec{Target: control.TargetPE, UpUtil: math.NaN()}}},
 	} {
 		if _, err := s.Submit(req); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid request", req)
 		}
 	}
-	// The cap is inclusive.
+	// The cap is inclusive. It is an admission bound, so the boundary
+	// goes through Submit, on a stub runner that simulates nothing.
+	stub := newScheduler(Config{Workers: 1, QueueDepth: 4}, func(ctx context.Context, j *Job) {
+		j.finish(StateDone, "")
+	})
+	defer stub.Close()
 	for _, typ := range []string{JobExperiment, JobObserved, JobTune} {
 		req := JobRequest{Type: typ, Requests: maxRequests}
 		if typ == JobExperiment {
 			req.Experiment = "fig11"
 		}
-		if err := req.Validate(); err != nil {
+		if _, err := stub.Submit(req); err != nil {
 			t.Errorf("%s job at the request cap rejected: %v", typ, err)
+		}
+		req.Requests++
+		if _, err := stub.Submit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s job over the request cap: err = %v, want ErrBadRequest", typ, err)
+		}
+	}
+}
+
+// TestValidateNamesFields: a validation error reports the JSON names
+// of the fields it is about, which is how accelsim names its flags. A
+// check spanning fields names the last one it needed: the fault-window
+// cap blames the rate, a bad window the window.
+func TestValidateNamesFields(t *testing.T) {
+	for _, tc := range []struct {
+		req  JobRequest
+		want string
+	}{
+		{JobRequest{Type: "nope"}, "type"},
+		{JobRequest{Type: JobObserved, Requests: -1}, "requests"},
+		{JobRequest{Type: JobObserved, Parallelism: -1}, "parallelism"},
+		{JobRequest{Type: JobExperiment, Experiment: "fig99"}, "experiment"},
+		{JobRequest{Type: JobTune, Experiment: "fig11"}, "experiment"},
+		{JobRequest{Type: JobExperiment, Experiment: "fig11", FaultRate: 2}, "faultRate"},
+		{JobRequest{Type: JobObserved, FaultRate: 1e8}, "faultRate"},
+		{JobRequest{Type: JobObserved, FaultRate: 2000, FaultWindowUs: -5}, "faultWindowUs"},
+		{JobRequest{Type: JobObserved, FaultLoss: math.NaN()}, "faultLoss"},
+		{JobRequest{Type: JobObserved, Control: &control.Spec{Shed: &control.ShedSpec{Prob: 2}}}, "control"},
+		{JobRequest{Type: JobTune, Control: &control.Spec{Shed: &control.ShedSpec{Queue: 4}}}, "control"},
+		{JobRequest{Type: JobTune, Objective: "latency"}, "objective"},
+		{JobRequest{Type: JobTune, Strategy: "gradient"}, "strategy"},
+		{JobRequest{Type: JobTune, Patience: -1}, "generations patience"},
+		{JobRequest{Type: JobTune, LoadScale: math.NaN()}, "loadScale"},
+		{JobRequest{Type: JobTune, Space: &tune.SpaceSpec{Chiplets: []int{5}}}, "space"},
+	} {
+		err := tc.req.Validate()
+		var fe interface{ Fields() []string }
+		if !errors.Is(err, ErrBadRequest) || !errors.As(err, &fe) {
+			t.Errorf("Validate(%+v) = %v, want a field-carrying bad request", tc.req, err)
+			continue
+		}
+		if got := strings.Join(fe.Fields(), " "); got != tc.want {
+			t.Errorf("Validate(%+v) = %v about %q, want %q", tc.req, err, got, tc.want)
 		}
 	}
 }

@@ -38,15 +38,15 @@ type Params struct {
 	// Requests is the per-evaluation request budget (<=0: 600). Quick
 	// caps it at 200 and trims the service mix, like experiments.Quick.
 	Requests int `json:"requests"`
-	// LoadScale scales the service mix arrival rates (<=0: 1.0).
+	// LoadScale scales the service mix arrival rates (0: 1.0).
 	LoadScale float64 `json:"loadScale"`
 	// SLOUs is the p99 objective's latency target in microseconds
-	// (<=0: 1500).
+	// (0: 1500).
 	SLOUs float64 `json:"sloUs"`
-	// MaxGenerations bounds proposal generations (<=0: 30).
+	// MaxGenerations bounds proposal generations (0: 30).
 	MaxGenerations int `json:"maxGenerations"`
 	// Patience stops the search after this many consecutive
-	// generations without a best-score improvement (<=0: 3).
+	// generations without a best-score improvement (0: 3).
 	Patience int `json:"patience"`
 	// Proposals is the annealer's per-generation batch size (<=0: 6).
 	Proposals int `json:"proposals"`
@@ -109,9 +109,19 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Validate checks the parameters without running anything: strategy
-// and objective names, and the space spec (via Build).
+// Validate checks the parameters without running anything: knob
+// ranges, strategy and objective names, and the space spec (via
+// Build). Zero knobs take their defaults; negative or non-finite ones
+// are errors, not defaults.
 func (p Params) Validate() error {
+	switch {
+	case p.MaxGenerations < 0 || p.Patience < 0:
+		return fmt.Errorf("tune: MaxGenerations and Patience must be non-negative, got %d/%d", p.MaxGenerations, p.Patience)
+	case !(p.SLOUs >= 0) || math.IsInf(p.SLOUs, 1):
+		return fmt.Errorf("tune: SLOUs must be non-negative and finite, got %v", p.SLOUs)
+	case !(p.LoadScale >= 0) || math.IsInf(p.LoadScale, 1):
+		return fmt.Errorf("tune: LoadScale must be non-negative and finite, got %v", p.LoadScale)
+	}
 	p = p.withDefaults()
 	if p.Strategy != StrategyHill && p.Strategy != StrategyAnneal {
 		return fmt.Errorf("tune: unknown strategy %q (want %s or %s)", p.Strategy, StrategyHill, StrategyAnneal)
@@ -129,10 +139,10 @@ func (p Params) Validate() error {
 // defaulted search parameters plus the built space's canonical form
 // (built, not the raw spec, so map ordering in PEMix cannot matter).
 func (p Params) Signature() (string, error) {
-	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
+	p = p.withDefaults()
 	sp, err := p.Space.Build()
 	if err != nil {
 		return "", err
@@ -243,10 +253,10 @@ func (c *memoCache) PutCell(key string, v any) {
 // of Parallelism, Check, cache warmth, or where a resumed
 // snapshot was taken. Only Result.CacheHits may differ.
 func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, error) {
-	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p = p.withDefaults()
 	sp, err := p.Space.Build()
 	if err != nil {
 		return nil, err

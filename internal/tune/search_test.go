@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -242,6 +244,48 @@ func TestRunRejectsInvalidParams(t *testing.T) {
 	r.Space = SpaceSpec{}
 	if _, err := Run(context.Background(), r, nil, Hooks{}); err == nil {
 		t.Errorf("Run accepted an empty space")
+	}
+}
+
+// TestValidateKnobRanges: zero knobs take their defaults, but negative
+// or non-finite ones are rejected by name instead of being silently
+// defaulted (or, for NaN, failing later when the signature is hashed).
+func TestValidateKnobRanges(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Params)
+		want string // error substring; "" = valid
+	}{
+		{"zero knobs take defaults", func(p *Params) {
+			p.MaxGenerations, p.Patience, p.SLOUs, p.LoadScale = 0, 0, 0, 0
+		}, ""},
+		{"negative generations", func(p *Params) { p.MaxGenerations = -1 }, "MaxGenerations"},
+		{"negative patience", func(p *Params) { p.Patience = -2 }, "Patience"},
+		{"negative slo", func(p *Params) { p.SLOUs = -100 }, "SLOUs"},
+		{"NaN slo", func(p *Params) { p.SLOUs = math.NaN() }, "SLOUs"},
+		{"infinite slo", func(p *Params) { p.SLOUs = math.Inf(1) }, "SLOUs"},
+		{"negative load", func(p *Params) { p.LoadScale = -0.5 }, "LoadScale"},
+		{"NaN load", func(p *Params) { p.LoadScale = math.NaN() }, "LoadScale"},
+		{"infinite load", func(p *Params) { p.LoadScale = math.Inf(1) }, "LoadScale"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := quickParams()
+			tc.mut(&p)
+			err := p.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want substring %q", err, tc.want)
+			}
+			if _, err := p.Signature(); err == nil {
+				t.Errorf("Signature accepted parameters Validate rejects")
+			}
+		})
 	}
 }
 
