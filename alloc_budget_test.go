@@ -21,9 +21,10 @@ import (
 // observability disabled — the configuration every sweep cell uses —
 // and pins allocations per request.
 //
-// Trajectory: an optimization pass (calendar event queue, pooled
+// Trajectory: an optimization pass (concrete event queue, pooled
 // continuations, interned tags) moved this from ~636 allocs/request to
-// ~58, which the test logs. The budget of 120
+// ~58, and booking arrivals one at a time (one closure per source, not
+// per arrival) to ~57, which the test logs. The budget of 120
 // gives ~2x headroom; a regression to even a single allocation per
 // kernel event would land around 85 events/request above the budget.
 func TestRunAllocBudgetPerRequest(t *testing.T) {

@@ -141,8 +141,8 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 	}
 	if p.Check != nil {
 		e.Check = p.Check
-		// The kernel hook is only installed when checking is on, so the
-		// disabled run loop takes its hook-free fast path.
+		// The kernel hook is only installed when checking is on, so a
+		// disabled run pays one nil check per event.
 		k.SetHooks(sim.Hooks{OnEvent: e.Check.Event})
 	}
 	return e, nil

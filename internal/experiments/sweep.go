@@ -66,66 +66,36 @@ func RunCells[T any](o Options, cells []Cell[T]) ([]T, error) {
 		return results, ctx.Err()
 	}
 	errs := make([]error, len(cells))
-	workers := o.parallelism()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cached := false
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-				} else {
-					c := cells[i]
-					// A memoized output replaces the run outright: the
-					// cache contract (Options.Cache) makes it the value
-					// this exact cell would compute. A wrong-type hit —
-					// a namespace bug upstream — falls through to a real
-					// run rather than corrupting the sweep.
-					if o.Cache != nil {
-						if v, ok := o.Cache.GetCell(c.Key); ok {
-							if tv, ok := v.(T); ok {
-								results[i] = tv
-								cached = true
-							}
-						}
-					}
-					if !cached {
-						results[i], errs[i] = c.Run(sim.DeriveSeed(o.Seed, c.Key))
-						if errs[i] == nil && o.Cache != nil {
-							o.Cache.PutCell(c.Key, results[i])
-						}
+	fanOut(ctx, o.parallelism(), len(cells), func(i int) {
+		cached := false
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+		} else {
+			c := cells[i]
+			// A memoized output replaces the run outright: the cache
+			// contract (Options.Cache) makes it the value this exact
+			// cell would compute. A wrong-type hit — a namespace bug
+			// upstream — falls through to a real run rather than
+			// corrupting the sweep.
+			if o.Cache != nil {
+				if v, ok := o.Cache.GetCell(c.Key); ok {
+					if tv, ok := v.(T); ok {
+						results[i] = tv
+						cached = true
 					}
 				}
-				if o.OnCell != nil {
-					o.OnCell(CellEvent{Key: cells[i].Key, Index: i, Total: len(cells), Err: errs[i], Cached: cached})
+			}
+			if !cached {
+				results[i], errs[i] = c.Run(sim.DeriveSeed(o.Seed, c.Key))
+				if errs[i] == nil && o.Cache != nil {
+					o.Cache.PutCell(c.Key, results[i])
 				}
 			}
-		}()
-	}
-feed:
-	for i := range cells {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Cells from i on were never dispatched; no worker touches
-			// their slots, so writing here cannot race.
-			for j := i; j < len(cells); j++ {
-				errs[j] = ctx.Err()
-			}
-			break feed
 		}
-	}
-	close(idx)
-	wg.Wait()
+		if o.OnCell != nil {
+			o.OnCell(CellEvent{Key: cells[i].Key, Index: i, Total: len(cells), Err: errs[i], Cached: cached})
+		}
+	}, func(i int) { errs[i] = ctx.Err() })
 	var cancelErr error
 	for _, err := range errs {
 		switch {
@@ -169,13 +139,33 @@ func RunMany(ids []string, o Options) []Outcome {
 		return out
 	}
 	ctx := o.ctx()
-	workers := o.parallelism()
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	fanOut(ctx, o.parallelism(), len(ids), func(i int) {
+		id := ids[i]
+		run, ok := Registry[id]
+		if !ok {
+			out[i] = Outcome{ID: id, Err: errUnknownExperiment(id)}
+			return
+		}
+		if err := ctx.Err(); err != nil {
+			out[i] = Outcome{ID: id, Err: err}
+			return
+		}
+		start := time.Now()
+		res, err := run(o)
+		out[i] = Outcome{ID: id, Res: res, Err: err, Elapsed: time.Since(start)}
+	}, func(i int) { out[i] = Outcome{ID: ids[i], Err: ctx.Err()} })
+	return out
+}
+
+// fanOut calls do(i) for every i in [0, n) on a pool of workers
+// goroutines (clamped to [1, n]) and returns once the pool has joined.
+// Once ctx is done no further index is dispatched: skip(i) runs, on the
+// calling goroutine, for every index never handed to a worker — no
+// worker touches those, so skip may write their slots without racing.
+// A dispatched index always reaches do, which decides for itself what
+// a dead context means.
+func fanOut(ctx context.Context, workers, n int, do, skip func(i int)) {
+	workers = max(1, min(workers, n))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -183,36 +173,23 @@ func RunMany(ids []string, o Options) []Outcome {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				id := ids[i]
-				run, ok := Registry[id]
-				if !ok {
-					out[i] = Outcome{ID: id, Err: errUnknownExperiment(id)}
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					out[i] = Outcome{ID: id, Err: err}
-					continue
-				}
-				start := time.Now()
-				res, err := run(o)
-				out[i] = Outcome{ID: id, Res: res, Err: err, Elapsed: time.Since(start)}
+				do(i)
 			}
 		}()
 	}
 feed:
-	for i := range ids {
+	for i := 0; i < n; i++ {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
-			for j := i; j < len(ids); j++ {
-				out[j] = Outcome{ID: ids[j], Err: ctx.Err()}
+			for j := i; j < n; j++ {
+				skip(j)
 			}
 			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
-	return out
 }
 
 type errUnknownExperiment string

@@ -60,8 +60,8 @@ type Spec struct {
 }
 
 // MaxWindows caps a spec's expected window count, Rate times the
-// effective Horizon. Attach books every window up front, so without a
-// cap a large rate would exhaust memory before the run starts.
+// effective Horizon. Attach draws every window into a slice before the
+// run starts, so without a cap a large rate would exhaust memory first.
 const MaxWindows = 100_000
 
 // Validate rejects out-of-range parameters.
@@ -228,10 +228,24 @@ func (in *Injector) mechanisms() []mechanism {
 	return m
 }
 
-// Attach pre-schedules every fault window on the kernel. Call once,
-// after the targets exist and before the simulation runs. With
-// Rate == 0 (or no enabled mechanisms) it schedules nothing and draws
-// nothing, keeping the zero-fault run bit-identical to no injector.
+// window is one drawn fault window.
+type window struct {
+	start, dur sim.Time
+	m          mechanism
+	kind       config.AccelKind
+}
+
+// Attach books the run's fault windows on the kernel. Call once, after
+// the targets exist and before the simulation runs. With Rate == 0 (or
+// no enabled mechanisms) it schedules nothing and draws nothing,
+// keeping the zero-fault run bit-identical to no injector.
+//
+// Every window is drawn up front, but only one is booked at a time:
+// Attach reserves two sequence numbers per window (start, end) and each
+// window's start books its own end and the next window's start. Every
+// event keeps the (at, seq) key of booking all windows up front, and a
+// window is queued until the last one has started, which is what
+// Kernel.Every's self-termination relies on.
 func (in *Injector) Attach(k *sim.Kernel, tg Targets) {
 	if in.attached {
 		panic("fault: injector attached twice (one injector per run)")
@@ -263,15 +277,15 @@ func (in *Injector) Attach(k *sim.Kernel, tg Targets) {
 		mw = 200 * sim.Microsecond
 	}
 	hz := in.Spec.horizon()
-	t := sim.Time(0)
-	for {
+	var ws []window
+	for t := sim.Time(0); ; {
 		gap := arrivals.Exp(meanGap)
 		if gap <= 0 {
 			gap = sim.Nanosecond
 		}
 		t += gap
 		if t >= hz {
-			return
+			break
 		}
 		dur := durs.Exp(mw)
 		if dur < sim.Microsecond {
@@ -279,25 +293,33 @@ func (in *Injector) Attach(k *sim.Kernel, tg Targets) {
 		}
 		m := mechs[pick.Intn(len(mechs))]
 		kind := config.AccelKind(pick.Intn(int(config.NumAccelKinds)))
-		in.scheduleWindow(k, tg, m, kind, t, dur)
+		ws = append(ws, window{start: t, dur: dur, m: m, kind: kind})
 	}
-}
-
-// scheduleWindow books the apply/revert pair for one window.
-func (in *Injector) scheduleWindow(k *sim.Kernel, tg Targets, m mechanism, kind config.AccelKind, start, dur sim.Time) {
-	var sp *obs.Span
-	k.At(start, func() {
-		in.Stats.Windows++
-		in.active++
-		sp = tg.Sink.BeginFault(in.windowName(m, kind))
-		in.apply(tg, m, kind)
-	})
-	k.At(start+dur, func() {
-		in.active--
-		in.revert(tg, m, kind)
-		sp.Seg(obs.SegFault, in.windowName(m, kind), start, k.Now())
-		sp.End()
-	})
+	if len(ws) == 0 {
+		return
+	}
+	base := k.Reserve(2 * len(ws))
+	var open func(i int)
+	open = func(i int) {
+		w := ws[i]
+		seq := base + 2*uint64(i)
+		k.AtSeq(w.start, seq, func() {
+			in.Stats.Windows++
+			in.active++
+			sp := tg.Sink.BeginFault(in.windowName(w.m, w.kind))
+			in.apply(tg, w.m, w.kind)
+			k.AtSeq(w.start+w.dur, seq+1, func() {
+				in.active--
+				in.revert(tg, w.m, w.kind)
+				sp.Seg(obs.SegFault, in.windowName(w.m, w.kind), w.start, k.Now())
+				sp.End()
+			})
+			if i+1 < len(ws) {
+				open(i + 1)
+			}
+		})
+	}
+	open(0)
 }
 
 func (in *Injector) windowName(m mechanism, kind config.AccelKind) string {

@@ -33,13 +33,12 @@ func TestKernelAllocsPerEventSteadyState(t *testing.T) {
 	}
 }
 
-// TestKernelAllocsPerEventLadder is the same budget with the queue
-// forced into ladder mode: a pre-scheduled burst far above ladderOn,
-// drained while each event reschedules once. Bucket slices are reused
-// across rung promotions, so steady-state cost stays amortized-zero;
-// the budget is looser because the burst itself grows buckets.
-func TestKernelAllocsPerEventLadder(t *testing.T) {
-	const burst = 4 * ladderOn
+// TestKernelAllocsPerEventDeepQueue is the same budget with a deep
+// queue: a pre-scheduled burst of 2048 events, drained while each event
+// reschedules once, so occupancy stays high across the drain. The
+// budget is looser because the burst itself grows the heap.
+func TestKernelAllocsPerEventDeepQueue(t *testing.T) {
+	const burst = 2048
 	avg := testing.AllocsPerRun(5, func() {
 		k := NewKernel()
 		fired := 0
@@ -47,18 +46,16 @@ func TestKernelAllocsPerEventLadder(t *testing.T) {
 		fn = func() {
 			fired++
 			if fired <= burst {
-				// One reschedule per original event keeps occupancy high
-				// across the drain, exercising rung promotion and refills.
-				k.After(3*bucketWidth, func() {})
+				k.After(3*serviceScale, func() {})
 			}
 		}
 		for i := 0; i < burst; i++ {
-			k.At(Time(i)*bucketWidth/7, fn)
+			k.At(Time(i)*serviceScale/7, fn)
 		}
 		k.Run()
 	})
 	if perEvent := avg / (2 * burst); perEvent > 0.5 {
-		t.Errorf("ladder-mode loop allocates %.3f allocs/event (%.0f per run), budget 0.5",
+		t.Errorf("deep-queue loop allocates %.3f allocs/event (%.0f per run), budget 0.5",
 			perEvent, avg)
 	}
 }

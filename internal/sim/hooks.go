@@ -13,9 +13,9 @@ type Hooks struct {
 	// OnEvent, when non-nil, observes every executed event's timestamp
 	// just before its callback runs (the invariant checker uses it to
 	// verify event-time monotonicity). Install it before the run
-	// starts: the run loop selects a hook-free tight path up front when
-	// OnEvent is nil, so a hook installed mid-run from inside an event
-	// callback is not guaranteed to be seen.
+	// starts: the run loop reads OnEvent once, when it starts, so a
+	// hook installed mid-run from inside an event callback is not
+	// guaranteed to be seen.
 	OnEvent func(at Time)
 
 	// Periodic samplers armed when the hooks are installed. Each is

@@ -110,8 +110,8 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 //	h := k.Hooks(); h.Periodic = [...]; k.SetHooks(h)
 //
 // layers new samplers on top of an existing observer without
-// double-arming. Install before the run starts; the run loop commits to
-// a hook-free fast path up front when OnEvent is nil.
+// double-arming. Install before the run starts: the run loop reads
+// OnEvent once, when it starts.
 func (k *Kernel) SetHooks(h Hooks) {
 	for _, p := range h.Periodic {
 		k.Every(p.Every, p.Fn)
@@ -132,11 +132,35 @@ func (k *Kernel) Domain() int { return k.domain }
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a modeling bug rather than a recoverable error.
 func (k *Kernel) At(t Time, fn func()) {
+	k.seq++
+	k.AtSeq(t, k.seq, fn)
+}
+
+// Reserve sets aside n consecutive scheduling sequence numbers and
+// returns the first. A stimulus source that knows its whole schedule
+// up front (arrivals, fault windows) reserves one number per event and
+// books each event with AtSeq only when its predecessor fires, so the
+// queue holds the source's next event instead of its whole future.
+// Every event keeps the (at, seq) key an eager At loop at the
+// reservation point would have given it, so pop order — and every
+// result — is the same as scheduling everything up front.
+func (k *Kernel) Reserve(n int) uint64 {
+	first := k.seq + 1
+	k.seq += uint64(n)
+	return first
+}
+
+// AtSeq schedules fn at absolute time t under a sequence number taken
+// from Reserve. Like At, scheduling in the past panics, and so does a
+// sequence number that was never reserved.
+func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	k.seq++
-	k.events.push(event{at: t, seq: k.seq, fn: fn})
+	if seq > k.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
+	k.events.push(event{at: t, seq: seq, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
@@ -187,24 +211,6 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 	}
 	var batch uint64
 	onEvent := k.hooks.OnEvent
-	if onEvent == nil {
-		// Fast path: no observer/checker hook. The per-event hook branch
-		// is hoisted out of the hot loop entirely (the hook choice is
-		// made once, up front — see the Hooks.OnEvent doc comment).
-		for k.events.Len() > 0 {
-			if batch++; batch >= checkEvery {
-				batch = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			e := k.events.pop()
-			k.now = e.at
-			k.processed++
-			e.fn()
-		}
-		return nil
-	}
 	for k.events.Len() > 0 {
 		if batch++; batch >= checkEvery {
 			batch = 0
@@ -215,7 +221,9 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 		e := k.events.pop()
 		k.now = e.at
 		k.processed++
-		onEvent(e.at)
+		if onEvent != nil {
+			onEvent(e.at)
+		}
 		e.fn()
 	}
 	return nil
@@ -256,7 +264,9 @@ func (k *Kernel) runEpoch(ctx context.Context, horizon Time) error {
 // tickers' queued ticks deliberately do not count as pending work —
 // counting them would let two samplers (say the observability sampler
 // and the controller tick) sustain each other forever. This is sound
-// for harnesses that schedule all their stimulus up front — the
+// for harnesses whose every stimulus source keeps its next event queued
+// until the source is exhausted (see Reserve): "some stimulus remains"
+// holds exactly when "some source's next event is queued", so the
 // non-tick pending count only reaches zero when the run is truly over.
 func (k *Kernel) Every(d Time, fn func()) {
 	if d <= 0 {

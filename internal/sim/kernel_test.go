@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +129,126 @@ func TestKernelEverySelfTerminates(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Errorf("pending = %d after Run, want 0", k.Pending())
 	}
+
+	// A lazy source keeps only its next event queued, with gaps far
+	// longer than the tick period. The ticker must ride out every gap
+	// (the source's next event is queued throughout) and stop right
+	// after the source's last event.
+	k = NewKernel()
+	times := []Time{100 * Nanosecond, 400 * Nanosecond, 1000 * Nanosecond}
+	seq := k.Reserve(len(times))
+	next, fired := 0, 0
+	var arrive func()
+	arrive = func() {
+		fired++
+		if next++; next < len(times) {
+			k.AtSeq(times[next], seq+uint64(next), arrive)
+		}
+	}
+	k.AtSeq(times[0], seq, arrive)
+	ticks := 0
+	var lastTick Time
+	k.Every(50*Nanosecond, func() { ticks++; lastTick = k.Now() })
+	k.RunUntil(10 * Microsecond)
+	// Ticks at 50, 100, ..., 1000ns: the one at 1000ns runs after the
+	// last arrival (reserved earlier, so lower seq) and stops.
+	if fired != 3 || ticks != 20 || lastTick != 1000*Nanosecond {
+		t.Errorf("lazy source: fired %d, ticks %d, last tick %v; want 3, 20, 1us", fired, ticks, lastTick)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("lazy source: pending = %d after Run, want 0", k.Pending())
+	}
+}
+
+// TestKernelReserveMatchesEagerAt pins the scheduling rule stimulus
+// sources rely on: a Reserve/AtSeq chain, where each event books its
+// successor when it fires, runs in exactly the (at, seq) order and
+// with exactly the Processed count of the eager At loop it replaces —
+// including same-instant ties against events scheduled before and
+// after the reservation, and against events the chain's callbacks
+// schedule themselves.
+func TestKernelReserveMatchesEagerAt(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	chain := make([]Time, 200)
+	var at Time
+	for i := range chain {
+		at += Time(r.Intn(3)) * 10 * Nanosecond // many zero gaps: chain ties
+		chain[i] = at
+	}
+	others := make([]Time, 100) // half before the reservation, half after
+	for i := range others {
+		others[i] = chain[r.Intn(len(chain))] // same instants as chain events
+	}
+
+	run := func(lazy bool) ([]string, uint64) {
+		k := NewKernel()
+		var order []string
+		log := func(label string, i int) func() {
+			return func() { order = append(order, fmt.Sprintf("%s%d@%d", label, i, k.Now())) }
+		}
+		for i, t := range others[:50] {
+			k.At(t, log("before", i))
+		}
+		fire := func(i int) {
+			log("chain", i)()
+			k.After(0, log("echo", i)) // a callback's own event at the same instant
+		}
+		if lazy {
+			seq := k.Reserve(len(chain))
+			next := 0
+			var arrive func()
+			arrive = func() {
+				i := next
+				if next++; next < len(chain) {
+					k.AtSeq(chain[next], seq+uint64(next), arrive)
+				}
+				fire(i)
+			}
+			k.AtSeq(chain[0], seq, arrive)
+		} else {
+			for i, t := range chain {
+				k.At(t, func() { fire(i) })
+			}
+		}
+		for i, t := range others[50:] {
+			k.At(t, log("after", i))
+		}
+		k.Run()
+		return order, k.Processed()
+	}
+
+	eager, eagerN := run(false)
+	lazy, lazyN := run(true)
+	if eagerN != lazyN {
+		t.Fatalf("Processed: lazy %d, eager %d", lazyN, eagerN)
+	}
+	if want := uint64(len(others) + 2*len(chain)); lazyN != want {
+		t.Fatalf("Processed = %d, want %d", lazyN, want)
+	}
+	for i := range eager {
+		if lazy[i] != eager[i] {
+			t.Fatalf("event %d: lazy ran %s, eager ran %s", i, lazy[i], eager[i])
+		}
+	}
+}
+
+func TestKernelAtSeqPanics(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	k := NewKernel()
+	seq := k.Reserve(1)
+	mustPanic("an unreserved sequence number", func() { k.AtSeq(0, seq+1, func() {}) })
+	k.At(10*Nanosecond, func() {
+		mustPanic("AtSeq in the past", func() { k.AtSeq(5*Nanosecond, seq, func() {}) })
+	})
+	k.Run()
 }
 
 func TestKernelPastSchedulingPanics(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // refHeap is an independent container/heap reference implementation of
 // the (at, seq) priority queue, deliberately kept as the old kernel
 // heap was written. The differential test below checks that eventQueue
-// pops the exact same sequence through every representation switch.
+// pops the exact same sequence.
 type refHeap []event
 
 func (h refHeap) Len() int { return len(h) }
@@ -33,36 +33,34 @@ type queueRegime struct {
 	delta func(r *rand.Rand) Time
 }
 
+// serviceScale is the accelerator service-time scale (2^20 ps ~= 1.05us) the
+// stream shapes below are drawn around.
+const serviceScale = Time(1) << 20
+
 // TestEventQueueDifferential drives eventQueue and the container/heap
-// reference with identical seed-derived streams across regimes chosen
-// to cross every internal boundary: staying in plain-heap mode,
-// converting to the ladder and back (push bursts over ladderOn, drains
-// under ladderOff), rung-window promotion, far-heap refills (offsets
-// far beyond the 256-bucket near window), and heavy (at, seq)
-// tie-breaking. Pops must match exactly: (at, seq) is a unique total
-// order, so any divergence is a queue bug, not a tie ambiguity.
+// reference with identical seed-derived streams across regimes from
+// heavy (at, seq) tie-breaking to offsets spread over a millisecond,
+// through deep bursts and drains. Pops must match exactly: (at, seq) is
+// a unique total order, so any divergence is a queue bug, not a tie
+// ambiguity.
 func TestEventQueueDifferential(t *testing.T) {
 	regimes := []queueRegime{
-		// Sub-bucket offsets: everything lands in the active rung window
-		// or the first buckets; exercises rung pushes and tie ordering.
+		// Sub-service-time offsets on a coarse grid: heavy tie ordering.
 		{"dense-ties", func(r *rand.Rand) Time {
-			return Time(r.Intn(3)) * (bucketWidth / 4)
+			return Time(r.Intn(3)) * (serviceScale / 4)
 		}},
-		// Service-time scale offsets: spreads events across the near
-		// window, exercising bucket appends and rung promotion.
+		// Service-time scale offsets spread over 128 service times.
 		{"near-window", func(r *rand.Rand) Time {
-			return Time(r.Int63n(int64(numBuckets) * int64(bucketWidth) / 2))
+			return Time(r.Int63n(128 * int64(serviceScale)))
 		}},
-		// Mostly near, occasionally far beyond the horizon: exercises
-		// the far heap and the near-window refill path.
+		// Mostly near, occasionally very far: a bimodal heap.
 		{"far-refill", func(r *rand.Rand) Time {
 			if r.Intn(8) == 0 {
-				return Time(r.Int63n(int64(bucketWidth) * numBuckets * 50))
+				return Time(r.Int63n(int64(serviceScale) * 256 * 50))
 			}
-			return Time(r.Int63n(int64(bucketWidth) * 4))
+			return Time(r.Int63n(int64(serviceScale) * 4))
 		}},
-		// Pre-scheduled-arrival shape: a huge spread, so almost all
-		// events start in the far heap and refills repeat.
+		// Pre-scheduled-arrival shape: a huge spread.
 		{"arrivals", func(r *rand.Rand) Time {
 			return Time(r.Int63n(int64(Millisecond)))
 		}},
@@ -95,23 +93,22 @@ func TestEventQueueDifferential(t *testing.T) {
 					return true
 				}
 
-				// Burst high above ladderOn to force ladder mode, then
-				// interleave pushes and pops with a drain bias, crossing
-				// ladderOff (back to heap mode) and climbing again.
-				for i := 0; i < 3*ladderOn; i++ {
+				// A deep burst, then pushes and pops interleaved with a
+				// drain bias under a depth cap of 2048.
+				for i := 0; i < 1536; i++ {
 					push()
 				}
 				for i := 0; i < 20000; i++ {
 					if q.Len() != ref.Len() {
 						t.Fatalf("seed %d: len mismatch: queue %d, ref %d", seed, q.Len(), ref.Len())
 					}
-					if r.Intn(5) < 2 && q.Len() < 4*ladderOn {
+					if r.Intn(5) < 2 && q.Len() < 2048 {
 						push()
 					} else if !pop() {
 						push()
 					}
 					// minAt must agree with the reference's head and must
-					// not perturb subsequent pops (it may promote a rung).
+					// not perturb subsequent pops.
 					if q.Len() > 0 && r.Intn(16) == 0 {
 						if got, want := q.minAt(), ref[0].at; got != want {
 							t.Fatalf("seed %d: minAt = %d, want %d", seed, got, want)
@@ -131,10 +128,10 @@ func TestEventQueueDifferential(t *testing.T) {
 
 // TestEventQueueSameInstantOrder pins the determinism contract at its
 // sharpest point: many events at the identical timestamp must pop in
-// scheduling order, across heap mode, a ladder conversion, and a drain.
+// scheduling order through a deep burst and a drain.
 func TestEventQueueSameInstantOrder(t *testing.T) {
 	var q eventQueue
-	const n = 2 * ladderOn // crosses the ladder conversion mid-burst
+	const n = 1024
 	for i := 0; i < n; i++ {
 		q.push(event{at: 42 * Microsecond, seq: uint64(i + 1)})
 	}

@@ -177,14 +177,15 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 		// as the ingress goes idle while replicas still work (its
 		// reschedule rule only sees its own domain's queue). The manual
 		// tick keeps itself alive while arrivals remain or requests are
-		// in flight — outstanding only reaches zero after every
-		// completion notice has been delivered back to the ingress — so
-		// it spans the run and stops at global quiescence. Everything it
-		// reads and writes is ingress-domain-confined, so the schedule
-		// is byte-identical at every Workers value. RunSpec cannot use
-		// this rule: on one kernel the controller tick and the obs
-		// sampler would each see the other pending and never stop
-		// (DESIGN.md §12).
+		// in flight — each source keeps its next arrival queued on the
+		// ingress until its last has fired, and outstanding only reaches
+		// zero after every completion notice has been delivered back to
+		// the ingress — so it spans the run and stops at global
+		// quiescence. Everything it reads and writes is
+		// ingress-domain-confined, so the schedule is byte-identical at
+		// every Workers value. RunSpec cannot use this rule: on one
+		// kernel the controller tick and the obs sampler would each see
+		// the other pending and never stop (DESIGN.md §12).
 		ing := sk.Domain(0)
 		iv := ctl.Interval()
 		var tick func()
@@ -232,57 +233,52 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	return out, nil
 }
 
-// scheduleFleetSource pre-schedules one source's arrivals on the
-// ingress domain. Each arrival picks a replica, then forwards the job
-// across domains with the modeled one-way latency; the completion
-// callback runs on the replica's domain and owns that replica's
-// recorders (domain confinement keeps the merge deterministic and the
-// run race-free).
+// scheduleFleetSource books one source's arrivals on the ingress
+// domain, keeping only the next one queued (see bookArrivals). Each
+// arrival picks a replica, then forwards the job across domains with
+// the modeled one-way latency; the completion callback runs on the
+// replica's domain and owns that replica's recorders (domain
+// confinement keeps the merge deterministic and the run race-free).
 func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer, ctl *control.Controller, out *FleetResult, forward sim.Time) {
 	ing := sk.Domain(0)
 	// Completion notices flow back whenever anything at the ingress
 	// consumes them: the least-outstanding balancer's load view, or the
 	// controller's outstanding count and latency window.
 	notify := lb.tracksLoad() || ctl != nil
-	t := sim.Time(0)
-	for i := 0; i < src.Requests; i++ {
-		t += src.Arrivals.Next(rng)
-		at := t
-		ing.At(at, func() {
-			if ctl != nil && ctl.Shed() {
-				out.Shed++
-				return
-			}
-			ri := lb.pick()
-			out.Routed[ri]++
-			if ctl != nil {
-				ctl.NoteSubmit()
-			}
-			job := src.Service.Job(src.Tenant)
-			rr := out.Replicas[ri]
-			rec := rr.PerService[src.Service.Name]
-			repK := sk.Domain(1 + ri)
-			ing.Send(1+ri, at+forward, func() {
-				rr.Engine.Submit(job, func(r engine.Result) {
-					rr.count(r)
-					rr.record(rec, r)
-					if notify {
-						// Completion notice travels back to the ingress
-						// over the same forwarding latency.
-						lat := r.Latency
-						repK.Send(0, repK.Now()+forward, func() {
-							if lb.tracksLoad() {
-								lb.done(ri)
-							}
-							if ctl != nil {
-								ctl.NoteDone(ing.Now(), lat)
-							}
-						})
-					}
-				})
+	bookArrivals(ing, drawArrivals(src, rng), func() {
+		if ctl != nil && ctl.Shed() {
+			out.Shed++
+			return
+		}
+		ri := lb.pick()
+		out.Routed[ri]++
+		if ctl != nil {
+			ctl.NoteSubmit()
+		}
+		job := src.Service.Job(src.Tenant)
+		rr := out.Replicas[ri]
+		rec := rr.PerService[src.Service.Name]
+		repK := sk.Domain(1 + ri)
+		ing.Send(1+ri, ing.Now()+forward, func() {
+			rr.Engine.Submit(job, func(r engine.Result) {
+				rr.count(r)
+				rr.record(rec, r)
+				if notify {
+					// Completion notice travels back to the ingress
+					// over the same forwarding latency.
+					lat := r.Latency
+					repK.Send(0, repK.Now()+forward, func() {
+						if lb.tracksLoad() {
+							lb.done(ri)
+						}
+						if ctl != nil {
+							ctl.NoteDone(ing.Now(), lat)
+						}
+					})
+				}
 			})
 		})
-	}
+	})
 }
 
 // balancer is the ingress routing policy. All state lives on the

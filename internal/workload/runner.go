@@ -146,20 +146,20 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		streams[si].schedule(rng.Fork(int64(si) + 1))
 	}
 	if ctl != nil && ctl.NeedsTick() {
-		// The decision tick arms like the obs sampler (below): after all
-		// arrivals are scheduled, through Kernel.Every's self-terminating
-		// reschedule, so the controller stops when the run drains. Armed
-		// first so its event-sequence position is fixed whether or not
-		// observability is on.
+		// The decision tick arms like the obs sampler (below): after
+		// every arrival's sequence number is reserved, through
+		// Kernel.Every's self-terminating reschedule, so the controller
+		// stops when the run drains. Armed first so its event-sequence
+		// position is fixed whether or not observability is on.
 		h := k.Hooks()
 		h.Periodic = append(h.Periodic, ctl.Periodic(k))
 		k.SetHooks(h)
 	}
 	if s.Obs != nil {
 		// Layered over the hooks the engine installed (checker OnEvent):
-		// the sampler arms here, after all arrivals are scheduled, which
-		// fixes its event-sequence position exactly where the run needs
-		// it (see samplerHook).
+		// the sampler arms here, after every arrival's sequence number
+		// is reserved, which fixes its event-sequence position exactly
+		// where the run needs it (see samplerHook).
 		h := k.Hooks()
 		h.Periodic = append(h.Periodic, samplerHook(k, res.Engine, s.Obs))
 		k.SetHooks(h)
@@ -309,10 +309,11 @@ func (res *RunResult) verify() error {
 // entry. Every interval it converts each resource's busy-time delta
 // into a [0,1] utilization sample. The callback only reads counters —
 // it never touches RNG streams or queue state — so enabling
-// observability cannot change simulation results; and because all
-// arrivals are scheduled up front, Kernel.Every's self-termination
-// rule (which SetHooks arms Periodic entries through) ends the
-// sampler exactly when the run ends.
+// observability cannot change simulation results; and because each
+// source keeps its next arrival queued until its last has fired (see
+// bookArrivals), Kernel.Every's self-termination rule (which SetHooks
+// arms Periodic entries through) ends the sampler exactly when the run
+// ends.
 func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
 	iv := sink.SampleInterval()
 	span := float64(iv)
@@ -379,26 +380,55 @@ type stream struct {
 	src Source
 }
 
-// schedule pre-schedules the source's arrivals. With a controller
-// attached, arrivals may be shed before submission and timed-out
-// completions re-submitted after a backoff.
+// schedule books the source's arrivals. With a controller attached,
+// arrivals may be shed before submission and timed-out completions
+// re-submitted after a backoff.
 //
 // Accounting contract: count sees every engine completion (retries
 // included); record sees only each request's final attempt, and shed
 // arrivals see nothing, so recorder counts equal arrivals - Shed.
 func (st *stream) schedule(rng *sim.RNG) {
-	k := st.res.Engine.K
+	bookArrivals(st.res.Engine.K, drawArrivals(st.src, rng), func() {
+		if st.ctl != nil && st.ctl.Shed() {
+			st.res.Shed++
+			return
+		}
+		st.submit(1)
+	})
+}
+
+// drawArrivals draws all of a source's arrival times, in order, from
+// its arrival process. Drawing up front rather than at fire time keeps
+// every Arrivals.Next call in one place in the run, so results cannot
+// depend on whether two sources share a stateful process (Alibaba
+// carries phase).
+func drawArrivals(src Source, rng *sim.RNG) []sim.Time {
+	times := make([]sim.Time, src.Requests)
 	t := sim.Time(0)
-	for i := 0; i < st.src.Requests; i++ {
-		t += st.src.Arrivals.Next(rng)
-		k.At(t, func() {
-			if st.ctl != nil && st.ctl.Shed() {
-				st.res.Shed++
-				return
-			}
-			st.submit(1)
-		})
+	for i := range times {
+		t += src.Arrivals.Next(rng)
+		times[i] = t
 	}
+	return times
+}
+
+// bookArrivals runs fire at each of times on k while keeping only the
+// next arrival queued: it reserves one sequence number per arrival and
+// each arrival books its successor under the following one, so every
+// arrival keeps the (at, seq) key an eager At loop would have given it.
+// The source's next arrival stays queued until its last has fired,
+// which is what Kernel.Every's self-termination relies on.
+func bookArrivals(k *sim.Kernel, times []sim.Time, fire func()) {
+	seq := k.Reserve(len(times))
+	next := 0
+	var arrive func()
+	arrive = func() {
+		if next++; next < len(times) {
+			k.AtSeq(times[next], seq+uint64(next), arrive)
+		}
+		fire()
+	}
+	k.AtSeq(times[0], seq, arrive)
 }
 
 // submit hands one attempt of a request to the engine.
