@@ -29,7 +29,6 @@ type Entry struct {
 	Tenant    int
 	CoreID    int // initiating core (notified at the end, §IV-B)
 
-	Priority int
 	Deadline sim.Time // for the EDF input-dispatcher policy (§IV-C)
 
 	EnqueuedAt sim.Time
@@ -310,7 +309,7 @@ func (a *Accelerator) Arm(e *Entry, wait sim.Time, onTimeout func()) ArmResult {
 // pooled peTask. The inter-tenant scratchpad wipe (§IV-D) is decided
 // in peTask.started — in PE execution order — not at submission:
 // queued entries from interleaved tenants can be admitted in a
-// different order than they were offered (EDF/Priority), and the wipe
+// different order than they were offered (EDF), and the wipe
 // belongs to whichever entry actually follows a different tenant onto
 // the PE. Started runs before the resource reads task.Hold, so the
 // extension is charged.
@@ -328,7 +327,6 @@ func (a *Accelerator) start(e *Entry) {
 	p.e = e
 	p.offered = a.k.Now()
 	p.task = sim.Task{
-		Priority: e.Priority,
 		Deadline: e.Deadline,
 		Started:  p.startedFn,
 		Done:     p.doneFn,

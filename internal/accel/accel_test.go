@@ -390,14 +390,15 @@ func TestDMAPoolContention(t *testing.T) {
 	}
 }
 
-func TestDMAToMemory(t *testing.T) {
+func TestDMAResultDeposit(t *testing.T) {
 	cfg := config.Default()
 	k := sim.NewKernel()
 	d := NewDMAPool(k, cfg, noc.NewNetwork(k, cfg), mem.NewMemory(k, cfg))
 	ran := false
-	d.ToMemory(noc.Node{Chiplet: 1}, noc.Node{Chiplet: 0, Y: 6}, 4096, nil, func() { ran = true })
+	// A result deposit is a Transfer to the memory node with no trace.
+	d.Transfer(noc.Node{Chiplet: 1}, noc.Node{Chiplet: 0, Y: 6}, 4096, 0, nil, func() { ran = true })
 	k.Run()
 	if !ran {
-		t.Error("ToMemory never completed")
+		t.Error("transfer to memory never completed")
 	}
 }

@@ -123,42 +123,6 @@ func (d *DMAPool) Transfer(src, dst noc.Node, bytes int, traceBytes int, sp *obs
 	})
 }
 
-// ToMemory deposits result data at a memory location (end of trace).
-// Like Transfer, the engine carries only the inline part; payload
-// beyond the 2KB queue entry streams through the memory controllers.
-func (d *DMAPool) ToMemory(src noc.Node, memNode noc.Node, bytes int, sp *obs.Span, done func()) {
-	d.Transfers++
-	d.BytesMoved += uint64(bytes)
-	inline := bytes
-	if inline > d.cfg.InlineDataBytes {
-		inline = d.cfg.InlineDataBytes
-	}
-	spill := bytes - inline
-	t0 := d.k.Now()
-	hold := d.net.TransferTime(src, memNode, inline)
-	if spill == 0 {
-		d.pool.Do(hold, d.inlineDone(sp, t0, hold, done))
-		return
-	}
-	outstanding := 2
-	finish := func() {
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done()
-		}
-	}
-	d.pool.Do(hold, func() {
-		now := d.k.Now()
-		sp.Seg(obs.SegQueue, "adma", t0, now-hold)
-		sp.Seg(obs.SegNoC, "noc", now-hold, now)
-		finish()
-	})
-	d.mem.Transfer(spill, func() {
-		sp.Seg(obs.SegDMA, "dram", t0, d.k.Now())
-		finish()
-	})
-}
-
 // Utilization reports engine-pool utilization.
 func (d *DMAPool) Utilization(elapsed sim.Time) float64 { return d.pool.Utilization(elapsed) }
 
@@ -168,12 +132,13 @@ func (d *DMAPool) QueueLen() int { return d.pool.QueueLen() }
 // Busy reports cumulative engine busy time (utilization sampling).
 func (d *DMAPool) Busy() sim.Time { return d.pool.BusyTime }
 
-// Engines reports the number of A-DMA engines in the pool.
+// Engines reports the number of live A-DMA engines in the pool.
 func (d *DMAPool) Engines() int { return d.pool.Servers }
 
-// SetEngines changes the live engine count (fault injection: removed
-// engines). Floored at one; in-flight transfers finish normally.
-func (d *DMAPool) SetEngines(n int) { d.pool.SetServers(n) }
+// SetOffline holds n engines out of service (fault injection: removed
+// engines; 0 restores the pool). Floored at one live engine; in-flight
+// transfers finish normally.
+func (d *DMAPool) SetOffline(n int) { d.pool.SetOffline(n) }
 
 // Resource exposes the underlying engine pool for read-only inspection
 // (the invariant checker's per-resource suite). Callers must not

@@ -216,7 +216,7 @@ func (c *Checker) CheckConservation(at sim.Time, completed, timedOut, fellBack u
 //     the real occupancy integral once every hold has elapsed,
 //   - utilization <= 1: busy server-time cannot exceed servers x
 //     elapsed (using the run's maximum server count, so mid-run
-//     SetServers fault windows keep the bound valid),
+//     resizes — fault windows, the autoscaler — keep the bound valid),
 //   - Little's law in exact integer form: ∫Q(t)dt == ΣW, i.e.
 //     QueueArea == WaitTime + QueuedWaitResidual, which is L = λW
 //     multiplied through by elapsed with zero tolerance.

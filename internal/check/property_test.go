@@ -190,7 +190,7 @@ func TestMetamorphicMorePEs(t *testing.T) {
 // TestPropertyFleetCheckedSharded drives generated scenarios through a
 // checked 3-replica fleet at worker counts 1 and 4. Fault windows here
 // genuinely cross epoch boundaries: each replica's injector resizes
-// its resources (SetServers / SetEngines) at window edges scheduled
+// its resources (SetOffline) at window edges scheduled
 // independently of the coordinator's ~RTT/2 epochs, so apply and
 // revert land in different epochs while mail is in flight. Invariants
 // must hold on every replica and the merged results must be

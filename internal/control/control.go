@@ -215,20 +215,18 @@ type Stats struct {
 	LastBreach  sim.Time
 }
 
-// Pool is one scalable capacity pool under the pe/cores targets. Set,
-// when non-nil, replaces Res.SetServers as the actuator — the
-// workload runner uses it to compose with an attached fault injector
-// (rebasing the injector so degrade windows revert to the scaled
-// level, and applying any currently-offline PEs to the new level).
+// Pool is one scalable capacity pool under the pe/cores targets. The
+// actuator is Res.SetServers, which sets the pool's nominal level: a
+// fault window holding servers offline (Resource.SetOffline) keeps its
+// hold across the change, so the two compose inside the resource.
 type Pool struct {
 	Res  *sim.Resource
 	Base int
-	Set  func(n int)
 }
 
 // Controller owns one run's control state. Build with New, wire the
 // actuator with AttachPools or AttachActive, then drive the decision
-// loop from the simulation clock (Periodic / Tick) and the request
+// loop from the simulation clock (Tick, every Interval) and the request
 // path (Shed / NoteSubmit / NoteDone / RetryAfter). Controllers are
 // single-threaded like the kernel that feeds them and cover exactly
 // one run.
@@ -308,14 +306,6 @@ func (c *Controller) NeedsTick() bool {
 
 // Interval is the decision tick period (after defaulting).
 func (c *Controller) Interval() sim.Time { return c.loop.spec.Interval }
-
-// Periodic packages the decision loop as a sim.Hooks entry for
-// single-kernel runs; the runner arms it after all arrivals are
-// scheduled, exactly like the obs sampler, so Kernel.Every's
-// self-termination ends the loop when the run ends.
-func (c *Controller) Periodic(k *sim.Kernel) sim.Periodic {
-	return sim.Periodic{Every: c.Interval(), Fn: func() { c.Tick(k.Now()) }}
-}
 
 // Outstanding is the controller-observed in-flight request count.
 func (c *Controller) Outstanding() int { return c.outstanding }
@@ -476,11 +466,7 @@ func (c *Controller) applyLevel() {
 		if n < 1 {
 			n = 1
 		}
-		if p.Set != nil {
-			p.Set(n)
-		} else {
-			p.Res.SetServers(n)
-		}
+		p.Res.SetServers(n)
 	}
 }
 

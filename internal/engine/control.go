@@ -8,37 +8,22 @@ import (
 )
 
 // ControlPools exposes the engine's scalable capacity pools to the
-// dynamic-control subsystem as ready-wired actuators. For the PE
-// target each accelerator kind's pool carries a Set closure that
-// composes with the attached fault injector (nil-safe): scaling
-// rebases the injector so open and future degrade windows compute
-// their offline fraction from — and revert to — the controller's
-// level, and any currently-offline PEs are deducted from the newly
-// applied count. The cores target needs no composition (fault windows
-// never resize the core pool).
+// dynamic-control subsystem as actuators. Scaling sets each pool's
+// nominal level; fault windows hold servers offline on the same
+// sim.Resource, so the two compose there without wiring between the
+// controller and the injector.
 func (e *Engine) ControlPools(target string) ([]control.Pool, error) {
 	switch target {
 	case control.TargetPE:
-		inj := e.Faults
 		pools := make([]control.Pool, 0, config.NumAccelKinds)
 		for _, kd := range config.AllAccelKinds() {
-			a := e.Accels[kd]
-			if a == nil {
-				continue
+			if a := e.Accels[kd]; a != nil {
+				pools = append(pools, control.Pool{Res: a.PEs, Base: a.PEs.Nominal()})
 			}
-			res := a.PEs
-			pools = append(pools, control.Pool{
-				Res:  res,
-				Base: res.Servers,
-				Set: func(n int) {
-					inj.RebasePEs(kd, n)
-					res.SetServers(n - inj.PEOffline(kd))
-				},
-			})
 		}
 		return pools, nil
 	case control.TargetCores:
-		return []control.Pool{{Res: e.Cores, Base: e.Cores.Servers}}, nil
+		return []control.Pool{{Res: e.Cores, Base: e.Cores.Nominal()}}, nil
 	default:
 		return nil, fmt.Errorf("engine: unsupported autoscale target %q (single-server runs scale %q or %q)",
 			target, control.TargetPE, control.TargetCores)

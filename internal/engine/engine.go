@@ -141,9 +141,9 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 	}
 	if p.Check != nil {
 		e.Check = p.Check
-		// The kernel hook is only installed when checking is on, so a
-		// disabled run pays one nil check per event.
-		k.SetHooks(sim.Hooks{OnEvent: e.Check.Event})
+		// The kernel observer is only installed when checking is on, so
+		// a disabled run pays one nil check per event.
+		k.OnEvent(e.Check.Event)
 	}
 	return e, nil
 }

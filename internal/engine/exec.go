@@ -696,7 +696,7 @@ func (e *Engine) finishFin(a *accel.Accelerator, ent *entryState) {
 	}
 	n.ent = ent
 	n.t0 = e.K.Now()
-	e.DMA.ToMemory(a.Node, e.Place.MemNode(), ent.DataBytes, ent.sp, n.fn)
+	e.DMA.Transfer(a.Node, e.Place.MemNode(), ent.DataBytes, 0, ent.sp, n.fn)
 }
 
 // notifyCore delivers the user-level completion notification (§IV-A:

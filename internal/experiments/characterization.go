@@ -110,9 +110,8 @@ func Fig3OrchOverhead(o Options) (*Result, error) {
 			spec := &workload.RunSpec{
 				Config: config.Default(), Policy: pol,
 				Sources: sources, Seed: o.Seed,
-				Check: o.newCheck(),
 			}
-			run, err := spec.RunCtx(o.ctx())
+			run, err := o.run(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -226,9 +225,8 @@ func Fig5DataSizes(o Options) (*Result, error) {
 		Policy:  engine.AccelFlow(),
 		Sources: workload.Mix(services.SocialNetwork(), 0.3, o.reqs()),
 		Seed:    o.Seed,
-		Check:   o.newCheck(),
 	}
-	run, err := spec.RunCtx(o.ctx())
+	run, err := o.run(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -75,8 +75,7 @@ func SLOSurge(o Options) (*Result, error) {
 				Key: fmt.Sprintf("slosurge/%s/x%g", m.name, scale),
 				Run: func(seed int64) (out, error) {
 					spec := surgeSpec(scale, m.controlled, o.reqs(), seed)
-					spec.Check = o.newCheck()
-					run, err := spec.RunCtx(o.ctx())
+					run, err := o.run(spec)
 					if err != nil {
 						return out{}, err
 					}
@@ -168,7 +167,6 @@ func Overprovision(o Options) (*Result, error) {
 					Policy:  engine.AccelFlow(),
 					Sources: workload.Mix(services.SocialNetwork(), overprovLoad, o.reqs()),
 					Seed:    seed,
-					Check:   o.newCheck(),
 				}
 				if m.scaled {
 					spec.Control = &control.Spec{Autoscale: &control.AutoscaleSpec{
@@ -182,7 +180,7 @@ func Overprovision(o Options) (*Result, error) {
 						MaxRemove: 4,
 					}}
 				}
-				run, err := spec.RunCtx(o.ctx())
+				run, err := o.run(spec)
 				if err != nil {
 					return out{}, err
 				}
@@ -282,9 +280,8 @@ func Recovery(o Options) (*Result, error) {
 					Seed:    shared,
 					Faults:  burst,
 					Control: ctl,
-					Check:   o.newCheck(),
 				}
-				run, err := spec.RunCtx(o.ctx())
+				run, err := o.run(spec)
 				if err != nil {
 					return out{}, err
 				}

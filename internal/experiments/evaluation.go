@@ -39,9 +39,8 @@ func Fig11Latency(o Options) (*Result, error) {
 					Policy:  pol,
 					Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
 					Seed:    seed,
-					Check:   o.newCheck(),
 				}
-				run, err := spec.RunCtx(o.ctx())
+				run, err := o.run(spec)
 				if err != nil {
 					return latencies{}, err
 				}
@@ -147,9 +146,8 @@ func Fig12Loads(o Options) (*Result, error) {
 					spec := &workload.RunSpec{
 						Config: config.Default(), Policy: pol,
 						Sources: sources, Seed: seed,
-						Check: o.newCheck(),
 					}
-					run, err := spec.RunCtx(o.ctx())
+					run, err := o.run(spec)
 					if err != nil {
 						return 0, err
 					}
@@ -209,9 +207,8 @@ func Fig13Ablation(o Options) (*Result, error) {
 					Policy:  pol,
 					Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
 					Seed:    seed,
-					Check:   o.newCheck(),
 				}
-				run, err := spec.RunCtx(o.ctx())
+				run, err := o.run(spec)
 				if err != nil {
 					return nil, err
 				}
@@ -412,9 +409,8 @@ func Fig15Coarse(o Options) (*Result, error) {
 							Seed:     seed,
 							Programs: services.CoarseCatalog(),
 							Remote:   map[string]engine.RemoteKind{},
-							Check:    o.newCheck(),
 						}
-						run, err := spec.RunCtx(o.ctx())
+						run, err := o.run(spec)
 						if err != nil {
 							return sim.Time(1) << 60
 						}
@@ -459,9 +455,8 @@ func unloadedMeanCoarse(o Options, cfg *config.Config, pol engine.Policy, app *s
 		Seed:     seed,
 		Programs: services.CoarseCatalog(),
 		Remote:   map[string]engine.RemoteKind{},
-		Check:    o.newCheck(),
 	}
-	run, err := spec.RunCtx(o.ctx())
+	run, err := o.run(spec)
 	if err != nil {
 		return 0, err
 	}
@@ -497,9 +492,8 @@ func Fig16Serverless(o Options) (*Result, error) {
 		spec := &workload.RunSpec{
 			Config: config.Default(), Policy: pol,
 			Sources: sources, Seed: o.Seed,
-			Check: o.newCheck(),
 		}
-		run, err := spec.RunCtx(o.ctx())
+		run, err := o.run(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -564,9 +558,8 @@ func GlueInstructions(o Options) (*Result, error) {
 		Policy:  engine.AccelFlow(),
 		Sources: workload.Mix(services.SocialNetwork(), 0.3, o.reqs()),
 		Seed:    o.Seed,
-		Check:   o.newCheck(),
 	}
-	run, err := spec.RunCtx(o.ctx())
+	run, err := o.run(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -597,9 +590,8 @@ func AccelUtilization(o Options) (*Result, error) {
 		Policy:  engine.AccelFlow(),
 		Sources: workload.Mix(services.SocialNetwork(), 3.1, o.reqs()*2),
 		Seed:    o.Seed,
-		Check:   o.newCheck(),
 	}
-	run, err := spec.RunCtx(o.ctx())
+	run, err := o.run(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -630,9 +622,8 @@ func EnergyReport(o Options) (*Result, error) {
 			Policy:  pol,
 			Sources: workload.Mix(services.SocialNetwork(), 1.0, o.reqs()*2),
 			Seed:    o.Seed,
-			Check:   o.newCheck(),
 		}
-		run, err := spec.RunCtx(o.ctx())
+		run, err := o.run(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -681,9 +672,8 @@ func HighOverheadEvents(o Options) (*Result, error) {
 			Policy:  engine.AccelFlow(),
 			Sources: workload.Mix(services.SocialNetwork(), load.scale, o.reqs()*2),
 			Seed:    o.Seed,
-			Check:   o.newCheck(),
 		}
-		run, err := spec.RunCtx(o.ctx())
+		run, err := o.run(spec)
 		if err != nil {
 			return nil, err
 		}

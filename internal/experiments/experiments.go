@@ -224,13 +224,19 @@ func architectures() []engine.Policy {
 // process. Options carries the run context (cooperative cancellation,
 // see RunSpec.RunCtx) and whether to attach an invariant checker.
 func runOne(o Options, cfg *config.Config, pol engine.Policy, svc *services.Service, arr workload.Arrivals, n int, seed int64) (*workload.RunResult, error) {
-	spec := &workload.RunSpec{
+	return o.run(&workload.RunSpec{
 		Config:  cfg,
 		Policy:  pol,
 		Sources: workload.SingleService(svc, arr, n),
 		Seed:    seed,
-		Check:   o.newCheck(),
-	}
+	})
+}
+
+// run is the one place experiment runs attach a checker and context:
+// it gives spec a fresh invariant checker (when checking is on) and
+// runs it under the options' context.
+func (o Options) run(spec *workload.RunSpec) (*workload.RunResult, error) {
+	spec.Check = o.newCheck()
 	return spec.RunCtx(o.ctx())
 }
 

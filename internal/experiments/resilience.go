@@ -86,8 +86,7 @@ func Resilience(o Options) (*Result, error) {
 				Key: fmt.Sprintf("resilience/%s/r%g", pol.Name, rate),
 				Run: func(seed int64) (out, error) {
 					spec := resilienceSpec(pol, rate, o.reqs(), seed)
-					spec.Check = o.newCheck()
-					run, err := spec.RunCtx(o.ctx())
+					run, err := o.run(spec)
 					if err != nil {
 						return out{}, err
 					}

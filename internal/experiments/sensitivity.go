@@ -22,9 +22,8 @@ func avgP99(o Options, cfg *config.Config, pol engine.Policy, seed int64) (float
 		Policy:  pol,
 		Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
 		Seed:    seed,
-		Check:   o.newCheck(),
 	}
-	run, err := spec.RunCtx(o.ctx())
+	run, err := o.run(spec)
 	if err != nil {
 		return 0, err
 	}
@@ -144,9 +143,8 @@ func Fig19PECount(o Options) (*Result, error) {
 					Policy:  engine.AccelFlow(),
 					Sources: workload.Mix(svcs, 1.0, o.reqs()*len(svcs)),
 					Seed:    seed,
-					Check:   o.newCheck(),
 				}
-				run, err := spec.RunCtx(o.ctx())
+				run, err := o.run(spec)
 				if err != nil {
 					return peStats{}, err
 				}

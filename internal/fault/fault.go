@@ -147,7 +147,9 @@ type Injector struct {
 
 	// Reference counts make overlapping windows of the same mechanism
 	// compose: the degraded state applies while any window is open and
-	// reverts when the last one closes.
+	// reverts when the last one closes. Resizing windows hold servers
+	// out of service with sim.Resource.SetOffline, so they compose with
+	// the autoscaler's SetServers level without tracking it.
 	degradeDepth [config.NumAccelKinds]int
 	failDepth    [config.NumAccelKinds]int
 	admaDepth    int
@@ -155,40 +157,7 @@ type Injector struct {
 	atmDepth     int
 	nocDepth     int
 
-	basePEs  [config.NumAccelKinds]int
-	baseADMA int
-	baseMgr  int
-
-	// peOffline is, per kind, the number of PEs a currently-open
-	// degrade window is holding offline (0 when none). The autoscaler
-	// reads it so a scale action taken mid-window lands at
-	// (new level - offline), matching what the window's revert will
-	// restore.
-	peOffline [config.NumAccelKinds]int
-
 	active int
-}
-
-// RebasePEs updates the remembered base PE count for one accelerator
-// kind. The autoscaler calls it when it rescales a PE pool so that
-// subsequent degrade windows compute their offline fraction from — and
-// revert to — the controller's level instead of the boot-time count.
-// Nil-safe so the runner can wire the actuator without branching on
-// whether a fault layer is attached.
-func (in *Injector) RebasePEs(kind config.AccelKind, n int) {
-	if in == nil {
-		return
-	}
-	in.basePEs[kind] = n
-}
-
-// PEOffline reports how many PEs of the given kind an open degrade
-// window currently holds offline (0 when none, or on a nil injector).
-func (in *Injector) PEOffline(kind config.AccelKind) int {
-	if in == nil {
-		return 0
-	}
-	return in.peOffline[kind]
 }
 
 // New builds an injector for the given spec and seed. Derive the seed
@@ -255,18 +224,6 @@ func (in *Injector) Attach(k *sim.Kernel, tg Targets) {
 	if in.Spec.Rate <= 0 || len(mechs) == 0 {
 		return
 	}
-	for kd := range tg.Accels {
-		if tg.Accels[kd] != nil {
-			in.basePEs[kd] = tg.Accels[kd].PEs.Servers
-		}
-	}
-	if tg.DMA != nil {
-		in.baseADMA = tg.DMA.Engines()
-	}
-	if tg.Manager != nil {
-		in.baseMgr = tg.Manager.Servers
-	}
-
 	arrivals := sim.NewRNG(sim.DeriveSeed(in.seed, "fault/arrivals"))
 	durs := sim.NewRNG(sim.DeriveSeed(in.seed, "fault/durations"))
 	pick := sim.NewRNG(sim.DeriveSeed(in.seed, "fault/pick"))
@@ -346,9 +303,8 @@ func (in *Injector) apply(tg Targets, m mechanism, kind config.AccelKind) {
 		in.Stats.PEDegrades++
 		in.degradeDepth[kind]++
 		if in.degradeDepth[kind] == 1 && tg.Accels[kind] != nil {
-			off := int(math.Ceil(in.Spec.PEDegradeFrac * float64(in.basePEs[kind])))
-			in.peOffline[kind] = off
-			tg.Accels[kind].PEs.SetServers(in.basePEs[kind] - off)
+			pes := tg.Accels[kind].PEs
+			pes.SetOffline(int(math.Ceil(in.Spec.PEDegradeFrac * float64(pes.Nominal()))))
 		}
 	case mechPEFail:
 		in.Stats.PEFails++
@@ -360,13 +316,13 @@ func (in *Injector) apply(tg Targets, m mechanism, kind config.AccelKind) {
 		in.Stats.ADMARemovals++
 		in.admaDepth++
 		if in.admaDepth == 1 && tg.DMA != nil {
-			tg.DMA.SetEngines(in.baseADMA - in.Spec.ADMARemove)
+			tg.DMA.SetOffline(in.Spec.ADMARemove)
 		}
 	case mechManager:
 		in.Stats.ManagerStalls++
 		in.mgrDepth++
 		if in.mgrDepth == 1 && tg.Manager != nil {
-			tg.Manager.SetServers(1)
+			tg.Manager.SetOffline(tg.Manager.Nominal() - 1)
 		}
 	case mechATM:
 		in.Stats.ATMStalls++
@@ -388,8 +344,7 @@ func (in *Injector) revert(tg Targets, m mechanism, kind config.AccelKind) {
 	case mechPEDegrade:
 		in.degradeDepth[kind]--
 		if in.degradeDepth[kind] == 0 && tg.Accels[kind] != nil {
-			in.peOffline[kind] = 0
-			tg.Accels[kind].PEs.SetServers(in.basePEs[kind])
+			tg.Accels[kind].PEs.SetOffline(0)
 		}
 	case mechPEFail:
 		in.failDepth[kind]--
@@ -399,12 +354,12 @@ func (in *Injector) revert(tg Targets, m mechanism, kind config.AccelKind) {
 	case mechADMA:
 		in.admaDepth--
 		if in.admaDepth == 0 && tg.DMA != nil {
-			tg.DMA.SetEngines(in.baseADMA)
+			tg.DMA.SetOffline(0)
 		}
 	case mechManager:
 		in.mgrDepth--
 		if in.mgrDepth == 0 && tg.Manager != nil {
-			tg.Manager.SetServers(in.baseMgr)
+			tg.Manager.SetOffline(0)
 		}
 	case mechATM:
 		in.atmDepth--

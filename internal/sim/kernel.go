@@ -74,8 +74,8 @@ type Kernel struct {
 	events    eventQueue
 	processed uint64
 
-	// hooks is the installed instrumentation surface (SetHooks).
-	hooks Hooks
+	// onEvent is the installed per-event observer (OnEvent).
+	onEvent func(at Time)
 
 	// shard/domain backlink when this kernel is one domain of a
 	// Sharded coordinator; shard is nil for a standalone kernel.
@@ -83,8 +83,8 @@ type Kernel struct {
 	domain int
 
 	// ctxBatch counts events since the last cancellation poll. It
-	// persists across runEpoch calls so a sharded run polls ctx at the
-	// same amortized cadence as a serial one.
+	// persists across run calls so a sharded run polls ctx at the same
+	// amortized cadence as a serial one.
 	ctxBatch uint64
 
 	// queuedTicks counts Every ticks currently in the event queue, so
@@ -102,28 +102,13 @@ func (k *Kernel) Now() Time { return k.now }
 // Processed returns the number of executed events.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// SetHooks installs the kernel's instrumentation (see Hooks). OnEvent
-// replaces any previously installed observer; Periodic entries are armed immediately in slice
-// order — at the current point in the schedule — and are not retained
-// (Hooks never returns them), so the compose-modify-reinstall pattern
-//
-//	h := k.Hooks(); h.Periodic = [...]; k.SetHooks(h)
-//
-// layers new samplers on top of an existing observer without
-// double-arming. Install before the run starts: the run loop reads
-// OnEvent once, when it starts.
-func (k *Kernel) SetHooks(h Hooks) {
-	for _, p := range h.Periodic {
-		k.Every(p.Every, p.Fn)
-	}
-	h.Periodic = nil
-	k.hooks = h
-}
-
-// Hooks returns the retained instrumentation knobs (Periodic entries
-// are consumed by SetHooks and never returned). Use it to layer
-// additional hooks over ones another component installed.
-func (k *Kernel) Hooks() Hooks { return k.hooks }
+// OnEvent installs fn as the per-event observer, replacing any earlier
+// one: it sees every executed event's timestamp just before the
+// event's callback runs (the invariant checker uses it to verify
+// event-time monotonicity). fn must only read simulation state, or
+// determinism is lost. Install it before the run starts: the run loop
+// reads the observer once, when it starts.
+func (k *Kernel) OnEvent(fn func(at Time)) { k.onEvent = fn }
 
 // Domain returns this kernel's domain index within its Sharded
 // coordinator (0 for a standalone kernel).
@@ -171,26 +156,17 @@ func (k *Kernel) After(d Time, fn func()) {
 	k.At(k.now+d, fn)
 }
 
+// checkEvery is the cooperative-cancellation poll cadence: the run
+// loop checks ctx.Err() once per checkEvery executed events.
+const checkEvery = 4096
+
 // Run executes events until the heap is empty.
 func (k *Kernel) Run() { k.RunUntil(math.MaxInt64) }
 
 // RunUntil executes events with timestamps <= deadline, leaving later
 // events queued. The clock ends at the last executed event (or deadline
 // if nothing ran beyond it).
-func (k *Kernel) RunUntil(deadline Time) {
-	for k.events.Len() > 0 {
-		if k.events.minAt() > deadline {
-			break
-		}
-		e := k.events.pop()
-		k.now = e.at
-		k.processed++
-		if k.hooks.OnEvent != nil {
-			k.hooks.OnEvent(e.at)
-		}
-		e.fn()
-	}
-}
+func (k *Kernel) RunUntil(deadline Time) { k.run(context.Background(), deadline) }
 
 // RunCtx executes events until the heap is empty or ctx is cancelled,
 // and returns ctx's error in the latter case (nil when the heap
@@ -209,36 +185,25 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var batch uint64
-	onEvent := k.hooks.OnEvent
-	for k.events.Len() > 0 {
-		if batch++; batch >= checkEvery {
-			batch = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		e := k.events.pop()
-		k.now = e.at
-		k.processed++
-		if onEvent != nil {
-			onEvent(e.at)
-		}
-		e.fn()
-	}
-	return nil
+	return k.run(ctx, math.MaxInt64)
 }
 
-// runEpoch executes events with timestamps strictly below horizon and
-// advances the cancellation-poll batch counter across calls. It is the
-// per-domain unit of work between two Sharded epoch barriers; the
-// strict bound means an event scheduled exactly at the horizon belongs
-// to the next epoch, matching the conservative send rule (Send
+// runEpoch executes events with timestamps strictly below horizon. It
+// is the per-domain unit of work between two Sharded epoch barriers;
+// the strict bound means an event scheduled exactly at the horizon
+// belongs to the next epoch, matching the conservative send rule (Send
 // requires at >= horizon, so mail can never land inside the epoch that
 // produced it).
 func (k *Kernel) runEpoch(ctx context.Context, horizon Time) error {
-	onEvent := k.hooks.OnEvent
-	for k.events.Len() > 0 && k.events.minAt() < horizon {
+	return k.run(ctx, horizon-1)
+}
+
+// run is the kernel's one event loop: it executes events with
+// timestamps <= last, in (at, seq) order, polling ctx once per
+// checkEvery events through the persistent k.ctxBatch counter.
+func (k *Kernel) run(ctx context.Context, last Time) error {
+	onEvent := k.onEvent
+	for k.events.Len() > 0 && k.events.minAt() <= last {
 		if k.ctxBatch++; k.ctxBatch >= checkEvery {
 			k.ctxBatch = 0
 			if err := ctx.Err(); err != nil {

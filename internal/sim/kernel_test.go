@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -101,6 +103,43 @@ func TestKernelRunUntil(t *testing.T) {
 	k.Run()
 	if ran != 3 {
 		t.Errorf("ran %d events after Run, want 3", ran)
+	}
+}
+
+// TestKernelRunBoundaries pins the edges of the kernel's one event
+// loop as each entry point drives it: RunUntil's deadline is
+// inclusive, runEpoch's horizon is exclusive (an event at the horizon
+// belongs to the next epoch), and an already-cancelled RunCtx runs
+// nothing.
+func TestKernelRunBoundaries(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name        string
+		run         func(k *Kernel) error
+		wantRan     uint64
+		wantPending int
+		wantErr     error
+	}{
+		{"RunUntil runs an event at the deadline", func(k *Kernel) error { k.RunUntil(10 * Nanosecond); return nil }, 2, 1, nil},
+		{"runEpoch leaves an event at the horizon queued", func(k *Kernel) error { return k.runEpoch(context.Background(), 10*Nanosecond) }, 1, 2, nil},
+		{"cancelled RunCtx runs zero events", func(k *Kernel) error { return k.RunCtx(cancelled) }, 0, 3, context.Canceled},
+		{"RunCtx drains", func(k *Kernel) error { return k.RunCtx(context.Background()) }, 3, 0, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := NewKernel()
+			for _, at := range []Time{9 * Nanosecond, 10 * Nanosecond, 11 * Nanosecond} {
+				k.At(at, func() {})
+			}
+			if err := c.run(k); !errors.Is(err, c.wantErr) {
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if k.Processed() != c.wantRan || k.Pending() != c.wantPending {
+				t.Errorf("ran %d with %d pending, want %d with %d pending",
+					k.Processed(), k.Pending(), c.wantRan, c.wantPending)
+			}
+		})
 	}
 }
 

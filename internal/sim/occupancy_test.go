@@ -119,7 +119,7 @@ func TestMaxServersTracksPeak(t *testing.T) {
 func TestKernelOnEventHook(t *testing.T) {
 	k := NewKernel()
 	var seen []Time
-	k.SetHooks(Hooks{OnEvent: func(at Time) { seen = append(seen, at) }})
+	k.OnEvent(func(at Time) { seen = append(seen, at) })
 	k.At(5, func() {})
 	k.At(1, func() { k.After(2, func() {}) })
 	k.Run()

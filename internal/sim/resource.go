@@ -7,9 +7,6 @@ type Discipline int
 const (
 	// FIFO admits tasks in arrival order.
 	FIFO Discipline = iota
-	// Priority admits the numerically smallest Priority first,
-	// breaking ties by arrival order.
-	Priority
 	// EDF (earliest deadline first) admits the task with the smallest
 	// Deadline first, breaking ties by arrival order. Used by the
 	// soft-SLO input dispatcher policy (paper §IV-C).
@@ -25,8 +22,6 @@ type Task struct {
 	// Started, if non-nil, runs when the task is admitted to a server,
 	// before the hold begins. Useful for recording queueing delay.
 	Started func()
-	// Priority orders tasks under the Priority discipline (lower first).
-	Priority int
 	// Deadline orders tasks under the EDF discipline (earlier first).
 	Deadline Time
 
@@ -44,15 +39,8 @@ type taskHeap struct {
 }
 
 func (h *taskHeap) less(a, b *Task) bool {
-	switch h.disc {
-	case Priority:
-		if a.Priority != b.Priority {
-			return a.Priority < b.Priority
-		}
-	case EDF:
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
+	if h.disc == EDF && a.Deadline != b.Deadline {
+		return a.Deadline < b.Deadline
 	}
 	return a.seq < b.seq
 }
@@ -102,19 +90,22 @@ func (h *taskHeap) down(i int) {
 	}
 }
 
-func (h *taskHeap) init() {
-	for i := len(h.tasks)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 // Resource models a pool of identical servers with a shared queue, e.g.
 // the PEs of one accelerator, the A-DMA engine pool, the RELIEF
 // hardware manager, or the CPU core pool. Queueing statistics and
 // busy-time are accumulated for utilization and wait-time reporting.
 type Resource struct {
-	Name    string
+	Name string
+	// Servers is the live server count: the nominal level (SetServers)
+	// minus the servers held offline (SetOffline), floored at one.
+	// Read it; change it only through those two setters.
 	Servers int
+
+	// nominal is the provisioned level (the autoscaler's actuator);
+	// offline is how many of those servers a fault window holds out of
+	// service. Keeping both here lets each attachment set its own
+	// count without knowing about the other.
+	nominal, offline int
 
 	k    *Kernel
 	busy int
@@ -137,15 +128,15 @@ type Resource struct {
 	// so the two only agree at quiescence).
 	qArea    Time
 	busyArea Time
-	// srvArea is ∫(configured servers)dt — the exact capacity-time
-	// integral. With a static pool it is Servers × elapsed; under
-	// mid-run SetServers changes (fault windows, the autoscaler) it is
+	// srvArea is ∫(live servers)dt — the exact capacity-time integral.
+	// With a static pool it is Servers × elapsed; under mid-run
+	// SetServers/SetOffline changes (the autoscaler, fault windows) it is
 	// the true provisioned capacity, which is what the
 	// cost-of-overprovisioning experiment charges for.
 	srvArea  Time
 	lastTick Time
-	// maxServers tracks the largest server count ever configured, so
-	// utilization bounds stay valid across mid-run SetServers changes.
+	// maxServers tracks the largest live server count ever applied, so
+	// utilization bounds stay valid across mid-run resizes.
 	maxServers int
 
 	// freeComp is a free list of recycled completion nodes, so admitting
@@ -200,7 +191,7 @@ func NewResource(k *Kernel, name string, servers int, disc Discipline) *Resource
 	if servers <= 0 {
 		panic("sim: resource needs at least one server")
 	}
-	return &Resource{Name: name, Servers: servers, maxServers: servers, k: k, q: taskHeap{disc: disc}}
+	return &Resource{Name: name, Servers: servers, nominal: servers, maxServers: servers, k: k, q: taskHeap{disc: disc}}
 }
 
 // advance accrues the occupancy integrals up to the current simulated
@@ -217,19 +208,33 @@ func (r *Resource) advance() {
 	}
 }
 
-// SetDiscipline changes the queue discipline. Pending tasks are
-// re-ordered lazily (heap property restored on next push/pop).
-func (r *Resource) SetDiscipline(d Discipline) {
-	r.q.disc = d
-	r.q.init()
+// SetServers sets the nominal server count mid-run (the autoscaler's
+// actuator). The live count becomes the new level minus any servers a
+// SetOffline hold keeps out of service. Growing the pool starts queued
+// tasks immediately; shrinking it never preempts — in-service tasks
+// finish and the pool drains down to the new size.
+func (r *Resource) SetServers(n int) {
+	r.nominal = n
+	r.resize()
 }
 
-// SetServers changes the server count mid-run (fault injection:
-// degraded PEs, removed A-DMA engines, a stalled manager). Growing the
-// pool starts queued tasks immediately; shrinking it never preempts —
-// in-service tasks finish and the pool drains down to the new size.
-// The count is floored at one server so queued work cannot strand.
-func (r *Resource) SetServers(n int) {
+// SetOffline holds n of the nominal servers out of service (fault
+// injection: degraded PEs, removed A-DMA engines, a stalled manager);
+// SetOffline(0) restores the nominal level. A SetServers call while a
+// hold is open keeps the hold.
+func (r *Resource) SetOffline(n int) {
+	r.offline = n
+	r.resize()
+}
+
+// Nominal returns the nominal server count set by SetServers (the
+// construction-time count until then).
+func (r *Resource) Nominal() int { return r.nominal }
+
+// resize applies nominal minus offline as the live server count,
+// floored at one server so queued work cannot strand.
+func (r *Resource) resize() {
+	n := r.nominal - r.offline
 	if n < 1 {
 		n = 1
 	}
@@ -345,14 +350,14 @@ func (r *Resource) QueuedWaitResidual() Time {
 	return t
 }
 
-// ServerArea returns ∫(configured servers)dt up to now, in
+// ServerArea returns ∫(live servers)dt up to now, in
 // server-picoseconds — the exact provisioned-capacity integral across
-// any sequence of mid-run SetServers changes.
+// any sequence of mid-run SetServers/SetOffline changes.
 func (r *Resource) ServerArea() Time {
 	r.advance()
 	return r.srvArea
 }
 
-// MaxServers reports the largest server count the resource ever had,
-// bounding utilization even across mid-run SetServers fault windows.
+// MaxServers reports the largest live server count the resource ever
+// had, bounding utilization even across mid-run resizes.
 func (r *Resource) MaxServers() int { return r.maxServers }

@@ -52,26 +52,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestResourcePriorityDiscipline(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv", 1, Priority)
-	var order []int
-	// Occupy the server so later submissions queue up.
-	r.Submit(&Task{Hold: 10 * Nanosecond, Done: func() { order = append(order, -1) }})
-	prios := []int{5, 1, 3}
-	for _, p := range prios {
-		p := p
-		r.Submit(&Task{Hold: Nanosecond, Priority: p, Done: func() { order = append(order, p) }})
-	}
-	k.Run()
-	want := []int{-1, 1, 3, 5}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("priority order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestResourceEDFDiscipline(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "srv", 1, EDF)
@@ -311,5 +291,45 @@ func TestResourceSetServersFloorsAtOne(t *testing.T) {
 	k.Run()
 	if !done {
 		t.Error("floored resource no longer serves tasks")
+	}
+}
+
+// TestResourceLevelAndOffline pins how the nominal level (SetServers,
+// the autoscaler's actuator) and the offline hold (SetOffline, fault
+// windows) compose into the live server count: live = nominal −
+// offline, floored at one, whichever setter moves; and MaxServers and
+// ServerArea account the live count, never the nominal one.
+func TestResourceLevelAndOffline(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "srv", 4, FIFO)
+	steps := []struct {
+		name                string
+		op                  func()
+		live, nominal, peak int
+	}{
+		{"hold two offline", func() { r.SetOffline(2) }, 2, 4, 4},
+		{"scale up under the hold", func() { r.SetServers(6) }, 4, 6, 4},
+		{"release restores the scaled level", func() { r.SetOffline(0) }, 6, 6, 6},
+		{"hold more than nominal", func() { r.SetOffline(10) }, 1, 6, 6},
+		{"release again", func() { r.SetOffline(0) }, 6, 6, 6},
+		{"hold five offline", func() { r.SetOffline(5) }, 1, 6, 6},
+		{"scale past the peak under the hold", func() { r.SetServers(8) }, 3, 8, 6},
+		{"release reaches the new peak", func() { r.SetOffline(0) }, 8, 8, 8},
+	}
+	for i, s := range steps {
+		s := s
+		k.At(Time(i+1)*10*Nanosecond, func() {
+			s.op()
+			if r.Servers != s.live || r.Nominal() != s.nominal || r.MaxServers() != s.peak {
+				t.Errorf("%s: live/nominal/peak = %d/%d/%d, want %d/%d/%d", s.name,
+					r.Servers, r.Nominal(), r.MaxServers(), s.live, s.nominal, s.peak)
+			}
+		})
+	}
+	k.Run()
+	// Live servers per 10ns interval up to the last step: 4, 2, 4, 6,
+	// 1, 6, 1, 3.
+	if got, want := r.ServerArea(), 27*10*Nanosecond; got != want {
+		t.Errorf("ServerArea = %v, want %v", got, want)
 	}
 }

@@ -220,37 +220,34 @@ func (s *Sharded) RunCtx(ctx context.Context) error {
 	nd := len(s.domains)
 	w := s.workers
 	errs := make([]error, nd)
-	var (
-		wg    sync.WaitGroup
-		start []chan Time
-	)
-	if w > 1 {
-		// Persistent workers: worker i owns domains i, i+w, i+2w, ...
-		// for the whole run, woken once per epoch with the horizon.
-		// The channel send publishes the coordinator's barrier work
-		// (mail pushes, horizon) to the worker; wg.Wait publishes the
-		// worker's epoch back to the coordinator.
-		start = make([]chan Time, w-1)
-		for i := range start {
-			ch := make(chan Time, 1)
-			start[i] = ch
-			go func(worker int) {
-				for h := range ch {
-					for d := worker; d < nd; d += w {
-						if errs[d] == nil {
-							errs[d] = s.domains[d].runEpoch(ctx, h)
-						}
+	// Persistent workers: worker i owns domains i, i+w, i+2w, ... for
+	// the whole run, woken once per epoch with the horizon. Worker 0
+	// is the caller's goroutine, so with one worker no goroutine starts
+	// and every domain runs serially — the serial reference. The
+	// channel send publishes the coordinator's barrier work (mail
+	// pushes, horizon) to a worker; wg.Wait publishes the worker's
+	// epoch back to the coordinator.
+	var wg sync.WaitGroup
+	start := make([]chan Time, w-1)
+	for i := range start {
+		ch := make(chan Time, 1)
+		start[i] = ch
+		go func(worker int) {
+			for h := range ch {
+				for d := worker; d < nd; d += w {
+					if errs[d] == nil {
+						errs[d] = s.domains[d].runEpoch(ctx, h)
 					}
-					wg.Done()
 				}
-			}(i + 1)
-		}
-		defer func() {
-			for _, ch := range start {
-				close(ch)
+				wg.Done()
 			}
-		}()
+		}(i + 1)
 	}
+	defer func() {
+		for _, ch := range start {
+			close(ch)
+		}
+	}()
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -273,14 +270,6 @@ func (s *Sharded) RunCtx(ctx context.Context) error {
 		s.horizon = h
 		s.Stats.Epochs++
 
-		if w == 1 {
-			for d := 0; d < nd; d++ {
-				if err := s.domains[d].runEpoch(ctx, h); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		wg.Add(w - 1)
 		for _, ch := range start {
 			ch <- h

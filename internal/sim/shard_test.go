@@ -154,24 +154,26 @@ func TestNewShardedRejectsDegenerate(t *testing.T) {
 // TestShardedCancellation: cancelling mid-run stops at a barrier or
 // batch boundary and surfaces ctx.Err.
 func TestShardedCancellation(t *testing.T) {
-	s := NewSharded(2, Microsecond, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	var chain func(d int)
-	chain = func(d int) {
-		k := s.Domain(d)
-		k.After(Nanosecond, func() {
-			if k.Processed() > 10_000 {
-				cancel()
-			}
-			chain(d)
-		})
-	}
-	for d := 0; d < 2; d++ {
-		d := d
-		s.Domain(d).At(0, func() { chain(d) })
-	}
-	if err := s.RunCtx(ctx); err == nil {
-		t.Fatal("cancelled sharded run returned nil error")
+	for _, workers := range []int{1, 2} {
+		s := NewSharded(2, Microsecond, workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		var chain func(d int)
+		chain = func(d int) {
+			k := s.Domain(d)
+			k.After(Nanosecond, func() {
+				if k.Processed() > 10_000 {
+					cancel()
+				}
+				chain(d)
+			})
+		}
+		for d := 0; d < 2; d++ {
+			d := d
+			s.Domain(d).At(0, func() { chain(d) })
+		}
+		if err := s.RunCtx(ctx); err == nil {
+			t.Fatalf("workers=%d: cancelled sharded run returned nil error", workers)
+		}
 	}
 }
 
@@ -183,7 +185,7 @@ func TestShardedPerDomainHooks(t *testing.T) {
 	var times [2][]Time
 	for d := 0; d < 2; d++ {
 		d := d
-		s.Domain(d).SetHooks(Hooks{OnEvent: func(at Time) { times[d] = append(times[d], at) }})
+		s.Domain(d).OnEvent(func(at Time) { times[d] = append(times[d], at) })
 	}
 	logs := buildRing(s, hop, 4)
 	if err := s.RunCtx(context.Background()); err != nil {

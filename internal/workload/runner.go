@@ -151,18 +151,13 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		// Kernel.Every's self-terminating reschedule, so the controller
 		// stops when the run drains. Armed first so its event-sequence
 		// position is fixed whether or not observability is on.
-		h := k.Hooks()
-		h.Periodic = append(h.Periodic, ctl.Periodic(k))
-		k.SetHooks(h)
+		k.Every(ctl.Interval(), func() { ctl.Tick(k.Now()) })
 	}
 	if s.Obs != nil {
-		// Layered over the hooks the engine installed (checker OnEvent):
-		// the sampler arms here, after every arrival's sequence number
-		// is reserved, which fixes its event-sequence position exactly
-		// where the run needs it (see samplerHook).
-		h := k.Hooks()
-		h.Periodic = append(h.Periodic, samplerHook(k, res.Engine, s.Obs))
-		k.SetHooks(h)
+		// Armed after every arrival's sequence number is reserved,
+		// which fixes its event-sequence position exactly where the run
+		// needs it (see sampler).
+		k.Every(s.Obs.SampleInterval(), sampler(k, res.Engine, s.Obs))
 	}
 	if err := k.RunCtx(ctx); err != nil {
 		return nil, fmt.Errorf("workload: run interrupted: %w", err)
@@ -305,18 +300,16 @@ func (res *RunResult) verify() error {
 	return e.Check.Err()
 }
 
-// samplerHook builds the periodic utilization sampler as a Hooks
-// entry. Every interval it converts each resource's busy-time delta
-// into a [0,1] utilization sample. The callback only reads counters —
-// it never touches RNG streams or queue state — so enabling
-// observability cannot change simulation results; and because each
-// source keeps its next arrival queued until its last has fired (see
-// bookArrivals), Kernel.Every's self-termination rule (which SetHooks
-// arms Periodic entries through) ends the sampler exactly when the run
-// ends.
-func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
-	iv := sink.SampleInterval()
-	span := float64(iv)
+// sampler builds the periodic utilization sampler, to be armed with
+// Kernel.Every at the sink's sample interval. Every interval it
+// converts each resource's busy-time delta into a [0,1] utilization
+// sample. The callback only reads counters — it never touches RNG
+// streams or queue state — so enabling observability cannot change
+// simulation results; and because each source keeps its next arrival
+// queued until its last has fired (see bookArrivals), Kernel.Every's
+// self-termination rule ends the sampler exactly when the run ends.
+func sampler(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) func() {
+	span := float64(sink.SampleInterval())
 	util := func(delta sim.Time, servers int) float64 {
 		if servers < 1 {
 			servers = 1
@@ -340,7 +333,7 @@ func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
 	for _, kd := range config.AllAccelKinds() {
 		peNames[kd] = "util/pe/" + kd.String()
 	}
-	return sim.Periodic{Every: iv, Fn: func() {
+	return func() {
 		now := k.Now()
 		cores := e.Cores.BusyTime
 		sink.Sample("util/cores", now, util(cores-last.cores, e.Cores.Servers))
@@ -367,7 +360,7 @@ func samplerHook(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) sim.Periodic {
 		adma := e.DMA.Busy()
 		sink.Sample("util/adma", now, util(adma-last.adma, e.DMA.Engines()))
 		last.adma = adma
-	}}
+	}
 }
 
 // stream is one source running on a single server: what an arrival
