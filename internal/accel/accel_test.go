@@ -402,3 +402,33 @@ func TestDMAResultDeposit(t *testing.T) {
 		t.Error("transfer to memory never completed")
 	}
 }
+
+// TestDMATransferAllocsSpillPath pins the spill path of Transfer: a
+// payload above InlineDataBytes moves through an engine and through
+// memory, and both legs join on one pooled record, so a serial chain
+// of such transfers is ~allocation-free once the pools have warmed up.
+func TestDMATransferAllocsSpillPath(t *testing.T) {
+	const transfers = 2000
+	cfg := config.Default()
+	bytes := 4 * cfg.InlineDataBytes
+	src := noc.Node{Chiplet: 1, X: 0}
+	dst := noc.Node{Chiplet: 1, X: 1}
+	avg := testing.AllocsPerRun(5, func() {
+		k := sim.NewKernel()
+		d := NewDMAPool(k, cfg, noc.NewNetwork(k, cfg), mem.NewMemory(k, cfg))
+		left := transfers
+		var next func()
+		next = func() {
+			left--
+			if left > 0 {
+				d.Transfer(src, dst, bytes, 8, nil, next)
+			}
+		}
+		d.Transfer(src, dst, bytes, 8, nil, next)
+		k.Run()
+	})
+	if perTransfer := avg / transfers; perTransfer > 0.05 {
+		t.Errorf("spill-path Transfer allocates %.3f allocs/transfer (%.0f per %d-transfer run), budget 0.05",
+			perTransfer, avg, transfers)
+	}
+}

@@ -18,59 +18,60 @@ type DMAPool struct {
 	mem  *mem.Memory
 	pool *sim.Resource
 
-	// freeDone recycles the inline-leg completion records, so the
-	// common no-spill transfer allocates nothing.
-	freeDone *dmaDone
+	// freeJoin recycles transfer records, so a steady-state transfer,
+	// with or without a spill leg, allocates nothing.
+	freeJoin *dmaJoin
 
 	Transfers  uint64
 	BytesMoved uint64
 }
 
-// dmaDone is one pooled inline-leg completion: the engine-wait and
-// NoC segments plus the caller's continuation, with fn bound once.
-type dmaDone struct {
+// dmaJoin is one pooled transfer: the inline leg through an A-DMA
+// engine and, when the payload spills, the leg through memory, joined
+// before the caller's continuation runs. inlineFn and spillFn are
+// bound once, at allocation.
+type dmaJoin struct {
 	d    *DMAPool
 	sp   *obs.Span
 	t0   sim.Time
 	hold sim.Time
+	legs int
 	done func()
-	next *dmaDone
-	fn   func()
+	next *dmaJoin
+
+	inlineFn, spillFn func()
 }
 
-// run extracts its fields, recycles the record (done may start another
-// transfer and reuse it — nothing below touches n again), then records
-// the segments and continues.
-func (n *dmaDone) run() {
+// inline ends the engine leg: the engine-wait and NoC segments.
+func (n *dmaJoin) inline() {
+	now := n.d.k.Now()
+	n.sp.Seg(obs.SegQueue, "adma", n.t0, now-n.hold)
+	n.sp.Seg(obs.SegNoC, "noc", now-n.hold, now)
+	n.finish()
+}
+
+// spill ends the memory leg.
+func (n *dmaJoin) spill() {
+	n.sp.Seg(obs.SegDMA, "dram", n.t0, n.d.k.Now())
+	n.finish()
+}
+
+// finish counts one leg in. After the last it recycles the record
+// before continuing (done may start another transfer and reuse it —
+// nothing below touches n again).
+func (n *dmaJoin) finish() {
+	n.legs--
+	if n.legs > 0 {
+		return
+	}
 	d := n.d
-	sp := n.sp
-	t0, hold := n.t0, n.hold
 	done := n.done
 	n.sp, n.done = nil, nil
-	n.next = d.freeDone
-	d.freeDone = n
-	now := d.k.Now()
-	sp.Seg(obs.SegQueue, "adma", t0, now-hold)
-	sp.Seg(obs.SegNoC, "noc", now-hold, now)
+	n.next = d.freeJoin
+	d.freeJoin = n
 	if done != nil {
 		done()
 	}
-}
-
-// inlineDone returns a pooled completion for an inline-only transfer
-// whose engine hold starts now.
-func (d *DMAPool) inlineDone(sp *obs.Span, t0, hold sim.Time, done func()) func() {
-	n := d.freeDone
-	if n == nil {
-		n = &dmaDone{d: d}
-		n.fn = n.run
-	} else {
-		d.freeDone = n.next
-	}
-	n.sp = sp
-	n.t0, n.hold = t0, hold
-	n.done = done
-	return n.fn
 }
 
 // NewDMAPool builds the engine pool.
@@ -97,30 +98,23 @@ func (d *DMAPool) Transfer(src, dst noc.Node, bytes int, traceBytes int, sp *obs
 	t0 := d.k.Now()
 	// Inline part: the engine holds for the on-package route time.
 	hold := d.net.TransferTime(src, dst, inline+traceBytes)
-	if spill == 0 {
-		// Common case (payload fits the 2KB queue entry): no join
-		// counter needed — the inline leg is the only leg.
-		d.pool.Do(hold, d.inlineDone(sp, t0, hold, done))
-		return
+	n := d.freeJoin
+	if n == nil {
+		n = &dmaJoin{d: d}
+		n.inlineFn, n.spillFn = n.inline, n.spill
+	} else {
+		d.freeJoin = n.next
 	}
-	outstanding := 2
-	finish := func() {
-		outstanding--
-		if outstanding == 0 && done != nil {
-			done()
-		}
+	n.sp, n.t0, n.hold, n.done = sp, t0, hold, done
+	n.legs = 1
+	if spill > 0 {
+		n.legs = 2
 	}
-	d.pool.Do(hold, func() {
-		now := d.k.Now()
-		sp.Seg(obs.SegQueue, "adma", t0, now-hold)
-		sp.Seg(obs.SegNoC, "noc", now-hold, now)
-		finish()
-	})
-	// Spill part: moved through the cache-coherent LLC/memory path.
-	d.mem.Transfer(spill, func() {
-		sp.Seg(obs.SegDMA, "dram", t0, d.k.Now())
-		finish()
-	})
+	d.pool.Do(hold, n.inlineFn)
+	if spill > 0 {
+		// Spill part: moved through the cache-coherent LLC/memory path.
+		d.mem.Transfer(spill, n.spillFn)
+	}
 }
 
 // Utilization reports engine-pool utilization.

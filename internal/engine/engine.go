@@ -67,13 +67,12 @@ type Engine struct {
 	// RELIEF single shared queue per dispatch.
 	centralQDispatchCost sim.Time
 
-	// Free lists recycling the hot-path continuation records (see
-	// exec.go): glue passes, post-DMA deliveries, and post-results
-	// notifications. An engine is single-threaded like its kernel, so
-	// plain linked lists suffice.
-	freeGlue   *gluePass
-	freeComm   *commDone
-	freeNotify *notifyDone
+	// Free lists recycling the engine's pooled records: entries, which
+	// also carry their pending continuation (exec.go), and CPU trace
+	// segments (nonacc.go). An engine is single-threaded like its
+	// kernel, so plain linked lists suffice.
+	freeEnt *entryState
+	freeSeg *cpuSeg
 }
 
 // New builds an engine for the given config and policy. Programs must
@@ -294,7 +293,7 @@ func (e *Engine) startChain(r *request, parent *obs.Span, traceName string, prob
 	c.counted = true
 
 	if !e.Pol.UseAccels {
-		e.runChainOnCPU(r, c, prog, flags, payload)
+		e.runCPUSegment(c, nil, prog, 0, flags, payload)
 		return
 	}
 	ent := e.newEntry(r, c, prog, flags, payload)
@@ -333,27 +332,84 @@ func (c *chainState) childDone(e *Engine) {
 	}
 }
 
-// entryState wraps an accel.Entry with its chain bookkeeping.
+// entryState wraps an accel.Entry with its chain bookkeeping. It is
+// also the record of the entry's pending continuation: an entry moves
+// through the server one step at a time, so it never has more than one
+// engine callback outstanding, and fn (step, bound once) serves every
+// resource hold, memory leg, DMA transfer and timer it waits on (see
+// exec.go). Entries recycle through Engine.freeEnt once their trace
+// ends or falls back to a core.
 type entryState struct {
-	*accel.Entry
+	accel.Entry
+	eng     *Engine
 	chain   *chainState
 	retries int
 	sp      *obs.Span
+
+	// wait names what fn is waiting for; then is what runs once the
+	// pending engagement and its memory legs are over.
+	wait waitKind
+	then action
+	// a and fromDispatcher are the arguments of then's call.
+	a              *accel.Accelerator
+	fromDispatcher bool
+	// The engagement: a resource held for hold; t0 is when it began
+	// waiting, and name and seg label its obs segments. t0 is reused as
+	// the start of the memory legs and DMA transfers that follow.
+	name string
+	seg  obs.SegKind
+	t0   sim.Time
+	hold sim.Time
+	// legs DRAM transfers of legBytes each run before then.
+	legs     int
+	legBytes int
+	// pc is where doWalk resumes; tail names the continuation trace of
+	// doTail and doLoadTail, and prog is that trace once read.
+	pc          int
+	tail        string
+	prog        *trace.Program
+	rk          RemoteKind
+	viaMediator bool
+	attempt     int
+	// forks collects the walk's fork names; the glue pass spawns them.
+	// Its backing array is reused by the entry's later walks.
+	forks []string
+
+	next *entryState
+	fn   func()
 }
 
+// newEntry takes an entry record from the pool, or allocates one, and
+// starts it at PC 0 of prog.
 func (e *Engine) newEntry(r *request, c *chainState, prog *trace.Program, f trace.Flags, payload int) *entryState {
-	ent := &entryState{
-		Entry: &accel.Entry{
-			Prog: prog, PC: 0, Flags: f,
-			DataBytes: payload, Tenant: r.job.Tenant,
-			Deadline: r.deadline, EnqueuedAt: e.K.Now(),
-		},
-		chain: c,
+	ent := e.freeEnt
+	if ent == nil {
+		ent = &entryState{eng: e}
+		ent.fn = ent.step
+	} else {
+		e.freeEnt = ent.next
+		ent.next = nil
 	}
+	ent.Entry = accel.Entry{
+		Prog: prog, PC: 0, Flags: f,
+		DataBytes: payload, Tenant: r.job.Tenant,
+		Deadline: r.deadline, EnqueuedAt: e.K.Now(),
+	}
+	ent.chain = c
+	ent.retries = 0
 	ent.sp = c.sp.Child(obs.SpanEntry, prog.Name)
 	ent.Entry.Span = ent.sp
 	ent.Entry.UserData = ent
 	return ent
+}
+
+// release returns a finished entry to the pool. The caller must have
+// read everything it still needs from ent.
+func (e *Engine) release(ent *entryState) {
+	ent.chain, ent.sp, ent.a, ent.prog = nil, nil, nil, nil
+	ent.Entry = accel.Entry{}
+	ent.next = e.freeEnt
+	e.freeEnt = ent
 }
 
 func maxInt(a, b int) int {

@@ -24,6 +24,182 @@ func (e *Engine) wireAccels() {
 	}
 }
 
+// waitKind names the callback an entry's fn is waiting for.
+type waitKind uint8
+
+const (
+	waitPickup   waitKind = iota // polling delay before a core engagement
+	waitHold                     // an engagement's resource hold
+	waitMem                      // a DRAM leg
+	waitDMA                      // an A-DMA transfer
+	waitBackoff                  // the Enqueue retry backoff
+	waitFork                     // a forked trace's ATM read
+	waitATM                      // a tail's ATM read
+	waitRemote                   // the mediator path's remote wait
+	waitArm                      // an armed response trace's TCP timeout
+	waitLost                     // a lost response after an arm rejection
+	waitSoftware                 // a response a core services after an arm rejection
+	waitNotify                   // the completion notification to the core
+)
+
+// action is what an entry does once its pending engagement and memory
+// legs are over. The output-dispatcher outcomes (hop, tail, end, the
+// two mediator bounces) are actions too, so a glue pass is an
+// engagement of the accelerator's output dispatcher.
+type action uint8
+
+const (
+	doDeliver         action = iota // deliver(ent, fromDispatcher)
+	doAdmit                         // admit(a, ent, fromDispatcher)
+	doOffer                         // offer(a, ent, fromDispatcher)
+	doWalk                          // walk(a, ent, pc, 0)
+	doLoadTail                      // loadTail(a, ent, tail, true)
+	doFinish                        // finishFin(a, ent)
+	doNotify                        // notifyCore(ent)
+	doDMA                           // DMA from core 0 to the target, then deliver
+	doManagerDispatch               // RELIEF Enqueue: the manager dispatches the chain
+	doHop                           // hop(a, ent)
+	doTail                          // handleTail(a, ent, tail)
+	doEnd                           // finishTrace(a, ent)
+	doMedBranch                     // a branch the mediator resolves
+	doMedTrans                      // a transform the mediator performs
+)
+
+// plan sets what the entry does after its next engagement: move legs
+// DRAM transfers of legBytes each, then run then.
+func (ent *entryState) plan(then action, fromDispatcher bool, legs, legBytes int) {
+	ent.then, ent.fromDispatcher = then, fromDispatcher
+	ent.legs, ent.legBytes = legs, legBytes
+}
+
+// engage holds res for hold. When the hold ends, the time since now is
+// charged to Breakdown.Orch and recorded as a wait segment plus a seg
+// segment on name, and the entry continues with its plan.
+func (e *Engine) engage(ent *entryState, res *sim.Resource, name string, seg obs.SegKind, hold sim.Time) {
+	ent.wait = waitHold
+	ent.name, ent.seg = name, seg
+	ent.t0, ent.hold = e.K.Now(), hold
+	res.Do(hold, ent.fn)
+}
+
+// pollCores is a core engagement behind a polling delay: a core
+// notices the entry only after delay, which is charged to the
+// engagement as wait time.
+func (e *Engine) pollCores(ent *entryState, delay sim.Time, seg obs.SegKind, hold sim.Time) {
+	ent.wait = waitPickup
+	ent.name, ent.seg = "cores", seg
+	ent.t0, ent.hold = e.K.Now(), hold
+	e.K.After(delay, ent.fn)
+}
+
+// step runs when what the entry waits for is over. Every case reads
+// the fields it needs before it calls on: the call may schedule the
+// entry's next continuation, which overwrites them.
+func (ent *entryState) step() {
+	e := ent.eng
+	now := e.K.Now()
+	switch ent.wait {
+	case waitPickup:
+		ent.wait = waitHold
+		e.Cores.Do(ent.hold, ent.fn)
+	case waitHold:
+		ent.chain.req.bd.Orch += now - ent.t0
+		ent.sp.QueuedSeg(ent.seg, ent.name, ent.t0, ent.hold)
+		if len(ent.forks) > 0 {
+			forks := ent.forks
+			for _, fn := range forks {
+				e.spawnFork(ent.a, ent, fn)
+			}
+			ent.forks = forks[:0]
+		}
+		if ent.legs > 0 {
+			ent.wait = waitMem
+			ent.t0 = now
+			e.Mem.Transfer(ent.legBytes, ent.fn)
+			return
+		}
+		e.act(ent)
+	case waitMem:
+		ent.legs--
+		if ent.legs > 0 {
+			e.Mem.Transfer(ent.legBytes, ent.fn)
+			return
+		}
+		ent.chain.req.bd.Comm += now - ent.t0
+		ent.sp.Seg(obs.SegDMA, "dram", ent.t0, now)
+		e.act(ent)
+	case waitDMA:
+		ent.chain.req.bd.Comm += now - ent.t0
+		e.act(ent)
+	case waitBackoff:
+		e.engage(ent, e.Cores, "cores", obs.SegDispatch, e.Cfg.EnqueueCost)
+	case waitFork:
+		e.resumeProgram(ent.a, ent)
+	case waitATM:
+		e.tailLoaded(ent)
+	case waitRemote:
+		ent.plan(doDeliver, true, 0, 0)
+		e.mediate(ent)
+	case waitArm:
+		if ent.attempt < e.Cfg.TimeoutRearms {
+			e.Stats.TimeoutRearms++
+			e.armTail(ent.a, ent, ent.rk, ent.attempt+1)
+			return
+		}
+		e.timedOut(ent)
+	case waitLost:
+		e.timedOut(ent)
+	case waitSoftware:
+		e.cpuFallback(ent, 0)
+	case waitNotify:
+		sp, c := ent.sp, ent.chain
+		e.release(ent)
+		sp.End()
+		c.childDone(e)
+	}
+}
+
+// act runs the entry's planned action.
+func (e *Engine) act(ent *entryState) {
+	switch ent.then {
+	case doDeliver:
+		e.deliver(ent, ent.fromDispatcher)
+	case doAdmit:
+		e.admit(ent.a, ent, ent.fromDispatcher)
+	case doOffer:
+		e.offer(ent.a, ent, ent.fromDispatcher)
+	case doWalk:
+		e.walk(ent.a, ent, ent.pc, 0)
+	case doLoadTail:
+		e.loadTail(ent.a, ent, ent.tail, true)
+	case doFinish:
+		e.finishFin(ent.a, ent)
+	case doNotify:
+		e.notifyCore(ent)
+	case doDMA:
+		e.dmaToAccel(ent)
+	case doManagerDispatch:
+		ent.plan(doDeliver, true, 1, ent.DataBytes)
+		e.engage(ent, e.Manager, "manager", obs.SegDispatch, e.Cfg.ManagerDispatch)
+	case doHop:
+		e.hop(ent.a, ent)
+	case doTail:
+		e.handleTail(ent.a, ent, ent.tail)
+	case doEnd:
+		e.finishTrace(ent.a, ent)
+	case doMedBranch:
+		e.Stats.MediatorBranches++
+		ent.plan(doWalk, false, 0, 0)
+		e.mediate(ent)
+	case doMedTrans:
+		// The mediator moves the data out, transforms it on the
+		// CPU/manager, and moves it back.
+		e.Stats.MediatorTrans++
+		ent.plan(doWalk, false, 1, 2*ent.DataBytes)
+		e.mediate(ent)
+	}
+}
+
 // enqueueFromCore models a core triggering a trace (§IV-A): the
 // user-mode Enqueue instruction plus payload DMA under AccelFlow-like
 // policies, a chain submission to the manager under RELIEF, an
@@ -35,108 +211,41 @@ func (e *Engine) enqueueFromCore(ent *entryState) {
 	if in.Kind != trace.OpInvoke {
 		panic(fmt.Sprintf("engine: chain trace %q does not start with an invoke", ent.Prog.Name))
 	}
-	r := ent.chain.req
 	switch e.Pol.Hop {
-	case HopDirect:
+	case HopDirect, HopCPU:
 		cost := e.Cfg.EnqueueCost
 		if e.Pol.Ideal {
 			cost = 0
 		}
-		t0 := e.K.Now()
-		e.Cores.Do(cost, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, cost)
-			e.dmaToAccel(ent, e.Place.CoreNode(0), func() { e.deliver(ent, false) })
-		})
+		ent.plan(doDMA, false, 0, 0)
+		e.engage(ent, e.Cores, "cores", obs.SegDispatch, cost)
 	case HopManager:
-		t0 := e.K.Now()
-		e.Cores.Do(e.Cfg.EnqueueCost, func() {
-			ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, e.Cfg.EnqueueCost)
-			tm := e.K.Now()
-			e.Manager.Do(e.Cfg.ManagerDispatch, func() {
-				r.bd.Orch += e.K.Now() - t0
-				ent.sp.QueuedSeg(obs.SegDispatch, "manager", tm, e.Cfg.ManagerDispatch)
-				t1 := e.K.Now()
-				e.Mem.Transfer(ent.DataBytes, func() {
-					r.bd.Comm += e.K.Now() - t1
-					ent.sp.Seg(obs.SegDMA, "dram", t1, e.K.Now())
-					e.deliver(ent, true)
-				})
-			})
-		})
-	case HopCPU:
-		t0 := e.K.Now()
-		e.Cores.Do(e.Cfg.EnqueueCost, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, e.Cfg.EnqueueCost)
-			e.dmaToAccel(ent, e.Place.CoreNode(0), func() { e.deliver(ent, false) })
-		})
+		// The core's Enqueue and the manager's dispatch each charge
+		// their own span of Orch; together they cover the whole time
+		// since the Enqueue began.
+		ent.plan(doManagerDispatch, false, 0, 0)
+		e.engage(ent, e.Cores, "cores", obs.SegDispatch, e.Cfg.EnqueueCost)
 	case HopSWQueue:
-		t0 := e.K.Now()
-		e.Cores.Do(e.Cfg.SWQueueHop, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, e.Cfg.SWQueueHop)
-			t1 := e.K.Now()
-			e.Mem.Transfer(ent.DataBytes, func() {
-				r.bd.Comm += e.K.Now() - t1
-				ent.sp.Seg(obs.SegDMA, "dram", t1, e.K.Now())
-				e.deliver(ent, true)
-			})
-		})
+		ent.plan(doDeliver, true, 1, ent.DataBytes)
+		e.engage(ent, e.Cores, "cores", obs.SegDispatch, e.Cfg.SWQueueHop)
 	}
 }
 
-// dmaToAccel moves the payload and trace from a core-side node to the
-// entry's current target accelerator via an A-DMA engine.
-func (e *Engine) dmaToAccel(ent *entryState, src noc.Node, done func()) {
+// dmaToAccel moves the payload and trace from core 0 to the entry's
+// current target accelerator via an A-DMA engine, then delivers it.
+func (e *Engine) dmaToAccel(ent *entryState) {
 	dst := e.Accels[ent.Prog.Instrs[ent.PC].Accel]
-	r := ent.chain.req
-	t0 := e.K.Now()
-	e.DMA.Transfer(src, dst.Node, ent.DataBytes, ent.Prog.EncodedBytes(), ent.sp, func() {
-		r.bd.Comm += e.K.Now() - t0
-		done()
-	})
+	e.transfer(ent, e.Place.CoreNode(0), dst.Node, ent.Prog.EncodedBytes(), doDeliver, false)
 }
 
-// commDone is a pooled "charge Comm, then deliver" continuation for
-// the accelerator-to-accelerator hop DMA: the common case of every
-// chain hop, so the per-hop closure is replaced with a recycled record
-// whose fn is bound once.
-type commDone struct {
-	eng            *Engine
-	ent            *entryState
-	t0             sim.Time
-	fromDispatcher bool
-	next           *commDone
-	fn             func()
-}
-
-func (n *commDone) run() {
-	e := n.eng
-	ent := n.ent
-	t0 := n.t0
-	fd := n.fromDispatcher
-	n.ent = nil
-	n.next = e.freeComm
-	e.freeComm = n
-	ent.chain.req.bd.Comm += e.K.Now() - t0
-	e.deliver(ent, fd)
-}
-
-// commThenDeliver returns a pooled continuation charging the elapsed
-// time since now to Breakdown.Comm and delivering the entry.
-func (e *Engine) commThenDeliver(ent *entryState, fromDispatcher bool) func() {
-	n := e.freeComm
-	if n == nil {
-		n = &commDone{eng: e}
-		n.fn = n.run
-	} else {
-		e.freeComm = n.next
-	}
-	n.ent = ent
-	n.t0 = e.K.Now()
-	n.fromDispatcher = fromDispatcher
-	return n.fn
+// transfer moves the entry's payload (and traceBytes of trace) from src
+// to dst through the A-DMA pool, charging the time to Breakdown.Comm
+// before then runs.
+func (e *Engine) transfer(ent *entryState, src, dst noc.Node, traceBytes int, then action, fromDispatcher bool) {
+	ent.plan(then, fromDispatcher, 0, 0)
+	ent.wait = waitDMA
+	ent.t0 = e.K.Now()
+	e.DMA.Transfer(src, dst, ent.DataBytes, traceBytes, ent.sp, ent.fn)
 }
 
 // deliver admits an entry to its current target accelerator, passing
@@ -146,12 +255,9 @@ func (e *Engine) deliver(ent *entryState, fromDispatcher bool) {
 	e.wireAccels()
 	a := e.Accels[ent.Prog.Instrs[ent.PC].Accel]
 	if e.Pol.SharedQueue {
-		t0 := e.K.Now()
-		e.CentralQ.Do(e.centralQDispatchCost, func() {
-			ent.chain.req.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "centralq", t0, e.centralQDispatchCost)
-			e.admit(a, ent, fromDispatcher)
-		})
+		ent.a = a
+		ent.plan(doAdmit, fromDispatcher, 0, 0)
+		e.engage(ent, e.CentralQ, "centralq", obs.SegDispatch, e.centralQDispatchCost)
 		return
 	}
 	e.admit(a, ent, fromDispatcher)
@@ -163,13 +269,9 @@ func (e *Engine) admit(a *accel.Accelerator, ent *entryState, fromDispatcher boo
 		// The accelerator stops; a core runs the OS handler, then
 		// execution resumes (§V-3).
 		e.Stats.FallbacksFault++
-		r := ent.chain.req
-		t0 := e.K.Now()
-		e.Cores.Do(e.Cfg.PageFaultCost, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegInterrupt, "cores", t0, e.Cfg.PageFaultCost)
-			e.offer(a, ent, fromDispatcher)
-		})
+		ent.a = a
+		ent.plan(doOffer, fromDispatcher, 0, 0)
+		e.engage(ent, e.Cores, "cores", obs.SegInterrupt, e.Cfg.PageFaultCost)
 		return
 	}
 	e.offer(a, ent, fromDispatcher)
@@ -185,7 +287,7 @@ func (e *Engine) offer(a *accel.Accelerator, ent *entryState, fromDispatcher boo
 		e.cpuFallback(ent, ent.PC)
 		return
 	}
-	switch a.Offer(ent.Entry, fromDispatcher) {
+	switch a.Offer(&ent.Entry, fromDispatcher) {
 	case accel.Admitted, accel.Overflowed:
 		// The accelerator machinery takes over; OnReady resumes us.
 	case accel.Rejected:
@@ -194,24 +296,18 @@ func (e *Engine) offer(a *accel.Accelerator, ent *entryState, fromDispatcher boo
 			// optionally after an exponential backoff so a transient
 			// full queue can drain before the next attempt.
 			ent.retries++
-			r := ent.chain.req
-			retry := func() {
-				t0 := e.K.Now()
-				e.Cores.Do(e.Cfg.EnqueueCost, func() {
-					r.bd.Orch += e.K.Now() - t0
-					ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, e.Cfg.EnqueueCost)
-					e.offer(a, ent, false)
-				})
-			}
+			ent.a = a
+			ent.plan(doOffer, false, 0, 0)
 			// With EnqueueBackoff 0 the retry runs inline, scheduling no
 			// kernel event — the pre-backoff event order is preserved
 			// exactly, keeping golden values unchanged by default.
 			if d := e.Cfg.EnqueueBackoff << uint(ent.retries-1); d > 0 {
 				e.Stats.EnqueueBackoffs++
 				ent.sp.Seg(obs.SegQueue, "backoff", e.K.Now(), e.K.Now()+d)
-				e.K.After(d, retry)
+				ent.wait = waitBackoff
+				e.K.After(d, ent.fn)
 			} else {
-				retry()
+				e.engage(ent, e.Cores, "cores", obs.SegDispatch, e.Cfg.EnqueueCost)
 			}
 			return
 		}
@@ -238,7 +334,7 @@ func (e *Engine) onPEComplete(a *accel.Accelerator, ent *entryState) {
 func (e *Engine) walk(a *accel.Accelerator, ent *entryState, pc int, instrs int) {
 	prog := ent.Prog
 	dte := sim.Time(0)
-	var forks []string
+	ent.forks = ent.forks[:0]
 	for {
 		in := prog.Instrs[pc]
 		switch in.Kind {
@@ -253,11 +349,8 @@ func (e *Engine) walk(a *accel.Accelerator, ent *entryState, pc int, instrs int)
 				pc = prog.Next(pc, ent.Flags)
 				continue
 			}
-			next := prog.Next(pc, ent.Flags)
-			e.chargeGlue(a, ent, instrs, dte, forks, glueCont, "", func() {
-				e.Stats.MediatorBranches++
-				e.mediate(ent, func() { e.walk(a, ent, next, 0) })
-			})
+			ent.pc = prog.Next(pc, ent.Flags)
+			e.chargeGlue(a, ent, instrs, dte, doMedBranch, "")
 			return
 		case trace.OpTrans:
 			if e.Pol.DispatcherTransform {
@@ -267,37 +360,24 @@ func (e *Engine) walk(a *accel.Accelerator, ent *entryState, pc int, instrs int)
 				pc++
 				continue
 			}
-			npc := pc + 1
-			e.chargeGlue(a, ent, instrs, dte, forks, glueCont, "", func() {
-				e.Stats.MediatorTrans++
-				// The mediator moves the data out, transforms it on
-				// the CPU/manager, and moves it back.
-				e.mediate(ent, func() {
-					r := ent.chain.req
-					t0 := e.K.Now()
-					e.Mem.Transfer(2*ent.DataBytes, func() {
-						r.bd.Comm += e.K.Now() - t0
-						ent.sp.Seg(obs.SegDMA, "dram", t0, e.K.Now())
-						e.walk(a, ent, npc, 0)
-					})
-				})
-			})
+			ent.pc = pc + 1
+			e.chargeGlue(a, ent, instrs, dte, doMedTrans, "")
 			return
 		case trace.OpFork:
-			forks = append(forks, in.TailName)
+			ent.forks = append(ent.forks, in.TailName)
 			pc++
 			continue
 		case trace.OpInvoke:
 			ent.PC = pc
-			e.chargeGlue(a, ent, instrs, dte, forks, glueHop, "", nil)
+			e.chargeGlue(a, ent, instrs, dte, doHop, "")
 			return
 		case trace.OpTail:
 			instrs += e.Cfg.DispEndInstrs
-			e.chargeGlue(a, ent, instrs, dte, forks, glueTail, in.TailName, nil)
+			e.chargeGlue(a, ent, instrs, dte, doTail, in.TailName)
 			return
 		case trace.OpEnd:
 			instrs += e.Cfg.DispEndInstrs
-			e.chargeGlue(a, ent, instrs, dte, forks, glueEnd, "", nil)
+			e.chargeGlue(a, ent, instrs, dte, doEnd, "")
 			return
 		default:
 			panic(fmt.Sprintf("engine: unknown op %d in trace %q", in.Kind, prog.Name))
@@ -305,85 +385,19 @@ func (e *Engine) walk(a *accel.Accelerator, ent *entryState, pc int, instrs int)
 	}
 }
 
-// Glue-pass continuations. The three hot outcomes of a dispatcher walk
-// (hop to the next invoke, load a tail, finish the trace) are encoded
-// as kinds on the pooled gluePass record, so no continuation closure
-// is allocated for them; the rare mediator paths pass glueCont with an
-// explicit closure.
-const (
-	glueCont = iota
-	glueHop
-	glueTail
-	glueEnd
-)
-
-// gluePass is one pooled output-dispatcher pass: what chargeGlue's
-// per-pass closure used to capture, recycled through Engine.freeGlue.
-type gluePass struct {
-	eng   *Engine
-	a     *accel.Accelerator
-	ent   *entryState
-	t0    sim.Time
-	hold  sim.Time
-	forks []string
-	kind  uint8
-	name  string // tail name for glueTail
-	cont  func() // for glueCont
-	next  *gluePass
-	fn    func()
-}
-
-// run executes after the dispatcher pass's hold: extract everything,
-// recycle the record (safe against re-entry — the continuation may
-// start another glue pass, which may reuse it), then account and
-// continue.
-func (g *gluePass) run() {
-	e := g.eng
-	a := g.a
-	ent := g.ent
-	t0, hold := g.t0, g.hold
-	forks := g.forks
-	kind, name, cont := g.kind, g.name, g.cont
-	g.a, g.ent, g.forks, g.cont = nil, nil, nil, nil
-	g.next = e.freeGlue
-	e.freeGlue = g
-	ent.chain.req.bd.Orch += e.K.Now() - t0
-	ent.sp.QueuedSeg(obs.SegDispatch, a.OutDispName, t0, hold)
-	for _, fn := range forks {
-		e.spawnFork(a, ent, fn)
-	}
-	switch kind {
-	case glueHop:
-		e.hop(a, ent)
-	case glueTail:
-		e.handleTail(a, ent, name)
-	case glueEnd:
-		e.finishTrace(a, ent)
-	default:
-		cont()
-	}
-}
-
 // chargeGlue charges one output-dispatcher pass (serialized per
-// accelerator) plus any Data Transform Engine time, spawns collected
-// forks, then continues per kind (see the glue* constants).
-func (e *Engine) chargeGlue(a *accel.Accelerator, ent *entryState, instrs int, dte sim.Time, forks []string, kind uint8, name string, cont func()) {
+// accelerator) plus any Data Transform Engine time; when it ends, the
+// walk's forks spawn and the entry continues with then (tail names
+// the continuation trace of doTail).
+func (e *Engine) chargeGlue(a *accel.Accelerator, ent *entryState, instrs int, dte sim.Time, then action, tail string) {
 	hold := a.GluePass(instrs) + dte
 	if e.Pol.Ideal {
 		hold = 0
 	}
-	g := e.freeGlue
-	if g == nil {
-		g = &gluePass{eng: e}
-		g.fn = g.run
-	} else {
-		e.freeGlue = g.next
-	}
-	g.a, g.ent = a, ent
-	g.t0, g.hold = e.K.Now(), hold
-	g.forks = forks
-	g.kind, g.name, g.cont = kind, name, cont
-	a.OutDisp.Do(hold, g.fn)
+	ent.a = a
+	ent.tail = tail
+	ent.plan(then, false, 0, 0)
+	e.engage(ent, a.OutDisp, a.OutDispName, obs.SegDispatch, hold)
 }
 
 // spawnFork launches a side trace from the ATM that joins the chain
@@ -398,19 +412,11 @@ func (e *Engine) spawnFork(a *accel.Accelerator, ent *entryState, name string) {
 	}
 	e.Stats.ForksSpawned++
 	ent.chain.fork()
-	f := &entryState{
-		Entry: &accel.Entry{
-			Prog: prog, PC: 0, Flags: ent.Flags,
-			DataBytes: ent.DataBytes, Tenant: ent.Tenant,
-			Deadline: ent.Deadline, EnqueuedAt: e.K.Now(),
-		},
-		chain: ent.chain,
-	}
-	f.sp = ent.chain.sp.Child(obs.SpanEntry, prog.Name)
+	f := e.newEntry(ent.chain.req, ent.chain, prog, ent.Flags, ent.DataBytes)
 	f.sp.Seg(obs.SegDispatch, "atm", e.K.Now(), e.K.Now()+lat)
-	f.Entry.Span = f.sp
-	f.Entry.UserData = f
-	e.K.After(lat, func() { e.resumeProgram(a, f) })
+	f.a = a
+	f.wait = waitFork
+	e.K.After(lat, f.fn)
 }
 
 // resumeProgram continues a freshly loaded program at PC 0 inside the
@@ -429,94 +435,45 @@ func (e *Engine) resumeProgram(a *accel.Accelerator, ent *entryState) {
 // invoke at ent.PC, according to the policy's hop mechanics.
 func (e *Engine) hop(a *accel.Accelerator, ent *entryState) {
 	dst := e.Accels[ent.Prog.Instrs[ent.PC].Accel]
-	r := ent.chain.req
-	traceBytes := ent.Prog.EncodedBytes()
 	switch e.Pol.Hop {
 	case HopDirect:
 		if !e.Pol.DispatcherTransform && ent.DataBytes > e.Cfg.InlineDataBytes {
 			// Without large-data support the manager moves oversized
 			// payloads through memory (Fig. 13's last ladder step).
-			e.mediate(ent, func() {
-				t0 := e.K.Now()
-				e.Mem.Transfer(ent.DataBytes, func() {
-					r.bd.Comm += e.K.Now() - t0
-					ent.sp.Seg(obs.SegDMA, "dram", t0, e.K.Now())
-					e.deliver(ent, true)
-				})
-			})
+			ent.plan(doDeliver, true, 1, ent.DataBytes)
+			e.mediate(ent)
 			return
 		}
-		e.DMA.Transfer(a.Node, dst.Node, ent.DataBytes, traceBytes, ent.sp, e.commThenDeliver(ent, true))
+		e.transfer(ent, a.Node, dst.Node, ent.Prog.EncodedBytes(), doDeliver, true)
 	case HopManager:
-		t0 := e.K.Now()
 		// One manager engagement per completion (~1.5us, §VII-A.1)
-		// covers the interrupt, processing, and next dispatch.
-		e.Manager.Do(e.Cfg.ManagerHop, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "manager", t0, e.Cfg.ManagerHop)
-			t1 := e.K.Now()
-			// Source accelerator writes output to memory; destination
-			// reads it back: two touches.
-			e.Mem.Transfer(ent.DataBytes, func() {
-				e.Mem.Transfer(ent.DataBytes, func() {
-					r.bd.Comm += e.K.Now() - t1
-					ent.sp.Seg(obs.SegDMA, "dram", t1, e.K.Now())
-					e.deliver(ent, true)
-				})
-			})
-		})
+		// covers the interrupt, processing, and next dispatch. The
+		// source accelerator writes its output to memory and the
+		// destination reads it back: two touches.
+		ent.plan(doDeliver, true, 2, ent.DataBytes)
+		e.engage(ent, e.Manager, "manager", obs.SegDispatch, e.Cfg.ManagerHop)
 	case HopCPU:
-		t0 := e.K.Now()
-		e.Cores.Do(e.Cfg.InterruptCost, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegInterrupt, "cores", t0, e.Cfg.InterruptCost)
-			t1 := e.K.Now()
-			e.Mem.Transfer(ent.DataBytes, func() {
-				e.Mem.Transfer(ent.DataBytes, func() {
-					r.bd.Comm += e.K.Now() - t1
-					ent.sp.Seg(obs.SegDMA, "dram", t1, e.K.Now())
-					e.deliver(ent, false)
-				})
-			})
-		})
+		ent.plan(doDeliver, false, 2, ent.DataBytes)
+		e.engage(ent, e.Cores, "cores", obs.SegInterrupt, e.Cfg.InterruptCost)
 	case HopSWQueue:
 		if e.Pol.CohortPairs[[2]config.AccelKind{a.Kind, dst.Kind}] {
-			e.DMA.Transfer(a.Node, dst.Node, ent.DataBytes, traceBytes, ent.sp, e.commThenDeliver(ent, true))
+			e.transfer(ent, a.Node, dst.Node, ent.Prog.EncodedBytes(), doDeliver, true)
 			return
 		}
 		// Unlinked hop: the entry sits in a shared-memory software
 		// queue until a polling core notices it, then the core moves
 		// the data along.
-		t0 := e.K.Now()
-		e.K.After(e.Cfg.SWQueuePickup, func() {
-			e.Cores.Do(e.Cfg.SWQueueHop, func() {
-				r.bd.Orch += e.K.Now() - t0
-				ent.sp.QueuedSeg(obs.SegDispatch, "cores", t0, e.Cfg.SWQueueHop)
-				t1 := e.K.Now()
-				e.Mem.Transfer(ent.DataBytes, func() {
-					e.Mem.Transfer(ent.DataBytes, func() {
-						r.bd.Comm += e.K.Now() - t1
-						ent.sp.Seg(obs.SegDMA, "dram", t1, e.K.Now())
-						e.deliver(ent, true)
-					})
-				})
-			})
-		})
+		ent.plan(doDeliver, true, 2, ent.DataBytes)
+		e.pollCores(ent, e.Cfg.SWQueuePickup, obs.SegDispatch, e.Cfg.SWQueueHop)
 	}
 }
 
 // mediate bounces control to the policy's mediator (hardware manager
-// or a CPU core) and continues.
-func (e *Engine) mediate(ent *entryState, cont func()) {
-	r := ent.chain.req
-	t0 := e.K.Now()
+// or a CPU core), which then continues with the entry's plan.
+func (e *Engine) mediate(ent *entryState) {
 	switch e.Pol.Mediator {
 	case MedManager:
-		e.Manager.Do(e.Cfg.ManagerHop, func() {
-			r.bd.Orch += e.K.Now() - t0
-			ent.sp.QueuedSeg(obs.SegDispatch, "manager", t0, e.Cfg.ManagerHop)
-			cont()
-		})
+		e.engage(ent, e.Manager, "manager", obs.SegDispatch, e.Cfg.ManagerHop)
 	case MedCPU:
 		cost := e.Cfg.InterruptCost
 		delay := sim.Time(0)
@@ -524,13 +481,7 @@ func (e *Engine) mediate(ent *entryState, cont func()) {
 			cost = e.Cfg.SWQueueHop
 			delay = e.Cfg.SWQueuePickup
 		}
-		e.K.After(delay, func() {
-			e.Cores.Do(cost, func() {
-				r.bd.Orch += e.K.Now() - t0
-				ent.sp.QueuedSeg(obs.SegInterrupt, "cores", t0, cost)
-				cont()
-			})
-		})
+		e.pollCores(ent, delay, obs.SegInterrupt, cost)
 	}
 }
 
@@ -540,7 +491,9 @@ func (e *Engine) mediate(ent *entryState, cont func()) {
 func (e *Engine) handleTail(a *accel.Accelerator, ent *entryState, name string) {
 	if !e.Pol.ATMChaining {
 		e.Stats.MediatorTails++
-		e.mediate(ent, func() { e.loadTail(a, ent, name, true) })
+		ent.a, ent.tail = a, name
+		ent.plan(doLoadTail, false, 0, 0)
+		e.mediate(ent)
 		return
 	}
 	e.loadTail(a, ent, name, false)
@@ -554,32 +507,38 @@ func (e *Engine) loadTail(a *accel.Accelerator, ent *entryState, name string, vi
 	if e.Pol.Ideal {
 		lat = 0
 	}
-	rk := e.RemoteTails[ent.Prog.Name]
-	r := ent.chain.req
+	ent.a, ent.prog, ent.viaMediator = a, prog, viaMediator
+	ent.rk = e.RemoteTails[ent.Prog.Name]
 	ent.sp.Seg(obs.SegDispatch, "atm", e.K.Now(), e.K.Now()+lat)
-	e.K.After(lat, func() {
-		ent.Prog = prog
-		ent.PC = 0
-		if rk == RemoteNone {
-			e.resumeProgram(a, ent)
-			return
-		}
-		if viaMediator {
-			// Without arming, the mediator re-dispatches the response
-			// trace when the message arrives; the full drawn wait
-			// elapses (the mediator path has no timeout cutoff).
-			wait := e.remoteWait(rk)
-			r.bd.Remote += wait
-			ent.sp.Seg(obs.SegRemote, "net", e.K.Now(), e.K.Now()+wait)
-			e.K.After(wait, func() {
-				e.mediate(ent, func() { e.deliver(ent, true) })
-			})
-			return
-		}
-		// AccelFlow arms the response trace in the accelerator's input
-		// queue (§IV-B); the arrival triggers it directly.
-		e.armTail(a, ent, rk, 0)
-	})
+	ent.wait = waitATM
+	e.K.After(lat, ent.fn)
+}
+
+// tailLoaded switches the entry to the tail program loadTail read and
+// resumes it, waiting first for the remote response if the tail
+// crosses the network.
+func (e *Engine) tailLoaded(ent *entryState) {
+	a, rk := ent.a, ent.rk
+	ent.Prog = ent.prog
+	ent.PC = 0
+	if rk == RemoteNone {
+		e.resumeProgram(a, ent)
+		return
+	}
+	if ent.viaMediator {
+		// Without arming, the mediator re-dispatches the response
+		// trace when the message arrives; the full drawn wait
+		// elapses (the mediator path has no timeout cutoff).
+		wait := e.remoteWait(rk)
+		ent.chain.req.bd.Remote += wait
+		ent.sp.Seg(obs.SegRemote, "net", e.K.Now(), e.K.Now()+wait)
+		ent.wait = waitRemote
+		e.K.After(wait, ent.fn)
+		return
+	}
+	// AccelFlow arms the response trace in the accelerator's input
+	// queue (§IV-B); the arrival triggers it directly.
+	e.armTail(a, ent, rk, 0)
 }
 
 // armTail arms the response trace and handles the three outcomes:
@@ -599,16 +558,11 @@ func (e *Engine) armTail(a *accel.Accelerator, ent *entryState, rk RemoteKind, a
 		w = e.Cfg.TCPTimeout
 	}
 	t0 := e.K.Now()
-	res := a.Arm(ent.Entry, wait, func() {
-		if attempt < e.Cfg.TimeoutRearms {
-			e.Stats.TimeoutRearms++
-			e.armTail(a, ent, rk, attempt+1)
-			return
-		}
-		e.Stats.Timeouts++
-		r.timedOut = true
-		e.notifyCore(ent)
-	})
+	// The accelerator calls fn back only on a timeout (waitArm); an
+	// arrival resumes the entry through the PE path instead.
+	ent.a, ent.rk, ent.attempt = a, rk, attempt
+	ent.wait = waitArm
+	res := a.Arm(&ent.Entry, wait, ent.fn)
 	r.bd.Remote += w
 	ent.sp.Seg(obs.SegRemote, "net", t0, t0+w)
 	if res != accel.ArmRejected {
@@ -618,15 +572,20 @@ func (e *Engine) armTail(a *accel.Accelerator, ent *entryState, rk RemoteKind, a
 	if wait > e.Cfg.TCPTimeout {
 		// The response was lost as well; with or without a slot this
 		// is a genuine timeout.
-		e.K.After(w, func() {
-			e.Stats.Timeouts++
-			r.timedOut = true
-			e.notifyCore(ent)
-		})
+		ent.wait = waitLost
+		e.K.After(w, ent.fn)
 		return
 	}
 	r.fellBack = true
-	e.K.After(w, func() { e.cpuFallback(ent, 0) })
+	ent.wait = waitSoftware
+	e.K.After(w, ent.fn)
+}
+
+// timedOut records a genuine TCP timeout and ends the trace.
+func (e *Engine) timedOut(ent *entryState) {
+	e.Stats.Timeouts++
+	ent.chain.req.timedOut = true
+	e.notifyCore(ent)
 }
 
 // remoteWait draws the time until the remote side's response arrives.
@@ -652,34 +611,15 @@ func (e *Engine) remoteWait(rk RemoteKind) sim.Time {
 	return w
 }
 
-// notifyDone is a pooled "charge Comm, then notify the core"
-// continuation for the end-of-trace results DMA.
-type notifyDone struct {
-	eng  *Engine
-	ent  *entryState
-	t0   sim.Time
-	next *notifyDone
-	fn   func()
-}
-
-func (n *notifyDone) run() {
-	e := n.eng
-	ent := n.ent
-	t0 := n.t0
-	n.ent = nil
-	n.next = e.freeNotify
-	e.freeNotify = n
-	ent.chain.req.bd.Comm += e.K.Now() - t0
-	e.notifyCore(ent)
-}
-
 // finishTrace handles OpEnd: results DMA to memory, user-level
 // notification to the initiating core, chain accounting. Under
 // mediator policies the manager is interrupted first and forwards the
 // completion to the CPU.
 func (e *Engine) finishTrace(a *accel.Accelerator, ent *entryState) {
 	if !e.Pol.ATMChaining {
-		e.mediate(ent, func() { e.finishFin(a, ent) })
+		ent.a = a
+		ent.plan(doFinish, false, 0, 0)
+		e.mediate(ent)
 		return
 	}
 	e.finishFin(a, ent)
@@ -687,32 +627,20 @@ func (e *Engine) finishTrace(a *accel.Accelerator, ent *entryState) {
 
 func (e *Engine) finishFin(a *accel.Accelerator, ent *entryState) {
 	a.Stats.Notifies++
-	n := e.freeNotify
-	if n == nil {
-		n = &notifyDone{eng: e}
-		n.fn = n.run
-	} else {
-		e.freeNotify = n.next
-	}
-	n.ent = ent
-	n.t0 = e.K.Now()
-	e.DMA.Transfer(a.Node, e.Place.MemNode(), ent.DataBytes, 0, ent.sp, n.fn)
+	e.transfer(ent, a.Node, e.Place.MemNode(), 0, doNotify, false)
 }
 
 // notifyCore delivers the user-level completion notification (§IV-A:
 // not an interrupt; the core polls or MWAITs) and completes the chain.
 func (e *Engine) notifyCore(ent *entryState) {
-	r := ent.chain.req
 	d := e.Cfg.NotifyLatency() + e.Cfg.PollPickupDelay
 	if e.Pol.Ideal {
 		d = 0
 	}
-	r.bd.Comm += d
+	ent.chain.req.bd.Comm += d
 	ent.sp.Seg(obs.SegNotify, "core", e.K.Now(), e.K.Now()+d)
-	e.K.After(d, func() {
-		ent.sp.End()
-		ent.chain.childDone(e)
-	})
+	ent.wait = waitNotify
+	e.K.After(d, ent.fn)
 }
 
 // dteTime is the Data Transform Engine's cost: a simplified (De)Ser

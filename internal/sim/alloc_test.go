@@ -60,27 +60,45 @@ func TestKernelAllocsPerEventDeepQueue(t *testing.T) {
 	}
 }
 
-// TestResourceAllocsPerTask pins the uncontended Resource.Do fast
-// path: no Task allocation, no queue round trip, and a pooled
-// completion record, so a serial chain of holds is ~allocation-free.
+// TestResourceAllocsPerTask pins Resource.Do's allocation budget on
+// both paths. Uncontended, Do skips the Task and the queue round trip
+// and pools the completion record. Contended — one server with a
+// standing queue of depth tasks behind it, each completion queueing
+// the next — the queued Tasks come from the resource's free list. Once
+// the pools have warmed up, either loop is ~allocation-free.
 func TestResourceAllocsPerTask(t *testing.T) {
 	const tasks = 2000
-	avg := testing.AllocsPerRun(5, func() {
-		k := NewKernel()
-		r := NewResource(k, "pe", 1, FIFO)
-		left := tasks
-		var next func()
-		next = func() {
-			left--
-			if left > 0 {
-				r.Do(Nanosecond, next)
+	for _, tc := range []struct {
+		name  string
+		depth int
+	}{
+		{"uncontended", 0},
+		{"contended", 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			avg := testing.AllocsPerRun(5, func() {
+				k := NewKernel()
+				r := NewResource(k, "pe", 1, FIFO)
+				left := tasks
+				var next func()
+				next = func() {
+					left--
+					if left > tc.depth {
+						r.Do(Nanosecond, next)
+					}
+				}
+				for i := 0; i <= tc.depth; i++ {
+					r.Do(Nanosecond, next)
+				}
+				if r.QueueLen() != tc.depth {
+					t.Fatalf("queue holds %d tasks, want %d", r.QueueLen(), tc.depth)
+				}
+				k.Run()
+			})
+			if perTask := avg / tasks; perTask > 0.05 {
+				t.Errorf("%s Do allocates %.3f allocs/task (%.0f per %d-task run), budget 0.05",
+					tc.name, perTask, avg, tasks)
 			}
-		}
-		r.Do(Nanosecond, next)
-		k.Run()
-	})
-	if perTask := avg / tasks; perTask > 0.05 {
-		t.Errorf("uncontended Do allocates %.3f allocs/task (%.0f per %d-task run), budget 0.05",
-			perTask, avg, tasks)
+		})
 	}
 }

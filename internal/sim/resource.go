@@ -27,6 +27,10 @@ type Task struct {
 
 	enq Time
 	seq uint64
+	// pooled marks a Task that Do took from the resource's free list;
+	// it returns there once admitted. next links the free list.
+	pooled bool
+	next   *Task
 }
 
 // taskHeap is a concrete binary min-heap of queued tasks — no
@@ -142,6 +146,8 @@ type Resource struct {
 	// freeComp is a free list of recycled completion nodes, so admitting
 	// a task does not allocate a fresh closure for its completion event.
 	freeComp *compNode
+	// freeTask recycles the Tasks that Do queues behind busy servers.
+	freeTask *Task
 }
 
 // compNode is a pooled task completion: the kernel event that ends a
@@ -270,6 +276,9 @@ func (r *Resource) Submit(t *Task) {
 // completion is scheduled from the same program point, so kernel event
 // order and every statistic except MaxQueue (which no longer counts
 // the instantaneously-popped task) are bit-identical to the slow path.
+// A task that has to queue comes from the resource's free list and
+// returns to it when admitted, so the busy path allocates nothing
+// either once the list has warmed up.
 func (r *Resource) Do(hold Time, done func()) {
 	if r.busy < r.Servers && len(r.q.tasks) == 0 {
 		r.advance()
@@ -279,7 +288,15 @@ func (r *Resource) Do(hold Time, done func()) {
 		r.complete(done, hold)
 		return
 	}
-	r.Submit(&Task{Hold: hold, Done: done})
+	t := r.freeTask
+	if t == nil {
+		t = &Task{pooled: true}
+	} else {
+		r.freeTask = t.next
+		t.next = nil
+	}
+	t.Hold, t.Done = hold, done
+	r.Submit(t)
 }
 
 // QueueLen reports the number of tasks waiting (not in service).
@@ -303,7 +320,13 @@ func (r *Resource) tryStart() {
 			t.Started()
 		}
 		r.BusyTime += t.Hold
-		r.complete(t.Done, t.Hold)
+		done, hold := t.Done, t.Hold
+		if t.pooled {
+			t.Done = nil
+			t.next = r.freeTask
+			r.freeTask = t
+		}
+		r.complete(done, hold)
 	}
 }
 

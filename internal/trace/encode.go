@@ -173,10 +173,15 @@ func (p *Program) Encode(syms SymbolTable) ([]byte, error) {
 
 // Decode reconstructs a Program from its binary form. nibbles is the
 // exact nibble count (the byte form cannot distinguish a trailing
-// padding nibble from an instruction).
+// padding nibble from an instruction). It accepts only what Encode can
+// produce from a valid program: at most 16 nibbles, real branch
+// conditions, in-range targets, and a final End.
 func Decode(name string, data []byte, nibbles int, syms SymbolTable) (*Program, error) {
 	if nibbles > 2*len(data) || nibbles < 0 {
 		return nil, fmt.Errorf("trace: nibble count %d exceeds data length %d bytes", nibbles, len(data))
+	}
+	if nibbles > MaxNibbles {
+		return nil, fmt.Errorf("trace %q: %d nibbles exceed the %d-byte limit", name, nibbles, MaxTraceBytes)
 	}
 	nib := func(i int) uint8 {
 		b := data[i/2]
@@ -213,8 +218,12 @@ func Decode(name string, data []byte, nibbles int, syms SymbolTable) (*Program, 
 			if i+2 >= nibbles {
 				return nil, fmt.Errorf("trace %q: truncated branch at nibble %d", name, i)
 			}
+			cond := Cond(nib(i + 1))
+			if cond == CondNone || cond >= numConds {
+				return nil, fmt.Errorf("trace %q: invalid branch condition %d at nibble %d", name, cond, i+1)
+			}
 			p.Instrs = append(p.Instrs, Instr{
-				Kind: OpBranch, Cond: Cond(nib(i + 1)),
+				Kind: OpBranch, Cond: cond,
 				TrueTarget: len(p.Instrs) + 1, FalseTarget: int(nib(i + 2)),
 			})
 			i += 3
@@ -239,6 +248,9 @@ func Decode(name string, data []byte, nibbles int, syms SymbolTable) (*Program, 
 	}
 	if len(p.Instrs) == 0 {
 		return nil, fmt.Errorf("trace %q: empty encoding", name)
+	}
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

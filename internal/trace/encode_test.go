@@ -7,7 +7,7 @@ import (
 	"accelflow/internal/config"
 )
 
-func syms(t *testing.T, names ...string) *MapSymbols {
+func syms(t testing.TB, names ...string) *MapSymbols {
 	t.Helper()
 	m := NewMapSymbols()
 	for _, n := range names {
@@ -205,6 +205,13 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad-atm", []byte{0xB0, 0x50}, 3},
 		{"empty", []byte{}, 0},
 		{"overlong", []byte{0x00}, 5},
+		{"past-16-nibbles", make([]byte, 9), 17},
+		// A jump to instruction 15 of a 2-instruction program.
+		{"jump-out-of-range", []byte{0xDF, 0xF0}, 3},
+		// A branch on undefined condition 14, with no End.
+		{"undefined-condition", []byte{0x9E, 0xF0}, 3},
+		{"branch-on-none", []byte{0x90, 0x2F}, 4},
+		{"no-end", []byte{0x12}, 2},
 	}
 	for _, c := range cases {
 		if _, err := Decode(c.name, c.data, c.nibs, m); err == nil {
@@ -288,4 +295,93 @@ func TestPropertyLinearRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecodeRoundTrip checks that Decode accepts only runnable programs
+// Encode reproduces: whenever it accepts (data, nibbles), every branch
+// stays in range, the program ends in End, and it re-encodes to the
+// same first nibbles nibbles and decodes back to the same
+// instructions. Run it with
+//
+//	go test -run '^$' -fuzz FuzzDecodeRoundTrip -fuzztime 15s ./internal/trace
+func FuzzDecodeRoundTrip(f *testing.F) {
+	// The ATM names the round-trip tests use, then enough others that
+	// both known and unknown addresses occur.
+	m := syms(f, "t6", "wb", "p#1", "p#2")
+	for i := 0; i < 28; i++ {
+		if _, err := m.Register(string(rune('a' + i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seeds := []*Program{
+		New("lin").Seq(config.Ser, config.RPC, config.Encr, config.TCP).MustBuild(),
+		New("t5").
+			Seq(config.TCP, config.Decr, config.Dser).
+			Branch(CondHit,
+				Sub().Seq(config.LdB),
+				Sub().Seq(config.Ser, config.Encr, config.TCP).Tail("t6")).
+			MustBuild(),
+		New("f").Seq(config.Dcmp).Fork("wb").Seq(config.LdB).MustBuild(),
+		New("tr").Seq(config.Dser).Trans(FmtJSON, FmtString).Seq(config.Dcmp).MustBuild(),
+		New("func_req").
+			Seq(config.TCP, config.Decr, config.RPC, config.Dser).
+			Branch(CondCompressed,
+				Sub().Trans(FmtJSON, FmtString).Seq(config.Dcmp),
+				nil).
+			Seq(config.LdB).
+			MustBuild(),
+	}
+	for _, p := range seeds {
+		data, err := p.Encode(m)
+		if err != nil {
+			f.Fatalf("seed %q: %v", p.Name, err)
+		}
+		f.Add(data, p.EncodedNibbles())
+	}
+	f.Fuzz(func(t *testing.T, data []byte, nibbles int) {
+		p, err := Decode("fz", data, nibbles, m)
+		if err != nil {
+			return
+		}
+		// Every branch target of every flag set stays inside the
+		// program, and the Position Mark ends on the End sentinel.
+		for pc, in := range p.Instrs {
+			for fl := Flags(0); fl < 32; fl++ {
+				if in.Kind == OpBranch {
+					if n := p.Next(pc, fl); n >= len(p.Instrs) {
+						t.Fatalf("branch at %d jumps to %d of %d instructions", pc, n, len(p.Instrs))
+					}
+				}
+			}
+		}
+		if last := p.Instrs[len(p.Instrs)-1]; last.Kind != OpEnd {
+			t.Fatalf("decoded program ends in op %d, not End", last.Kind)
+		}
+		enc, err := p.Encode(m)
+		if err != nil {
+			t.Fatalf("decoded program does not encode: %v\n%s", err, p)
+		}
+		if got := p.EncodedNibbles(); got != nibbles {
+			t.Fatalf("re-encoding is %d nibbles, decoded from %d", got, nibbles)
+		}
+		for i := 0; i < nibbles; i++ {
+			if nibbleAt(enc, i) != nibbleAt(data, i) {
+				t.Fatalf("nibble %d re-encodes as 0x%X, was 0x%X", i, nibbleAt(enc, i), nibbleAt(data, i))
+			}
+		}
+		q, err := Decode("fz", enc, nibbles, m)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if !samePrograms(p, q) {
+			t.Fatalf("round trip mismatch:\n%s\n%s", p, q)
+		}
+	})
+}
+
+func nibbleAt(data []byte, i int) uint8 {
+	if i%2 == 0 {
+		return data[i/2] >> 4
+	}
+	return data[i/2] & 0xF
 }

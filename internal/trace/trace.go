@@ -339,12 +339,11 @@ func (p *Program) validate() error {
 	for i, in := range p.Instrs {
 		switch in.Kind {
 		case OpBranch:
-			if in.TrueTarget < 0 || in.TrueTarget > len(p.Instrs) ||
-				in.FalseTarget < 0 || in.FalseTarget > len(p.Instrs) {
+			if in.TrueTarget < 0 || in.TrueTarget >= len(p.Instrs) ||
+				in.FalseTarget < 0 || in.FalseTarget >= len(p.Instrs) {
 				return fmt.Errorf("trace %q: branch at %d has out-of-range target", p.Name, i)
 			}
 		}
-		_ = i
 	}
 	if p.Instrs[len(p.Instrs)-1].Kind != OpEnd {
 		return fmt.Errorf("trace %q: does not end with OpEnd sentinel", p.Name)
