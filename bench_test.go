@@ -202,6 +202,19 @@ const (
 	benchFleetReplicas = 8
 )
 
+// benchFleetSpec builds the FleetSpec for one fleet benchmark
+// iteration; like benchRunSpec, it assembles only the per-run state.
+func benchFleetSpec(svcs []*services.Service, cfg *config.Config, pol engine.Policy, workers int) *workload.FleetSpec {
+	return &workload.FleetSpec{
+		Config:   cfg,
+		Policy:   pol,
+		Sources:  workload.Mix(svcs, benchFleetReplicas, benchFleetRequests),
+		Seed:     1,
+		Replicas: benchFleetReplicas,
+		Workers:  workers,
+	}
+}
+
 // benchRunSharded measures the sharded kernel's real parallelism: an
 // 8-replica fleet (workload.FleetSpec) executed at 1/2/4/8 workers.
 // Results are byte-identical at every worker count — the determinism
@@ -220,15 +233,7 @@ func benchRunSharded(b *testing.B, workers int) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := &workload.FleetSpec{
-			Config:   cfg,
-			Policy:   pol,
-			Sources:  workload.Mix(svcs, benchFleetReplicas, benchFleetRequests),
-			Seed:     1,
-			Replicas: benchFleetReplicas,
-			Workers:  workers,
-		}
-		res, err := spec.Run()
+		res, err := benchFleetSpec(svcs, cfg, pol, workers).Run()
 		if err != nil {
 			b.Fatal(err)
 		}

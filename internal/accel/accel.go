@@ -125,8 +125,10 @@ type Accelerator struct {
 	sampleCnt   int
 
 	// freePE recycles peTask records so each PE invocation reuses one
-	// pooled struct instead of allocating a Task and two closures.
-	freePE *peTask
+	// pooled struct instead of allocating a Task and two closures;
+	// freeArm does the same for armed response slots.
+	freePE  *peTask
+	freeArm *armTask
 }
 
 // peTask is one pooled PE invocation: the submitted Task plus the
@@ -278,27 +280,57 @@ func (a *Accelerator) Arm(e *Entry, wait sim.Time, onTimeout func()) ArmResult {
 		return ArmRejected
 	}
 	a.armed++
-	if wait > a.cfg.TCPTimeout {
-		a.k.After(a.cfg.TCPTimeout, func() {
-			a.armed--
-			a.Stats.ArmedTimeouts++
-			// The released slot must pull waiting overflow entries in:
-			// an armed slot expiring is the only queue departure that
-			// does not pass through a PE start, so without this drain a
-			// parked entry could wait forever.
-			a.drainOverflow()
-			if onTimeout != nil {
-				onTimeout()
-			}
-		})
-		return ArmOK
+	p := a.freeArm
+	if p == nil {
+		p = &armTask{a: a}
+		p.fn = p.fire
+	} else {
+		a.freeArm = p.next
+		p.next = nil
 	}
-	a.k.After(wait, func() {
-		a.armed--
+	p.e, p.onTimeout = e, onTimeout
+	p.timeout = wait > a.cfg.TCPTimeout
+	if p.timeout {
+		wait = a.cfg.TCPTimeout
+	}
+	a.k.After(wait, p.fn)
+	return ArmOK
+}
+
+// armTask is one pooled armed slot: the entry its response triggers,
+// or, when the response is lost, the callback its TCP timeout runs.
+// fn (fire, bound once) runs when the slot's wait ends.
+type armTask struct {
+	a         *Accelerator
+	e         *Entry
+	onTimeout func()
+	timeout   bool
+	next      *armTask
+	fn        func()
+}
+
+// fire releases the armed slot. Like peTask.done it recycles the
+// record before anything it calls can arm again.
+func (p *armTask) fire() {
+	a, e, onTimeout, timeout := p.a, p.e, p.onTimeout, p.timeout
+	p.e, p.onTimeout = nil, nil
+	p.next = a.freeArm
+	a.freeArm = p
+	a.armed--
+	if !timeout {
 		a.inCount++
 		a.start(e)
-	})
-	return ArmOK
+		return
+	}
+	a.Stats.ArmedTimeouts++
+	// The released slot must pull waiting overflow entries in: an
+	// armed slot expiring is the only queue departure that does not
+	// pass through a PE start, so without this drain a parked entry
+	// could wait forever.
+	a.drainOverflow()
+	if onTimeout != nil {
+		onTimeout()
+	}
 }
 
 // start runs the input-dispatcher path for an admitted entry: TLB

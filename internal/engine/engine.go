@@ -67,12 +67,14 @@ type Engine struct {
 	// RELIEF single shared queue per dispatch.
 	centralQDispatchCost sim.Time
 
-	// Free lists recycling the engine's pooled records: entries, which
-	// also carry their pending continuation (exec.go), and CPU trace
-	// segments (nonacc.go). An engine is single-threaded like its
-	// kernel, so plain linked lists suffice.
-	freeEnt *entryState
-	freeSeg *cpuSeg
+	// Free lists recycling the engine's pooled records: requests and
+	// entries, which also carry their pending continuation (exec.go),
+	// chains, and CPU trace segments (nonacc.go). An engine is
+	// single-threaded like its kernel, so plain linked lists suffice.
+	freeReq   *request
+	freeEnt   *entryState
+	freeChain *chainState
+	freeSeg   *cpuSeg
 }
 
 // New builds an engine for the given config and policy. Programs must
@@ -161,10 +163,20 @@ func (e *Engine) Register(programs []*trace.Program, remote map[string]RemoteKin
 }
 
 // Submit runs one request; done receives the result when it completes.
+// The engine reads job but never writes it, so callers may share one
+// Job between requests.
 func (e *Engine) Submit(job *Job, done func(Result)) {
 	e.Stats.Requests++
 	e.Check.RequestAdmitted()
-	r := &request{eng: e, job: job, arrived: e.K.Now(), done: done}
+	r := e.freeReq
+	if r == nil {
+		r = &request{eng: e}
+		r.fn = r.resume
+	} else {
+		e.freeReq = r.next
+		r.next = nil
+	}
+	r.job, r.arrived, r.done = job, e.K.Now(), done
 	r.sp = e.Obs.BeginRequest(job.Service)
 	if job.SLO > 0 {
 		r.deadline = e.K.Now() + job.SLO
@@ -172,7 +184,11 @@ func (e *Engine) Submit(job *Job, done func(Result)) {
 	r.runStep(0)
 }
 
-// request tracks one in-flight job.
+// request tracks one in-flight job. It is also the record of the
+// request's pending continuation: a request runs one step at a time,
+// so resume serves both the app step's core hold (through fn, bound
+// once) and the join of the step's chains. Requests recycle through
+// Engine.freeReq once finish has handed their Result to done.
 type request struct {
 	eng      *Engine
 	job      *Job
@@ -185,6 +201,17 @@ type request struct {
 	accels   int
 	fellBack bool
 	timedOut bool
+
+	// step is the index of the running step and ssp its span.
+	// remaining counts a StepParallel's unfinished chains; start and
+	// hold are an app step's core request time and hold.
+	step        int
+	ssp         *obs.Span
+	remaining   int
+	start, hold sim.Time
+
+	next *request
+	fn   func()
 }
 
 func (r *request) runStep(i int) {
@@ -192,57 +219,61 @@ func (r *request) runStep(i int) {
 		r.finish()
 		return
 	}
-	st := r.job.Steps[i]
+	r.step = i
+	st := &r.job.Steps[i]
 	switch st.Kind {
 	case StepApp:
-		hold := r.eng.Cfg.AppCost(st.App)
-		start := r.eng.K.Now()
-		ssp := r.sp.Child(obs.SpanStep, "app")
-		r.eng.Cores.Do(hold, func() {
-			r.bd.CPU += r.eng.K.Now() - start
-			r.bd.App += hold
-			ssp.QueuedSeg(obs.SegCPU, "cores", start, hold)
-			ssp.End()
-			r.runStep(i + 1)
-		})
+		r.hold = r.eng.Cfg.AppCost(st.App)
+		r.start = r.eng.K.Now()
+		r.ssp = r.sp.Child(obs.SpanStep, "app")
+		r.eng.Cores.Do(r.hold, r.fn)
 	case StepChain:
 		// Build the label only when a sink is attached: Child on a nil
 		// span no-ops, but the concat argument would still allocate.
-		var ssp *obs.Span
+		r.ssp = nil
 		if r.sp != nil {
-			ssp = r.sp.Child(obs.SpanStep, "chain:"+st.Trace)
+			r.ssp = r.sp.Child(obs.SpanStep, "chain:"+st.Trace)
 		}
-		r.eng.startChain(r, ssp, st.Trace, r.stepProbs(st), func() {
-			ssp.End()
-			r.runStep(i + 1)
-		})
+		r.eng.startChain(r, st.Trace, r.stepProbs(st))
 	case StepParallel:
 		n := len(st.Par)
 		if n == 0 {
 			r.runStep(i + 1)
 			return
 		}
-		ssp := r.sp.Child(obs.SpanStep, "parallel")
-		remaining := n
+		r.ssp = r.sp.Child(obs.SpanStep, "parallel")
+		r.remaining = n
 		for _, tn := range st.Par {
-			r.eng.startChain(r, ssp, tn, r.stepProbs(st), func() {
-				remaining--
-				if remaining == 0 {
-					ssp.End()
-					r.runStep(i + 1)
-				}
-			})
+			r.eng.startChain(r, tn, r.stepProbs(st))
 		}
 	default:
 		panic(fmt.Sprintf("engine: unknown step kind %d", st.Kind))
 	}
 }
 
+// resume runs when the running step's core hold ends or one of its
+// chains completes, and moves on once the step is over.
+func (r *request) resume() {
+	switch r.job.Steps[r.step].Kind {
+	case StepApp:
+		r.bd.CPU += r.eng.K.Now() - r.start
+		r.bd.App += r.hold
+		r.ssp.QueuedSeg(obs.SegCPU, "cores", r.start, r.hold)
+	case StepParallel:
+		if r.remaining--; r.remaining > 0 {
+			return
+		}
+	}
+	r.ssp.End()
+	r.runStep(r.step + 1)
+}
+
 func (r *request) finish() {
+	e := r.eng
 	r.sp.End()
-	r.eng.Check.RequestDone(r.timedOut, r.fellBack)
+	e.Check.RequestDone(r.timedOut, r.fellBack)
 	res := Result{
-		Latency:   r.eng.K.Now() - r.arrived,
+		Latency:   e.K.Now() - r.arrived,
 		Breakdown: r.bd,
 		Accels:    r.accels,
 		FellBack:  r.fellBack,
@@ -251,20 +282,22 @@ func (r *request) finish() {
 	if r.done != nil {
 		r.done(res)
 	}
+	*r = request{eng: e, fn: r.fn, next: e.freeReq}
+	e.freeReq = r
 }
 
 // stepProbs picks the step's probability override or the job default.
-func (r *request) stepProbs(st Step) FlagProbs {
+func (r *request) stepProbs(st *Step) FlagProbs {
 	if st.Probs != nil {
 		return *st.Probs
 	}
 	return r.job.Probs
 }
 
-// startChain launches one trace chain (following tails and forks) and
-// calls stepDone when the chain — including all its forks — completes.
-// parent is the enclosing step span (nil when unobserved).
-func (e *Engine) startChain(r *request, parent *obs.Span, traceName string, probs FlagProbs, stepDone func()) {
+// startChain launches one trace chain (following tails and forks) of
+// r's running step; the chain resumes r when it — including all its
+// forks — completes.
+func (e *Engine) startChain(r *request, traceName string, probs FlagProbs) {
 	e.Stats.ChainsStarted++
 	prog, ok := e.ATM.Lookup(traceName)
 	if !ok {
@@ -275,8 +308,13 @@ func (e *Engine) startChain(r *request, parent *obs.Span, traceName string, prob
 	if payload < 64 {
 		payload = 64
 	}
-	c := &chainState{req: r, outstanding: 1, done: stepDone}
-	c.sp = parent.Child(obs.SpanChain, traceName)
+	c := e.freeChain
+	if c == nil {
+		c = &chainState{}
+	} else {
+		e.freeChain = c.next
+	}
+	*c = chainState{req: r, outstanding: 1, sp: r.ssp.Child(obs.SpanChain, traceName)}
 
 	// Tenant trace-count limit (§IV-D): at the threshold the trace
 	// cannot be initiated and falls back to the CPU.
@@ -307,29 +345,34 @@ func (e *Engine) startChain(r *request, parent *obs.Span, traceName string, prob
 	e.enqueueFromCore(ent)
 }
 
-// chainState joins a chain's main path and its forks.
+// chainState joins a chain's main path and its forks. Chains recycle
+// through Engine.freeChain once their last path ends.
 type chainState struct {
 	req         *request
 	tenant      int
 	counted     bool
 	outstanding int
-	done        func()
 	sp          *obs.Span
+	next        *chainState
 }
 
 func (c *chainState) fork() { c.outstanding++ }
 
+// childDone ends one of the chain's paths; the last one returns the
+// chain's record to the pool, then resumes its request.
 func (c *chainState) childDone(e *Engine) {
 	c.outstanding--
-	if c.outstanding == 0 {
-		if c.counted {
-			e.tenantActive[c.tenant]--
-		}
-		c.sp.End()
-		if c.done != nil {
-			c.done()
-		}
+	if c.outstanding > 0 {
+		return
 	}
+	if c.counted {
+		e.tenantActive[c.tenant]--
+	}
+	c.sp.End()
+	r := c.req
+	*c = chainState{next: e.freeChain}
+	e.freeChain = c
+	r.resume()
 }
 
 // entryState wraps an accel.Entry with its chain bookkeeping. It is

@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"accelflow/internal/sim"
@@ -32,6 +33,10 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder(name string) *Recorder { return &Recorder{Name: name} }
 
+// Grow makes room for n more samples, so that a caller that knows how
+// many it will add pays for one allocation instead of repeated growth.
+func (r *Recorder) Grow(n int) { r.samples = slices.Grow(r.samples, n) }
+
 // Add records one sample.
 func (r *Recorder) Add(t sim.Time) {
 	r.samples = append(r.samples, t)
@@ -57,7 +62,7 @@ func (r *Recorder) Percentile(p float64) sim.Time {
 		return 0
 	}
 	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+		slices.Sort(r.samples)
 		r.sorted = true
 	}
 	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))
@@ -91,7 +96,7 @@ func (r *Recorder) Below(t sim.Time) int {
 		return 0
 	}
 	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+		slices.Sort(r.samples)
 		r.sorted = true
 	}
 	return sort.Search(len(r.samples), func(i int) bool { return r.samples[i] > t })

@@ -118,6 +118,7 @@ func TestValidateNamesFields(t *testing.T) {
 		{JobRequest{Type: JobTune, Patience: -1}, "generations patience"},
 		{JobRequest{Type: JobTune, LoadScale: math.NaN()}, "loadScale"},
 		{JobRequest{Type: JobTune, Space: &tune.SpaceSpec{Chiplets: []int{5}}}, "space"},
+		{JobRequest{Type: JobTune, Space: &tune.SpaceSpec{PEMix: map[string][]int{"TCP": {}}}}, "space"},
 	} {
 		err := tc.req.Validate()
 		var fe interface{ Fields() []string }

@@ -130,6 +130,11 @@ func (s SpaceSpec) Build() (*Space, error) {
 		if !ok {
 			continue
 		}
+		if len(counts) == 0 {
+			// A zero-level dimension would leave no candidate to start
+			// the search from.
+			return nil, fmt.Errorf("tune: peMix[%s] lists no levels", kind)
+		}
 		kind := kind
 		levels := make([]string, len(counts))
 		own := append([]int(nil), counts...)

@@ -29,6 +29,7 @@ func TestSpaceBuildRejectsBadSpecs(t *testing.T) {
 		{"bad policy", SpaceSpec{Policies: []string{"fifo"}}, "unknown policy"},
 		{"bad kind", SpaceSpec{PEMix: map[string][]int{"Nope": {4}}}, "accelerator kind"},
 		{"zero mix", SpaceSpec{PEMix: map[string][]int{"TCP": {0}}}, "peMix"},
+		{"empty mix", SpaceSpec{PEMix: map[string][]int{"TCP": {}}}, "peMix[TCP] lists no levels"},
 		{"zero queue", SpaceSpec{QueueDepths: []int{0}}, "queue depth"},
 		{"zero timeout", SpaceSpec{TCPTimeoutUs: []float64{0}}, "tcp timeout"},
 	}

@@ -94,6 +94,28 @@ func TestControlledRunEngagesEveryPolicy(t *testing.T) {
 	}
 }
 
+// TestControlledRunPinnedOutput pins literal results of controlledSpec,
+// the run that recycles the most request records: shed arrivals that
+// never submit, timed-out requests re-submitted under the retry budget,
+// and lost responses from the fault injector. The wanted values are the
+// simulator's output for this spec; regenerate them only for an
+// intended model change.
+func TestControlledRunPinnedOutput(t *testing.T) {
+	res, err := controlledSpec().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pin struct {
+		completed, timedOut, fellBack, retries, shed uint64
+		p99                                          sim.Time
+	}
+	got := pin{res.Completed, res.TimedOut, res.FellBack, res.Retries, res.Shed, res.All.P99()}
+	want := pin{completed: 130, timedOut: 10, fellBack: 127, retries: 8, shed: 178, p99: 10150474596}
+	if got != want {
+		t.Errorf("controlled run = %+v, want %+v", got, want)
+	}
+}
+
 // TestControlledFleetShardInvariance: a fleet with the replicas
 // autoscaler and ingress shedding is byte-identical at any worker
 // count, controller counters included.

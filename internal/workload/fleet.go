@@ -160,15 +160,16 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 			ctl.AttachActive(s.Replicas, lb.setActive)
 		}
 	}
+	// Sized, and so created, before the run: arrival events on the
+	// ingress domain read the replicas' maps, so no domain may write
+	// them later.
+	for _, rr := range out.Replicas {
+		rr.size(s.Sources, s.Replicas)
+	}
 	rng := sim.NewRNG(s.Seed ^ 0x5eed)
 	total := 0
 	for si, src := range s.Sources {
 		total += src.Requests
-		// Created before the run: arrival events on the ingress domain
-		// read the replicas' maps, so no domain may write them later.
-		for _, rr := range out.Replicas {
-			rr.service(src.Service.Name)
-		}
 		scheduleFleetSource(sk, src, rng.Fork(int64(si)+1), lb, ctl, out, forward)
 	}
 	if ctl != nil && ctl.NeedsTick() {
@@ -205,6 +206,7 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	// Merge in replica-index order — the only order-sensitive step of
 	// result assembly, fixed independent of worker scheduling.
 	merged := newResult(s.Policy.Name)
+	merged.size(s.Sources, 1)
 	merged.Elapsed = sk.Now()
 	for _, rr := range out.Replicas {
 		merged.merge(rr)
@@ -239,12 +241,38 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 // the modeled one-way latency; the completion callback runs on the
 // replica's domain and owns that replica's recorders (domain
 // confinement keeps the merge deterministic and the run race-free).
+// The source's job and, per replica, its forward and completion
+// callbacks are built once.
 func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer, ctl *control.Controller, out *FleetResult, forward sim.Time) {
 	ing := sk.Domain(0)
 	// Completion notices flow back whenever anything at the ingress
 	// consumes them: the least-outstanding balancer's load view, or the
 	// controller's outstanding count and latency window.
 	notify := lb.tracksLoad() || ctl != nil
+	job := src.Service.Job(src.Tenant)
+	submit := make([]func(), len(out.Replicas))
+	for ri, rr := range out.Replicas {
+		rec := rr.PerService[src.Service.Name]
+		repK := sk.Domain(1 + ri)
+		done := func(r engine.Result) {
+			rr.count(r)
+			rr.record(rec, r)
+			if notify {
+				// Completion notice travels back to the ingress
+				// over the same forwarding latency.
+				lat := r.Latency
+				repK.Send(0, repK.Now()+forward, func() {
+					if lb.tracksLoad() {
+						lb.done(ri)
+					}
+					if ctl != nil {
+						ctl.NoteDone(ing.Now(), lat)
+					}
+				})
+			}
+		}
+		submit[ri] = func() { rr.Engine.Submit(job, done) }
+	}
 	bookArrivals(ing, drawArrivals(src, rng), func() {
 		if ctl != nil && ctl.Shed() {
 			out.Shed++
@@ -255,29 +283,7 @@ func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, lb *balancer
 		if ctl != nil {
 			ctl.NoteSubmit()
 		}
-		job := src.Service.Job(src.Tenant)
-		rr := out.Replicas[ri]
-		rec := rr.PerService[src.Service.Name]
-		repK := sk.Domain(1 + ri)
-		ing.Send(1+ri, ing.Now()+forward, func() {
-			rr.Engine.Submit(job, func(r engine.Result) {
-				rr.count(r)
-				rr.record(rec, r)
-				if notify {
-					// Completion notice travels back to the ingress
-					// over the same forwarding latency.
-					lat := r.Latency
-					repK.Send(0, repK.Now()+forward, func() {
-						if lb.tracksLoad() {
-							lb.done(ri)
-						}
-						if ctl != nil {
-							ctl.NoteDone(ing.Now(), lat)
-						}
-					})
-				}
-			})
-		})
+		ing.Send(1+ri, ing.Now()+forward, submit[ri])
 	})
 }
 

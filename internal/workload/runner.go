@@ -138,12 +138,10 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		}
 	}
 
+	res.size(s.Sources, 1)
 	rng := sim.NewRNG(s.Seed ^ 0x5eed)
-	// One allocation for every source's stream, not one each.
-	streams := make([]stream, len(s.Sources))
 	for si, src := range s.Sources {
-		streams[si] = stream{res: res, rec: res.service(src.Service.Name), ctl: ctl, src: src}
-		streams[si].schedule(rng.Fork(int64(si) + 1))
+		newStream(res, ctl, src).schedule(rng.Fork(int64(si) + 1))
 	}
 	if ctl != nil && ctl.NeedsTick() {
 		// The decision tick arms like the obs sampler (below): after
@@ -194,16 +192,20 @@ func checkInputs(sources []Source, ctl *control.Spec) error {
 	return nil
 }
 
-// defaultRemote is the SocialNetwork tail classification, built once:
-// Register copies it into each engine and Hash only reads it, so every
-// run can share it.
-var defaultRemote = services.RemoteTails()
+// defaultPrograms and defaultRemote are the SocialNetwork catalog and
+// its tail classification, built once: programs are read-only after
+// Build, Register copies the classification into each engine, and Hash
+// only reads it, so every run can share them.
+var (
+	defaultPrograms = services.Catalog()
+	defaultRemote   = services.RemoteTails()
+)
 
 // catalog applies the service-catalog default: nil programs or remote
 // kinds mean the SocialNetwork catalog.
 func catalog(programs []*trace.Program, remote map[string]engine.RemoteKind) ([]*trace.Program, map[string]engine.RemoteKind) {
 	if programs == nil {
-		programs = services.Catalog()
+		programs = defaultPrograms
 	}
 	if remote == nil {
 		remote = defaultRemote
@@ -244,6 +246,24 @@ func (res *RunResult) service(name string) *metrics.Recorder {
 		res.PerService[name] = rec
 	}
 	return rec
+}
+
+// size makes room in the empty recorders for a 1/replicas share of
+// the sources' budgets: each request records at most once, on one
+// server.
+func (res *RunResult) size(sources []Source, replicas int) {
+	per := make(map[string]int, len(sources))
+	total := 0
+	for _, src := range sources {
+		n := (src.Requests + replicas - 1) / replicas
+		per[src.Service.Name] += n
+		total += n
+	}
+	for name, n := range per {
+		res.service(name).Grow(n)
+	}
+	res.All.Grow(total)
+	res.Net.Grow(total)
 }
 
 // count records one engine completion. Every completion counts,
@@ -364,13 +384,23 @@ func sampler(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) func() {
 }
 
 // stream is one source running on a single server: what an arrival
-// and each of its attempts need, held once per source so that the
-// per-request closures capture a single pointer.
+// and each of its attempts need, held once per source. job is the
+// source's request, which the engine only reads, and done the
+// completion callback of a first attempt, both built once.
 type stream struct {
-	res *RunResult
-	rec *metrics.Recorder
-	ctl *control.Controller
-	src Source
+	res  *RunResult
+	rec  *metrics.Recorder
+	ctl  *control.Controller
+	src  Source
+	job  *engine.Job
+	done func(engine.Result)
+}
+
+func newStream(res *RunResult, ctl *control.Controller, src Source) *stream {
+	st := &stream{res: res, rec: res.service(src.Service.Name), ctl: ctl, src: src,
+		job: src.Service.Job(src.Tenant)}
+	st.done = func(r engine.Result) { st.complete(r, 1) }
+	return st
 }
 
 // schedule books the source's arrivals. With a controller attached,
@@ -424,27 +454,36 @@ func bookArrivals(k *sim.Kernel, times []sim.Time, fire func()) {
 	k.AtSeq(times[0], seq, arrive)
 }
 
-// submit hands one attempt of a request to the engine.
+// submit hands one attempt of a request to the engine. A retry, which
+// only a controller grants, carries its attempt number in a closure of
+// its own; every first attempt shares the stream's callback.
 func (st *stream) submit(attempt int) {
-	e := st.res.Engine
-	job := st.src.Service.Job(st.src.Tenant)
 	if st.ctl != nil {
 		st.ctl.NoteSubmit()
 	}
-	e.Submit(job, func(r engine.Result) {
-		st.res.count(r)
-		if st.ctl != nil {
-			st.ctl.NoteDone(e.K.Now(), r.Latency)
-			if r.TimedOut {
-				if backoff, ok := st.ctl.RetryAfter(st.src.Tenant, attempt); ok {
-					st.res.Retries++
-					e.K.After(backoff, func() { st.submit(attempt + 1) })
-					return
-				}
+	done := st.done
+	if attempt > 1 {
+		done = func(r engine.Result) { st.complete(r, attempt) }
+	}
+	st.res.Engine.Submit(st.job, done)
+}
+
+// complete accounts for one attempt's completion and, when the
+// controller grants it, re-submits a timed-out request.
+func (st *stream) complete(r engine.Result, attempt int) {
+	st.res.count(r)
+	if st.ctl != nil {
+		e := st.res.Engine
+		st.ctl.NoteDone(e.K.Now(), r.Latency)
+		if r.TimedOut {
+			if backoff, ok := st.ctl.RetryAfter(st.src.Tenant, attempt); ok {
+				st.res.Retries++
+				e.K.After(backoff, func() { st.submit(attempt + 1) })
+				return
 			}
 		}
-		st.res.record(st.rec, r)
-	})
+	}
+	st.res.record(st.rec, r)
 }
 
 func addBreakdown(dst *engine.Breakdown, b engine.Breakdown) {
