@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -32,4 +33,23 @@ func (s *Sink) WriteArtifact(a Artifact, w io.Writer) error {
 		return s.WriteReport(w)
 	}
 	return fmt.Errorf("obs: unknown artifact %q", a)
+}
+
+// RenderArtifact returns the named export as WriteArtifact writes it,
+// for callers that keep the bytes. It grows no buffer by doubling and
+// copies the bytes at most once: the trace encodes into chunks that
+// are joined into a slice of its exact size, and the report is copied
+// from the JSON encoder's single write.
+func (s *Sink) RenderArtifact(a Artifact) ([]byte, error) {
+	switch a {
+	case ArtifactTrace:
+		return s.renderChromeTrace()
+	case ArtifactReport:
+		var buf bytes.Buffer
+		if err := s.WriteReport(&buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
+	return nil, fmt.Errorf("obs: unknown artifact %q", a)
 }

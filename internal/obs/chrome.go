@@ -4,22 +4,23 @@
 // event pairs, segments become "X" complete events, and utilization
 // series become "C" counter events.
 //
-// The encoder is hand-written. It sorts compact references into the
-// sink's span and segment slabs, then appends each event's JSON to one
-// reused buffer with strconv, so an export makes two allocations (the
-// records and the buffer) however many events it writes. Its contract is byte
-// equality with the encoding/json writer it replaced (a json.Encoder
-// with SetEscapeHTML(false) over a struct whose args were a
-// map[string]any); chrome_ref_test.go keeps that writer as the
+// The encoder is hand-written. It radix-sorts compact references into
+// the sink's span and segment slabs by time, escapes each interned name
+// once, then appends each event's JSON to one reused buffer, writing
+// times straight from integer picoseconds. An export makes a fixed
+// handful of allocations however many events it writes. Its contract
+// is byte equality with the encoding/json writer it replaced (a
+// json.Encoder with SetEscapeHTML(false) over a struct whose args were
+// a map[string]any); chrome_ref_test.go keeps that writer as the
 // reference the differential tests compare against.
 package obs
 
 import (
-	"cmp"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
-	"slices"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -37,80 +38,160 @@ const (
 // trace-event format expects.
 func usec(t sim.Time) float64 { return float64(t) / 1e6 }
 
-// Within one timestamp, span ends sort before span begins, and begins
-// before segments.
-const (
-	rankEnd uint8 = iota
-	rankBegin
-	rankSeg
-)
-
 // traceRec is one span or segment event awaiting the timestamp sort: a
-// reference into the sink's slabs, not a copy of the event.
+// reference into the sink's slabs, not a copy of the event. seg is a
+// segment slab index, or recBegin or recEnd for the span's own events.
 type traceRec struct {
 	ts   sim.Time
 	span int32
-	seg  int32 // segment slab index (rankSeg only)
-	seq  int32 // position of the segment within its span (rankSeg only)
-	rank uint8
+	seg  int32
+	seq  int32 // position of the segment within its span
 }
 
-// cmpTraceRec orders events by time, then rank. Same-timestamp begins
-// open outermost-first (parent ids are smaller), same-timestamp ends
-// close innermost-first, and one span's segments keep their recorded
-// order. The key is unique, so an unstable sort yields one fixed order.
-func cmpTraceRec(a, b traceRec) int {
-	if a.ts != b.ts {
-		return cmp.Compare(a.ts, b.ts)
-	}
-	if a.rank != b.rank {
-		return cmp.Compare(a.rank, b.rank)
-	}
-	if a.span != b.span {
-		if a.rank == rankEnd {
-			return cmp.Compare(b.span, a.span)
-		}
-		return cmp.Compare(a.span, b.span)
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
+const (
+	recEnd   = -2
+	recBegin = -1
+)
 
 // traceRecs lists every span begin, span end, and segment in export
+// order: by time; within one time, span ends innermost-first (larger
+// ids), then begins outermost-first (parents precede their children),
+// then segments by span and recorded order. It lays the records out in
+// that tie order, so a stable sort by time alone yields the export
 // order. Unended spans end at their start, as in Spans.
 func (s *Sink) traceRecs() []traceRec {
-	recs := make([]traceRec, 0, 2*len(s.spans)+len(s.segs))
-	for i := range s.spans {
-		r := &s.spans[i]
-		end := r.end
-		if !r.ended {
-			end = r.start
-		}
-		recs = append(recs,
-			traceRec{ts: r.start, span: r.id, rank: rankBegin},
-			traceRec{ts: end, span: r.id, rank: rankEnd})
+	recs := make([]traceRec, 0, 2*int(s.nspans)+int(s.nsegs))
+	for id := s.nspans - 1; id >= 0; id-- {
+		recs = append(recs, traceRec{ts: s.span(id).endOrStart(), span: id, seg: recEnd})
+	}
+	for id := int32(0); id < s.nspans; id++ {
+		recs = append(recs, traceRec{ts: s.span(id).start, span: id, seg: recBegin})
+	}
+	for id := int32(0); id < s.nspans; id++ {
 		var seq int32
-		for j := r.segHead; j >= 0; j = s.segs[j].next {
-			recs = append(recs, traceRec{ts: s.segs[j].seg.Start, span: r.id, seg: j, seq: seq, rank: rankSeg})
+		for j := s.span(id).segHead; j >= 0; j = s.seg(j).next {
+			recs = append(recs, traceRec{ts: s.seg(j).start, span: id, seg: j, seq: seq})
 			seq++
 		}
 	}
-	slices.SortFunc(recs, cmpTraceRec)
-	return recs
+	return sortByTime(recs)
 }
+
+// sortByTime sorts recs stably by ts with an LSD radix sort: one
+// counting pass per byte of the offset from the earliest ts, skipping
+// bytes every record shares. It returns the sorted records, in recs or
+// in its scratch twin.
+func sortByTime(recs []traceRec) []traceRec {
+	if len(recs) < 2 {
+		return recs
+	}
+	lo, hi := recs[0].ts, recs[0].ts
+	for i := range recs {
+		lo = min(lo, recs[i].ts)
+		hi = max(hi, recs[i].ts)
+	}
+	key := func(r *traceRec) uint64 { return uint64(r.ts) - uint64(lo) }
+	width := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+	var counts [8][256]int
+	for i := range recs {
+		k := key(&recs[i])
+		for d := 0; d < width; d++ {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := recs, make([]traceRec, len(recs))
+	for d := 0; d < width; d++ {
+		c, shift := &counts[d], 8*d
+		if c[byte(key(&src[0])>>shift)] == len(src) {
+			continue
+		}
+		next := 0
+		for b, n := range c {
+			c[b] = next
+			next += n
+		}
+		for i := range src {
+			b := byte(key(&src[i]) >> shift)
+			dst[c[b]] = src[i]
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// traceText is the fixed JSON text of each interned name and segment
+// attribute, escaped once per export rather than once per event.
+// pieces holds every name's quoted string, then each attribute's
+// segment head and tail.
+type traceText struct {
+	pieces [][]byte
+	names  int
+}
+
+// traceText renders the fixed text of s's names and attributes.
+func (s *Sink) traceText() traceText {
+	var buf []byte
+	ends := make([]int, 0, len(s.names)+2*len(s.attrs))
+	for _, n := range s.names {
+		buf = appendJSONString(buf, n)
+		ends = append(ends, len(buf))
+	}
+	for _, a := range s.attrs {
+		// The event name is kind + ":" + resource; kind names are
+		// plain ASCII, so only the resource needs escaping.
+		res := s.names[a.res]
+		buf = append(buf, '"')
+		buf = append(buf, a.kind.String()...)
+		buf = append(buf, ':')
+		buf = appendJSONStringBody(buf, res)
+		buf = append(buf, `","cat":"seg","ph":"X","ts":`...)
+		ends = append(ends, len(buf))
+		buf = append(buf, `,"pid":`...)
+		buf = strconv.AppendInt(buf, pidRequests, 10)
+		buf = append(buf, `,"tid":2,"args":{"resource":`...)
+		buf = appendJSONString(buf, res)
+		buf = append(buf, `,"seq":`...)
+		ends = append(ends, len(buf))
+	}
+	t := traceText{pieces: make([][]byte, len(ends)), names: len(s.names)}
+	start := 0
+	for i, end := range ends {
+		t.pieces[i] = buf[start:end:end]
+		start = end
+	}
+	return t
+}
+
+// name is name i as a quoted JSON string.
+func (t traceText) name(i int32) []byte { return t.pieces[i] }
+
+// segHead is a segment event of attribute i from its name value
+// through its "ts" key.
+func (t traceText) segHead(i int32) []byte { return t.pieces[t.names+2*int(i)] }
+
+// segTail runs from a segment event's "pid" key through its "seq" key.
+func (t traceText) segTail(i int32) []byte { return t.pieces[t.names+2*int(i)+1] }
 
 // traceChunk is the size at which the encoder hands its buffer to the
 // writer and starts refilling it.
 const traceChunk = 64 << 10
 
 // traceEncoder appends trace events to buf and writes it out in
-// chunks. The first error (a non-finite value or a failed write)
-// sticks in err and ends the export.
+// chunks, or, with no writer, keeps each full chunk in chunks. The
+// first error (a non-finite value or a failed write) sticks in err and
+// ends the export.
 type traceEncoder struct {
 	w      io.Writer
 	buf    []byte
+	chunks [][]byte
 	events int
 	err    error
 }
+
+// newTraceBuf returns an empty chunk buffer, with room for the event
+// that crosses traceChunk.
+func newTraceBuf() []byte { return make([]byte, 0, traceChunk+4<<10) }
 
 // open starts one event: the separator, then its name.
 func (e *traceEncoder) open(name string) {
@@ -138,6 +219,11 @@ func (e *traceEncoder) close() error {
 }
 
 func (e *traceEncoder) flush() {
+	if e.w == nil {
+		e.chunks = append(e.chunks, e.buf)
+		e.buf = newTraceBuf()
+		return
+	}
 	if e.err == nil {
 		_, e.err = e.w.Write(e.buf)
 	}
@@ -162,9 +248,14 @@ func (e *traceEncoder) float(key string, v float64) {
 	}
 }
 
+func (e *traceEncoder) micros(key string, t sim.Time) {
+	e.buf = append(e.buf, key...)
+	e.buf = appendMicros(e.buf, t)
+}
+
 // process writes the "ts", "pid" and "tid" fields every event carries.
 func (e *traceEncoder) process(ts sim.Time, pid, tid int64) {
-	e.float(`,"ts":`, usec(ts))
+	e.micros(`,"ts":`, ts)
 	e.int(`,"pid":`, pid)
 	e.int(`,"tid":`, tid)
 }
@@ -184,16 +275,33 @@ func (e *traceEncoder) meta(pid, tid int64, kind, name string) error {
 // trace). Output bytes depend only on the recorded data. A non-finite
 // utilization sample is an error, as it was for encoding/json.
 func (s *Sink) WriteChromeTrace(w io.Writer) error {
-	e := &traceEncoder{w: w, buf: make([]byte, 0, traceChunk+4<<10)}
+	e := &traceEncoder{w: w, buf: newTraceBuf()}
+	s.encodeTrace(e)
+	e.flush()
+	return e.err
+}
+
+// renderChromeTrace returns the WriteChromeTrace bytes in one slice of
+// exactly their length: the encoder keeps its full chunks instead of
+// reusing one, and they are joined with a single copy.
+func (s *Sink) renderChromeTrace() ([]byte, error) {
+	e := &traceEncoder{buf: newTraceBuf()}
+	s.encodeTrace(e)
+	if e.err != nil {
+		return nil, e.err
+	}
+	return bytes.Join(append(e.chunks, e.buf), nil), nil
+}
+
+// encodeTrace encodes the whole trace object into e.
+func (s *Sink) encodeTrace(e *traceEncoder) {
 	e.buf = append(e.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
 	if s != nil {
-		if err := s.encodeTraceEvents(e); err != nil {
-			return err
+		if s.encodeTraceEvents(e) != nil {
+			return
 		}
 	}
 	e.buf = append(e.buf, "]}\n"...)
-	e.flush()
-	return e.err
 }
 
 // encodeTraceEvents writes the process metadata, the sorted span and
@@ -210,14 +318,16 @@ func (s *Sink) encodeTraceEvents(e *traceEncoder) error {
 	// Each span gets its own async id so b/e pairs nest trivially
 	// (Chrome matches async events by cat+id; distinct ids mean the
 	// per-id LIFO rule can never be violated by interleaved spans).
+	text := s.traceText()
 	for _, rec := range s.traceRecs() {
-		sp := &s.spans[rec.span]
-		switch rec.rank {
-		case rankBegin, rankEnd:
-			e.open(sp.name)
+		sp := s.span(rec.span)
+		switch rec.seg {
+		case recBegin, recEnd:
+			e.openName()
+			e.buf = append(e.buf, text.name(sp.name)...)
 			e.buf = append(e.buf, `,"cat":"`...)
 			e.buf = append(e.buf, sp.kind.String()...)
-			if rec.rank == rankBegin {
+			if rec.seg == recBegin {
 				e.buf = append(e.buf, `","ph":"b"`...)
 			} else {
 				e.buf = append(e.buf, `","ph":"e"`...)
@@ -225,7 +335,7 @@ func (s *Sink) encodeTraceEvents(e *traceEncoder) error {
 			e.process(rec.ts, pidRequests, 1)
 			e.int(`,"id":"s`, int64(rec.span))
 			e.buf = append(e.buf, '"')
-			if rec.rank == rankBegin {
+			if rec.seg == recBegin {
 				// args keys in encoding/json's sorted map order.
 				e.buf = append(e.buf, `,"args":{`...)
 				if sp.parent >= 0 {
@@ -235,22 +345,14 @@ func (s *Sink) encodeTraceEvents(e *traceEncoder) error {
 				e.int(`"span":`, int64(rec.span))
 				e.buf = append(e.buf, '}')
 			}
-		case rankSeg:
-			seg := &s.segs[rec.seg].seg
-			// The name is kind + ":" + resource; kind names are plain
-			// ASCII, so only the resource needs escaping.
+		default:
+			seg := s.seg(rec.seg)
 			e.openName()
-			e.buf = append(e.buf, '"')
-			e.buf = append(e.buf, seg.Kind.String()...)
-			e.buf = append(e.buf, ':')
-			e.buf = appendJSONStringBody(e.buf, seg.Resource)
-			e.buf = append(e.buf, `","cat":"seg","ph":"X"`...)
-			e.float(`,"ts":`, usec(rec.ts))
-			e.float(`,"dur":`, usec(seg.End-seg.Start))
-			e.int(`,"pid":`, pidRequests)
-			e.int(`,"tid":`, 2)
-			e.str(`,"args":{"resource":`, seg.Resource)
-			e.int(`,"seq":`, int64(rec.seq))
+			e.buf = append(e.buf, text.segHead(seg.attr)...)
+			e.buf = appendMicros(e.buf, rec.ts)
+			e.micros(`,"dur":`, seg.end-seg.start)
+			e.buf = append(e.buf, text.segTail(seg.attr)...)
+			e.buf = strconv.AppendInt(e.buf, int64(rec.seq), 10)
 			e.int(`,"span":`, int64(rec.span))
 			e.buf = append(e.buf, '}')
 		}
@@ -276,6 +378,36 @@ func (s *Sink) encodeTraceEvents(e *traceEncoder) error {
 		}
 	}
 	return nil
+}
+
+// appendMicros appends t picoseconds as appendJSONFloat(usec(t))
+// writes them, straight from the integer: the whole microseconds, then
+// up to six fraction digits with trailing zeros trimmed. Below 1e15 ps
+// the exact quotient has at most 15 significant digits, and float64
+// tells every such decimal apart, so it is the shortest form that
+// round-trips, the one strconv writes. Negative times and times from
+// 1e15 ps up take the float path.
+func appendMicros(dst []byte, t sim.Time) []byte {
+	if t < 0 || t >= 1e15 {
+		dst, _ = appendJSONFloat(dst, usec(t)) // finite: no error
+		return dst
+	}
+	dst = strconv.AppendInt(dst, int64(t/1e6), 10)
+	frac := t % 1e6
+	if frac == 0 {
+		return dst
+	}
+	var digits [7]byte
+	digits[0] = '.'
+	for i := 6; i > 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(digits)
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(dst, digits[:n]...)
 }
 
 // appendJSONFloat appends f as encoding/json writes a float64: like

@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"accelflow/internal/sim"
@@ -101,6 +104,36 @@ func TestChromeTraceMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSortByTime: the radix sort orders records as a stable sort by
+// time does, across the whole int64 range, ties and runs of shared
+// high bytes included.
+func TestSortByTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	times := []sim.Time{math.MinInt64, -1, 0, 1, 255, 256, 1 << 40, math.MaxInt64}
+	for n := 0; n < 300; n += 7 {
+		recs := make([]traceRec, n)
+		for i := range recs {
+			switch i % 3 {
+			case 0:
+				recs[i].ts = times[rng.Intn(len(times))]
+			case 1:
+				recs[i].ts = sim.Time(rng.Int63n(1 << 20))
+			default:
+				recs[i].ts = sim.Time(rng.Uint64())
+			}
+			if n%2 == 0 {
+				recs[i].ts = 1<<40 + recs[i].ts%300 // only the low bytes differ
+			}
+			recs[i].seq = int32(i)
+		}
+		want := slices.Clone(recs)
+		slices.SortStableFunc(want, func(a, b traceRec) int { return cmp.Compare(a.ts, b.ts) })
+		if got := sortByTime(recs); !slices.Equal(got, want) {
+			t.Fatalf("%d records: radix order differs from a stable sort", n)
+		}
+	}
+}
+
 // TestChromeTraceChunks: an export larger than one chunk reaches the
 // writer in pieces and still matches the reference.
 func TestChromeTraceChunks(t *testing.T) {
@@ -116,6 +149,44 @@ func TestChromeTraceChunks(t *testing.T) {
 		t.Fatalf("%d-byte export arrived in %d writes, want it chunked", cw.n, cw.writes)
 	}
 	CheckTraceMatchesRef(t, "chunked", s)
+}
+
+// TestRenderArtifactMatchesWrite: RenderArtifact returns the bytes
+// WriteArtifact writes, multi-chunk traces included, and fails where
+// it fails.
+func TestRenderArtifactMatchesWrite(t *testing.T) {
+	chunked := New()
+	for i := 0; i < 4*traceChunk/60; i++ {
+		chunked.Sample("util/cores", sim.Time(i)*sim.Microsecond, float64(i%7)/7)
+	}
+	nonFinite := singleRequestSink()
+	nonFinite.Sample("util/accel/TCP", 15*sim.Microsecond, math.NaN())
+	for _, tc := range []struct {
+		name string
+		sink *Sink
+	}{
+		{"nil", nil},
+		{"empty", emptySink()},
+		{"single", singleRequestSink()},
+		{"edge", edgeSink()},
+		{"chunked", chunked},
+		{"non-finite", nonFinite},
+	} {
+		for _, a := range Artifacts() {
+			var want bytes.Buffer
+			wantErr := tc.sink.WriteArtifact(a, &want)
+			got, err := tc.sink.RenderArtifact(a)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s %s: error %v, WriteArtifact error %v", tc.name, a, err, wantErr)
+			}
+			if err == nil && !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%s %s: rendered %d bytes, WriteArtifact wrote %d", tc.name, a, len(got), want.Len())
+			}
+		}
+	}
+	if _, err := New().RenderArtifact("pdf"); err == nil {
+		t.Fatal("an unknown artifact rendered")
+	}
 }
 
 type countingWriter struct{ n, writes int }
@@ -209,5 +280,32 @@ func FuzzAppendJSONFloat(f *testing.F) {
 		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 			t.Fatalf("appendJSONFloat(%v) = %q, encoding/json %q", v, got[len(prefix):], want)
 		}
+	})
+}
+
+func FuzzAppendMicros(f *testing.F) {
+	for _, t := range []int64{
+		0, 1, 999_999, 1e6, 1e15 - 1, 1e15, math.MaxInt64,
+		-1, -1e6, math.MinInt64, 123_456_789, 1_000_000_000_001,
+	} {
+		f.Add(t)
+	}
+	check := func(t *testing.T, ps int64) {
+		want, err := appendJSONFloat(nil, usec(sim.Time(ps)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("prefix")
+		got := appendMicros(prefix, sim.Time(ps))
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("appendMicros(%d) = %q, appendJSONFloat %q", ps, got[len(prefix):], want)
+		}
+	}
+	f.Fuzz(func(t *testing.T, ps int64) {
+		check(t, ps)
+		// Most int64s lie beyond 1e15 ps, on the float fallback; fold
+		// each into the integer path's range as well.
+		check(t, ps%1e15)
+		check(t, max(ps%1e15, -ps%1e15))
 	})
 }

@@ -34,18 +34,21 @@ func spanKinds(s *obs.Sink) map[obs.SpanKind]int {
 	return n
 }
 
-// TestChromeTraceMatchesReferenceOnWorkloads holds the encoder to the
-// encoding/json reference on real observed runs, whose traces carry
-// tens of thousands of events with every span and segment kind the
-// engine, the fault injector, and the controller emit.
-func TestChromeTraceMatchesReferenceOnWorkloads(t *testing.T) {
+// workloadSinks runs the observed workloads the differential tests
+// compare on, named: 150 and 300 requests at seeds 1-8, a faulted run
+// and an autoscaled run. Their traces carry tens of thousands of
+// events with every span and segment kind the engine, the fault
+// injector, and the controller emit.
+func workloadSinks(t *testing.T) []namedSink {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs 18 observed simulations")
 	}
+	var sinks []namedSink
 	for _, requests := range []int{150, 300} {
 		for seed := int64(1); seed <= 8; seed++ {
 			p := workload.ObservedParams{Seed: seed, Requests: requests, Quick: true}
-			obs.CheckTraceMatchesRef(t, fmt.Sprintf("seed %d, %d requests", seed, requests), observedSink(t, p))
+			sinks = append(sinks, namedSink{fmt.Sprintf("seed %d, %d requests", seed, requests), observedSink(t, p)})
 		}
 	}
 
@@ -56,7 +59,6 @@ func TestChromeTraceMatchesReferenceOnWorkloads(t *testing.T) {
 	if spanKinds(faulted)[obs.SpanFault] == 0 {
 		t.Fatal("the faulted run recorded no fault spans")
 	}
-	obs.CheckTraceMatchesRef(t, "faulted", faulted)
 
 	controlled := observedSink(t, workload.ObservedParams{
 		Seed: 5, Requests: 300, Quick: true,
@@ -68,16 +70,39 @@ func TestChromeTraceMatchesReferenceOnWorkloads(t *testing.T) {
 	if spanKinds(controlled)[obs.SpanControl] == 0 {
 		t.Fatal("the controlled run recorded no control spans")
 	}
-	obs.CheckTraceMatchesRef(t, "controlled", controlled)
+	return append(sinks, namedSink{"faulted", faulted}, namedSink{"controlled", controlled})
+}
+
+type namedSink struct {
+	name string
+	sink *obs.Sink
+}
+
+// TestChromeTraceMatchesReferenceOnWorkloads holds the encoder to the
+// encoding/json reference on real observed runs.
+func TestChromeTraceMatchesReferenceOnWorkloads(t *testing.T) {
+	for _, ns := range workloadSinks(t) {
+		obs.CheckTraceMatchesRef(t, ns.name, ns.sink)
+	}
+}
+
+// TestReportMatchesReferenceOnWorkloads holds the report to the
+// Spans()-based reference on the same runs; the report fixtures are
+// too small to exercise its aggregation.
+func TestReportMatchesReferenceOnWorkloads(t *testing.T) {
+	for _, ns := range workloadSinks(t) {
+		obs.CheckReportMatchesRef(t, ns.name, ns.sink)
+	}
 }
 
 // exportAllocBudget bounds the allocations of one trace export of a
 // 150-request observed run. The encoder allocates its sort records and
-// one chunk buffer; the encoding/json writer it replaced allocated
-// over 200,000 objects (a map and boxed values per event). The run has
-// tens of thousands of events, so any per-event allocation breaks the
-// budget.
-const exportAllocBudget = 2000
+// their radix scratch, one chunk buffer, and the escaped text of the
+// run's few dozen names, 18 objects in all; the encoding/json writer
+// it replaced allocated over 200,000 (a map and boxed values per
+// event). The run has tens of thousands of events, so any per-event
+// allocation breaks the budget.
+const exportAllocBudget = 32
 
 func TestWriteChromeTraceAllocBudget(t *testing.T) {
 	sink := observedSink(t, workload.ObservedParams{Seed: 1, Requests: 150, Quick: true})
@@ -88,6 +113,24 @@ func TestWriteChromeTraceAllocBudget(t *testing.T) {
 	})
 	if allocs > exportAllocBudget {
 		t.Fatalf("one trace export allocated %.0f objects, budget %d", allocs, exportAllocBudget)
+	}
+}
+
+// reportAllocBudget bounds the allocations of one report export of the
+// same run: 386 objects, nearly all of them the report's maps and
+// encoding/json's sorting of their keys. Aggregating copies of every
+// span and segment (Sink.Spans) cost 3,870.
+const reportAllocBudget = 600
+
+func TestWriteReportAllocBudget(t *testing.T) {
+	sink := observedSink(t, workload.ObservedParams{Seed: 1, Requests: 150, Quick: true})
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := sink.WriteReport(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > reportAllocBudget {
+		t.Fatalf("one report export allocated %.0f objects, budget %d", allocs, reportAllocBudget)
 	}
 }
 

@@ -137,29 +137,53 @@ type Seg struct {
 	End      sim.Time
 }
 
-// spanRec is the stored form of a span. Parent is -1 for roots. Its
-// segments live in the sink-level slab as a linked list (segHead/
-// segTail index Sink.segs; -1 = none): one growing slab amortizes to
-// zero allocations per segment, where a per-span []Seg paid a fresh
-// backing array for every span's first append.
+// spanRec is the stored form of a span, free of pointers so the GC
+// neither scans the span slab nor pays write barriers filling it.
+// Parent is -1 for roots, and name indexes Sink.names. Its segments
+// live in the segment slab as a linked list (segHead/segTail; -1 =
+// none).
 type spanRec struct {
-	id      int32
+	start   sim.Time
+	end     sim.Time
 	parent  int32
 	segHead int32
 	segTail int32
+	name    int32
 	kind    SpanKind
 	ended   bool
-	name    string
-	start   sim.Time
-	end     sim.Time
 }
 
-// segNode is one slab cell: a segment plus the index of the owning
-// span's next segment (-1 = last).
-type segNode struct {
-	seg  Seg
-	next int32
+// segRec is one segment slab cell, free of pointers like spanRec: the
+// interval, the index of the owning span's next segment (-1 = last),
+// and its interned (resource, kind) attribute (Sink.attrs).
+type segRec struct {
+	start sim.Time
+	end   sim.Time
+	next  int32
+	attr  int32
 }
+
+// segAttr is one distinct (resource, kind) pair of the recorded
+// segments; res indexes Sink.names.
+type segAttr struct {
+	res  int32
+	kind SegKind
+}
+
+// attrKey looks a segAttr up by the resource name Seg receives.
+type attrKey struct {
+	res  string
+	kind SegKind
+}
+
+// Slab chunk sizes. The span and segment slabs grow a fixed-size chunk
+// at a time, so growth never copies or re-zeroes what is recorded.
+const (
+	spanShift = 10
+	segShift  = 12
+	spanChunk = 1 << spanShift
+	segChunk  = 1 << segShift
+)
 
 // SpanData is the exported, immutable view of one recorded span.
 type SpanData struct {
@@ -189,8 +213,20 @@ type Sink struct {
 	clock    Clock
 	interval sim.Time
 
-	spans  []spanRec
-	segs   []segNode // shared segment slab; spanRec.segHead/segTail index it
+	// spans and segs are the chunked slabs; span i is
+	// spans[i>>spanShift][i&(spanChunk-1)], and likewise for segments.
+	spans  [][]spanRec
+	segs   [][]segRec
+	nspans int32
+	nsegs  int32
+
+	// names interns span names and segment resources; attrs interns the
+	// (resource, kind) pairs segments carry.
+	names   []string
+	nameIdx map[string]int32
+	attrs   []segAttr
+	attrIdx map[attrKey]int32
+
 	series []*Series
 	byName map[string]*Series
 
@@ -222,6 +258,8 @@ func WithSampleInterval(d sim.Time) Option {
 func New(opts ...Option) *Sink {
 	s := &Sink{
 		interval: 20 * sim.Microsecond,
+		nameIdx:  map[string]int32{},
+		attrIdx:  map[attrKey]int32{},
 		byName:   map[string]*Series{},
 	}
 	for _, o := range opts {
@@ -265,17 +303,54 @@ type Span struct {
 	id   int32
 }
 
+// span returns the stored record of span id.
+func (s *Sink) span(id int32) *spanRec {
+	return &s.spans[id>>spanShift][id&(spanChunk-1)]
+}
+
+// seg returns the stored record of segment i.
+func (s *Sink) seg(i int32) *segRec {
+	return &s.segs[i>>segShift][i&(segChunk-1)]
+}
+
+// intern returns the index of name in s.names, adding it on first use.
+func (s *Sink) intern(name string) int32 {
+	i, ok := s.nameIdx[name]
+	if !ok {
+		i = int32(len(s.names))
+		s.names = append(s.names, name)
+		s.nameIdx[name] = i
+	}
+	return i
+}
+
+// attr returns the index of the (resource, kind) pair in s.attrs,
+// adding it on first use.
+func (s *Sink) attr(resource string, kind SegKind) int32 {
+	k := attrKey{resource, kind}
+	i, ok := s.attrIdx[k]
+	if !ok {
+		i = int32(len(s.attrs))
+		s.attrs = append(s.attrs, segAttr{res: s.intern(resource), kind: kind})
+		s.attrIdx[k] = i
+	}
+	return i
+}
+
 func (s *Sink) newSpan(parent int32, kind SpanKind, name string) *Span {
-	id := int32(len(s.spans))
-	s.spans = append(s.spans, spanRec{
-		id:      id,
+	id := s.nspans
+	if id&(spanChunk-1) == 0 {
+		s.spans = append(s.spans, make([]spanRec, spanChunk))
+	}
+	s.nspans++
+	*s.span(id) = spanRec{
+		start:   s.now(),
 		parent:  parent,
 		segHead: -1,
 		segTail: -1,
+		name:    s.intern(name),
 		kind:    kind,
-		name:    name,
-		start:   s.now(),
-	})
+	}
 	if len(s.handles) == cap(s.handles) {
 		s.handles = make([]Span, 0, handleChunk)
 	}
@@ -328,7 +403,7 @@ func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
-	r := &sp.sink.spans[sp.id]
+	r := sp.sink.span(sp.id)
 	if r.ended {
 		return
 	}
@@ -343,15 +418,21 @@ func (sp *Span) Seg(kind SegKind, resource string, start, end sim.Time) {
 	if sp == nil || end <= start {
 		return
 	}
-	s := sp.sink
-	idx := int32(len(s.segs))
-	s.segs = append(s.segs, segNode{
-		seg:  Seg{Kind: kind, Resource: resource, Start: start, End: end},
-		next: -1,
-	})
-	r := &s.spans[sp.id]
+	sp.sink.addSeg(sp.id, kind, resource, start, end)
+}
+
+// addSeg appends one segment to span id's list. Seg stays small enough
+// to inline, so a run without a sink pays only its nil check.
+func (s *Sink) addSeg(id int32, kind SegKind, resource string, start, end sim.Time) {
+	idx := s.nsegs
+	if idx&(segChunk-1) == 0 {
+		s.segs = append(s.segs, make([]segRec, segChunk))
+	}
+	s.nsegs++
+	*s.seg(idx) = segRec{start: start, end: end, next: -1, attr: s.attr(resource, kind)}
+	r := s.span(id)
 	if r.segTail >= 0 {
-		s.segs[r.segTail].next = idx
+		s.seg(r.segTail).next = idx
 	} else {
 		r.segHead = idx
 	}
@@ -395,24 +476,31 @@ func (s *Sink) Spans() []SpanData {
 	if s == nil {
 		return nil
 	}
-	out := make([]SpanData, len(s.spans))
-	for i := range s.spans {
-		r := &s.spans[i]
-		end := r.end
-		if !r.ended {
-			end = r.start
-		}
+	out := make([]SpanData, s.nspans)
+	for id := range out {
+		r := s.span(int32(id))
 		var segs []Seg
-		for j := r.segHead; j >= 0; j = s.segs[j].next {
-			segs = append(segs, s.segs[j].seg)
+		for j := r.segHead; j >= 0; {
+			g := s.seg(j)
+			a := s.attrs[g.attr]
+			segs = append(segs, Seg{Kind: a.kind, Resource: s.names[a.res], Start: g.start, End: g.end})
+			j = g.next
 		}
-		out[i] = SpanData{
-			ID: r.id, Parent: r.parent, Kind: r.kind, Name: r.name,
-			Start: r.start, End: end,
+		out[id] = SpanData{
+			ID: int32(id), Parent: r.parent, Kind: r.kind, Name: s.names[r.name],
+			Start: r.start, End: r.endOrStart(),
 			Segs: segs,
 		}
 	}
 	return out
+}
+
+// endOrStart is the span's end, or its start while it is unended.
+func (r *spanRec) endOrStart() sim.Time {
+	if !r.ended {
+		return r.start
+	}
+	return r.end
 }
 
 // SeriesList returns the recorded utilization series in creation order.
@@ -428,5 +516,5 @@ func (s *Sink) SpanCount() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.spans)
+	return int(s.nspans)
 }

@@ -5,11 +5,12 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"accelflow/internal/sim"
 )
@@ -50,7 +51,10 @@ type SeriesReport struct {
 }
 
 // BuildReport aggregates the recorded spans and series. Safe on a nil
-// sink (returns an empty report).
+// sink (returns an empty report). It reads the slabs directly, summing
+// each breakdown by interned resource and kind in span creation order
+// and each span's segments in recorded order, the order a walk over
+// Spans would add them in.
 func (s *Sink) BuildReport() *Report {
 	rep := &Report{
 		SegByKind: map[string]float64{},
@@ -61,37 +65,52 @@ func (s *Sink) BuildReport() *Report {
 		return rep
 	}
 
-	spans := s.Spans()
-	rep.Spans = len(spans)
-	byService := map[string][]sim.Time{}
-	var services []string
-	for _, sd := range spans {
-		if sd.Kind == SpanRequest {
+	// Breakdown accumulators by kind, by resource, and by (resource,
+	// kind) attribute. Every interned attribute has at least one
+	// segment, so the attributes list every key the maps get.
+	var byKind [1 << 8]float64
+	byRes := make([]float64, len(s.names))
+	byAttr := make([]float64, len(s.attrs))
+
+	rep.Spans = int(s.nspans)
+	byService := make([][]sim.Time, len(s.names))
+	var services []int32 // interned names, in first-seen order
+	for id := int32(0); id < s.nspans; id++ {
+		r := s.span(id)
+		if r.kind == SpanRequest {
 			rep.Requests++
-			if _, ok := byService[sd.Name]; !ok {
-				services = append(services, sd.Name)
+			if byService[r.name] == nil {
+				services = append(services, r.name)
 			}
-			byService[sd.Name] = append(byService[sd.Name], sd.End-sd.Start)
+			byService[r.name] = append(byService[r.name], r.endOrStart()-r.start)
 		}
-		for _, seg := range sd.Segs {
-			us := usec(seg.End - seg.Start)
-			k, r := seg.Kind.String(), seg.Resource
-			rep.SegByKind[k] += us
-			rep.SegByRes[r] += us
-			m := rep.KindByRes[r]
-			if m == nil {
-				m = map[string]float64{}
-				rep.KindByRes[r] = m
-			}
-			m[k] += us
+		for j := r.segHead; j >= 0; {
+			g := s.seg(j)
+			us := usec(g.end - g.start)
+			a := s.attrs[g.attr]
+			byKind[a.kind] += us
+			byRes[a.res] += us
+			byAttr[g.attr] += us
+			j = g.next
 		}
 	}
+	for i, a := range s.attrs {
+		k, res := a.kind.String(), s.names[a.res]
+		rep.SegByKind[k] = byKind[a.kind]
+		rep.SegByRes[res] = byRes[a.res]
+		m := rep.KindByRes[res]
+		if m == nil {
+			m = map[string]float64{}
+			rep.KindByRes[res] = m
+		}
+		m[k] = byAttr[i]
+	}
 
-	sort.Strings(services)
+	slices.SortFunc(services, func(a, b int32) int { return strings.Compare(s.names[a], s.names[b]) })
 	for _, svc := range services {
 		lats := byService[svc]
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		sr := ServiceReport{Service: svc, Count: len(lats)}
+		sr := ServiceReport{Service: s.names[svc], Count: len(lats)}
 		var sum float64
 		maxBucket := 0
 		buckets := map[int]int{}
@@ -118,8 +137,12 @@ func (s *Sink) BuildReport() *Report {
 		rep.Services = append(rep.Services, sr)
 	}
 
-	for _, sv := range s.SeriesList() {
-		sr := SeriesReport{Name: sv.Name}
+	for _, sv := range s.series {
+		sr := SeriesReport{
+			Name:   sv.Name,
+			TimeUs: make([]float64, 0, len(sv.Times)),
+			Values: make([]float64, 0, len(sv.Values)),
+		}
 		var sum float64
 		for i := range sv.Times {
 			sr.TimeUs = append(sr.TimeUs, usec(sv.Times[i]))
@@ -154,15 +177,12 @@ func nearestRank(sorted []sim.Time, p float64) sim.Time {
 	return sorted[idx]
 }
 
-// WriteReport writes the report as indented JSON. encoding/json sorts
-// map keys, so the bytes depend only on the recorded data.
+// WriteReport writes the report as indented JSON, handing w the whole
+// document in one Write. encoding/json sorts map keys, so the bytes
+// depend only on the recorded data.
 func (s *Sink) WriteReport(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(s.BuildReport()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return enc.Encode(s.BuildReport())
 }

@@ -20,7 +20,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -479,13 +478,11 @@ func (j *Job) setResult(e *jobResultEntry) {
 func renderArtifacts(sink *obs.Sink) (map[obs.Artifact][]byte, error) {
 	arts := make(map[obs.Artifact][]byte, len(obs.Artifacts()))
 	for _, a := range obs.Artifacts() {
-		var buf bytes.Buffer
-		if err := sink.WriteArtifact(a, &buf); err != nil {
+		b, err := sink.RenderArtifact(a)
+		if err != nil {
 			return nil, fmt.Errorf("serve: render %s artifact: %w", a, err)
 		}
-		// The job retains these bytes for its lifetime; trim the
-		// buffer's growth slack.
-		arts[a] = bytes.Clone(buf.Bytes())
+		arts[a] = b
 	}
 	return arts, nil
 }

@@ -366,10 +366,12 @@ func (s *Scheduler) registerLocked(req JobRequest) *Job {
 }
 
 // maxRequests caps a job's request budget at admission. An observed
-// run's sink keeps about 5 KiB per request live until its artifacts
-// are rendered, so without a cap one job could exhaust the daemon's
-// memory; at the cap it holds about 500 MiB. It bounds the daemon
-// only: accelsim runs whatever budget its user asks for.
+// run's sink keeps about 2.8 KiB per request live until its artifacts
+// are rendered, and the trace and report the job then keeps take about
+// 15.5 KiB per request (both measured at 2,000 and 8,000 full-fidelity
+// requests), so without a cap one job could exhaust the daemon's
+// memory; at the cap its artifacts alone hold about 1.5 GiB. It bounds
+// the daemon only: accelsim runs whatever budget its user asks for.
 const maxRequests = 100_000
 
 // Submit validates and admits one job. It never blocks. Outcomes, in
