@@ -45,7 +45,7 @@ func TestValidateFlags(t *testing.T) {
 		{"ctl shed without autoscaler", func(a *cliArgs) { a.ctlShedQ = 64 }, ""},
 		{"ctl retry without autoscaler", func(a *cliArgs) { a.ctlRetry = 4 }, ""},
 		{"ctl unknown target", func(a *cliArgs) { a.ctlTarget = "gpus" }, "autoscale target"},
-		{"ctl replicas needs fleet", func(a *cliArgs) { a.ctlTarget = "replicas" }, "needs a fleet"},
+		{"ctl replicas needs fleet", func(a *cliArgs) { a.ctlTarget = "replicas" }, "autoscale target"},
 		{"ctl down above up", func(a *cliArgs) { a.ctlTarget = "pe"; a.ctlDown = 0.9 }, "DownUtil"},
 		{"ctl nonpositive up", func(a *cliArgs) { a.ctlTarget = "pe"; a.ctlUp = 0 }, "UpUtil"},
 		{"ctl negative slo", func(a *cliArgs) { a.ctlTarget = "pe"; a.ctlSLO = -1 }, "SLOUs"},

@@ -8,10 +8,10 @@
 //
 //   - Autoscale: a periodic decision tick samples utilization (and,
 //     when an SLO is set, a sliding-window P99) and grows or shrinks a
-//     capacity pool — PE pools, the core pool, or a fleet's active
-//     replica set — through the same SetServers machinery fault
-//     windows use, with hysteresis (separate up/down thresholds plus a
-//     hold count), a cooldown between actions, and hard scale bounds.
+//     capacity pool — the PE pools or the core pool — through the same
+//     SetServers machinery fault windows use, with hysteresis
+//     (separate up/down thresholds plus a hold count), a cooldown
+//     between actions, and hard scale bounds.
 //   - Shed: request-layer load shedding, probabilistic (a dedicated
 //     DeriveSeed(seed, "control/shed") stream) and/or queue-depth
 //     triggered on the controller-observed outstanding count.
@@ -20,14 +20,14 @@
 //
 // Determinism contract, mirroring internal/fault: every decision is a
 // pure function of (Spec, seed, observed simulation state), so
-// controlled runs are bit-identical at any sweep parallelism or fleet
-// worker count. A controller whose thresholds can never fire (UpUtil above 1,
-// negative DownUtil, MaxAdd/MaxRemove zero) performs zero actions and
-// draws from no RNG stream, and a ShedSpec with Prob 0 never creates
-// its stream — so an effectively-disabled controller leaves
-// latencies, counters, and recorders bit-identical to no controller
-// at all (the decision tick can only extend the run's final timestamp
-// by at most one interval, exactly like the obs utilization sampler).
+// controlled runs are bit-identical at any sweep parallelism. A
+// controller whose thresholds can never fire (UpUtil above 1, negative
+// DownUtil, MaxAdd/MaxRemove zero) performs zero actions and draws from
+// no RNG stream, and a ShedSpec with Prob 0 never creates its stream —
+// so an effectively-disabled controller leaves latencies, counters, and
+// recorders bit-identical to no controller at all (the decision tick
+// can only extend the run's final timestamp by at most one interval,
+// exactly like the obs utilization sampler).
 package control
 
 import (
@@ -47,10 +47,6 @@ const (
 	TargetPE = "pe"
 	// TargetCores scales the CPU core pool.
 	TargetCores = "cores"
-	// TargetReplicas scales a fleet's active replica set at the
-	// ingress: deactivated replicas stop receiving new work and drain;
-	// reactivation is instant. Only valid on FleetSpec runs.
-	TargetReplicas = "replicas"
 )
 
 // Spec configures one run's controller. All three sections are
@@ -65,7 +61,7 @@ type Spec struct {
 
 // AutoscaleSpec configures the scaling loop.
 type AutoscaleSpec struct {
-	// Target is "pe", "cores", or (fleets only) "replicas".
+	// Target is "pe" or "cores".
 	Target string `json:"target"`
 	// Interval is the decision tick period. Default 50us.
 	Interval sim.Time `json:"interval,omitempty"`
@@ -89,12 +85,10 @@ type AutoscaleSpec struct {
 	// (BreachTicks/LastBreach), which is what the recovery experiment
 	// measures. 0 disables latency tracking entirely.
 	SLOUs float64 `json:"sloUs,omitempty"`
-	// Step is the number of servers (or replicas) moved per action.
-	// Default 1.
+	// Step is the number of servers moved per action. Default 1.
 	Step int `json:"step,omitempty"`
 	// MaxAdd is the scale-up ceiling: at most this many servers above
-	// each pool's base (for replicas, above the starting active set,
-	// clamped to the built replica count). 0 forbids scaling up.
+	// each pool's base. 0 forbids scaling up.
 	MaxAdd int `json:"maxAdd"`
 	// MaxRemove is the scale-down depth below base. Pools are floored
 	// at one server regardless. 0 forbids scaling down.
@@ -105,10 +99,6 @@ type AutoscaleSpec struct {
 	// Hold is the hysteresis depth: a signal must persist for this
 	// many consecutive ticks before acting. Default 1.
 	Hold int `json:"hold,omitempty"`
-	// ReplicaCap is, for the replicas target, the ingress-observed
-	// outstanding count per active replica treated as utilization 1.0
-	// (the ingress has no busy-time view of remote domains). Default 4.
-	ReplicaCap int `json:"replicaCap,omitempty"`
 }
 
 // ShedSpec configures request-layer load shedding.
@@ -123,8 +113,7 @@ type ShedSpec struct {
 }
 
 // RetrySpec configures per-tenant retry budgets for timed-out
-// requests. Fleet runs do not support retries (the ingress would have
-// to replay jobs across domains); RunSpec runs do.
+// requests.
 type RetrySpec struct {
 	// Budget is each tenant's total retry allowance for the run.
 	Budget int `json:"budget"`
@@ -147,10 +136,10 @@ func (s *Spec) Validate() error {
 	}
 	if a := s.Autoscale; a != nil {
 		switch a.Target {
-		case TargetPE, TargetCores, TargetReplicas:
+		case TargetPE, TargetCores:
 		default:
-			return fmt.Errorf("control: autoscale target must be %q, %q, or %q, got %q",
-				TargetPE, TargetCores, TargetReplicas, a.Target)
+			return fmt.Errorf("control: autoscale target must be %q or %q, got %q",
+				TargetPE, TargetCores, a.Target)
 		}
 		switch {
 		case !finite(a.UpUtil) || !finite(a.DownUtil) || !finite(a.SLOUs):
@@ -164,7 +153,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("control: DownUtil (%v) must be below UpUtil (%v)", a.DownUtil, a.UpUtil)
 		case a.SLOUs < 0:
 			return fmt.Errorf("control: SLOUs must be non-negative, got %v", a.SLOUs)
-		case a.Step < 0 || a.MaxAdd < 0 || a.MaxRemove < 0 || a.Cooldown < 0 || a.Hold < 0 || a.ReplicaCap < 0:
+		case a.Step < 0 || a.MaxAdd < 0 || a.MaxRemove < 0 || a.Cooldown < 0 || a.Hold < 0:
 			return fmt.Errorf("control: autoscale step/bounds/cooldown/hold must be non-negative")
 		}
 	}
@@ -198,7 +187,7 @@ type Stats struct {
 	// Ticks is the number of executed decision ticks.
 	Ticks uint64
 	// ScaleUps/ScaleDowns count applied actions; Level is the final
-	// offset from base in servers (or replicas).
+	// offset from base in servers.
 	ScaleUps   uint64
 	ScaleDowns uint64
 	Level      int
@@ -215,21 +204,20 @@ type Stats struct {
 	LastBreach  sim.Time
 }
 
-// Pool is one scalable capacity pool under the pe/cores targets. The
-// actuator is Res.SetServers, which sets the pool's nominal level: a
-// fault window holding servers offline (Resource.SetOffline) keeps its
-// hold across the change, so the two compose inside the resource.
+// Pool is one scalable capacity pool. The actuator is Res.SetServers,
+// which sets the pool's nominal level: a fault window holding servers
+// offline (Resource.SetOffline) keeps its hold across the change, so
+// the two compose inside the resource.
 type Pool struct {
 	Res  *sim.Resource
 	Base int
 }
 
 // Controller owns one run's control state. Build with New, wire the
-// actuator with AttachPools or AttachActive, then drive the decision
-// loop from the simulation clock (Tick, every Interval) and the request
-// path (Shed / NoteSubmit / NoteDone / RetryAfter). Controllers are
-// single-threaded like the kernel that feeds them and cover exactly
-// one run.
+// actuator with AttachPools, then drive the decision loop from the
+// simulation clock (Tick, every Interval) and the request path (Shed /
+// NoteSubmit / NoteDone / RetryAfter). Controllers are single-threaded
+// like the kernel that feeds them and cover exactly one run.
 type Controller struct {
 	Spec  Spec
 	Stats Stats
@@ -245,8 +233,6 @@ type Controller struct {
 	loop       loop
 	pools      []Pool
 	lastBusy   []sim.Time
-	activeBase int // replicas target: starting active count
-	applyFn    func(active int)
 	levelSince sim.Time
 
 	retryLeft map[int]int
@@ -275,7 +261,7 @@ func New(spec Spec, seed int64) *Controller {
 // sampled series.
 func (c *Controller) BindObs(sink *obs.Sink) { c.sink = sink }
 
-// AttachPools wires the pe/cores actuator: each decision applies
+// AttachPools wires the actuator: each decision applies
 // base+offset (floored at one server by SetServers) to every pool.
 func (c *Controller) AttachPools(pools []Pool) {
 	c.pools = pools
@@ -285,30 +271,14 @@ func (c *Controller) AttachPools(pools []Pool) {
 	}
 }
 
-// AttachActive wires the replicas actuator: apply receives the new
-// active replica count after each decision. base is the built replica
-// count; the active set starts there and the scale-up ceiling is
-// clamped to it (replicas cannot be created mid-run).
-func (c *Controller) AttachActive(base int, apply func(active int)) {
-	c.activeBase = base
-	c.applyFn = apply
-	if c.loop.spec.MaxAdd > 0 {
-		// Active replicas can never exceed the built count.
-		c.loop.spec.MaxAdd = 0
-	}
-}
-
 // NeedsTick reports whether the controller has a decision loop to
 // drive (an autoscale section with an attached actuator).
 func (c *Controller) NeedsTick() bool {
-	return c.Spec.Autoscale != nil && (c.pools != nil || c.applyFn != nil)
+	return c.Spec.Autoscale != nil && c.pools != nil
 }
 
 // Interval is the decision tick period (after defaulting).
 func (c *Controller) Interval() sim.Time { return c.loop.spec.Interval }
-
-// Outstanding is the controller-observed in-flight request count.
-func (c *Controller) Outstanding() int { return c.outstanding }
 
 // NoteSubmit records one request entering the system.
 func (c *Controller) NoteSubmit() { c.outstanding++ }
@@ -411,18 +381,8 @@ func (c *Controller) Tick(now sim.Time) {
 }
 
 // sampleUtil produces the current interval's utilization in [0,1]:
-// pooled busy-time delta over interval capacity for pe/cores, or the
-// outstanding-per-active-replica ratio for replicas.
+// pooled busy-time delta over interval capacity.
 func (c *Controller) sampleUtil() float64 {
-	if c.applyFn != nil {
-		active := c.activeLevel()
-		cap := c.loop.spec.ReplicaCap
-		u := float64(c.outstanding) / (float64(active) * float64(cap))
-		if u > 1 {
-			u = 1
-		}
-		return u
-	}
 	var delta sim.Time
 	servers := 0
 	for i, p := range c.pools {
@@ -443,24 +403,8 @@ func (c *Controller) sampleUtil() float64 {
 	return u
 }
 
-// activeLevel is the current active replica count.
-func (c *Controller) activeLevel() int {
-	n := c.activeBase + c.loop.off
-	if n < 1 {
-		n = 1
-	}
-	if n > c.activeBase {
-		n = c.activeBase
-	}
-	return n
-}
-
 // applyLevel pushes the loop's offset through the actuator.
 func (c *Controller) applyLevel() {
-	if c.applyFn != nil {
-		c.applyFn(c.activeLevel())
-		return
-	}
 	for _, p := range c.pools {
 		n := p.Base + c.loop.off
 		if n < 1 {
@@ -492,7 +436,7 @@ func (c *Controller) emitDecision(now sim.Time, delta int) {
 type loop struct {
 	spec AutoscaleSpec
 
-	off      int // current offset from base, in servers/replicas
+	off      int // current offset from base, in servers
 	cooldown int
 	upHold   int
 	downHold int
@@ -525,9 +469,6 @@ func newLoop(a AutoscaleSpec) loop {
 	}
 	if a.Hold <= 0 {
 		a.Hold = 1
-	}
-	if a.ReplicaCap <= 0 {
-		a.ReplicaCap = 4
 	}
 	return loop{spec: a}
 }

@@ -54,9 +54,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: JobTune, Control: &control.Spec{Shed: &control.ShedSpec{Queue: 64}}},
 		{Type: JobObserved, // bad spec caught by control.Spec.Validate
 			Control: &control.Spec{Autoscale: &control.AutoscaleSpec{Target: control.TargetPE}}},
-		{Type: JobObserved, // replicas target needs a fleet
+		{Type: JobObserved, // only pe and cores are autoscale targets
 			Control: &control.Spec{Autoscale: &control.AutoscaleSpec{
-				Target: control.TargetReplicas, UpUtil: 0.8, DownUtil: 0.2}}},
+				Target: "replicas", UpUtil: 0.8, DownUtil: 0.2}}},
 		{Type: JobObserved, Requests: -1},                                     // negative budget
 		{Type: JobObserved, Requests: maxRequests + 1},                        // oversized budget
 		{Type: JobExperiment, Experiment: "fig11", Requests: maxRequests + 1}, // oversized budget

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -404,6 +405,23 @@ func submitAndWait(t *testing.T, base, body string) string {
 		t.Fatalf("job %s ended %s: %s", view.ID, last.State, last.Error)
 	}
 	return view.ID
+}
+
+// TestRemovedReplicaCapRejected: replicaCap was an autoscale field
+// that changed a job's ResultKey but no output byte, so a client still
+// sending it gets a 400 naming the field rather than a cache slot of
+// its own. The same control spec without it is admitted.
+func TestRemovedReplicaCapRejected(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
+	const ctl = `"control":{"autoscale":{"target":"pe","upUtil":0.8,"downUtil":0.2%s}}`
+	stale := `{"type":"observed","requests":60,"quick":true,` + fmt.Sprintf(ctl, `,"replicaCap":3`) + `}`
+	resp := postJSON(t, ts.URL+"/v1/jobs", stale)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "replicaCap") {
+		t.Errorf("submit with replicaCap: status %d body %q, want 400 naming the field", resp.StatusCode, msg)
+	}
+	submitAndWait(t, ts.URL, `{"type":"observed","requests":60,"quick":true,`+fmt.Sprintf(ctl, "")+`}`)
 }
 
 // TestConcurrentArtifactDownloads streams the same finished job's

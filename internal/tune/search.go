@@ -439,13 +439,7 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 			} else {
 				// Stuck: widen the neighborhood (bounded by the widest
 				// dimension, beyond which it cannot add candidates).
-				maxLevels := 0
-				for _, d := range sp.Dims {
-					if len(d.Levels) > maxLevels {
-						maxLevels = len(d.Levels)
-					}
-				}
-				if st.Radius < maxLevels {
+				if st.Radius < sp.maxLevels() {
 					st.Radius++
 				}
 			}

@@ -247,6 +247,30 @@ func (s *Space) Key(cand []int) string {
 	return b.String()
 }
 
+// check reports whether cand is a point of the space: one in-range
+// level index per dimension.
+func (s *Space) check(cand []int) error {
+	if len(cand) != len(s.Dims) {
+		return fmt.Errorf("tune: candidate has %d indices, space has %d dims", len(cand), len(s.Dims))
+	}
+	for i, d := range s.Dims {
+		if cand[i] < 0 || cand[i] >= len(d.Levels) {
+			return fmt.Errorf("tune: %s index %d out of range [0,%d)", d.Name, cand[i], len(d.Levels))
+		}
+	}
+	return nil
+}
+
+// maxLevels is the widest dimension's level count: the largest
+// neighborhood radius that can still add candidates.
+func (s *Space) maxLevels() int {
+	n := 0
+	for _, d := range s.Dims {
+		n = max(n, len(d.Levels))
+	}
+	return n
+}
+
 // Levels maps a candidate to its dimension-name -> level-label view
 // (for reports; Key is the canonical form).
 func (s *Space) Levels(cand []int) map[string]string {
@@ -263,15 +287,12 @@ func (s *Space) Levels(cand []int) map[string]string {
 // searcher skips it); validity reuses config.Validate, so the searcher
 // can never evaluate a configuration the simulator would reject.
 func (s *Space) Materialize(cand []int) (*config.Config, engine.Policy, error) {
-	if len(cand) != len(s.Dims) {
-		return nil, engine.Policy{}, fmt.Errorf("tune: candidate has %d indices, space has %d dims", len(cand), len(s.Dims))
+	if err := s.check(cand); err != nil {
+		return nil, engine.Policy{}, err
 	}
 	cfg := config.Default()
 	pol := engine.AccelFlow()
 	for i, d := range s.Dims {
-		if cand[i] < 0 || cand[i] >= len(d.Levels) {
-			return nil, engine.Policy{}, fmt.Errorf("tune: %s index %d out of range [0,%d)", d.Name, cand[i], len(d.Levels))
-		}
 		if err := d.apply(cfg, &pol, cand[i]); err != nil {
 			return nil, engine.Policy{}, err
 		}

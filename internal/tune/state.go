@@ -65,7 +65,10 @@ func (st *SearchState) Marshal() ([]byte, error) { return json.Marshal(st) }
 // LoadState decodes a snapshot and verifies it belongs to p: the
 // embedded signature must match p's, so a snapshot can never silently
 // continue a different search (other space, seed, objective, or
-// strategy).
+// strategy). The current and best candidates must also be points of
+// p's space whose keys match the snapshot's, and the radius must be one
+// hill climbing can reach, so a corrupt snapshot is an error here, not
+// an index panic or an endless neighborhood walk inside Run.
 func LoadState(data []byte, p Params) (*SearchState, error) {
 	var st SearchState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -80,6 +83,25 @@ func LoadState(data []byte, p Params) (*SearchState, error) {
 	}
 	if st.Sig != sig {
 		return nil, fmt.Errorf("tune: search state signature %.12s does not match these parameters (%.12s); refusing to resume a different search", st.Sig, sig)
+	}
+	sp, err := p.Space.Build()
+	if err != nil {
+		return nil, err
+	}
+	for _, pt := range []struct {
+		name string
+		cand []int
+		key  string
+	}{{"cur", st.Cur, st.CurKey}, {"best", st.Best, st.BestKey}} {
+		if err := sp.check(pt.cand); err != nil {
+			return nil, fmt.Errorf("%w (search state %s)", err, pt.name)
+		}
+		if k := sp.Key(pt.cand); k != pt.key {
+			return nil, fmt.Errorf("tune: search state %s key %q does not match its candidate (%q)", pt.name, pt.key, k)
+		}
+	}
+	if st.Radius < 1 || st.Radius > sp.maxLevels() {
+		return nil, fmt.Errorf("tune: search state radius %d out of range [1,%d]", st.Radius, sp.maxLevels())
 	}
 	return &st, nil
 }

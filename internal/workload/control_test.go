@@ -53,28 +53,6 @@ func controlledSpec() *RunSpec {
 	}
 }
 
-// controlledFleetSpec is a 4-replica fleet with ingress shedding and
-// the replicas autoscaler.
-func controlledFleetSpec(workers int) *FleetSpec {
-	return &FleetSpec{
-		Config:   config.Default(),
-		Policy:   engine.AccelFlow(),
-		Sources:  Mix(services.SocialNetwork(), 4.0, 240),
-		Seed:     11,
-		Replicas: 4,
-		Workers:  workers,
-		Control: &control.Spec{
-			Autoscale: &control.AutoscaleSpec{
-				Target:    control.TargetReplicas,
-				UpUtil:    0.9,
-				DownUtil:  0.3,
-				MaxRemove: 2,
-			},
-			Shed: &control.ShedSpec{Queue: 64},
-		},
-	}
-}
-
 // TestControlledRunEngagesEveryPolicy: the surge, queue threshold
 // and fault burst in controlledSpec really drive the autoscaler, the
 // shedder and the retry budget, so tests built on it are not vacuous.
@@ -116,82 +94,13 @@ func TestControlledRunPinnedOutput(t *testing.T) {
 	}
 }
 
-// TestControlledFleetShardInvariance: a fleet with the replicas
-// autoscaler and ingress shedding is byte-identical at any worker
-// count, controller counters included.
-func TestControlledFleetShardInvariance(t *testing.T) {
-	mk := controlledFleetSpec
-	type fleetCtl struct {
-		fp    fleetFingerprint
-		shed  uint64
-		stats control.Stats
-	}
-	run := func(workers int) fleetCtl {
-		res, err := mk(workers).Run()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Control == nil {
-			t.Fatalf("workers=%d: nil Control stats", workers)
-		}
-		return fleetCtl{fp: fingerprint(t, res), shed: res.Shed, stats: *res.Control}
-	}
-	ref := run(1)
-	if ref.stats.Ticks == 0 {
-		t.Fatal("fleet controller never ticked")
-	}
-	if ref.fp.completed+ref.shed != 240 {
-		t.Fatalf("conservation: %d completed + %d shed != 240", ref.fp.completed, ref.shed)
-	}
-	for _, workers := range []int{2, 4} {
-		if got := run(workers); got != ref {
-			t.Errorf("workers=%d diverged from serial:\n got %+v\nwant %+v", workers, got, ref)
-		}
-	}
-}
-
-// TestFleetControlValidation: fleets reject control specs they cannot
-// honour before running anything.
-func TestFleetControlValidation(t *testing.T) {
-	base := func() *FleetSpec {
-		return &FleetSpec{
-			Config:   config.Default(),
-			Policy:   engine.AccelFlow(),
-			Sources:  Mix(services.SocialNetwork(), 1.0, 40),
-			Seed:     1,
-			Replicas: 2,
-		}
-	}
-	cases := []struct {
-		name string
-		spec *control.Spec
-		want string
-	}{
-		{"retry budgets unsupported", &control.Spec{Retry: &control.RetrySpec{Budget: 4}}, "retry budgets"},
-		{"pe target needs a single server", &control.Spec{Autoscale: &control.AutoscaleSpec{
-			Target: control.TargetPE, UpUtil: 0.8, DownUtil: 0.2}}, "autoscale target"},
-		{"invalid spec rejected", &control.Spec{Autoscale: &control.AutoscaleSpec{
-			Target: control.TargetReplicas}}, "UpUtil"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := base()
-			s.Control = tc.spec
-			_, err := s.Run()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Run() error = %v, want substring %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestRunControlValidation: single-server runs reject the replicas
-// target (no fleet to scale) and invalid specs.
+// TestRunControlValidation: runs reject an autoscale target other than
+// pe or cores, and invalid specs.
 func TestRunControlValidation(t *testing.T) {
 	spec := controlledSpec()
-	spec.Control.Autoscale.Target = control.TargetReplicas
-	if _, err := spec.Run(); err == nil || !strings.Contains(err.Error(), "replicas") {
-		t.Fatalf("Run() error = %v, want replicas-target rejection", err)
+	spec.Control.Autoscale.Target = "replicas"
+	if _, err := spec.Run(); err == nil || !strings.Contains(err.Error(), "autoscale target") {
+		t.Fatalf("Run() error = %v, want autoscale-target rejection", err)
 	}
 	spec = controlledSpec()
 	spec.Control.Shed.Prob = 1.5

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"accelflow/internal/config"
@@ -12,7 +11,7 @@ import (
 	"accelflow/internal/sim"
 )
 
-func fleetSpec(replicas, requests, workers int, balance string) *FleetSpec {
+func fleetSpec(replicas, requests, workers int) *FleetSpec {
 	return &FleetSpec{
 		Config:   config.Default(),
 		Policy:   engine.AccelFlow(),
@@ -20,7 +19,6 @@ func fleetSpec(replicas, requests, workers int, balance string) *FleetSpec {
 		Seed:     11,
 		Replicas: replicas,
 		Workers:  workers,
-		Balance:  balance,
 	}
 }
 
@@ -37,7 +35,6 @@ type fleetFingerprint struct {
 	epochs         uint64
 	mail           uint64
 	elapsed        sim.Time
-	routed         [8]uint64
 	perReplica     [8]uint64
 }
 
@@ -50,9 +47,6 @@ func fingerprint(t *testing.T, res *FleetResult) fleetFingerprint {
 		events: res.Events, epochs: res.Epochs, mail: res.Mail,
 		elapsed: res.Merged.Elapsed,
 	}
-	for i, n := range res.Routed {
-		fp.routed[i] = n
-	}
 	for i, rr := range res.Replicas {
 		fp.perReplica[i] = rr.Completed
 	}
@@ -64,68 +58,46 @@ func fingerprint(t *testing.T, res *FleetResult) fleetFingerprint {
 // concurrent replica servers) is byte-identical at worker counts
 // {1, 2, 4, 8}.
 func TestFleetWorkerCountInvariance(t *testing.T) {
-	for _, balance := range []string{"rr", "least"} {
-		run := func(workers int) fleetFingerprint {
-			res, err := fleetSpec(4, 240, workers, balance).Run()
-			if err != nil {
-				t.Fatalf("balance=%s workers=%d: %v", balance, workers, err)
-			}
-			return fingerprint(t, res)
+	run := func(workers int) fleetFingerprint {
+		res, err := fleetSpec(4, 240, workers).Run()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		ref := run(1)
-		if ref.completed != 240 {
-			t.Fatalf("balance=%s: completed %d/240", balance, ref.completed)
-		}
-		if ref.mail == 0 || ref.epochs == 0 {
-			t.Fatalf("balance=%s: no cross-domain traffic (mail=%d epochs=%d) — test is vacuous",
-				balance, ref.mail, ref.epochs)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			if got := run(workers); got != ref {
-				t.Errorf("balance=%s workers=%d diverged:\n got %+v\nwant %+v", balance, workers, got, ref)
-			}
+		return fingerprint(t, res)
+	}
+	ref := run(1)
+	if ref.completed != 240 {
+		t.Fatalf("completed %d/240", ref.completed)
+	}
+	if ref.mail == 0 || ref.epochs == 0 {
+		t.Fatalf("no cross-domain traffic (mail=%d epochs=%d) — test is vacuous", ref.mail, ref.epochs)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		if got := run(workers); got != ref {
+			t.Errorf("workers=%d diverged:\n got %+v\nwant %+v", workers, got, ref)
 		}
 	}
 }
 
-// TestFleetBalancing pins routing behavior: rr spreads exactly
-// round-robin; least keeps the spread within a reasonable band and
-// exercises the replica->ingress completion mail.
+// TestFleetBalancing pins the ingress's round-robin cursor: every
+// source shares it, so however the sources' arrivals interleave, the
+// replicas receive — and so complete — exactly equal shares.
 func TestFleetBalancing(t *testing.T) {
-	res, err := fleetSpec(4, 200, 4, "rr").Run()
+	res, err := fleetSpec(4, 200, 4).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range res.Routed {
-		if n != 50 {
-			t.Errorf("rr routed[%d] = %d, want 50", i, n)
+	for i, rr := range res.Replicas {
+		if rr.Completed != 50 {
+			t.Errorf("replica %d completed %d, want 50", i, rr.Completed)
 		}
-	}
-	res, err = fleetSpec(4, 200, 4, "least").Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var min, max uint64 = math.MaxUint64, 0
-	for _, n := range res.Routed {
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	if min == 0 {
-		t.Errorf("least starved a replica: routed %v", res.Routed)
-	}
-	if max > 3*min {
-		t.Errorf("least spread implausibly skewed: routed %v", res.Routed)
 	}
 }
 
 // faultedFleetSpec is a 3-replica checked fleet under a fault burst
 // that exercises every injection mechanism.
 func faultedFleetSpec(workers int) *FleetSpec {
-	s := fleetSpec(3, 150, workers, "rr")
+	s := fleetSpec(3, 150, workers)
 	s.Check = true
 	s.Faults = &fault.Spec{
 		Rate:           3000,
@@ -172,13 +144,10 @@ func TestFleetCheckedWithFaults(t *testing.T) {
 
 // TestFleetValidation covers the error paths.
 func TestFleetValidation(t *testing.T) {
-	if _, err := fleetSpec(0, 100, 1, "").Run(); err == nil {
+	if _, err := fleetSpec(0, 100, 1).Run(); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := fleetSpec(2, 100, 1, "p2c").Run(); err == nil {
-		t.Error("unknown balance policy accepted")
-	}
-	s := fleetSpec(2, 100, 1, "")
+	s := fleetSpec(2, 100, 1)
 	s.Sources[0].Requests = 0
 	if _, err := s.Run(); err == nil {
 		t.Error("zero-budget source accepted")
@@ -190,7 +159,7 @@ func TestFleetValidation(t *testing.T) {
 func TestFleetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := fleetSpec(2, 100, 2, "").RunCtx(ctx); err == nil || res != nil {
+	if res, err := fleetSpec(2, 100, 2).RunCtx(ctx); err == nil || res != nil {
 		t.Errorf("cancelled run returned res=%v err=%v", res, err)
 	}
 }

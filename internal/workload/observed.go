@@ -42,9 +42,7 @@ type ObservedParams struct {
 
 	// Control, when non-nil, attaches the dynamic-control subsystem
 	// (the -ctl* flags on accelsim; the "control" job knob on
-	// accelsimd). The autoscale target must be "pe" or "cores" — an
-	// observed run simulates one server, so there are no replicas to
-	// scale. The spec joins the run's content hash, so controlled and
+	// accelsimd). The spec joins the run's content hash, so controlled and
 	// uncontrolled runs never collide in result caches.
 	Control *control.Spec
 
@@ -73,14 +71,8 @@ func (p ObservedParams) Validate() error {
 			return fmt.Errorf("observed run: %w", err)
 		}
 	}
-	if p.Control != nil {
-		if err := p.Control.Validate(); err != nil {
-			return fmt.Errorf("observed run: %w", err)
-		}
-		if a := p.Control.Autoscale; a != nil && a.Target == control.TargetReplicas {
-			return fmt.Errorf("observed run: autoscale target %q needs a fleet; use %q or %q",
-				control.TargetReplicas, control.TargetPE, control.TargetCores)
-		}
+	if err := p.Control.Validate(); err != nil {
+		return fmt.Errorf("observed run: %w", err)
 	}
 	return nil
 }

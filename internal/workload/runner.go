@@ -80,12 +80,12 @@ type RunSpec struct {
 	Faults *fault.Spec
 	// Control, when non-nil, attaches the dynamic-control subsystem
 	// seeded with DeriveSeed(Seed, "control"): an autoscaler over the
-	// PE pools or the core pool (target "replicas" needs a FleetSpec),
-	// request-layer load shedding, and per-tenant retry budgets. A
-	// controller whose policies can never fire draws from no RNG
-	// stream and leaves results bit-identical to Control == nil except
-	// that its decision tick, like the obs sampler, may extend Elapsed
-	// by up to one interval past the last completion.
+	// PE pools or the core pool, request-layer load shedding, and
+	// per-tenant retry budgets. A controller whose policies can never
+	// fire draws from no RNG stream and leaves results bit-identical to
+	// Control == nil except that its decision tick, like the obs
+	// sampler, may extend Elapsed by up to one interval past the last
+	// completion.
 	Control *control.Spec
 	// Check, when non-nil, attaches a runtime invariant checker: the
 	// kernel verifies event-time monotonicity as it runs, the engine
@@ -112,7 +112,10 @@ func (s *RunSpec) Run() (*RunResult, error) {
 // misleading. With a background (or nil) context the behavior and
 // results are bit-identical to Run.
 func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
-	if err := checkInputs(s.Sources, s.Control); err != nil {
+	if err := s.Control.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkInputs(s.Sources); err != nil {
 		return nil, err
 	}
 	k := sim.NewKernel()
@@ -130,11 +133,7 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		ctl = control.New(*s.Control, sim.DeriveSeed(s.Seed, "control"))
 		ctl.BindObs(s.Obs)
 		if a := s.Control.Autoscale; a != nil {
-			pools, err := res.Engine.ControlPools(a.Target)
-			if err != nil {
-				return nil, err
-			}
-			ctl.AttachPools(pools)
+			ctl.AttachPools(res.Engine.ControlPools(a.Target))
 		}
 	}
 
@@ -172,15 +171,10 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 	return res, nil
 }
 
-// checkInputs runs the validation RunSpec and FleetSpec share before
-// anything is built. The fault spec is checked by engine.New, in
+// checkInputs runs the source validation RunSpec and FleetSpec share
+// before anything is built. The fault spec is checked by engine.New, in
 // newServer, before its injector attaches.
-func checkInputs(sources []Source, ctl *control.Spec) error {
-	if ctl != nil {
-		if err := ctl.Validate(); err != nil {
-			return err
-		}
-	}
+func checkInputs(sources []Source) error {
 	if len(sources) == 0 {
 		return fmt.Errorf("workload: no requests to run")
 	}
