@@ -250,11 +250,13 @@ func BenchmarkRunSharded(b *testing.B) {
 	}
 }
 
-// serveRoundTrip submits a quick experiment to the in-process HTTP
-// daemon, then reads the NDJSON progress stream to EOF (the completion
-// barrier — its last line is the "done" event).
-func serveRoundTrip(b *testing.B, handler http.Handler) {
-	body := `{"type":"experiment","experiment":"fig19","quick":true,"requests":40,"seed":1,"parallelism":1}`
+// serveQuickJob is the round-trip benchmarks' experiment job.
+const serveQuickJob = `{"type":"experiment","experiment":"fig19","quick":true,"requests":40,"seed":1,"parallelism":1}`
+
+// serveRoundTrip submits a job to the in-process HTTP daemon, then
+// reads the NDJSON progress stream to EOF (the completion barrier — its
+// last line is the "done" event), and returns the job's URL path.
+func serveRoundTrip(b *testing.B, handler http.Handler, body string) string {
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
 	if rec.Code != http.StatusAccepted {
@@ -276,6 +278,7 @@ func serveRoundTrip(b *testing.B, handler http.Handler) {
 	if !strings.Contains(last, `"done"`) {
 		b.Fatalf("job did not finish cleanly: %s", last)
 	}
+	return id
 }
 
 // BenchmarkServeSubmitQuick measures a full job round trip through the
@@ -287,7 +290,7 @@ func BenchmarkServeSubmitQuick(b *testing.B) {
 	handler := serve.NewServer(sched).Handler()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serveRoundTrip(b, handler)
+		serveRoundTrip(b, handler, serveQuickJob)
 	}
 }
 
@@ -296,15 +299,32 @@ func BenchmarkServeSubmitQuick(b *testing.B) {
 // submission is served from cache ("cached": true, byte-identical
 // values), so the pair SubmitQuick/SubmitCached measures what
 // deduplication buys — the cached path must be >= 10x cheaper than
-// the cold one.
+// the cold one. The experiment case is that pair's other half; the
+// observed case is a daemon-hot style hit on the daemon's most common
+// job: submit, progress, then the values body.
 func BenchmarkServeSubmitCached(b *testing.B) {
+	b.Run("experiment", func(b *testing.B) { benchServeCached(b, serveQuickJob, false) })
+	b.Run("observed", func(b *testing.B) {
+		benchServeCached(b, `{"type":"observed","requests":150,"quick":true,"seed":1}`, true)
+	})
+}
+
+func benchServeCached(b *testing.B, body string, values bool) {
 	sched := serve.NewScheduler(serve.Config{Workers: 1, QueueDepth: 2, CacheEntries: 64})
 	defer sched.Close()
 	handler := serve.NewServer(sched).Handler()
-	serveRoundTrip(b, handler) // prime the cache with the one cold run
+	serveRoundTrip(b, handler, body) // prime the cache with the one cold run
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serveRoundTrip(b, handler)
+		id := serveRoundTrip(b, handler, body)
+		if values {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest("GET", id+"/values", nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("values: status %d: %s", rec.Code, rec.Body.String())
+			}
+		}
 	}
 }
 

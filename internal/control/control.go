@@ -51,8 +51,8 @@ const (
 
 // Spec configures one run's controller. All three sections are
 // optional; a spec with none attached is inert. The spec is plain
-// data and joins workload.RunSpec.Hash(), so controller config is
-// part of a run's content identity.
+// data and its JSON joins workload.ObservedParams.Key, so controller
+// config is part of an observed run's result identity.
 type Spec struct {
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
 	Shed      *ShedSpec      `json:"shed,omitempty"`

@@ -2,17 +2,18 @@
 // makes every simulation result cacheable forever: a job's Values,
 // report lines, and artifact bytes are pure functions of its submitted
 // parameters (pinned by determinism_test.go), so the cache keys off a
-// result identity — workload.RunSpec.Hash for observed jobs, a
-// canonical parameter digest for experiment jobs, the search signature
-// for tune jobs (see JobRequest.ResultKey) — that leaves out the
-// execution-only Parallelism knob.
+// result identity — a digest of the normalized parameters for observed
+// jobs (workload.ObservedParams.Key) and experiment jobs, the search
+// signature for tune jobs (see JobRequest.ResultKey) — that leaves out
+// the execution-only Parallelism knob. Submit computes the key before
+// it takes the scheduler lock.
 //
 // One bounded LRU holds two kinds of entries under one capacity:
 //
-//   - job entries (*jobResultEntry): a finished job's values, lines,
-//     and artifact bytes, keyed "job|...". The entry is the job's own
-//     result, whose artifacts were rendered once when the run
-//     completed, so a hit serves the exact bytes the cold job serves.
+//   - job entries (*jobResultEntry): a finished job's values body and
+//     artifact bytes, keyed "job|...". The entry is the job's own
+//     result, whose bytes were rendered once when the run completed,
+//     so a hit serves the exact bytes the cold job serves.
 //     A hit completes the submission synchronously without occupying a
 //     queue slot.
 //   - cell entries: individual sweep-cell outputs, keyed
@@ -60,14 +61,14 @@ type CacheStats struct {
 }
 
 // jobResultEntry is a finished job's output: everything a client can
-// fetch after the job completes, artifacts as the bytes rendered when
-// the run finished (observed jobs only). One entry is the result of the
-// job that ran, its cache entry, and the result of every job completed
-// from it; it is immutable once set, so all of them share it read-only
-// and Job.results copies values on the way out.
+// fetch after the job completes, as the bytes rendered when the run
+// finished (Scheduler.execute). One entry is the result of the job that
+// ran, its cache entry, and the result of every job completed from it;
+// it is immutable once set, so all of them share it read-only.
 type jobResultEntry struct {
-	values    map[string]float64
-	lines     []string
+	// values is the GET /values body after its id member (renderValues).
+	values []byte
+	// artifacts holds an observed job's exports (nil for other types).
 	artifacts map[obs.Artifact][]byte
 }
 

@@ -195,15 +195,15 @@ func TestCoalesceConcurrentSubmissions(t *testing.T) {
 	if got := atomic.LoadInt32(&runs); got != 1 {
 		t.Fatalf("%d executions for %d identical submissions, want 1", got, n)
 	}
-	var want map[string]float64
+	var want []byte
 	for i, j := range jobs {
-		vals, _, state := j.results()
+		vals, state := j.values()
 		if state != StateDone {
 			t.Fatalf("job %d ended %s", i, state)
 		}
 		if want == nil {
 			want = vals
-		} else if !reflect.DeepEqual(vals, want) {
+		} else if !bytes.Equal(vals, want) {
 			t.Fatalf("job %d values diverged", i)
 		}
 	}
@@ -255,7 +255,7 @@ func TestCancelledSweepCellsReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-j2.Done()
-	if _, _, state := j2.results(); state != StateDone {
+	if state := j2.snapshot().State; state != StateDone {
 		t.Fatalf("resubmission ended %s", state)
 	}
 	stats, _ := sched.CacheStats()
@@ -267,6 +267,58 @@ func TestCancelledSweepCellsReused(t *testing.T) {
 		// The sweep outran the cancel; then the resubmission must at
 		// least be a whole-job cache hit.
 		t.Errorf("first run ended %s yet resubmission was not cached", first)
+	}
+}
+
+// TestResubmitAfterCancelledQueuedLeader: a cacheable job cancelled
+// while queued retires its flight before its done channel closes, so a
+// client that waits for the cancellation and resubmits gets a fresh
+// run. When the flight stayed until a worker dispatched the dead job,
+// the resubmission coalesced onto it and ended cancelled too.
+func TestResubmitAfterCancelledQueuedLeader(t *testing.T) {
+	release := make(chan struct{})
+	var sched *Scheduler
+	sched = newScheduler(Config{Workers: 1, QueueDepth: 4, CacheEntries: 64},
+		func(ctx context.Context, j *Job) {
+			if j.Req.Type == JobExperiment {
+				<-release // the long job holds the only worker
+				j.finish(StateCancelled, "released")
+				return
+			}
+			sched.execute(ctx, j)
+		})
+	defer sched.Close()
+
+	long, err := sched.Submit(stubReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, long, StateRunning)
+	req := JobRequest{Type: JobObserved, Requests: 60, Quick: true, Seed: 9}
+	a, err := sched.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.Cancel(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	<-a.Done()
+	again, err := sched.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	select {
+	case <-again.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("resubmission after a cancelled queued job never finished")
+	}
+	if v := again.snapshot(); v.State != StateDone || v.Cached {
+		t.Fatalf("resubmission after a cancelled queued job ended %s (cached %t, error %q), want a fresh done run",
+			v.State, v.Cached, v.Error)
+	}
+	if st, _ := sched.CacheStats(); st.Coalesced != 0 {
+		t.Errorf("resubmission coalesced onto the cancelled job: %+v", st)
 	}
 }
 

@@ -20,10 +20,14 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -32,7 +36,6 @@ import (
 	"accelflow/internal/experiments"
 	"accelflow/internal/obs"
 	"accelflow/internal/tune"
-	"accelflow/internal/workload"
 )
 
 // JobState is a job's lifecycle phase.
@@ -93,8 +96,8 @@ type JobRequest struct {
 	// Control attaches the dynamic-control subsystem (autoscaler,
 	// shedding, retry budgets) to an observed job; it mirrors the
 	// CLI's -ctl* flags. Observed jobs only, like the fault knobs.
-	// The spec joins the built RunSpec's content hash, so controlled
-	// jobs never collide with uncontrolled cache entries.
+	// The spec joins the job's ResultKey, so controlled jobs never
+	// collide with uncontrolled cache entries.
 	Control *control.Spec `json:"control,omitempty"`
 	// Tune knobs, tune jobs only; they mirror the CLI's -tune* flags.
 	// Strategy is "hill" (default) or "anneal"; Objective is "p99",
@@ -212,14 +215,14 @@ func (r JobRequest) checkKnobs() error {
 
 // ResultKey is the content-addressed identity of the job's result:
 // two requests with equal keys produce byte-identical values, lines,
-// and artifacts, so the scheduler caches and coalesces on it. The key
-// covers only result-affecting parameters — Parallelism is an
-// execution knob that provably never changes bytes, Tenant/Priority
-// only steer scheduling, and everything in Env is observe-only.
-// Observed jobs key off the built RunSpec's Hash (requests/quick
-// normalization happens inside BuildObserved); experiment jobs hash
-// their raw parameter tuple. Empty means "not cacheable" (never the
-// case for a validated request).
+// and artifacts, so the scheduler caches and coalesces on it. Each job
+// type hashes only its result-affecting parameters, normalized, without
+// building anything it would run: experiment jobs their raw parameter
+// tuple, observed jobs workload.ObservedParams.Key, tune jobs their
+// search signature. Parallelism is an execution knob that provably never
+// changes bytes, Tenant/Priority only steer scheduling, and everything
+// in Env is observe-only, so none of them joins. Empty means "not
+// cacheable" (never the case for a validated request).
 func (r JobRequest) ResultKey() string {
 	switch r.Type {
 	case JobExperiment:
@@ -227,11 +230,11 @@ func (r JobRequest) ResultKey() string {
 			r.Experiment, r.Requests, r.Seed, r.Quick)))
 		return "job|exp|" + hex.EncodeToString(sum[:])
 	case JobObserved:
-		spec, _, err := workload.BuildObserved(r.observedParams(Env{}))
+		key, err := r.observedParams(Env{}).Key()
 		if err != nil {
 			return ""
 		}
-		return "job|obs|" + spec.Hash()
+		return "job|obs|" + key
 	case JobTune:
 		sig, err := r.tuneParams(Env{}).Signature()
 		if err != nil {
@@ -291,10 +294,11 @@ type Job struct {
 	ID  string
 	Req JobRequest
 
-	// flightKey is the job's content-addressed result key when it was
-	// admitted as a cacheable leader ("" otherwise). Written once under
-	// the scheduler lock before the job is queued; read-only after.
-	flightKey string
+	// flight is the job's singleflight entry when it was admitted as a
+	// cacheable leader (nil otherwise); its key is the job's result key.
+	// Written once under the scheduler lock before the job is queued;
+	// read-only after.
+	flight *flight
 
 	mu              sync.Mutex
 	state           JobState
@@ -373,10 +377,17 @@ func (j *Job) finish(state JobState, errMsg string) {
 	j.finishLocked(state, errMsg)
 }
 
-// finishLocked requires mu.
+// finishLocked requires mu. A leader that fails or is cancelled
+// retires its flight before done closes, so a client that waits for
+// the outcome and resubmits starts a fresh run instead of joining this
+// dead one, and its followers report the same outcome.
 func (j *Job) finishLocked(state JobState, errMsg string) {
 	if j.state.Terminal() {
 		return
+	}
+	var followers []*Job
+	if state != StateDone && j.flight != nil {
+		followers = j.flight.retire()
 	}
 	j.state = state
 	j.errMsg = errMsg
@@ -384,6 +395,9 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 	j.finished = time.Now()
 	j.appendEvent(Event{Event: "done", State: state, Error: errMsg})
 	close(j.done)
+	for _, fo := range followers {
+		fo.finish(state, errMsg)
+	}
 }
 
 // requestCancel cancels the job: a queued job dies immediately, a
@@ -406,9 +420,9 @@ func (j *Job) requestCancel() {
 // completeCached finishes the job from a cache entry, emitting the
 // same started/done event sequence a run would so the progress-stream
 // contract (EOF after the "done" event) holds for cached jobs. The
-// entry is shared read-only — entries are immutable and results copies
-// values on the way out. A job already terminal (e.g. a coalesced
-// follower cancelled while its leader ran) is left untouched.
+// entry is immutable and shared read-only. A job already terminal
+// (e.g. a coalesced follower cancelled while its leader ran) is left
+// untouched.
 func (j *Job) completeCached(e *jobResultEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -423,13 +437,6 @@ func (j *Job) completeCached(e *jobResultEntry) {
 	j.cached = true
 	j.result = e
 	j.finishLocked(StateDone, "")
-}
-
-// outcome reads the terminal state and error for flight settlement.
-func (j *Job) outcome() (JobState, string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.errMsg
 }
 
 // cacheEntry returns a successful job's immutable result (nil unless
@@ -469,6 +476,37 @@ func (j *Job) setResult(e *jobResultEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.result = e
+}
+
+// renderValues renders the GET /values body that follows its leading
+// {"id":..., member: the "lines" and "values" members and the closing
+// brace, byte for byte as json.Encoder writes them (keys sorted, HTML
+// left unescaped, trailing newline). A non-finite value has no JSON
+// encoding; the error names
+// every key that holds one. The daemon renders once, when the run
+// completes, so every fetch — cold, cached, or coalesced — writes the
+// same immutable bytes.
+func renderValues(values map[string]float64, lines []string) ([]byte, error) {
+	var bad []string
+	for k, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			bad = append(bad, fmt.Sprintf("%q is %v", k, v))
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return nil, fmt.Errorf("serve: values have no JSON encoding: %s", strings.Join(bad, ", "))
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(struct {
+		Lines  []string           `json:"lines"`
+		Values map[string]float64 `json:"values"`
+	}{lines, values}); err != nil {
+		return nil, fmt.Errorf("serve: render values: %w", err)
+	}
+	return buf.Bytes()[1:], nil
 }
 
 // renderArtifacts renders each export of a finished observed run to
@@ -525,18 +563,16 @@ func (j *Job) eventsSince(n int) (evs []Event, more <-chan struct{}, terminal bo
 	return evs, j.updated, j.state.Terminal()
 }
 
-// results returns copies of the stored values/lines and the job state.
-func (j *Job) results() (map[string]float64, []string, JobState) {
+// values returns the rendered values body after its id member (see
+// renderValues; nil until the job succeeds) and the job state. The
+// bytes are shared read-only.
+func (j *Job) values() ([]byte, JobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.result == nil {
-		return map[string]float64{}, nil, j.state
+		return nil, j.state
 	}
-	vals := make(map[string]float64, len(j.result.values))
-	for k, v := range j.result.values {
-		vals[k] = v
-	}
-	return vals, append([]string(nil), j.result.lines...), j.state
+	return j.result.values, j.state
 }
 
 // artifact returns the rendered bytes of one export (nil when the job

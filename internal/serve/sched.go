@@ -150,10 +150,29 @@ type tenantState struct {
 
 // flight is one in-flight cacheable run: the leader executes, the
 // followers coalesced onto it and complete from its outcome without
-// ever occupying a queue slot or a worker.
+// ever occupying a queue slot or a worker. The scheduler's flights
+// table holds it from the leader's admission until it retires, and
+// followers join only while it is there.
 type flight struct {
-	leader    *Job
-	followers []*Job
+	sched     *Scheduler
+	key       string
+	followers []*Job // guarded by sched.mu
+}
+
+// retire takes the flight out of the scheduler's table, if it is still
+// there, so no later submission joins it, and hands back the followers
+// that did. It takes the scheduler lock; a leader that fails or is
+// cancelled calls it under its own lock, so the lock order is job, then
+// scheduler, and the scheduler locks no job another goroutine can reach.
+func (f *flight) retire() []*Job {
+	f.sched.mu.Lock()
+	defer f.sched.mu.Unlock()
+	if f.sched.flights[f.key] == f {
+		delete(f.sched.flights, f.key)
+	}
+	fo := f.followers
+	f.followers = nil
+	return fo
 }
 
 // jobCost is the DRR cost of dispatching a job: batch jobs weigh 4x an
@@ -374,7 +393,8 @@ func (s *Scheduler) registerLocked(req JobRequest) *Job {
 // the daemon only: accelsim runs whatever budget its user asks for.
 const maxRequests = 100_000
 
-// Submit validates and admits one job. It never blocks. Outcomes, in
+// Submit validates and admits one job. It never blocks, and it computes
+// the job's result key before it takes the scheduler lock. Outcomes, in
 // evaluation order:
 //
 //   - a malformed request, or one over the maxRequests budget, returns
@@ -394,6 +414,10 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if req.Requests > maxRequests {
 		return nil, fieldErrorf("requests", "serve: requests must be at most %d, got %d", maxRequests, req.Requests)
 	}
+	var key string
+	if s.cache != nil {
+		key = req.ResultKey()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -402,10 +426,6 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	t := s.tenantLocked(req.Tenant)
 	if err := s.admitLocked(t); err != nil {
 		return nil, err
-	}
-	var key string
-	if s.cache != nil {
-		key = req.ResultKey()
 	}
 	if key != "" {
 		if e, ok := s.cache.getJob(key); ok {
@@ -424,9 +444,9 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	j := s.registerLocked(req)
-	j.flightKey = key
 	if key != "" {
-		s.flights[key] = &flight{leader: j}
+		j.flight = &flight{sched: s, key: key}
+		s.flights[key] = j.flight
 	}
 	t.fifo = append(t.fifo, j)
 	s.cond.Broadcast()
@@ -439,39 +459,30 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 // flight, which settle retires only after the worker returns.
 func (s *Scheduler) succeed(j *Job, e *jobResultEntry) {
 	j.setResult(e)
-	if j.flightKey != "" {
-		s.cache.putJob(j.flightKey, e)
+	if j.flight != nil {
+		s.cache.putJob(j.flight.key, e)
 	}
 	j.finish(StateDone, "")
 }
 
-// settle closes out a dispatched cacheable leader after its worker is
-// done with it: the flight retires, and every coalesced follower
-// completes — from the leader's entry on success, mirroring the
-// leader's terminal state otherwise (a follower of a cancelled or
-// failed run reports that same outcome; resubmitting starts fresh).
-// succeed published the entry before the flight retires, so a
-// concurrent Submit either sees the entry (and hits) or the flight
-// (and coalesces) — never neither.
+// settle closes out a dispatched cacheable leader that succeeded, after
+// its worker is done with it: the flight retires and every coalesced
+// follower completes from the leader's entry. succeed published the
+// entry before the flight retires, so a concurrent Submit either sees
+// the entry (and hits) or the flight (and coalesces) — never neither. A
+// leader that failed or was cancelled retired its flight and mirrored
+// its outcome onto its followers as it finished (Job.finishLocked), so
+// settle has nothing left to do for it.
 func (s *Scheduler) settle(j *Job) {
-	if j.flightKey == "" {
+	if j.flight == nil {
 		return
 	}
-	state, errMsg := j.outcome()
 	entry := j.cacheEntry()
-	s.mu.Lock()
-	var followers []*Job
-	if f := s.flights[j.flightKey]; f != nil && f.leader == j {
-		delete(s.flights, j.flightKey)
-		followers = f.followers
+	if entry == nil {
+		return
 	}
-	s.mu.Unlock()
-	for _, fo := range followers {
-		if entry != nil {
-			fo.completeCached(entry)
-		} else {
-			fo.finish(state, errMsg)
-		}
+	for _, fo := range j.flight.retire() {
+		fo.completeCached(entry)
 	}
 }
 
@@ -564,26 +575,28 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) {
 		OnCell:       j.cellDone,
 		OnGeneration: func(pr tune.Progress, _ []byte) { j.generationDone(pr) },
 	}
-	if s.cache != nil && j.flightKey != "" {
+	if j.flight != nil {
 		// Per-cell memoization of sweep cells and tune evaluations,
 		// namespaced under the job's result key so a cancelled run's
 		// completed cells are reusable on resubmission. Safe despite
 		// non-concurrency-safe cell values: singleflight guarantees one
 		// execution per key at a time (see cache.go).
-		env.Cache = cellCache{c: s.cache, prefix: "cell|" + j.flightKey + "|"}
+		env.Cache = cellCache{c: s.cache, prefix: "cell|" + j.flight.key + "|"}
 	}
 	res, err := Run(ctx, j.Req, env)
 	if err != nil {
 		j.finish(classify(ctx, err), err.Error())
 		return
 	}
-	e := &jobResultEntry{values: res.Values, lines: res.Lines}
-	if res.Sink != nil {
-		// Render once and drop the sink: the job keeps only the bytes.
-		if e.artifacts, err = renderArtifacts(res.Sink); err != nil {
-			j.finish(StateFailed, err.Error())
-			return
-		}
+	// Render once, for every fetch to come, and drop the sink: the job
+	// keeps only the bytes.
+	e := &jobResultEntry{}
+	if e.values, err = renderValues(res.Values, res.Lines); err == nil && res.Sink != nil {
+		e.artifacts, err = renderArtifacts(res.Sink)
+	}
+	if err != nil {
+		j.finish(StateFailed, err.Error())
+		return
 	}
 	s.succeed(j, e)
 }

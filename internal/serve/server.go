@@ -8,7 +8,7 @@
 //	                                               (400 on unknown state/type)
 //	GET    /v1/jobs/{id}                 status  -> JobView ("cached": true when served from cache)
 //	POST   /v1/jobs/{id}/cancel         cancel  -> 202 JobView
-//	GET    /v1/jobs/{id}/values          results -> {"values":{...},"lines":[...]}
+//	GET    /v1/jobs/{id}/values          results -> {"id":...,"lines":[...],"values":{...}}
 //	GET    /v1/jobs/{id}/progress        NDJSON event stream until the job ends
 //	GET    /v1/jobs/{id}/artifacts/{kind} Chrome trace / JSON report
 //	GET    /v1/experiments               registered experiment IDs
@@ -17,9 +17,9 @@
 //
 // Artifact and values bytes come from the same exporters the CLI uses,
 // so they are byte-identical to a local run with the same parameters.
-// An observed job renders its artifacts once, when its run completes;
-// every download of that job, of a cache hit on it, or of a follower
-// coalesced onto it serves those same bytes.
+// A job renders its values body and an observed job its artifacts once,
+// when its run completes; every fetch from that job, from a cache hit
+// on it, or from a follower coalesced onto it serves those same bytes.
 package serve
 
 import (
@@ -217,7 +217,7 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	values, lines, state := j.results()
+	body, state := j.values()
 	if !state.Terminal() {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("serve: job %s is %s; values are available once it finishes", j.ID, state))
@@ -228,7 +228,15 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: job %s finished %s and produced no values", j.ID, state))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "values": values, "lines": lines})
+	// The rest of the body was rendered when the run finished; only the
+	// id member is per job. Job IDs are "job-N", which strconv quotes
+	// exactly as encoding/json does.
+	head := strconv.AppendQuote([]byte(`{"id":`), j.ID)
+	head = append(head, ',')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(body)))
+	_, _ = w.Write(head)
+	_, _ = w.Write(body)
 }
 
 // handleProgress streams the job's events as NDJSON (one JSON object

@@ -424,6 +424,43 @@ func TestRemovedReplicaCapRejected(t *testing.T) {
 	submitAndWait(t, ts.URL, `{"type":"observed","requests":60,"quick":true,`+fmt.Sprintf(ctl, "")+`}`)
 }
 
+// TestUnencodableValuesFailJob: a quick fig15 at one request ends with
+// NaN throughput ratios, which JSON cannot encode. The job fails with
+// an error naming those keys, /values answers 409 rather than 200 with
+// an empty body, and nothing is cached: a resubmission runs again.
+func TestUnencodableValuesFailJob(t *testing.T) {
+	sched, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, CacheEntries: 64}, nil)
+	const body = `{"type":"experiment","experiment":"fig15","requests":1,"quick":true}`
+	for round := 0; round < 2; round++ {
+		view := decodeView(t, postJSON(t, ts.URL+"/v1/jobs", body))
+		evs := drainProgress(t, ts.URL+"/v1/jobs/"+view.ID+"/progress")
+		if last := evs[len(evs)-1]; last.State != StateFailed {
+			t.Fatalf("round %d: job ended %s, want failed", round, last.State)
+		}
+		got := jobView(t, ts.URL, view.ID)
+		if got.Cached {
+			t.Errorf("round %d: failed job served from cache", round)
+		}
+		for _, key := range []string{`"CannyEdge/ratio" is NaN`, `"HarrisCorner/ratio" is NaN`, `"avg_ratio" is NaN`} {
+			if !strings.Contains(got.Error, key) {
+				t.Errorf("round %d: error %q does not name %s", round, got.Error, key)
+			}
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/values")
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(msg), "finished failed") {
+			t.Errorf("round %d: values: status %d body %q, want 409 finished failed", round, resp.StatusCode, msg)
+		}
+	}
+	if st, _ := sched.CacheStats(); st.Hits != 0 {
+		t.Errorf("failed job reached the cache: %+v", st)
+	}
+}
+
 // TestConcurrentArtifactDownloads streams the same finished job's
 // trace to several clients at once (exports are read-only).
 func TestConcurrentArtifactDownloads(t *testing.T) {

@@ -5,10 +5,15 @@
 // build their observed runs through this file, which is what makes the
 // daemon's determinism contract checkable: the same ObservedParams
 // produce the same RunSpec, so the exported artifact bytes can only
-// depend on (Seed, Requests, Quick, fault knobs, control spec).
+// depend on (Seed, Requests, Quick, fault knobs, control spec), and
+// ObservedParams.Key names exactly those inputs.
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 
 	"accelflow/internal/check"
@@ -42,7 +47,7 @@ type ObservedParams struct {
 
 	// Control, when non-nil, attaches the dynamic-control subsystem
 	// (the -ctl* flags on accelsim; the "control" job knob on
-	// accelsimd). The spec joins the run's content hash, so controlled and
+	// accelsimd). The spec joins the run's Key, so controlled and
 	// uncontrolled runs never collide in result caches.
 	Control *control.Spec
 
@@ -85,18 +90,11 @@ func BuildObserved(p ObservedParams) (*RunSpec, *obs.Sink, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	n := p.Requests
-	if n <= 0 {
-		n = 2500
-	}
-	if p.Quick && n > 600 {
-		n = 600
-	}
 	sink := obs.New()
 	spec := &RunSpec{
 		Config:  config.Default(),
 		Policy:  engine.AccelFlow(),
-		Sources: Mix(services.SocialNetwork(), 1.0, n),
+		Sources: Mix(services.SocialNetwork(), 1.0, p.budget()),
 		Seed:    p.Seed,
 		Obs:     sink,
 		Faults:  p.faults(),
@@ -106,6 +104,39 @@ func BuildObserved(p ObservedParams) (*RunSpec, *obs.Sink, error) {
 		spec.Check = check.New()
 	}
 	return spec, sink, nil
+}
+
+// budget is the run's effective request budget: <= 0 takes the CLI
+// default of 2500, and Quick caps it at 600.
+func (p ObservedParams) budget() int {
+	n := p.Requests
+	if n <= 0 {
+		n = 2500
+	}
+	if p.Quick && n > 600 {
+		n = 600
+	}
+	return n
+}
+
+// Key is the run's result identity: a SHA-256 hex digest over the
+// inputs BuildObserved takes from p — the effective budget, the seed,
+// the fault spec and the control spec. Everything else a run reads
+// (config, policy, service catalog, arrival processes) is a constant of
+// this file, so two params with equal keys run bit-identical
+// simulations. Quick joins only through the budget it caps; Check,
+// which only observes, and a fault window with both fault knobs off,
+// which attaches nothing, do not join at all. Key fails only on a
+// non-finite knob, which Validate rejects.
+func (p ObservedParams) Key() (string, error) {
+	faults, ferr := json.Marshal(p.faults())
+	ctl, cerr := json.Marshal(p.Control)
+	if err := errors.Join(ferr, cerr); err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "observed|requests=%d|seed=%d|faults=%s|control=%s",
+		p.budget(), p.Seed, faults, ctl))
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // faults is the run's fault spec, nil when both fault knobs are off.

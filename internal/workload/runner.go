@@ -123,7 +123,13 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 	if s.Faults != nil {
 		p.Faults = fault.New(*s.Faults, sim.DeriveSeed(s.Seed, "faults"))
 	}
-	programs, remote := catalog(s.Programs, s.Remote)
+	programs, remote := s.Programs, s.Remote
+	if programs == nil {
+		programs = defaultPrograms
+	}
+	if remote == nil {
+		remote = defaultRemote
+	}
 	res, err := newServer(k, s.Config, s.Policy, p, programs, remote)
 	if err != nil {
 		return nil, err
@@ -188,24 +194,12 @@ func checkInputs(sources []Source) error {
 
 // defaultPrograms and defaultRemote are the SocialNetwork catalog and
 // its tail classification, built once: programs are read-only after
-// Build, Register copies the classification into each engine, and Hash
-// only reads it, so every run can share them.
+// Build and Register copies the classification into each engine, so
+// every run can share them.
 var (
 	defaultPrograms = services.Catalog()
 	defaultRemote   = services.RemoteTails()
 )
-
-// catalog applies the service-catalog default: nil programs or remote
-// kinds mean the SocialNetwork catalog.
-func catalog(programs []*trace.Program, remote map[string]engine.RemoteKind) ([]*trace.Program, map[string]engine.RemoteKind) {
-	if programs == nil {
-		programs = defaultPrograms
-	}
-	if remote == nil {
-		remote = defaultRemote
-	}
-	return programs, remote
-}
 
 // newServer assembles one AccelFlow server on k — the engine with the
 // catalog registered — and returns its empty result. RunSpec builds
