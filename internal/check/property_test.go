@@ -128,6 +128,23 @@ func TestPropertyInvariants(t *testing.T) {
 	}
 }
 
+// FuzzGenScenario widens TestPropertyInvariants past its fixed
+// iteration budget: any (baseSeed, index) pair the fuzzer picks must
+// generate a valid scenario whose checked run reports no violation.
+func FuzzGenScenario(f *testing.F) {
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(7), uint16(42))
+	f.Fuzz(func(t *testing.T, baseSeed int64, i uint16) {
+		sc := check.GenScenario(baseSeed, int(i))
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("generator emitted invalid scenario: %v", err)
+		}
+		if _, err := specFor(t, sc).Run(); err != nil {
+			t.Fatalf("scenario (seed %d, index %d, policy %s): %v", baseSeed, i, sc.PolicyName, err)
+		}
+	})
+}
+
 // runMix runs the SocialNetwork mix under AccelFlow at the given load
 // scale with the invariant checker attached, on a config mutated by
 // tweak (nil = default).

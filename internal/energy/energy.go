@@ -59,11 +59,12 @@ func Area() AreaReport {
 // BaselineTotal is the processor area without accelerators.
 func (a AreaReport) BaselineTotal() AreaMM2 { return a.Cores + a.LLC + a.CoreNetwork }
 
-// AccelTotal sums the accelerator ASIC areas.
+// AccelTotal sums the accelerator ASIC areas in AccelKind order, so
+// the floating-point sum does not depend on map iteration order.
 func (a AreaReport) AccelTotal() AreaMM2 {
 	var s AreaMM2
-	for _, v := range a.Accelerators {
-		s += v
+	for _, k := range config.AllAccelKinds() {
+		s += a.Accelerators[k]
 	}
 	return s
 }

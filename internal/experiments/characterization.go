@@ -43,9 +43,9 @@ func Fig1Breakdown(o Options) (*Result, error) {
 		bd := run.Breakdown
 		var taxTotal float64
 		shares := map[string]float64{}
-		for name, kinds := range groups {
+		for _, name := range order {
 			var t float64
-			for _, k := range kinds {
+			for _, k := range groups[name] {
 				t += bd.Tax[k].Micros()
 			}
 			shares[name] = t

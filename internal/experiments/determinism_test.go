@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-// convertedIDs lists the runners that fan out over the sweep engine;
-// each must produce bit-identical Values at any worker count.
-var convertedIDs = []string{
-	"fig11", "fig12", "fig13", "fig14", "fig15",
-	"fig18", "fig19", "fig20", "sens2", "sens5",
-	"resilience",
-}
-
-// detOpts keeps the three-runs-per-experiment determinism sweep fast;
-// determinism does not depend on the request budget.
-func detOpts(parallelism int) Options {
-	return Options{Requests: 60, Seed: 7, Quick: true, Parallelism: parallelism}
-}
-
 // sameValues compares two Values maps for exact (bit-level) equality.
 func sameValues(t *testing.T, label string, a, b map[string]float64) {
 	t.Helper()
@@ -43,44 +29,39 @@ func sameValues(t *testing.T, label string, a, b map[string]float64) {
 }
 
 // TestParallelismDoesNotChangeResults is the sweep engine's core
-// contract: a serial run (Parallelism 1) and a heavily oversubscribed
-// run (Parallelism 8) of the same experiment with the same seed yield
-// exactly equal Values, and a repeated parallel run is bit-identical
-// too (no dependence on goroutine scheduling).
+// contract, checked on every registry experiment of the shared quick
+// pass: a serial run (Parallelism 1) and a heavily oversubscribed run
+// (Parallelism 8) of the same experiment with the same seed yield
+// bit-identical Values and identical text, and a repeated parallel run
+// agrees too (no dependence on goroutine scheduling). fig14 skips the
+// repeat, which would cost a third throughput search; p1-vs-p8 already
+// covers scheduling independence there.
 func TestParallelismDoesNotChangeResults(t *testing.T) {
-	for _, id := range convertedIDs {
-		id := id
+	runs := quickRegistry()
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			if testing.Short() && (id == "fig14" || id == "fig15") {
+			if testing.Short() && slowID(id) {
 				t.Skip("throughput search is slow")
 			}
-			serial, err := Registry[id](detOpts(1))
-			if err != nil {
-				t.Fatalf("serial run: %v", err)
+			r := runs[id]
+			if r.p1.err != nil {
+				t.Fatalf("serial run: %v", r.p1.err)
 			}
-			par, err := Registry[id](detOpts(8))
-			if err != nil {
-				t.Fatalf("parallel run: %v", err)
+			if r.p8.err != nil {
+				t.Fatalf("parallel run: %v", r.p8.err)
 			}
-			if len(serial.Values) == 0 {
-				t.Fatal("no values produced")
-			}
-			sameValues(t, id+" p1-vs-p8", serial.Values, par.Values)
-			if serial.Text() != par.Text() {
+			sameValues(t, id+" p1-vs-p8", r.p1.res.Values, r.p8.res.Values)
+			if r.p1.res.Text() != r.p8.res.Text() {
 				t.Errorf("%s: report text differs between serial and parallel runs", id)
 			}
 			if id == "fig14" {
-				// The repeat-run check below costs a full throughput
-				// search here; p1-vs-p8 already covers scheduling
-				// independence for this runner.
 				return
 			}
-			again, err := Registry[id](detOpts(8))
-			if err != nil {
-				t.Fatalf("repeated parallel run: %v", err)
+			if r.p8Again.err != nil {
+				t.Fatalf("repeated parallel run: %v", r.p8Again.err)
 			}
-			sameValues(t, id+" p8-vs-p8", par.Values, again.Values)
-			if par.Text() != again.Text() {
+			sameValues(t, id+" p8-vs-p8", r.p8.res.Values, r.p8Again.res.Values)
+			if r.p8.res.Text() != r.p8Again.res.Text() {
 				t.Errorf("%s: report text differs across repeated parallel runs", id)
 			}
 		})

@@ -7,19 +7,17 @@ import (
 
 func quickOpts() Options { return Options{Requests: 120, Seed: 1, Quick: true} }
 
-// TestEveryExperimentRuns executes the full registry at a tiny scale:
-// every runner must complete, produce text, and fill its Values map.
+// TestEveryExperimentRuns checks every registry experiment's
+// Parallelism 1 run in the shared quick pass: it must complete, carry
+// its ID as its name, produce text, and fill its Values map.
 func TestEveryExperimentRuns(t *testing.T) {
+	runs := quickRegistry()
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			switch id {
-			case "fig14", "fig15":
-				if testing.Short() {
-					t.Skip("throughput search is slow")
-				}
+			if testing.Short() && slowID(id) {
+				t.Skip("throughput search is slow")
 			}
-			res, err := Registry[id](quickOpts())
+			res, err := runs[id].p1.res, runs[id].p1.err
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}

@@ -1,16 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// update regenerates the golden file:
+// update regenerates the golden file from the shared pass's
+// Parallelism 1 runs:
 //
 //	go test ./internal/experiments -run TestGoldenQuickValues -update
 var update = flag.Bool("update", false, "rewrite testdata golden files")
@@ -19,9 +22,9 @@ const goldenPath = "testdata/golden_quick.json"
 
 // goldenOptions pins the quick-mode trajectory the golden file
 // captures. Requests is set explicitly so the capture stays CI-sized;
-// Seed 1 and Quick mirror the CLI's -quick run. Parallelism is left at
-// the default deliberately: the sweep engine guarantees Values do not
-// depend on it, so the golden file holds at any worker count.
+// Seed 1 and Quick mirror the CLI's -quick run. Parallelism is left to
+// the shared pass, which runs every experiment at 1 and at 8 and
+// requires both to agree bit for bit.
 func goldenOptions() Options { return Options{Requests: 150, Seed: 1, Quick: true} }
 
 // goldenTolerance is the per-key relative tolerance. Runs are
@@ -30,32 +33,66 @@ func goldenOptions() Options { return Options{Requests: 150, Seed: 1, Quick: tru
 // must be re-blessed with -update.
 func goldenTolerance(key string) float64 { return 1e-9 }
 
-// goldenSweep runs the whole registry at goldenOptions exactly once
-// per test binary; the golden comparison and the fig14 paper-shape
-// test share it, since the full-registry sweep is the most expensive
-// thing the package does.
-var goldenSweep struct {
-	once sync.Once
-	vals map[string]*Result
-	errs map[string]error
+// slowID marks the throughput searches -short leaves out of the
+// checks that need more than one run of them.
+func slowID(id string) bool { return id == "fig14" || id == "fig15" }
+
+// passRun is one run of an experiment in the shared quick pass.
+type passRun struct {
+	res *Result
+	err error
 }
 
-func goldenResults(t *testing.T) map[string]*Result {
-	t.Helper()
-	goldenSweep.once.Do(func() {
-		goldenSweep.vals = map[string]*Result{}
-		goldenSweep.errs = map[string]error{}
-		for _, out := range RunMany(IDs(), goldenOptions()) {
-			goldenSweep.vals[out.ID] = out.Res
-			goldenSweep.errs[out.ID] = out.Err
+// registryRuns is what the shared quick pass holds for one registry
+// experiment.
+type registryRuns struct {
+	p1      passRun   // Parallelism 1, with keys as its cell cache
+	p8      passRun   // Parallelism 8; not run for slowID under -short
+	p8Again passRun   // a second Parallelism 8 run; not run for fig14
+	keys    *keyAudit // every cell key the p1 run looked up
+}
+
+// quickPass is the shared quick pass: the whole registry at
+// goldenOptions, run once per test binary because it is the most
+// expensive thing the package does. The golden comparison, the
+// every-experiment checks, the cell-key audit, the parallelism
+// contract and the fig14 paper-shape test all read it.
+var quickPass struct {
+	once sync.Once
+	runs map[string]*registryRuns
+}
+
+// quickRegistry runs the shared quick pass on first use and returns
+// its runs by registry ID. The runs go to GOMAXPROCS workers in
+// registry order, each experiment's runs back to back, so fig14's
+// long searches overlap the rest of the registry.
+func quickRegistry() map[string]*registryRuns {
+	quickPass.once.Do(func() {
+		var jobs []func()
+		run := func(dst *passRun, id string, parallelism int, cache CellCache) {
+			jobs = append(jobs, func() {
+				o := goldenOptions()
+				o.Parallelism, o.Cache = parallelism, cache
+				dst.res, dst.err = Registry[id](o)
+			})
 		}
+		quickPass.runs = map[string]*registryRuns{}
+		for _, id := range IDs() {
+			r := &registryRuns{keys: newKeyAudit()}
+			quickPass.runs[id] = r
+			run(&r.p1, id, 1, r.keys)
+			if testing.Short() && slowID(id) {
+				continue
+			}
+			run(&r.p8, id, 8, nil)
+			if id != "fig14" {
+				run(&r.p8Again, id, 8, nil)
+			}
+		}
+		fanOut(context.Background(), runtime.GOMAXPROCS(0), len(jobs),
+			func(i int) { jobs[i]() }, func(int) {})
 	})
-	for id, err := range goldenSweep.errs {
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-	}
-	return goldenSweep.vals
+	return quickPass.runs
 }
 
 // TestGoldenQuickValues locks every Registry entry's Values behind the
@@ -67,8 +104,11 @@ func TestGoldenQuickValues(t *testing.T) {
 		t.Skip("full-registry sweep is slow")
 	}
 	got := map[string]map[string]float64{}
-	for id, res := range goldenResults(t) {
-		got[id] = res.Values
+	for id, r := range quickRegistry() {
+		if r.p1.err != nil {
+			t.Fatalf("%s: %v", id, r.p1.err)
+		}
+		got[id] = r.p1.res.Values
 	}
 
 	if *update {

@@ -61,13 +61,17 @@ func TestFig11TailOrdering(t *testing.T) {
 // TestFig14ThroughputOrdering: maximum throughput under SLO must rank
 // Ideal >= AccelFlow > RELIEF > Non-acc (Fig. 14's shape; the paper
 // has AccelFlow at 8.3x Non-acc, 2.2x RELIEF, within 8% of Ideal).
-// Reuses the shared golden sweep rather than paying for a second
+// Reuses the shared quick pass rather than paying for another
 // throughput search.
 func TestFig14ThroughputOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput search is slow")
 	}
-	res := goldenResults(t)["fig14"]
+	run := quickRegistry()["fig14"].p1
+	if run.err != nil {
+		t.Fatal(run.err)
+	}
+	res := run.res
 	geo := func(pol string) float64 {
 		v, ok := res.Values[pol+"/geomean_krps"]
 		if !ok {

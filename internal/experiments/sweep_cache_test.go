@@ -10,14 +10,12 @@ import (
 	"testing"
 )
 
-// recordingCache is a map-backed CellCache that counts traffic and
-// remembers duplicate Puts.
+// recordingCache is a map-backed CellCache that counts traffic.
 type recordingCache struct {
-	mu      sync.Mutex
-	m       map[string]any
-	hits    int
-	puts    int
-	dupPuts []string
+	mu   sync.Mutex
+	m    map[string]any
+	hits int
+	puts int
 }
 
 func newRecordingCache() *recordingCache {
@@ -37,12 +35,33 @@ func (c *recordingCache) GetCell(key string) (any, bool) {
 func (c *recordingCache) PutCell(key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.m[key]; dup {
-		c.dupPuts = append(c.dupPuts, key)
-	}
 	c.m[key] = v
 	c.puts++
 }
+
+// keyAudit is a CellCache that never hits: it records every key a run
+// looks up and each key looked up more than once. A replaying cache
+// would hide a reused key, since the second lookup hits and nothing is
+// stored twice.
+type keyAudit struct {
+	mu   sync.Mutex
+	seen map[string]bool
+	dups []string
+}
+
+func newKeyAudit() *keyAudit { return &keyAudit{seen: map[string]bool{}} }
+
+func (a *keyAudit) GetCell(key string) (any, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.seen[key] {
+		a.dups = append(a.dups, key)
+	}
+	a.seen[key] = true
+	return nil, false
+}
+
+func (a *keyAudit) PutCell(string, any) {}
 
 // TestRunCellsCache: the first sweep populates the cache; an identical
 // second sweep returns the same results without running any cell and
@@ -137,16 +156,18 @@ func TestRunCellsCacheSkipsFailedCells(t *testing.T) {
 // per-run cell cache (serve's cancelled-sweep reuse) replay an output
 // without risking collision with a different cell — and they are
 // already what keeps per-cell RNG streams (sim.DeriveSeed) disjoint.
+// The keys are the ones the shared quick pass's Parallelism 1 runs
+// looked up.
 func TestSweepCellKeysUnique(t *testing.T) {
+	runs := quickRegistry()
 	for _, id := range IDs() {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			cache := newRecordingCache()
-			if _, err := Registry[id](Options{Quick: true, Requests: 40, Seed: 1, Parallelism: 1, Cache: cache}); err != nil {
-				t.Fatalf("%s: %v", id, err)
+			r := runs[id]
+			if r.p1.err != nil {
+				t.Fatalf("%s: %v", id, r.p1.err)
 			}
-			if len(cache.dupPuts) > 0 {
-				t.Errorf("%s reused cell keys: %v", id, cache.dupPuts)
+			if len(r.keys.dups) > 0 {
+				t.Errorf("%s reused cell keys: %v", id, r.keys.dups)
 			}
 		})
 	}

@@ -49,14 +49,16 @@ func encoderValuesBody(t *testing.T, id string, values map[string]float64, lines
 }
 
 // TestValuesBodyMatchesEncoder: the values body rendered once at
-// completion is byte-identical to the encoder's output, for an
-// experiment job (whose lines hold quotes and "->"), an observed job
-// (no lines: "lines":null) and a tune job, and for edge cases rendered
-// directly.
+// completion is byte-identical to the encoder's output, for experiment
+// jobs (tab2's lines hold quotes and "->"; fig1 and area sum floats
+// that once followed map order), an observed job (no lines:
+// "lines":null) and a tune job, and for edge cases rendered directly.
 func TestValuesBodyMatchesEncoder(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 4}, nil)
 	for _, body := range []string{
 		`{"type":"experiment","experiment":"tab2","quick":true,"requests":40}`,
+		`{"type":"experiment","experiment":"fig1","quick":true}`,
+		`{"type":"experiment","experiment":"area","quick":true}`,
 		`{"type":"observed","requests":120,"quick":true,"seed":4}`,
 		tuneBody,
 	} {
