@@ -14,12 +14,14 @@
 //     merge cell outputs into Result.Values single-threaded, in
 //     submission order, after the pool joins.
 //   - On error the lowest-indexed failing cell wins, so even failures
-//     are reproducible across worker counts.
+//     are reproducible across worker counts. A cell that panics fails
+//     with an error naming its key (runCell).
 package experiments
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -86,7 +88,7 @@ func RunCells[T any](o Options, cells []Cell[T]) ([]T, error) {
 				}
 			}
 			if !cached {
-				results[i], errs[i] = c.Run(sim.DeriveSeed(o.Seed, c.Key))
+				results[i], errs[i] = runCell(c, sim.DeriveSeed(o.Seed, c.Key))
 				if errs[i] == nil && o.Cache != nil {
 					o.Cache.PutCell(c.Key, results[i])
 				}
@@ -115,6 +117,18 @@ func RunCells[T any](o Options, cells []Cell[T]) ([]T, error) {
 		return nil, cancelErr
 	}
 	return results, nil
+}
+
+// runCell runs one cell on its fanOut worker. A panic becomes the
+// cell's error, naming its key, so a faulty cell fails its own sweep
+// instead of the process — and every other tenant's work with it.
+func runCell[T any](c Cell[T], seed int64) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("experiments: cell %q panicked: %v", c.Key, r)
+		}
+	}()
+	return c.Run(seed)
 }
 
 // Outcome is one experiment's result under RunMany, with wall-clock

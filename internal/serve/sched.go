@@ -268,11 +268,25 @@ func (s *Scheduler) worker() {
 		}
 		ctx, cancel := context.WithCancel(s.root)
 		if j.start(cancel) {
-			s.runJob(ctx, j)
+			s.run(ctx, j)
 		}
 		cancel()
 		s.settle(j)
 	}
+}
+
+// run calls runJob on the worker's goroutine. A panic ends the job
+// failed, with the job's ResultKey as the key that reproduces it: the
+// job is not cached, its coalesced followers share the failure
+// (finishLocked), and the worker goes on to the next job instead of
+// taking the daemon down.
+func (s *Scheduler) run(ctx context.Context, j *Job) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.finish(StateFailed, fmt.Sprintf("serve: job panicked: %v (result key %s)", r, j.Req.ResultKey()))
+		}
+	}()
+	s.runJob(ctx, j)
 }
 
 // next blocks until a job is dispatchable (returning it) or the

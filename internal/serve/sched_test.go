@@ -219,6 +219,60 @@ func TestCancelRunning(t *testing.T) {
 	waitState(t, j, StateCancelled)
 }
 
+// TestPanickingJobFailsAlone: a job whose run panics ends failed with
+// an error naming the panic and its ResultKey; its coalesced follower
+// shares the failure, nothing is cached, and the scheduler's one
+// worker goes on to run the next job and a fresh resubmission.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	release := make(chan struct{})
+	panicked := false
+	var s *Scheduler
+	s = newScheduler(Config{Workers: 1, QueueDepth: 4, CacheEntries: 64}, func(ctx context.Context, j *Job) {
+		if j.Req.Type == JobExperiment && !panicked {
+			panicked = true // only the one worker goroutine touches it
+			<-release
+			panic("modeling bug")
+		}
+		s.execute(ctx, j)
+	})
+	defer s.Close()
+
+	req := stubReq()
+	leader, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, leader, StateRunning)
+	follower, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := s.Submit(JobRequest{Type: JobObserved, Requests: 60, Quick: true, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	for _, j := range []*Job{leader, follower} {
+		<-j.Done()
+		v := j.snapshot()
+		if v.State != StateFailed || !strings.Contains(v.Error, "panic") || !strings.Contains(v.Error, req.ResultKey()) {
+			t.Errorf("job %s ended %s with error %q, want failed naming the panic and %s", j.ID, v.State, v.Error, req.ResultKey())
+		}
+	}
+	<-next.Done()
+	if v := next.snapshot(); v.State != StateDone {
+		t.Fatalf("the job after the panic ended %s (%q), want done", v.State, v.Error)
+	}
+	again, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-again.Done()
+	if v := again.snapshot(); v.State != StateDone || v.Cached {
+		t.Fatalf("resubmission after the panic ended %s (cached %t), want a fresh done run", v.State, v.Cached)
+	}
+}
+
 // TestDrainOrdering: drain closes admission (ErrDraining), lets the
 // running and the queued job finish, and only then returns.
 func TestDrainOrdering(t *testing.T) {

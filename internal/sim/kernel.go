@@ -200,7 +200,12 @@ func (k *Kernel) runEpoch(ctx context.Context, horizon Time) error {
 
 // run is the kernel's one event loop: it executes events with
 // timestamps <= last, in (at, seq) order, polling ctx once per
-// checkEvery events through the persistent k.ctxBatch counter.
+// checkEvery events through the persistent k.ctxBatch counter. Each
+// event runs in place at the heap root, which its callback's first
+// booking overwrites (see eventQueue); between events no root is
+// running, so minAt and a Sharded coordinator see a plain heap. A
+// callback that panics leaves its root running: such a kernel is
+// discarded, never resumed.
 func (k *Kernel) run(ctx context.Context, last Time) error {
 	onEvent := k.onEvent
 	for k.events.Len() > 0 && k.events.minAt() <= last {
@@ -210,13 +215,14 @@ func (k *Kernel) run(ctx context.Context, last Time) error {
 				return err
 			}
 		}
-		e := k.events.pop()
+		e := k.events.start()
 		k.now = e.at
 		k.processed++
 		if onEvent != nil {
 			onEvent(e.at)
 		}
 		e.fn()
+		k.events.finish()
 	}
 	return nil
 }
@@ -250,7 +256,8 @@ func (k *Kernel) Every(d Time, fn func()) {
 	k.After(d, tick)
 }
 
-// Pending reports the number of queued events.
+// Pending reports the number of queued events. Inside a callback the
+// running event no longer counts.
 func (k *Kernel) Pending() int { return k.events.Len() }
 
 // Send schedules fn at absolute time t on domain to of this kernel's
