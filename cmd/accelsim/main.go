@@ -25,9 +25,9 @@
 // Only flag parsing, -list, stderr summaries, output files and
 // -tunestate/-tuneresume are the CLI's own.
 //
-// The -tune mode searches a bounded design space (chiplet plan, PE
+// The -tune mode hill-climbs a bounded design space (chiplet plan, PE
 // provisioning, policy, queue depths, TCP timeout — set via the
-// -tune* space flags) for the configuration minimizing the given
+// -tune* space flags) toward the configuration minimizing the given
 // objective (p99, energy, or costperf), printing one NDJSON line per
 // generation on stdout. -tunestate FILE snapshots the search after
 // every generation (atomically); -tuneresume continues from that
@@ -83,7 +83,6 @@ type cliArgs struct {
 	ctlRetry  int
 
 	tune         string // objective; "" disables the mode
-	tuneStrategy string
 	tuneGens     int
 	tunePatience int
 	tuneSLO      float64
@@ -124,7 +123,6 @@ func parseArgs(args []string) cliArgs {
 	fs.Float64Var(&a.ctlShedP, "ctlshedp", 0, "shed observed-run arrivals with this probability in [0,1] (0 = off)")
 	fs.IntVar(&a.ctlRetry, "ctlretry", 0, "per-tenant retry budget for timed-out observed-run requests (0 = off)")
 	fs.StringVar(&a.tune, "tune", "", "run a design-space search for this objective: p99, energy, or costperf")
-	fs.StringVar(&a.tuneStrategy, "tunestrategy", "", "search strategy: hill (default) or anneal")
 	fs.IntVar(&a.tuneGens, "tunegens", 0, "max search generations (0 = default)")
 	fs.IntVar(&a.tunePatience, "tunepatience", 0, "stop after this many stagnant generations (0 = default)")
 	fs.Float64Var(&a.tuneSLO, "tuneslo", 0, "p99 SLO target in microseconds for the p99 objective (0 = default)")
@@ -190,7 +188,7 @@ func (a cliArgs) request(typ string) (serve.JobRequest, error) {
 	r.FaultRate, r.FaultLoss = a.faultRate, a.faultLoss
 	r.FaultWindowUs = float64(a.faultWindow) / float64(time.Microsecond)
 	r.Control = a.controlSpec()
-	r.Objective, r.Strategy, r.Generations, r.Patience = a.tune, a.tuneStrategy, a.tuneGens, a.tunePatience
+	r.Objective, r.Generations, r.Patience = a.tune, a.tuneGens, a.tunePatience
 	r.SLOUs, r.LoadScale = a.tuneSLO, a.tuneLoad
 	var err error
 	r.Space, err = a.tuneSpace()
@@ -214,7 +212,6 @@ var flagNames = map[string]string{
 	"faultLoss":     "-faultloss",
 	"control":       "-ctl*",
 	"objective":     "-tune",
-	"strategy":      "-tunestrategy",
 	"generations":   "-tunegens",
 	"patience":      "-tunepatience",
 	"sloUs":         "-tuneslo",
@@ -427,8 +424,8 @@ func runTune(a cliArgs, req serve.JobRequest) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "[tune: %s/%s best %s score=%.3f after %d generations, %d evals (%d cached), converged=%t]\n",
-		res.Strategy, res.Objective, res.BestKey, res.BestScore,
+	fmt.Fprintf(os.Stderr, "[tune: %s best %s score=%.3f after %d generations, %d evals (%d cached), converged=%t]\n",
+		res.Objective, res.BestKey, res.BestScore,
 		res.Generations, res.Evals, res.CacheHits, res.Converged)
 	return nil
 }

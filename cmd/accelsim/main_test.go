@@ -60,7 +60,7 @@ func TestValidateFlags(t *testing.T) {
 
 		{"tune defaults", func(a *cliArgs) { a.tune = "p99" }, ""},
 		{"tune energy", func(a *cliArgs) { a.tune = "energy" }, ""},
-		{"tune costperf anneal", func(a *cliArgs) { a.tune = "costperf"; a.tuneStrategy = "anneal" }, ""},
+		{"tune costperf", func(a *cliArgs) { a.tune = "costperf" }, ""},
 		{"tune custom space", func(a *cliArgs) {
 			a.tune = "p99"
 			a.tuneChiplets = "2,4"
@@ -74,7 +74,6 @@ func TestValidateFlags(t *testing.T) {
 			a.tuneResume = true
 		}, ""},
 		{"unknown objective", func(a *cliArgs) { a.tune = "latency" }, "objective"},
-		{"unknown strategy", func(a *cliArgs) { a.tune = "p99"; a.tuneStrategy = "gradient" }, "strategy"},
 		{"tune with exp", func(a *cliArgs) { a.tune = "p99"; a.exp = "area" }, "separate modes"},
 		{"resume without state", func(a *cliArgs) { a.tune = "p99"; a.tuneResume = true }, "-tunestate"},
 		{"resume without tune", func(a *cliArgs) { a.tuneResume = true }, "-tune"},
@@ -192,10 +191,10 @@ func TestRequestMatchesDaemon(t *testing.T) {
 			  "control":{"autoscale":{"target":"pe","upUtil":0.75,"downUtil":0.25,"sloUs":300,"maxAdd":8},
 			             "shed":{"queue":64},"retry":{"budget":4}}}`},
 		{"tune with a custom space",
-			[]string{"-tune", "costperf", "-tunestrategy", "anneal", "-quick", "-n", "40", "-seed", "7", "-tunegens", "4",
+			[]string{"-tune", "costperf", "-quick", "-n", "40", "-seed", "7", "-tunegens", "4",
 				"-tunepatience", "2", "-tuneslo", "900", "-tuneload", "1.5", "-tunechiplets", "2,1", "-tunepes", "8, 4",
 				"-tunepolicies", "accelflow,relief", "-tunequeues", "32,64", "-tunetimeouts", "1e4,2e4"},
-			`{"type":"tune","objective":"costperf","strategy":"anneal","requests":40,"seed":7,"quick":true,
+			`{"type":"tune","objective":"costperf","requests":40,"seed":7,"quick":true,
 			  "generations":4,"patience":2,"sloUs":900,"loadScale":1.5,
 			  "space":{"chiplets":[2,1],"pes":[8,4],"policies":["accelflow","relief"],"queueDepths":[32,64],"tcpTimeoutUs":[1e4,2e4]}}`},
 	}

@@ -6,6 +6,7 @@ package atm
 
 import (
 	"fmt"
+	"sort"
 
 	"accelflow/internal/sim"
 	"accelflow/internal/trace"
@@ -89,11 +90,17 @@ func (a *ATM) Stall() sim.Time { return a.stall }
 func (a *ATM) Symbols() *trace.MapSymbols { return a.syms }
 
 // VerifyEncodable checks that every registered program either encodes
-// within the 8-byte limit or was already split; it returns the first
-// offending program. Used by tests and service-catalog validation.
+// within the 8-byte limit or was already split; it returns the
+// offending program first in name order. Used by tests and
+// service-catalog validation.
 func (a *ATM) VerifyEncodable() error {
-	for name, p := range a.programs {
-		if _, err := p.Encode(a.syms); err != nil {
+	names := make([]string, 0, len(a.programs))
+	for name := range a.programs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if _, err := a.programs[name].Encode(a.syms); err != nil {
 			return fmt.Errorf("atm: %s: %v", name, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"strings"
 	"testing"
 
 	"accelflow/internal/config"
@@ -100,5 +101,27 @@ func TestVerifyEncodable(t *testing.T) {
 	}
 	if err := a.VerifyEncodable(); err == nil {
 		t.Error("oversized trace passed VerifyEncodable")
+	}
+}
+
+// TestVerifyEncodableNamesFirstInNameOrder: with two oversized
+// programs registered, every call names the same one, the first by
+// name, whatever the program map's iteration order.
+func TestVerifyEncodableNamesFirstInNameOrder(t *testing.T) {
+	a := New(0)
+	for _, name := range []string{"zeta", "alpha"} {
+		b := trace.New(name)
+		for i := 0; i < 20; i++ {
+			b.Seq(config.TCP)
+		}
+		if err := a.Register(b.MustBuild()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		err := a.VerifyEncodable()
+		if err == nil || !strings.HasPrefix(err.Error(), "atm: alpha:") {
+			t.Fatalf("call %d: VerifyEncodable() = %v, want the error for alpha", i, err)
+		}
 	}
 }

@@ -420,14 +420,12 @@ func TestMetamorphicControllerNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("metamorphic properties run full simulations")
 	}
-	const interval = 50 * sim.Microsecond
 	bare := surgeSpec(400, 29)
 	neutral := surgeSpec(400, 29)
 	neutral.Control = &control.Spec{Autoscale: &control.AutoscaleSpec{
 		Target:   control.TargetPE,
 		UpUtil:   2,
 		DownUtil: -1,
-		Interval: interval,
 	}}
 	a, err := bare.Run()
 	if err != nil {
@@ -451,7 +449,7 @@ func TestMetamorphicControllerNeutral(t *testing.T) {
 			a.All.Count(), a.All.Mean(), a.All.P99(), a.All.Max(),
 			b.All.Count(), b.All.Mean(), b.All.P99(), b.All.Max())
 	}
-	if b.Elapsed < a.Elapsed || b.Elapsed-a.Elapsed > interval {
+	if b.Elapsed < a.Elapsed || b.Elapsed-a.Elapsed > control.TickInterval {
 		t.Errorf("Elapsed moved beyond one final tick: bare %v vs neutral %v", a.Elapsed, b.Elapsed)
 	}
 }

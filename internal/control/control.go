@@ -10,13 +10,13 @@
 //     when an SLO is set, a sliding-window P99) and grows or shrinks a
 //     capacity pool — the PE pools or the core pool — through the same
 //     SetServers machinery fault windows use, with hysteresis
-//     (separate up/down thresholds plus a hold count), a cooldown
-//     between actions, and hard scale bounds.
+//     (separate up/down thresholds), a cooldown between actions, and
+//     hard scale bounds.
 //   - Shed: request-layer load shedding, probabilistic (a dedicated
 //     DeriveSeed(seed, "control/shed") stream) and/or queue-depth
 //     triggered on the controller-observed outstanding count.
-//   - Retry: per-tenant retry budgets for timed-out requests with
-//     exponentially growing, capped backoff.
+//   - Retry: per-tenant retry budgets for timed-out requests: one
+//     retry per request, after a fixed backoff.
 //
 // Determinism contract, mirroring internal/fault: every decision is a
 // pure function of (Spec, seed, observed simulation state), so
@@ -49,6 +49,23 @@ const (
 	TargetCores = "cores"
 )
 
+// Autoscale loop constants.
+const (
+	// TickInterval is the decision tick period.
+	TickInterval = 50 * sim.Microsecond
+	// window is the sliding signal window: utilization samples and
+	// completion latencies older than it are evicted before each
+	// decision.
+	window = 4 * TickInterval
+	// cooldownTicks is the number of ticks after an action during
+	// which no further action fires.
+	cooldownTicks = 2
+)
+
+// retryBackoff is the delay between a request's timeout and its one
+// retry.
+const retryBackoff = 20 * sim.Microsecond
+
 // Spec configures one run's controller. All three sections are
 // optional; a spec with none attached is inert. The spec is plain
 // data and its JSON joins workload.ObservedParams.Key, so controller
@@ -63,13 +80,6 @@ type Spec struct {
 type AutoscaleSpec struct {
 	// Target is "pe" or "cores".
 	Target string `json:"target"`
-	// Interval is the decision tick period. Default 50us.
-	Interval sim.Time `json:"interval,omitempty"`
-	// Window is the sliding signal window: utilization samples and
-	// completion latencies older than Window are evicted before each
-	// decision. A window shorter than the tick degenerates to the
-	// newest sample only. Default 4*Interval.
-	Window sim.Time `json:"window,omitempty"`
 	// UpUtil scales up when the windowed utilization reaches it. Must
 	// be positive; utilization is clamped to [0,1], so any value above
 	// 1 can never fire (the "+inf" disable spelling — JSON cannot
@@ -85,20 +95,12 @@ type AutoscaleSpec struct {
 	// (BreachTicks/LastBreach), which is what the recovery experiment
 	// measures. 0 disables latency tracking entirely.
 	SLOUs float64 `json:"sloUs,omitempty"`
-	// Step is the number of servers moved per action. Default 1.
-	Step int `json:"step,omitempty"`
 	// MaxAdd is the scale-up ceiling: at most this many servers above
 	// each pool's base. 0 forbids scaling up.
 	MaxAdd int `json:"maxAdd"`
 	// MaxRemove is the scale-down depth below base. Pools are floored
 	// at one server regardless. 0 forbids scaling down.
 	MaxRemove int `json:"maxRemove"`
-	// Cooldown is the number of ticks after an action during which no
-	// further action fires. Default 2.
-	Cooldown int `json:"cooldown,omitempty"`
-	// Hold is the hysteresis depth: a signal must persist for this
-	// many consecutive ticks before acting. Default 1.
-	Hold int `json:"hold,omitempty"`
 }
 
 // ShedSpec configures request-layer load shedding.
@@ -117,14 +119,6 @@ type ShedSpec struct {
 type RetrySpec struct {
 	// Budget is each tenant's total retry allowance for the run.
 	Budget int `json:"budget"`
-	// MaxAttempts caps attempts per request, first try included.
-	// Default 2 (one retry).
-	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// Backoff is the delay before the second attempt; it doubles per
-	// further attempt. Default 20us.
-	Backoff sim.Time `json:"backoff,omitempty"`
-	// BackoffCap bounds the exponential growth. Default 8*Backoff.
-	BackoffCap sim.Time `json:"backoffCap,omitempty"`
 }
 
 // Validate rejects out-of-range parameters with caller-facing
@@ -145,16 +139,14 @@ func (s *Spec) Validate() error {
 		case !finite(a.UpUtil) || !finite(a.DownUtil) || !finite(a.SLOUs):
 			// NaN fails every comparison below, so it must be caught first.
 			return fmt.Errorf("control: UpUtil, DownUtil and SLOUs must be finite, got %v/%v/%v", a.UpUtil, a.DownUtil, a.SLOUs)
-		case a.Interval < 0 || a.Window < 0:
-			return fmt.Errorf("control: autoscale interval/window must be non-negative")
 		case a.UpUtil <= 0:
 			return fmt.Errorf("control: UpUtil must be positive (use a value above 1 to never scale up), got %v", a.UpUtil)
 		case a.DownUtil >= a.UpUtil:
 			return fmt.Errorf("control: DownUtil (%v) must be below UpUtil (%v)", a.DownUtil, a.UpUtil)
 		case a.SLOUs < 0:
 			return fmt.Errorf("control: SLOUs must be non-negative, got %v", a.SLOUs)
-		case a.Step < 0 || a.MaxAdd < 0 || a.MaxRemove < 0 || a.Cooldown < 0 || a.Hold < 0:
-			return fmt.Errorf("control: autoscale step/bounds/cooldown/hold must be non-negative")
+		case a.MaxAdd < 0 || a.MaxRemove < 0:
+			return fmt.Errorf("control: autoscale maxAdd/maxRemove must be non-negative")
 		}
 	}
 	if sh := s.Shed; sh != nil {
@@ -165,17 +157,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("control: shed queue depth must be non-negative, got %d", sh.Queue)
 		}
 	}
-	if r := s.Retry; r != nil {
-		switch {
-		case r.Budget < 0:
-			return fmt.Errorf("control: retry budget must be non-negative, got %d", r.Budget)
-		case r.MaxAttempts < 0:
-			return fmt.Errorf("control: retry maxAttempts must be non-negative, got %d", r.MaxAttempts)
-		case r.Backoff < 0 || r.BackoffCap < 0:
-			return fmt.Errorf("control: retry backoff/backoffCap must be non-negative")
-		case r.Backoff > 0 && r.BackoffCap > 0 && r.BackoffCap < r.Backoff:
-			return fmt.Errorf("control: retry backoffCap (%v) must be at least the base backoff (%v)", r.BackoffCap, r.Backoff)
-		}
+	if r := s.Retry; r != nil && r.Budget < 0 {
+		return fmt.Errorf("control: retry budget must be non-negative, got %d", r.Budget)
 	}
 	return nil
 }
@@ -195,7 +178,8 @@ type Stats struct {
 	ShedRandom uint64
 	ShedQueue  uint64
 	// Retries counts granted retries; RetriesExhausted counts
-	// timed-out completions denied a retry (budget or attempt cap).
+	// timed-out completions denied a retry (budget spent, or the
+	// request was already retried).
 	Retries          uint64
 	RetriesExhausted uint64
 	// BreachTicks counts ticks whose windowed P99 exceeded SLOUs;
@@ -215,14 +199,13 @@ type Pool struct {
 
 // Controller owns one run's control state. Build with New, wire the
 // actuator with AttachPools, then drive the decision loop from the
-// simulation clock (Tick, every Interval) and the request path (Shed /
+// simulation clock (Tick, every TickInterval) and the request path (Shed /
 // NoteSubmit / NoteDone / RetryAfter). Controllers are single-threaded
 // like the kernel that feeds them and cover exactly one run.
 type Controller struct {
 	Spec  Spec
 	Stats Stats
 
-	seed int64
 	sink *obs.Sink
 
 	shedRNG *sim.RNG // created only when Shed.Prob > 0 (zero-RNG contract)
@@ -243,9 +226,9 @@ type Controller struct {
 // aliases workload or fault streams. The spec must already be
 // validated.
 func New(spec Spec, seed int64) *Controller {
-	c := &Controller{Spec: spec, seed: seed}
+	c := &Controller{Spec: spec}
 	if a := spec.Autoscale; a != nil {
-		c.loop = newLoop(*a)
+		c.loop = loop{spec: *a}
 	}
 	if sh := spec.Shed; sh != nil && sh.Prob > 0 {
 		c.shedRNG = sim.NewRNG(sim.DeriveSeed(seed, "control/shed"))
@@ -276,9 +259,6 @@ func (c *Controller) AttachPools(pools []Pool) {
 func (c *Controller) NeedsTick() bool {
 	return c.Spec.Autoscale != nil && c.pools != nil
 }
-
-// Interval is the decision tick period (after defaulting).
-func (c *Controller) Interval() sim.Time { return c.loop.spec.Interval }
 
 // NoteSubmit records one request entering the system.
 func (c *Controller) NoteSubmit() { c.outstanding++ }
@@ -312,19 +292,15 @@ func (c *Controller) Shed() bool {
 	return false
 }
 
-// RetryAfter decides whether a timed-out request on its attempt-th
-// try (1-based) may go again, consuming the tenant's budget and
-// returning the backoff delay.
-func (c *Controller) RetryAfter(tenant, attempt int) (sim.Time, bool) {
+// RetryAfter decides whether a timed-out request may go again,
+// consuming the tenant's budget and returning the backoff delay. A
+// request that was already retried gets no second retry.
+func (c *Controller) RetryAfter(tenant int, retried bool) (sim.Time, bool) {
 	r := c.Spec.Retry
 	if r == nil || r.Budget <= 0 {
 		return 0, false
 	}
-	maxAttempts := r.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 2
-	}
-	if attempt >= maxAttempts {
+	if retried {
 		c.Stats.RetriesExhausted++
 		return 0, false
 	}
@@ -338,19 +314,7 @@ func (c *Controller) RetryAfter(tenant, attempt int) (sim.Time, bool) {
 	}
 	c.retryLeft[tenant] = left - 1
 	c.Stats.Retries++
-	base := r.Backoff
-	if base <= 0 {
-		base = 20 * sim.Microsecond
-	}
-	cap := r.BackoffCap
-	if cap <= 0 {
-		cap = 8 * base
-	}
-	d := base << (attempt - 1)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return d, true
+	return retryBackoff, true
 }
 
 // Tick executes one decision: sample the utilization signal, feed the
@@ -396,7 +360,7 @@ func (c *Controller) sampleUtil() float64 {
 	// BusyTime is charged up front at task start, so a delta can
 	// exceed the interval capacity; clamp to 1 (the same convention as
 	// the obs utilization sampler).
-	u := float64(delta) / (float64(c.loop.spec.Interval) * float64(servers))
+	u := float64(delta) / (float64(TickInterval) * float64(servers))
 	if u > 1 {
 		u = 1
 	}
@@ -432,14 +396,12 @@ func (c *Controller) emitDecision(now sim.Time, delta int) {
 
 // loop is the pure autoscale decision state machine, split from the
 // Controller so hysteresis and cooldown edges are table-testable
-// without a kernel. All fields are in ticks except the sample rings.
+// without a kernel.
 type loop struct {
 	spec AutoscaleSpec
 
 	off      int // current offset from base, in servers
-	cooldown int
-	upHold   int
-	downHold int
+	cooldown int // ticks left before the next action may fire
 
 	utils []sample
 	lats  []sample
@@ -451,26 +413,6 @@ type loop struct {
 type sample struct {
 	at sim.Time
 	v  float64
-}
-
-// newLoop applies the spec's defaults.
-func newLoop(a AutoscaleSpec) loop {
-	if a.Interval <= 0 {
-		a.Interval = 50 * sim.Microsecond
-	}
-	if a.Window <= 0 {
-		a.Window = 4 * a.Interval
-	}
-	if a.Step <= 0 {
-		a.Step = 1
-	}
-	if a.Cooldown <= 0 {
-		a.Cooldown = 2
-	}
-	if a.Hold <= 0 {
-		a.Hold = 1
-	}
-	return loop{spec: a}
 }
 
 // observeLatency adds one completion latency (microseconds) to the
@@ -493,7 +435,10 @@ func evict(ss []sample, cutoff sim.Time) []sample {
 }
 
 // windowP99 computes the P99 of the retained latency window (0 when
-// empty), using the same nearest-rank convention as metrics.Recorder.
+// empty) as the sorted value at 1-based rank round(0.99n), rounding
+// half up. This is not metrics.Recorder's nearest rank ceil(0.99n):
+// the two pick different ranks for 196 of n = 1..399, the first at
+// n = 51 (at n = 60 this picks rank 59, the recorder rank 60).
 func (l *loop) windowP99() float64 {
 	n := len(l.lats)
 	if n == 0 {
@@ -504,20 +449,16 @@ func (l *loop) windowP99() float64 {
 		vals[i] = s.v
 	}
 	sort.Float64s(vals)
-	idx := int(float64(n)*0.99+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return vals[idx]
+	// For n >= 1 the rank round(0.99n) lies in [1, n]: no clamp needed.
+	return vals[int(float64(n)*0.99+0.5)-1]
 }
 
 // tick runs one decision on the latest utilization sample and returns
-// the applied offset change (0 = no action).
+// the applied offset change (0 = no action): during a cooldown
+// nothing, else one server up on a high-utilization or SLO-breach
+// signal, or one down on a low-utilization signal, within the bounds.
 func (l *loop) tick(now sim.Time, util float64) int {
-	cutoff := now - l.spec.Window
+	cutoff := now - window
 	l.utils = evict(append(l.utils, sample{at: now, v: util}), cutoff)
 	var sum float64
 	for _, s := range l.utils {
@@ -535,40 +476,24 @@ func (l *loop) tick(now sim.Time, util float64) int {
 		}
 	}
 
-	switch {
-	case winUtil >= l.spec.UpUtil || breach:
-		l.upHold++
-		l.downHold = 0
-	case winUtil <= l.spec.DownUtil:
-		l.downHold++
-		l.upHold = 0
-	default:
-		l.upHold, l.downHold = 0, 0
-	}
-
 	if l.cooldown > 0 {
 		l.cooldown--
 		return 0
 	}
-	if l.upHold >= l.spec.Hold && l.off < l.spec.MaxAdd {
-		d := l.spec.Step
-		if l.off+d > l.spec.MaxAdd {
-			d = l.spec.MaxAdd - l.off
+	d := 0
+	switch {
+	case winUtil >= l.spec.UpUtil || breach:
+		if l.off < l.spec.MaxAdd {
+			d = 1
 		}
+	case winUtil <= l.spec.DownUtil:
+		if l.off > -l.spec.MaxRemove {
+			d = -1
+		}
+	}
+	if d != 0 {
 		l.off += d
-		l.cooldown = l.spec.Cooldown
-		l.upHold = 0
-		return d
+		l.cooldown = cooldownTicks
 	}
-	if l.downHold >= l.spec.Hold && l.off > -l.spec.MaxRemove {
-		d := l.spec.Step
-		if l.off-d < -l.spec.MaxRemove {
-			d = l.off + l.spec.MaxRemove
-		}
-		l.off -= d
-		l.cooldown = l.spec.Cooldown
-		l.downHold = 0
-		return -d
-	}
-	return 0
+	return d
 }

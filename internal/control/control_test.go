@@ -8,11 +8,11 @@ import (
 	"accelflow/internal/sim"
 )
 
-// TestLoopTable pins the decision state machine's hysteresis and
-// cooldown edges without a kernel: each row feeds a fixed utilization
-// sequence and asserts the exact action sequence.
+// TestLoopTable pins the decision state machine's cooldown, bound and
+// window edges without a kernel: each row feeds a fixed utilization
+// sequence, one sample per TickInterval, and asserts the exact action
+// sequence.
 func TestLoopTable(t *testing.T) {
-	iv := 50 * sim.Microsecond
 	cases := []struct {
 		name  string
 		spec  AutoscaleSpec
@@ -20,77 +20,67 @@ func TestLoopTable(t *testing.T) {
 		want  []int
 	}{
 		{
-			// Hold 2 demands two consecutive high ticks; alternating
-			// high/low resets the hold every other tick, so a flapping
-			// signal never acts.
-			name: "flap suppression",
-			spec: AutoscaleSpec{UpUtil: 0.99, DownUtil: 0.01, MaxAdd: 8, MaxRemove: 8,
-				Hold: 2, Window: iv / 2},
-			utils: []float64{1, 0, 1, 0, 1, 0, 1, 0},
+			// The window averages a signal that flips every tick to a
+			// mean between the thresholds, so it never acts.
+			name:  "flap suppression",
+			spec:  AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.2, MaxAdd: 8, MaxRemove: 8},
+			utils: []float64{0.5, 1, 0, 1, 0, 1, 0, 1},
 			want:  []int{0, 0, 0, 0, 0, 0, 0, 0},
 		},
 		{
-			// The same signal held steady acts on the second tick, then
-			// every Cooldown+1 ticks (hold keeps accruing during
-			// cooldown, so the next action lands as soon as it expires).
-			name: "steady signal scales through cooldown",
-			spec: AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.1, MaxAdd: 8,
-				Hold: 2, Cooldown: 2, Window: iv / 2},
+			// A steady signal acts on its first tick, then every
+			// cooldownTicks+1 ticks.
+			name:  "steady signal scales through cooldown",
+			spec:  AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.1, MaxAdd: 8},
 			utils: []float64{1, 1, 1, 1, 1, 1, 1, 1},
-			want:  []int{0, 1, 0, 0, 1, 0, 0, 1},
+			want:  []int{1, 0, 0, 1, 0, 0, 1, 0},
 		},
 		{
-			// MaxAdd truncates the final step and then pins the level:
-			// Step 3 against a ceiling of 4 yields +3, +1, nothing.
-			name: "ceiling clamps the last step",
-			spec: AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.1, MaxAdd: 4, Step: 3,
-				Cooldown: 1, Window: iv / 2},
-			utils: []float64{1, 1, 1, 1, 1, 1},
-			want:  []int{3, 0, 1, 0, 0, 0},
+			// MaxAdd pins the level once reached.
+			name:  "ceiling pins the level",
+			spec:  AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.1, MaxAdd: 2},
+			utils: []float64{1, 1, 1, 1, 1, 1, 1, 1},
+			want:  []int{1, 0, 0, 1, 0, 0, 0, 0},
 		},
 		{
 			// Scale-down mirrors scale-up, bounded by MaxRemove.
-			name: "idle drains to the removal bound",
-			spec: AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.2, MaxRemove: 2,
-				Cooldown: 1, Window: iv / 2},
-			utils: []float64{0, 0, 0, 0, 0, 0},
-			want:  []int{-1, 0, -1, 0, 0, 0},
+			name:  "idle drains to the removal bound",
+			spec:  AutoscaleSpec{UpUtil: 0.8, DownUtil: 0.2, MaxRemove: 2},
+			utils: []float64{0, 0, 0, 0, 0, 0, 0, 0},
+			want:  []int{-1, 0, 0, -1, 0, 0, 0, 0},
 		},
 		{
-			// MaxAdd 0 with UpUtil above 1 is the "never scale" spelling:
-			// saturated utilization still produces zero actions.
+			// UpUtil above 1 and DownUtil below 0 are the "never scale"
+			// spelling: saturated or idle utilization produces no action.
 			name:  "unreachable thresholds never act",
-			spec:  AutoscaleSpec{UpUtil: 2, DownUtil: -1, Window: iv / 2},
+			spec:  AutoscaleSpec{UpUtil: 2, DownUtil: -1, MaxAdd: 8, MaxRemove: 8},
 			utils: []float64{1, 1, 1, 0, 0, 0},
 			want:  []int{0, 0, 0, 0, 0, 0},
 		},
 		{
-			// A window shorter than the tick degenerates to the newest
-			// sample: the high spike acts immediately even though the
-			// window-mean over a longer window would still be low.
-			name: "window shorter than tick uses newest sample",
-			spec: AutoscaleSpec{UpUtil: 0.9, DownUtil: -1, MaxAdd: 2,
-				Cooldown: 1, Window: iv / 4},
-			utils: []float64{0, 0, 0, 1},
-			want:  []int{0, 0, 0, 1},
-		},
-		{
-			// With a 4-interval window the same spike is averaged away.
-			name: "long window averages a spike away",
-			spec: AutoscaleSpec{UpUtil: 0.9, DownUtil: -1, MaxAdd: 2,
-				Cooldown: 1, Window: 4 * iv},
+			// A one-tick spike is averaged away by the samples before it.
+			name:  "long window averages a spike away",
+			spec:  AutoscaleSpec{UpUtil: 0.9, DownUtil: -1, MaxAdd: 2},
 			utils: []float64{0, 0, 0, 1},
 			want:  []int{0, 0, 0, 0},
+		},
+		{
+			// The window spans four intervals, both ends included, so a
+			// saturated signal must fill five samples before the mean
+			// reaches UpUtil 0.9.
+			name:  "window averages five samples",
+			spec:  AutoscaleSpec{UpUtil: 0.9, DownUtil: -1, MaxAdd: 2},
+			utils: []float64{0, 0, 0, 1, 1, 1, 1, 1},
+			want:  []int{0, 0, 0, 0, 0, 0, 0, 1},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.spec.Target = TargetPE
-			tc.spec.Interval = iv
-			l := newLoop(tc.spec)
+			l := loop{spec: tc.spec}
 			got := make([]int, 0, len(tc.utils))
 			for i, u := range tc.utils {
-				got = append(got, l.tick(sim.Millisecond+sim.Time(i)*iv, u))
+				got = append(got, l.tick(sim.Millisecond+sim.Time(i)*TickInterval, u))
 			}
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %d deltas, want %d", len(got), len(tc.want))
@@ -108,9 +98,9 @@ func TestLoopTable(t *testing.T) {
 // is a scale-up signal even at idle utilization, and breach
 // bookkeeping records the tick.
 func TestLoopSLOBreachScalesDespiteLowUtil(t *testing.T) {
-	iv := 50 * sim.Microsecond
-	l := newLoop(AutoscaleSpec{Target: TargetPE, Interval: iv, Window: 4 * iv,
-		UpUtil: 0.9, DownUtil: -1, SLOUs: 300, MaxAdd: 4, Cooldown: 1})
+	iv := TickInterval
+	l := loop{spec: AutoscaleSpec{Target: TargetPE,
+		UpUtil: 0.9, DownUtil: -1, SLOUs: 300, MaxAdd: 4}}
 	now := sim.Millisecond
 	l.observeLatency(now-iv/2, 500) // inside the window, above the SLO
 	if d := l.tick(now, 0.05); d != 1 {
@@ -135,10 +125,10 @@ func TestControllerPoolFloor(t *testing.T) {
 	k := sim.NewKernel()
 	res := sim.NewResource(k, "pe", 2, sim.FIFO)
 	c := New(Spec{Autoscale: &AutoscaleSpec{Target: TargetPE,
-		UpUtil: 0.9, DownUtil: 0.2, MaxRemove: 8, Cooldown: 1, Window: sim.Microsecond}}, 1)
+		UpUtil: 0.9, DownUtil: 0.2, MaxRemove: 8}}, 1)
 	c.AttachPools([]Pool{{Res: res, Base: res.Servers}})
 	for i := 1; i <= 12; i++ {
-		k.At(sim.Time(i)*c.Interval(), func() {})
+		k.At(sim.Time(i)*TickInterval, func() {})
 		k.Run()
 		c.Tick(k.Now())
 	}
@@ -168,7 +158,7 @@ func TestControllerZeroRNGContract(t *testing.T) {
 	if c.Shed() {
 		t.Error("empty controller shed a request")
 	}
-	if _, ok := c.RetryAfter(0, 1); ok {
+	if _, ok := c.RetryAfter(0, false); ok {
 		t.Error("Budget 0 granted a retry")
 	}
 }
@@ -223,31 +213,26 @@ func TestControllerShedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRetryBudget pins the retry grant rules: per-tenant budgets,
-// the attempt cap, and exponential backoff growth up to the cap.
+// TestRetryBudget pins the retry grant rules: per-tenant budgets, one
+// retry per request, and the fixed backoff.
 func TestRetryBudget(t *testing.T) {
-	c := New(Spec{Retry: &RetrySpec{Budget: 2, MaxAttempts: 4,
-		Backoff: 10 * sim.Microsecond, BackoffCap: 30 * sim.Microsecond}}, 1)
+	c := New(Spec{Retry: &RetrySpec{Budget: 2}}, 1)
 
-	d1, ok := c.RetryAfter(0, 1)
-	if !ok || d1 != 10*sim.Microsecond {
-		t.Fatalf("attempt 1 retry = %v/%t, want 10us grant", d1, ok)
-	}
-	d2, ok := c.RetryAfter(0, 2)
-	if !ok || d2 != 20*sim.Microsecond {
-		t.Fatalf("attempt 2 retry = %v/%t, want doubled 20us", d2, ok)
+	for i := 0; i < 2; i++ {
+		if d, ok := c.RetryAfter(0, false); !ok || d != retryBackoff {
+			t.Fatalf("tenant 0 retry %d = %v/%t, want a %v grant", i, d, ok, retryBackoff)
+		}
 	}
 	// Tenant 0's budget of 2 is spent; tenant 1's is untouched.
-	if _, ok := c.RetryAfter(0, 1); ok {
+	if _, ok := c.RetryAfter(0, false); ok {
 		t.Fatal("exhausted budget granted a retry")
 	}
-	d3, ok := c.RetryAfter(1, 3)
-	if !ok || d3 != 30*sim.Microsecond {
-		t.Fatalf("attempt 3 retry = %v/%t, want capped 30us", d3, ok)
+	if d, ok := c.RetryAfter(1, false); !ok || d != retryBackoff {
+		t.Fatalf("tenant 1 retry = %v/%t, want a %v grant", d, ok, retryBackoff)
 	}
-	// Attempt cap: attempt 4 of max 4 is the last allowed try.
-	if _, ok := c.RetryAfter(1, 4); ok {
-		t.Fatal("attempt at MaxAttempts granted a retry")
+	// A retried request that times out again gets no second retry.
+	if _, ok := c.RetryAfter(1, true); ok {
+		t.Fatal("second attempt granted a retry")
 	}
 	if c.Stats.Retries != 3 || c.Stats.RetriesExhausted != 2 {
 		t.Fatalf("stats = %d granted / %d exhausted, want 3/2", c.Stats.Retries, c.Stats.RetriesExhausted)
@@ -269,9 +254,9 @@ func TestValidateTable(t *testing.T) {
 		{"bad target", &Spec{Autoscale: &AutoscaleSpec{Target: "gpus", UpUtil: 0.8}}, "target"},
 		{"zero uputil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE}}, "UpUtil"},
 		{"inverted thresholds", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.3, DownUtil: 0.5}}, "DownUtil"},
-		{"negative interval", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, Interval: -1}}, "interval"},
 		{"negative slo", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, SLOUs: -5}}, "SLOUs"},
 		{"negative bounds", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, MaxAdd: -1}}, "non-negative"},
+		{"negative removal bound", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, MaxRemove: -1}}, "maxRemove"},
 		{"NaN uputil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: math.NaN()}}, "UpUtil"},
 		{"NaN downutil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: 0.8, DownUtil: math.NaN()}}, "DownUtil"},
 		{"infinite uputil", &Spec{Autoscale: &AutoscaleSpec{Target: TargetPE, UpUtil: math.Inf(1)}}, "finite"},
@@ -280,8 +265,6 @@ func TestValidateTable(t *testing.T) {
 		{"NaN shed prob", &Spec{Shed: &ShedSpec{Prob: math.NaN()}}, "probability"},
 		{"negative shed queue", &Spec{Shed: &ShedSpec{Queue: -1}}, "queue depth"},
 		{"negative retry budget", &Spec{Retry: &RetrySpec{Budget: -1}}, "budget"},
-		{"backoff cap below base", &Spec{Retry: &RetrySpec{Budget: 1,
-			Backoff: 40 * sim.Microsecond, BackoffCap: 10 * sim.Microsecond}}, "backoffCap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

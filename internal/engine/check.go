@@ -7,6 +7,8 @@
 package engine
 
 import (
+	"sort"
+
 	"accelflow/internal/check"
 	"accelflow/internal/config"
 	"accelflow/internal/sim"
@@ -100,11 +102,16 @@ func (e *Engine) CheckEnd(c *check.Checker) {
 
 	// Tenant trace accounting must return to zero once every chain has
 	// completed; a leak here silently tightens the §IV-D limit.
+	var leaked []int
 	for t, n := range e.tenantActive {
 		if n != 0 {
-			c.Violationf("conservation", "tenants", now,
-				"tenant %d shows %d active traces at a drained horizon", t, n)
+			leaked = append(leaked, t)
 		}
+	}
+	sort.Ints(leaked) // report in tenant order, whatever the map order
+	for _, t := range leaked {
+		c.Violationf("conservation", "tenants", now,
+			"tenant %d shows %d active traces at a drained horizon", t, e.tenantActive[t])
 	}
 
 	if e.K.Pending() != 0 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"accelflow/internal/check"
 	"accelflow/internal/config"
 	"accelflow/internal/sim"
 )
@@ -136,5 +137,31 @@ func TestTenantIsolationUnderContention(t *testing.T) {
 	}
 	if wipes == 0 {
 		t.Error("no tenant scratchpad wipes recorded")
+	}
+}
+
+// TestCheckEndReportsTenantLeaksInOrder: with two tenants leaking
+// active traces, every CheckEnd call reports them in tenant order,
+// whatever the accounting map's iteration order.
+func TestCheckEndReportsTenantLeaksInOrder(t *testing.T) {
+	e := testEngine(t, config.Default(), AccelFlow())
+	e.tenantActive[7] = 2
+	e.tenantActive[3] = 1
+	want := []string{
+		"tenant 3 shows 1 active traces at a drained horizon",
+		"tenant 7 shows 2 active traces at a drained horizon",
+	}
+	for i := 0; i < 32; i++ {
+		c := check.New()
+		e.CheckEnd(c)
+		var got []string
+		for _, v := range c.Violations() {
+			if v.Rule == "conservation" && v.Resource == "tenants" {
+				got = append(got, v.Detail)
+			}
+		}
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("call %d: tenant violations = %q, want %q", i, got, want)
+		}
 	}
 }

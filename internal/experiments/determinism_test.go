@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -114,6 +115,26 @@ func TestRunManyOrderAndIsolation(t *testing.T) {
 		}
 		if outs[i].Res == nil || len(outs[i].Res.Values) == 0 {
 			t.Errorf("%s produced no values", ids[i])
+		}
+	}
+}
+
+// TestRunManyRecoversExperimentPanic: a runner that panics outside
+// any cell fails only its own outcome, with an error naming it; the
+// experiment beside it still completes.
+func TestRunManyRecoversExperimentPanic(t *testing.T) {
+	Registry["panics"] = func(Options) (*Result, error) { panic("runner broke") }
+	t.Cleanup(func() { delete(Registry, "panics") })
+	for _, par := range []int{1, 2} {
+		outs := RunMany([]string{"panics", "area"}, Options{Requests: 40, Seed: 1, Quick: true, Parallelism: par})
+		if err := outs[0].Err; err == nil || !strings.Contains(err.Error(), `experiment "panics" panicked: runner broke`) {
+			t.Errorf("parallelism %d: panicking runner's error = %v", par, err)
+		}
+		if outs[0].Res != nil {
+			t.Errorf("parallelism %d: panicking runner returned a result", par)
+		}
+		if outs[1].Err != nil || outs[1].Res == nil || len(outs[1].Res.Values) == 0 {
+			t.Errorf("parallelism %d: area beside the panic = %v, %v", par, outs[1].Res, outs[1].Err)
 		}
 	}
 }

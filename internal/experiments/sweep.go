@@ -165,6 +165,13 @@ func RunMany(ids []string, o Options) []Outcome {
 			return
 		}
 		start := time.Now()
+		defer func() {
+			// A panic outside any cell (runCell contains those) fails
+			// only this outcome, not the experiments beside it.
+			if r := recover(); r != nil {
+				out[i] = Outcome{ID: id, Err: fmt.Errorf("experiments: experiment %q panicked: %v", id, r), Elapsed: time.Since(start)}
+			}
+		}()
 		res, err := run(o)
 		out[i] = Outcome{ID: id, Res: res, Err: err, Elapsed: time.Since(start)}
 	}, func(i int) { out[i] = Outcome{ID: ids[i], Err: ctx.Err()} })

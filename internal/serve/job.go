@@ -100,12 +100,11 @@ type JobRequest struct {
 	// collide with uncontrolled cache entries.
 	Control *control.Spec `json:"control,omitempty"`
 	// Tune knobs, tune jobs only; they mirror the CLI's -tune* flags.
-	// Strategy is "hill" (default) or "anneal"; Objective is "p99",
-	// "energy", or "costperf"; Space is the searched dimensions (nil
-	// takes tune.DefaultSpace); Generations/Patience bound the search;
-	// SLOUs and LoadScale shape the evaluation workload. Zero values
-	// take the tune package defaults.
-	Strategy    string          `json:"strategy,omitempty"`
+	// Objective is "p99", "energy", or "costperf"; Space is the
+	// searched dimensions (nil takes tune.DefaultSpace);
+	// Generations/Patience bound the search; SLOUs and LoadScale shape
+	// the evaluation workload. Zero values take the tune package
+	// defaults.
 	Objective   string          `json:"objective,omitempty"`
 	Space       *tune.SpaceSpec `json:"space,omitempty"`
 	Generations int             `json:"generations,omitempty"`
@@ -135,7 +134,6 @@ var knobs = []struct {
 	{JobObserved, []string{"faultWindowUs"}, func(d, s *JobRequest) { d.FaultWindowUs = s.FaultWindowUs }},
 	{JobObserved, []string{"faultLoss"}, func(d, s *JobRequest) { d.FaultLoss = s.FaultLoss }},
 	{JobObserved, []string{"control"}, func(d, s *JobRequest) { d.Control = s.Control }},
-	{JobTune, []string{"strategy"}, func(d, s *JobRequest) { d.Strategy = s.Strategy }},
 	{JobTune, []string{"objective"}, func(d, s *JobRequest) { d.Objective = s.Objective }},
 	{JobTune, []string{"generations", "patience"}, func(d, s *JobRequest) { d.Generations, d.Patience = s.Generations, s.Patience }},
 	{JobTune, []string{"sloUs"}, func(d, s *JobRequest) { d.SLOUs = s.SLOUs }},

@@ -105,7 +105,7 @@ func Run(ctx context.Context, req JobRequest, env Env) (*Result, error) {
 		"converged":     boolVal(res.Converged),
 	}
 	lines := []string{
-		fmt.Sprintf("tune %s/%s: best %s score=%.3f", res.Strategy, res.Objective, res.BestKey, res.BestScore),
+		fmt.Sprintf("tune %s: best %s score=%.3f", res.Objective, res.BestKey, res.BestScore),
 		fmt.Sprintf("generations=%d evals=%d cacheHits=%d converged=%t",
 			res.Generations, res.Evals, res.CacheHits, res.Converged),
 	}
@@ -154,7 +154,6 @@ func (r JobRequest) tuneParams(env Env) tune.Params {
 		space = *r.Space
 	}
 	return tune.Params{
-		Strategy:       r.Strategy,
 		Objective:      r.Objective,
 		Space:          space,
 		Seed:           r.Seed,

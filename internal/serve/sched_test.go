@@ -114,7 +114,6 @@ func TestValidateNamesFields(t *testing.T) {
 		{JobRequest{Type: JobObserved, Control: &control.Spec{Shed: &control.ShedSpec{Prob: 2}}}, "control"},
 		{JobRequest{Type: JobTune, Control: &control.Spec{Shed: &control.ShedSpec{Queue: 4}}}, "control"},
 		{JobRequest{Type: JobTune, Objective: "latency"}, "objective"},
-		{JobRequest{Type: JobTune, Strategy: "gradient"}, "strategy"},
 		{JobRequest{Type: JobTune, Patience: -1}, "generations patience"},
 		{JobRequest{Type: JobTune, LoadScale: math.NaN()}, "loadScale"},
 		{JobRequest{Type: JobTune, Space: &tune.SpaceSpec{Chiplets: []int{5}}}, "space"},

@@ -424,6 +424,32 @@ func TestRemovedReplicaCapRejected(t *testing.T) {
 	submitAndWait(t, ts.URL, `{"type":"observed","requests":60,"quick":true,`+fmt.Sprintf(ctl, "")+`}`)
 }
 
+// TestRemovedKnobsRejected: the autoscale and retry fields that only
+// ever took their defaults are now constants, and hill climbing is the
+// only tune searcher. A body that still sets one of them is an unknown
+// field: a 400 naming it, never a job that silently ignores it.
+func TestRemovedKnobsRejected(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
+	for field, body := range map[string]string{
+		"interval":    `{"type":"observed","control":{"autoscale":{"target":"pe","upUtil":0.8,"interval":50000}}}`,
+		"window":      `{"type":"observed","control":{"autoscale":{"target":"pe","upUtil":0.8,"window":200000}}}`,
+		"step":        `{"type":"observed","control":{"autoscale":{"target":"pe","upUtil":0.8,"step":1}}}`,
+		"cooldown":    `{"type":"observed","control":{"autoscale":{"target":"pe","upUtil":0.8,"cooldown":2}}}`,
+		"hold":        `{"type":"observed","control":{"autoscale":{"target":"pe","upUtil":0.8,"hold":1}}}`,
+		"maxAttempts": `{"type":"observed","control":{"retry":{"budget":4,"maxAttempts":2}}}`,
+		"backoff":     `{"type":"observed","control":{"retry":{"budget":4,"backoff":20000}}}`,
+		"backoffCap":  `{"type":"observed","control":{"retry":{"budget":4,"backoffCap":160000}}}`,
+		"strategy":    `{"type":"tune","strategy":"hill"}`,
+	} {
+		resp := postJSON(t, ts.URL+"/v1/jobs", body)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"`+field+`\"`) {
+			t.Errorf("submit with %s: status %d body %q, want 400 naming the field", field, resp.StatusCode, msg)
+		}
+	}
+}
+
 // TestUnencodableValuesFailJob: a quick fig15 at one request ends with
 // NaN throughput ratios, which JSON cannot encode. The job fails with
 // an error naming those keys, /values answers 409 rather than 200 with

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"accelflow/internal/tune"
@@ -178,7 +180,6 @@ func TestTuneJobUsesCellCache(t *testing.T) {
 func TestTuneValidation(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
 	for _, body := range []string{
-		`{"type":"tune","strategy":"gradient"}`,
 		`{"type":"tune","objective":"latency"}`,
 		`{"type":"tune","space":{"policies":["fifo"]}}`,
 		`{"type":"tune","space":{"chiplets":[5]}}`,
@@ -187,7 +188,7 @@ func TestTuneValidation(t *testing.T) {
 		`{"type":"tune","experiment":"area"}`,
 		`{"type":"tune","faultRate":0.5}`,
 		`{"type":"experiment","experiment":"area","objective":"p99"}`,
-		`{"type":"observed","strategy":"hill"}`,
+		`{"type":"observed","objective":"p99"}`,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		resp.Body.Close()
@@ -198,6 +199,31 @@ func TestTuneValidation(t *testing.T) {
 	// A minimal tune request is valid: defaults fill everything.
 	if err := (JobRequest{Type: JobTune}).Validate(); err != nil {
 		t.Errorf("zero-value tune request invalid: %v", err)
+	}
+}
+
+// TestUnknownPEMixKindsStableError: a space naming two unknown
+// accelerator kinds gets the same 400 body on every submission, naming
+// the first kind in sorted order, whatever the map's iteration order.
+func TestUnknownPEMixKindsStableError(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
+	const body = `{"type":"tune","space":{"peMix":{"Nope":[4],"Zzz":[4]}}}`
+	var first string
+	for i := 0; i < 32; i++ {
+		resp := postJSON(t, ts.URL+"/v1/jobs", body)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submission %d: status %d, want 400", i, resp.StatusCode)
+		}
+		if i == 0 {
+			first = string(msg)
+			if !strings.Contains(first, "Nope") {
+				t.Fatalf("400 body %q does not name the first unknown kind", first)
+			}
+		} else if string(msg) != first {
+			t.Fatalf("submission %d: 400 body %q, first was %q", i, msg, first)
+		}
 	}
 }
 

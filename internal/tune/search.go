@@ -14,7 +14,6 @@ import (
 	"accelflow/internal/energy"
 	"accelflow/internal/experiments"
 	"accelflow/internal/services"
-	"accelflow/internal/sim"
 	"accelflow/internal/workload"
 )
 
@@ -24,16 +23,13 @@ import (
 // execution-only knobs change wall clock, never results (the same
 // contract experiments.Options documents for Parallelism and Check).
 type Params struct {
-	// Strategy picks the searcher: "hill" (batch-neighbor hill
-	// climbing, the default) or "anneal" (simulated annealing).
-	Strategy string `json:"strategy"`
 	// Objective picks the score: "p99" (the default), "energy", or
 	// "costperf" (see scoreObjective).
 	Objective string `json:"objective"`
 	// Space declares the dimensions searched over.
 	Space SpaceSpec `json:"space"`
 	// Seed roots every RNG stream: candidate evaluations derive theirs
-	// from (Seed, candidate key), the annealer from (Seed, generation).
+	// from (Seed, candidate key).
 	Seed int64 `json:"seed"`
 	// Requests is the per-evaluation request budget (<=0: 600). Quick
 	// caps it at 200 and trims the service mix, like experiments.Quick.
@@ -48,8 +44,6 @@ type Params struct {
 	// Patience stops the search after this many consecutive
 	// generations without a best-score improvement (0: 3).
 	Patience int `json:"patience"`
-	// Proposals is the annealer's per-generation batch size (<=0: 6).
-	Proposals int `json:"proposals"`
 	// Quick shrinks evaluations for tests and CI.
 	Quick bool `json:"quick"`
 
@@ -59,29 +53,19 @@ type Params struct {
 	Check       bool `json:"-"`
 }
 
-// Strategy and default constants.
+// Default constants.
 const (
-	StrategyHill   = "hill"
-	StrategyAnneal = "anneal"
-
 	defaultRequests    = 600
 	quickRequestCap    = 200
 	defaultLoadScale   = 1.0
 	defaultSLOUs       = 1500.0
 	defaultGenerations = 30
 	defaultPatience    = 3
-	defaultProposals   = 6
-
-	annealT0    = 0.2
-	annealDecay = 0.9
 )
 
 // withDefaults resolves zero values so Signature and Run agree on the
 // effective parameters.
 func (p Params) withDefaults() Params {
-	if p.Strategy == "" {
-		p.Strategy = StrategyHill
-	}
 	if p.Objective == "" {
 		p.Objective = "p99"
 	}
@@ -103,14 +87,11 @@ func (p Params) withDefaults() Params {
 	if p.Patience <= 0 {
 		p.Patience = defaultPatience
 	}
-	if p.Proposals <= 0 {
-		p.Proposals = defaultProposals
-	}
 	return p
 }
 
 // Validate checks the parameters without running anything: knob
-// ranges, strategy and objective names, and the space spec (via
+// ranges, the objective name, and the space spec (via
 // Build). Zero knobs take their defaults; negative or non-finite ones
 // are errors, not defaults.
 func (p Params) Validate() error {
@@ -123,9 +104,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("tune: LoadScale must be non-negative and finite, got %v", p.LoadScale)
 	}
 	p = p.withDefaults()
-	if p.Strategy != StrategyHill && p.Strategy != StrategyAnneal {
-		return fmt.Errorf("tune: unknown strategy %q (want %s or %s)", p.Strategy, StrategyHill, StrategyAnneal)
-	}
 	if !validObjective(p.Objective) {
 		return fmt.Errorf("tune: unknown objective %q (want p99, energy, or costperf)", p.Objective)
 	}
@@ -148,7 +126,6 @@ func (p Params) Signature() (string, error) {
 		return "", err
 	}
 	id := struct {
-		Strategy       string  `json:"strategy"`
 		Objective      string  `json:"objective"`
 		Space          string  `json:"space"`
 		Seed           int64   `json:"seed"`
@@ -157,10 +134,9 @@ func (p Params) Signature() (string, error) {
 		SLOUs          float64 `json:"sloUs"`
 		MaxGenerations int     `json:"maxGenerations"`
 		Patience       int     `json:"patience"`
-		Proposals      int     `json:"proposals"`
 		Quick          bool    `json:"quick"`
-	}{p.Strategy, p.Objective, sp.Signature(), p.Seed, p.Requests, p.LoadScale,
-		p.SLOUs, p.MaxGenerations, p.Patience, p.Proposals, p.Quick}
+	}{p.Objective, sp.Signature(), p.Seed, p.Requests, p.LoadScale,
+		p.SLOUs, p.MaxGenerations, p.Patience, p.Quick}
 	b, err := json.Marshal(id)
 	if err != nil {
 		return "", err
@@ -181,9 +157,7 @@ type Progress struct {
 	BestKey   string  `json:"bestKey"`
 	BestScore float64 `json:"bestScore"`
 	Stagnant  int     `json:"stagnant"`
-	// Radius (hill) and Temp (anneal) expose the strategy's own dial.
-	Radius int     `json:"radius,omitempty"`
-	Temp   float64 `json:"temp,omitempty"`
+	Radius    int     `json:"radius"` // neighborhood radius for the next generation
 
 	Frontier    []FrontierEntry `json:"frontier"`
 	TotalEvals  int             `json:"totalEvals"`
@@ -214,7 +188,6 @@ type Result struct {
 	BestEval   Eval              `json:"bestEval"`
 	BestConfig map[string]string `json:"bestConfig"`
 	Objective  string            `json:"objective"`
-	Strategy   string            `json:"strategy"`
 
 	Generations int  `json:"generations"`
 	Evals       int  `json:"evals"`
@@ -268,12 +241,11 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 	if st == nil {
 		start := sp.Start()
 		st = &SearchState{
-			Version:  stateVersion,
-			Sig:      sig,
-			Strategy: p.Strategy,
-			Radius:   1,
-			Cur:      start,
-			CurKey:   sp.Key(start),
+			Version: stateVersion,
+			Sig:     sig,
+			Radius:  1,
+			Cur:     start,
+			CurKey:  sp.Key(start),
 		}
 	} else if st.Sig != sig {
 		return nil, fmt.Errorf("tune: search state signature mismatch (LoadState with the same Params first)")
@@ -374,7 +346,6 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 		}
 
 		var batch [][]int
-		temp := 0.0
 		if st.Gen == 0 {
 			// Generation 0 scores the deterministic starting candidate
 			// (the first level of every dimension) to seed Cur and Best.
@@ -383,21 +354,7 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 				return nil, fmt.Errorf("tune: starting candidate %q is invalid", st.CurKey)
 			}
 		} else {
-			switch p.Strategy {
-			case StrategyHill:
-				batch = validBatch(sp.Neighbors(st.Cur, st.Radius), st.CurKey)
-			case StrategyAnneal:
-				temp = annealT0 * math.Pow(annealDecay, float64(st.Gen-1))
-				rng := sim.NewRNG(sim.DeriveSeed(p.Seed, fmt.Sprintf("tune/anneal/%d", st.Gen)))
-				var props [][]int
-				for i := 0; i < p.Proposals; i++ {
-					n := append([]int(nil), st.Cur...)
-					d := rng.Intn(len(sp.Dims))
-					n[d] = rng.Intn(len(sp.Dims[d].Levels))
-					props = append(props, n)
-				}
-				batch = validBatch(props, st.CurKey)
-			}
+			batch = validBatch(sp.Neighbors(st.Cur, st.Radius), st.CurKey)
 		}
 
 		evals, genCached, err := evaluate(batch)
@@ -407,9 +364,9 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 		st.Evals += len(batch)
 		cacheHits += genCached
 
-		// Fold the batch into Best/frontier, then apply the strategy's
-		// move rule. Ties break by candidate key so the outcome is
-		// independent of evaluation order.
+		// Fold the batch into Best/frontier, then apply the hill
+		// climbing move rule. Ties break by candidate key so the
+		// outcome is independent of evaluation order.
 		improved := false
 		bestIdx := -1
 		for i := range batch {
@@ -429,7 +386,7 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 			st.CurScore = evals[0].Score
 		case bestIdx < 0:
 			// Nothing valid to evaluate this generation.
-		case p.Strategy == StrategyHill:
+		default:
 			if evals[bestIdx].Score < st.CurScore {
 				st.Cur = append([]int(nil), batch[bestIdx]...)
 				st.CurKey = sp.Key(st.Cur)
@@ -442,23 +399,6 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 				if st.Radius < sp.maxLevels() {
 					st.Radius++
 				}
-			}
-		case p.Strategy == StrategyAnneal:
-			delta := evals[bestIdx].Score - st.CurScore
-			accept := delta < 0
-			if !accept && temp > 0 {
-				scale := math.Abs(st.CurScore)
-				if scale < 1 {
-					scale = 1
-				}
-				arng := sim.NewRNG(sim.DeriveSeed(p.Seed, fmt.Sprintf("tune/accept/%d", st.Gen)))
-				accept = arng.Float64() < math.Exp(-(delta/scale)/temp)
-			}
-			if accept {
-				st.Cur = append([]int(nil), batch[bestIdx]...)
-				st.CurKey = sp.Key(st.Cur)
-				st.CurScore = evals[bestIdx].Score
-				moved = true
 			}
 		}
 
@@ -487,12 +427,9 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 				Gen: st.Gen - 1, Evaluated: len(batch), Cached: genCached,
 				Moved: moved, CurKey: st.CurKey, CurScore: st.CurScore,
 				BestKey: st.BestKey, BestScore: st.BestScore,
-				Stagnant: st.Stagnant, Temp: temp,
+				Stagnant: st.Stagnant, Radius: st.Radius,
 				Frontier:   append([]FrontierEntry(nil), st.Frontier...),
 				TotalEvals: st.Evals, TotalCached: int(totalCached.Load()),
-			}
-			if p.Strategy == StrategyHill {
-				pr.Radius = st.Radius
 			}
 			h.OnGeneration(pr, snap)
 		}
@@ -508,7 +445,6 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 		BestEval:    st.BestEval,
 		BestConfig:  sp.Levels(st.Best),
 		Objective:   p.Objective,
-		Strategy:    p.Strategy,
 		Generations: st.Gen,
 		Evals:       st.Evals,
 		CacheHits:   cacheHits,

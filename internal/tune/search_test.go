@@ -57,53 +57,38 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestAnnealDeterministicAcrossParallelism(t *testing.T) {
-	p := quickParams()
-	p.Strategy = StrategyAnneal
-	p.Proposals = 4
-	p.Parallelism = 1
-	serial := runSearch(t, p, nil, Hooks{})
-	p.Parallelism = 8
-	parallel := runSearch(t, p, nil, Hooks{})
-	if !bytes.Equal(serial.State, parallel.State) {
-		t.Errorf("anneal SearchState differs between parallelism 1 and 8:\n%s\nvs\n%s", serial.State, parallel.State)
-	}
-}
-
 func TestSearchResumeMatchesUninterrupted(t *testing.T) {
-	for _, strategy := range []string{StrategyHill, StrategyAnneal} {
-		t.Run(strategy, func(t *testing.T) {
-			p := quickParams()
-			p.Strategy = strategy
+	// The subtest names the searcher: hill climbing is the only one.
+	t.Run("hill", func(t *testing.T) {
+		p := quickParams()
 
-			// Uninterrupted run, capturing the per-generation snapshots an
-			// interrupted process would have left behind.
-			var snaps [][]byte
-			full := runSearch(t, p, nil, Hooks{
-				OnGeneration: func(_ Progress, state []byte) {
-					snaps = append(snaps, append([]byte(nil), state...))
-				},
-			})
-			if len(snaps) < 2 {
-				t.Fatalf("search finished in %d generations; need >= 2 to test resume", len(snaps))
-			}
-
-			// "Kill" after generation 1 and resume from its snapshot in a
-			// fresh context (cold cache, like a new process).
-			st, err := LoadState(snaps[1], p)
-			if err != nil {
-				t.Fatalf("LoadState: %v", err)
-			}
-			resumed := runSearch(t, p, st, Hooks{})
-			if !bytes.Equal(full.State, resumed.State) {
-				t.Errorf("resumed final state differs from uninterrupted:\n%s\nvs\n%s", full.State, resumed.State)
-			}
-			if full.BestKey != resumed.BestKey || full.BestScore != resumed.BestScore {
-				t.Errorf("resumed best %q %.4f, uninterrupted %q %.4f",
-					resumed.BestKey, resumed.BestScore, full.BestKey, full.BestScore)
-			}
+		// Uninterrupted run, capturing the per-generation snapshots an
+		// interrupted process would have left behind.
+		var snaps [][]byte
+		full := runSearch(t, p, nil, Hooks{
+			OnGeneration: func(_ Progress, state []byte) {
+				snaps = append(snaps, append([]byte(nil), state...))
+			},
 		})
-	}
+		if len(snaps) < 2 {
+			t.Fatalf("search finished in %d generations; need >= 2 to test resume", len(snaps))
+		}
+
+		// "Kill" after generation 1 and resume from its snapshot in a
+		// fresh context (cold cache, like a new process).
+		st, err := LoadState(snaps[1], p)
+		if err != nil {
+			t.Fatalf("LoadState: %v", err)
+		}
+		resumed := runSearch(t, p, st, Hooks{})
+		if !bytes.Equal(full.State, resumed.State) {
+			t.Errorf("resumed final state differs from uninterrupted:\n%s\nvs\n%s", full.State, resumed.State)
+		}
+		if full.BestKey != resumed.BestKey || full.BestScore != resumed.BestScore {
+			t.Errorf("resumed best %q %.4f, uninterrupted %q %.4f",
+				resumed.BestKey, resumed.BestScore, full.BestKey, full.BestScore)
+		}
+	})
 }
 
 func TestRevisitedCandidateServedFromCache(t *testing.T) {
@@ -211,7 +196,6 @@ func TestSignatureCoversResultParametersOnly(t *testing.T) {
 	for name, mut := range map[string]func(*Params){
 		"seed":      func(q *Params) { q.Seed++ },
 		"objective": func(q *Params) { q.Objective = "energy" },
-		"strategy":  func(q *Params) { q.Strategy = StrategyAnneal },
 		"requests":  func(q *Params) { q.Requests = 80 },
 		"space":     func(q *Params) { q.Space.PEs = append(q.Space.PEs, 12) },
 		"slo":       func(q *Params) { q.SLOUs = 900 },
@@ -230,11 +214,6 @@ func TestSignatureCoversResultParametersOnly(t *testing.T) {
 }
 
 func TestRunRejectsInvalidParams(t *testing.T) {
-	p := quickParams()
-	p.Strategy = "gradient"
-	if _, err := Run(context.Background(), p, nil, Hooks{}); err == nil {
-		t.Errorf("Run accepted an unknown strategy")
-	}
 	q := quickParams()
 	q.Objective = "latency"
 	if _, err := Run(context.Background(), q, nil, Hooks{}); err == nil {

@@ -18,6 +18,7 @@ package tune
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"accelflow/internal/config"
@@ -150,7 +151,12 @@ func (s SpaceSpec) Build() (*Space, error) {
 				return nil
 			}})
 	}
+	names := make([]string, 0, len(s.PEMix))
 	for name := range s.PEMix {
+		names = append(names, name)
+	}
+	sort.Strings(names) // the same unknown kind is named whatever the map order
+	for _, name := range names {
 		if _, ok := kindByName(name); !ok {
 			return nil, fmt.Errorf("tune: unknown accelerator kind %q in peMix", name)
 		}

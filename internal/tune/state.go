@@ -6,7 +6,9 @@ import (
 )
 
 // stateVersion guards SearchState decoding across format changes.
-const stateVersion = 1
+// Version 2 dropped the search strategy field (hill climbing is the
+// only searcher).
+const stateVersion = 2
 
 // FrontierEntry is one of the best candidates seen so far.
 type FrontierEntry struct {
@@ -33,9 +35,8 @@ type GenRecord struct {
 // process had cached). Hit counts live in Result, outside the
 // byte-compared state.
 type SearchState struct {
-	Version  int    `json:"version"`
-	Sig      string `json:"sig"`
-	Strategy string `json:"strategy"`
+	Version int    `json:"version"`
+	Sig     string `json:"sig"`
 
 	Gen      int `json:"gen"`      // generations completed
 	Stagnant int `json:"stagnant"` // generations since Best improved
@@ -64,11 +65,11 @@ func (st *SearchState) Marshal() ([]byte, error) { return json.Marshal(st) }
 
 // LoadState decodes a snapshot and verifies it belongs to p: the
 // embedded signature must match p's, so a snapshot can never silently
-// continue a different search (other space, seed, objective, or
-// strategy). The current and best candidates must also be points of
-// p's space whose keys match the snapshot's, and the radius must be one
-// hill climbing can reach, so a corrupt snapshot is an error here, not
-// an index panic or an endless neighborhood walk inside Run.
+// continue a different search (other space, seed, or objective). The
+// current and best candidates must also be points of p's space whose
+// keys match the snapshot's, and the radius must be one hill climbing
+// can reach, so a corrupt snapshot is an error here, not an index
+// panic or an endless neighborhood walk inside Run.
 func LoadState(data []byte, p Params) (*SearchState, error) {
 	var st SearchState
 	if err := json.Unmarshal(data, &st); err != nil {

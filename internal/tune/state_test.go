@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -88,6 +89,18 @@ func TestLoadStateRejectsCorruptCandidates(t *testing.T) {
 				t.Errorf("LoadState accepted %s = %v", tc.field, tc.v)
 			}
 		})
+	}
+}
+
+// TestLoadStateRejectsOldVersion: a version-1 snapshot, which still
+// named its search strategy, fails on its version rather than on a
+// signature mismatch, so the error says what is wrong with it.
+func TestLoadStateRejectsOldVersion(t *testing.T) {
+	snap := withField(t, quickSnapshot(t), "version", 1)
+	snap = withField(t, snap, "strategy", "hill")
+	_, err := LoadState(snap, snapshotParams())
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("LoadState of a version-1 snapshot = %v, want a version error", err)
 	}
 }
 

@@ -108,3 +108,25 @@ func TestRunControlValidation(t *testing.T) {
 		t.Fatalf("Run() error = %v, want shed-probability rejection", err)
 	}
 }
+
+// TestControlledObservedKeyPinned pins the result key of a controlled
+// observed run that sets every control section. The key names cache
+// entries, so a control field joining or leaving the spec's JSON must
+// not move it for the specs callers build.
+func TestControlledObservedKeyPinned(t *testing.T) {
+	p := ObservedParams{Seed: 3, Requests: 600, Quick: true, FaultRate: 20000,
+		Control: &control.Spec{
+			Autoscale: &control.AutoscaleSpec{Target: control.TargetPE,
+				UpUtil: 0.1, DownUtil: 0.01, SLOUs: 150, MaxAdd: 8},
+			Shed:  &control.ShedSpec{Queue: 48, Prob: 0.02},
+			Retry: &control.RetrySpec{Budget: 16},
+		}}
+	got, err := p.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9d6744781b1ed2c8d97305e0533b8a0eb8cb9bd943deb49b0698b5b1700b3329"
+	if got != want {
+		t.Errorf("key = %s, want %s", got, want)
+	}
+}

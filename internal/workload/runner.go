@@ -154,7 +154,7 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		// Kernel.Every's self-terminating reschedule, so the controller
 		// stops when the run drains. Armed first so its event-sequence
 		// position is fixed whether or not observability is on.
-		k.Every(ctl.Interval(), func() { ctl.Tick(k.Now()) })
+		k.Every(control.TickInterval, func() { ctl.Tick(k.Now()) })
 	}
 	if s.Obs != nil {
 		// Armed after every arrival's sequence number is reserved,
@@ -372,22 +372,24 @@ func sampler(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) func() {
 }
 
 // stream is one source running on a single server: what an arrival
-// and each of its attempts need, held once per source. job is the
-// source's request, which the engine only reads, and done the
-// completion callback of a first attempt, both built once.
+// and its retry need, held once per source. job is the source's
+// request, which the engine only reads; done and retryDone are the
+// completion callbacks of a first attempt and of a retry. All three
+// are built once.
 type stream struct {
-	res  *RunResult
-	rec  *metrics.Recorder
-	ctl  *control.Controller
-	src  Source
-	job  *engine.Job
-	done func(engine.Result)
+	res             *RunResult
+	rec             *metrics.Recorder
+	ctl             *control.Controller
+	src             Source
+	job             *engine.Job
+	done, retryDone func(engine.Result)
 }
 
 func newStream(res *RunResult, ctl *control.Controller, src Source) *stream {
 	st := &stream{res: res, rec: res.service(src.Service.Name), ctl: ctl, src: src,
 		job: src.Service.Job(src.Tenant)}
-	st.done = func(r engine.Result) { st.complete(r, 1) }
+	st.done = func(r engine.Result) { st.complete(r, false) }
+	st.retryDone = func(r engine.Result) { st.complete(r, true) }
 	return st
 }
 
@@ -404,7 +406,7 @@ func (st *stream) schedule(rng *sim.RNG) {
 			st.res.Shed++
 			return
 		}
-		st.submit(1)
+		st.submit(st.done)
 	})
 }
 
@@ -442,31 +444,26 @@ func bookArrivals(k *sim.Kernel, times []sim.Time, fire func()) {
 	k.AtSeq(times[0], seq, arrive)
 }
 
-// submit hands one attempt of a request to the engine. A retry, which
-// only a controller grants, carries its attempt number in a closure of
-// its own; every first attempt shares the stream's callback.
-func (st *stream) submit(attempt int) {
+// submit hands one attempt of a request to the engine, with the
+// stream's first-attempt or retry callback.
+func (st *stream) submit(done func(engine.Result)) {
 	if st.ctl != nil {
 		st.ctl.NoteSubmit()
-	}
-	done := st.done
-	if attempt > 1 {
-		done = func(r engine.Result) { st.complete(r, attempt) }
 	}
 	st.res.Engine.Submit(st.job, done)
 }
 
 // complete accounts for one attempt's completion and, when the
-// controller grants it, re-submits a timed-out request.
-func (st *stream) complete(r engine.Result, attempt int) {
+// controller grants it, re-submits a timed-out request once.
+func (st *stream) complete(r engine.Result, retried bool) {
 	st.res.count(r)
 	if st.ctl != nil {
 		e := st.res.Engine
 		st.ctl.NoteDone(e.K.Now(), r.Latency)
 		if r.TimedOut {
-			if backoff, ok := st.ctl.RetryAfter(st.src.Tenant, attempt); ok {
+			if backoff, ok := st.ctl.RetryAfter(st.src.Tenant, retried); ok {
 				st.res.Retries++
-				e.K.After(backoff, func() { st.submit(attempt + 1) })
+				e.K.After(backoff, func() { st.submit(st.retryDone) })
 				return
 			}
 		}

@@ -33,54 +33,42 @@ func (p Poisson) Next(rng *sim.RNG) sim.Time {
 }
 
 // Alibaba mimics the production traces' burstiness: a phase-modulated
-// Poisson process whose ON windows are aligned to wall-clock Period
-// boundaries, so bursts CORRELATE across the services sharing a server
-// (production traffic spikes hit every service at once). The ON-phase
-// rate is PeakFactor times the mean; the OFF-phase rate is chosen so
-// the long-run mean equals RPS. This is the substitution for the real
-// Alibaba traces (DESIGN.md §1): mean rate and correlated burstiness
-// are what the orchestrators respond to.
+// Poisson process whose ON windows are aligned to wall-clock
+// alibabaPeriod boundaries, so bursts CORRELATE across the services
+// sharing a server (production traffic spikes hit every service at
+// once). The ON-phase rate is alibabaPeak times the mean; the OFF-phase
+// rate is chosen so the long-run mean equals RPS. This is the
+// substitution for the real Alibaba traces (DESIGN.md §1): mean rate
+// and correlated burstiness are what the orchestrators respond to.
 type Alibaba struct {
-	RPS        float64
-	PeakFactor float64  // ON-phase rate multiplier (default 4.8)
-	OnFraction float64  // fraction of each period spent ON (default 0.2)
-	Period     sim.Time // burst period (default 10ms)
+	RPS float64
 
 	t sim.Time // accumulated arrival time
 }
 
-func (a *Alibaba) params() (peak, onFrac float64, period sim.Time) {
-	peak = a.PeakFactor
-	if peak <= 1 {
-		peak = 4.8
-	}
-	onFrac = a.OnFraction
-	if onFrac <= 0 || onFrac >= 1 {
-		onFrac = 0.2
-	}
-	if peak > 1/onFrac {
-		peak = 1 / onFrac // keep the OFF rate non-negative
-	}
-	period = a.Period
-	if period <= 0 {
-		period = 10 * sim.Millisecond
-	}
-	return
-}
+// The Alibaba burst shape.
+const (
+	alibabaPeak   = 4.8                  // ON-phase rate multiplier
+	alibabaOnFrac = 0.2                  // fraction of each period spent ON
+	alibabaPeriod = 10 * sim.Millisecond // burst period
+)
 
 // Next draws the next inter-arrival gap of the piecewise-Poisson
 // process. Draws crossing a phase boundary restart at the boundary
 // with the new rate — exact for exponential gaps (memorylessness), and
 // necessary so long OFF-phase draws do not skip whole ON windows.
 func (a *Alibaba) Next(rng *sim.RNG) sim.Time {
-	peak, onFrac, period := a.params()
+	// Variables, not constants: the float64 arithmetic below must round
+	// after every operation, where a constant expression would be
+	// evaluated exactly at compile time.
+	peak, onFrac := float64(alibabaPeak), float64(alibabaOnFrac)
 	offRate := a.RPS * (1 - onFrac*peak) / (1 - onFrac)
 	start := a.t
 	for {
-		pos := a.t % period
-		onEnd := sim.Time(onFrac * float64(period))
+		pos := a.t % alibabaPeriod
+		onEnd := sim.Time(onFrac * float64(alibabaPeriod))
 		rate := offRate
-		boundary := a.t - pos + period
+		boundary := a.t - pos + alibabaPeriod
 		if pos < onEnd {
 			rate = a.RPS * peak
 			boundary = a.t - pos + onEnd
@@ -101,17 +89,16 @@ func (a *Alibaba) Next(rng *sim.RNG) sim.Time {
 // gaps (bounded Pareto) producing tight bursts separated by long idle
 // periods, normalized to the requested mean rate.
 type Azure struct {
-	RPS   float64
-	Alpha float64 // Pareto shape (default 1.3)
+	RPS float64
 }
+
+// azureAlpha is the Pareto shape of Azure's gaps.
+const azureAlpha = 1.3
 
 // Next draws a bounded-Pareto gap with mean 1/RPS.
 func (z Azure) Next(rng *sim.RNG) sim.Time {
-	alpha := z.Alpha
-	if alpha <= 1 {
-		alpha = 1.3
-	}
-	mean := 1.0 / z.RPS // seconds
+	alpha := float64(azureAlpha) // a variable, rounding as in Alibaba.Next
+	mean := 1.0 / z.RPS          // seconds
 	// Bounded Pareto with mean ~= alpha*min/(alpha-1) (max far out).
 	min := mean * (alpha - 1) / alpha
 	g := rng.Pareto(min, alpha, mean*200)
