@@ -103,7 +103,7 @@ func main() {
 	flag.DurationVar(&a.retryAfter, "retryafter", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&a.drainTimeout, "draintimeout", 2*time.Minute, "graceful-drain budget on SIGTERM before running jobs are cancelled")
 	check := flag.Bool("check", false, "run every job with runtime invariant checking (same results; violations fail the job)")
-	flag.IntVar(&a.cacheSize, "cache", 512, "content-addressed result cache entries (jobs + sweep cells); 0 disables caching and coalescing")
+	flag.IntVar(&a.cacheSize, "cache", 512, "content-addressed result cache entries (finished jobs); 0 disables caching and coalescing")
 	flag.Float64Var(&a.tenantRate, "tenantrate", 0, "per-tenant admission rate in jobs/sec (token bucket); 0 disables rate limiting")
 	flag.IntVar(&a.tenantBurst, "tenantburst", 8, "per-tenant token-bucket burst capacity")
 	flag.DurationVar(&a.heartbeat, "heartbeat", 15*time.Second, "progress-stream keep-alive interval; 0 disables heartbeats")

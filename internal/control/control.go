@@ -35,6 +35,7 @@ import (
 	"math"
 	"sort"
 
+	"accelflow/internal/metrics"
 	"accelflow/internal/obs"
 	"accelflow/internal/sim"
 )
@@ -435,10 +436,7 @@ func evict(ss []sample, cutoff sim.Time) []sample {
 }
 
 // windowP99 computes the P99 of the retained latency window (0 when
-// empty) as the sorted value at 1-based rank round(0.99n), rounding
-// half up. This is not metrics.Recorder's nearest rank ceil(0.99n):
-// the two pick different ranks for 196 of n = 1..399, the first at
-// n = 51 (at n = 60 this picks rank 59, the recorder rank 60).
+// empty) by metrics.NearestRank, the rule every reported P99 uses.
 func (l *loop) windowP99() float64 {
 	n := len(l.lats)
 	if n == 0 {
@@ -449,8 +447,7 @@ func (l *loop) windowP99() float64 {
 		vals[i] = s.v
 	}
 	sort.Float64s(vals)
-	// For n >= 1 the rank round(0.99n) lies in [1, n]: no clamp needed.
-	return vals[int(float64(n)*0.99+0.5)-1]
+	return metrics.NearestRank(vals, 99)
 }
 
 // tick runs one decision on the latest utilization sample and returns

@@ -119,6 +119,23 @@ func TestLoopSLOBreachScalesDespiteLowUtil(t *testing.T) {
 	}
 }
 
+// TestWindowP99NearestRank: the controller's windowed P99 takes the
+// value at rank ceil(0.99n), the rank every reported P99 uses. Sample
+// i of the window is i, so the P99 is its rank.
+func TestWindowP99NearestRank(t *testing.T) {
+	for _, tc := range []struct{ n, rank int }{
+		{1, 1}, {50, 50}, {60, 60}, {100, 99}, {101, 100}, {400, 396},
+	} {
+		l := loop{}
+		for i := tc.n; i >= 1; i-- { // newest first: windowP99 sorts
+			l.observeLatency(sim.Millisecond, float64(i))
+		}
+		if got := l.windowP99(); got != float64(tc.rank) {
+			t.Errorf("n = %d: P99 is rank %v, want %d", tc.n, got, tc.rank)
+		}
+	}
+}
+
 // TestControllerPoolFloor: scaling down never takes a pool below one
 // server, regardless of how deep the loop's offset goes.
 func TestControllerPoolFloor(t *testing.T) {

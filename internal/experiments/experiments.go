@@ -49,30 +49,6 @@ type Options struct {
 	// but any violated invariant fails the cell with a structured
 	// error instead of reporting numbers from broken physics.
 	Check bool
-	// Cache, when non-nil, memoizes finished sweep-cell outputs across
-	// runs: RunCells consults it before executing a cell and stores each
-	// successful cell's output after. Because cell outputs are pure
-	// functions of (Options identity, cell key), the caller owns the key
-	// namespace — it MUST scope the cache to everything outside the cell
-	// key that affects outputs (experiment ID, Requests, Seed, Quick),
-	// or cached values from a different sweep would be replayed. The
-	// serving layer uses this so a cancelled sweep's completed cells are
-	// reusable on resubmission. Implementations must be safe for
-	// concurrent use (cells call from worker goroutines); cached values
-	// are handed back by reference, so they must be treated as
-	// single-owner data — the serve scheduler serializes same-namespace
-	// runs through singleflight rather than locking cell outputs.
-	Cache CellCache
-}
-
-// CellCache memoizes sweep-cell outputs for RunCells (see
-// Options.Cache for the key-namespace and ownership contract). GetCell
-// returns a previously stored output; PutCell stores one. Values are
-// opaque: RunCells type-asserts on the way out and silently re-runs
-// the cell when the cached value has the wrong dynamic type.
-type CellCache interface {
-	GetCell(key string) (any, bool)
-	PutCell(key string, v any)
 }
 
 // newCheck returns a fresh checker when checking is enabled, else nil.
@@ -93,8 +69,6 @@ type CellEvent struct {
 	Index, Total int
 	// Err is the cell's error (nil on success).
 	Err error
-	// Cached marks a cell served from Options.Cache instead of run.
-	Cached bool
 }
 
 // ctx resolves Options.Ctx, defaulting to the background context.

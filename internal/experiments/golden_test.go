@@ -46,10 +46,10 @@ type passRun struct {
 // registryRuns is what the shared quick pass holds for one registry
 // experiment.
 type registryRuns struct {
-	p1      passRun   // Parallelism 1, with keys as its cell cache
+	p1      passRun   // Parallelism 1, with keys auditing its cells
 	p8      passRun   // Parallelism 8; not run for slowID under -short
 	p8Again passRun   // a second Parallelism 8 run; not run for fig14
-	keys    *keyAudit // every cell key the p1 run looked up
+	keys    *keyAudit // every cell key the p1 run reported
 }
 
 // quickPass is the shared quick pass: the whole registry at
@@ -69,10 +69,10 @@ var quickPass struct {
 func quickRegistry() map[string]*registryRuns {
 	quickPass.once.Do(func() {
 		var jobs []func()
-		run := func(dst *passRun, id string, parallelism int, cache CellCache) {
+		run := func(dst *passRun, id string, parallelism int, onCell func(CellEvent)) {
 			jobs = append(jobs, func() {
 				o := goldenOptions()
-				o.Parallelism, o.Cache = parallelism, cache
+				o.Parallelism, o.OnCell = parallelism, onCell
 				dst.res, dst.err = Registry[id](o)
 			})
 		}
@@ -80,7 +80,7 @@ func quickRegistry() map[string]*registryRuns {
 		for _, id := range IDs() {
 			r := &registryRuns{keys: newKeyAudit()}
 			quickPass.runs[id] = r
-			run(&r.p1, id, 1, r.keys)
+			run(&r.p1, id, 1, r.keys.onCell)
 			if testing.Short() && slowID(id) {
 				continue
 			}

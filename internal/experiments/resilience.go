@@ -52,18 +52,7 @@ func resilienceSpec(pol engine.Policy, rate float64, n int, seed int64) *workloa
 		Policy:  pol,
 		Sources: workload.Mix(services.SocialNetwork(), 1.0, n),
 		Seed:    seed,
-		Faults: &fault.Spec{
-			Rate:           rate,
-			MeanWindow:     200 * sim.Microsecond,
-			Horizon:        sim.Second,
-			PEDegradeFrac:  0.5,
-			PEFail:         true,
-			ADMARemove:     2,
-			ManagerStall:   true,
-			ATMStall:       500 * sim.Nanosecond,
-			NoCInflate:     4,
-			RemoteLossRate: loss,
-		},
+		Faults:  fault.Mix(rate, 200*sim.Microsecond, loss),
 	}
 }
 

@@ -69,33 +69,11 @@ func RunCells[T any](o Options, cells []Cell[T]) ([]T, error) {
 	}
 	errs := make([]error, len(cells))
 	fanOut(ctx, o.parallelism(), len(cells), func(i int) {
-		cached := false
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-		} else {
-			c := cells[i]
-			// A memoized output replaces the run outright: the cache
-			// contract (Options.Cache) makes it the value this exact
-			// cell would compute. A wrong-type hit — a namespace bug
-			// upstream — falls through to a real run rather than
-			// corrupting the sweep.
-			if o.Cache != nil {
-				if v, ok := o.Cache.GetCell(c.Key); ok {
-					if tv, ok := v.(T); ok {
-						results[i] = tv
-						cached = true
-					}
-				}
-			}
-			if !cached {
-				results[i], errs[i] = runCell(c, sim.DeriveSeed(o.Seed, c.Key))
-				if errs[i] == nil && o.Cache != nil {
-					o.Cache.PutCell(c.Key, results[i])
-				}
-			}
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			results[i], errs[i] = runCell(cells[i], sim.DeriveSeed(o.Seed, cells[i].Key))
 		}
 		if o.OnCell != nil {
-			o.OnCell(CellEvent{Key: cells[i].Key, Index: i, Total: len(cells), Err: errs[i], Cached: cached})
+			o.OnCell(CellEvent{Key: cells[i].Key, Index: i, Total: len(cells), Err: errs[i]})
 		}
 	}, func(i int) { errs[i] = ctx.Err() })
 	var cancelErr error

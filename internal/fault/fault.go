@@ -96,6 +96,27 @@ func (s Spec) Validate() error {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
+// Mix is the fault mix the resilience experiment and the observed run
+// inject: every window mechanism on (half of one kind's PEs degraded,
+// one kind failed, 2 A-DMA engines removed, the manager stalled,
+// 500ns of ATM stall, NoC head latency ×4), windows of mean length
+// window arriving at rate over a one-second horizon, and
+// remote-response loss at loss (0 keeps the baked-in rate).
+func Mix(rate float64, window sim.Time, loss float64) *Spec {
+	return &Spec{
+		Rate:           rate,
+		MeanWindow:     window,
+		Horizon:        sim.Second,
+		PEDegradeFrac:  0.5,
+		PEFail:         true,
+		ADMARemove:     2,
+		ManagerStall:   true,
+		ATMStall:       500 * sim.Nanosecond,
+		NoCInflate:     4,
+		RemoteLossRate: loss,
+	}
+}
+
 // horizon is Horizon with its 100ms default applied.
 func (s Spec) horizon() sim.Time {
 	if s.Horizon <= 0 {

@@ -4,6 +4,7 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -55,24 +56,27 @@ func (r *Recorder) Mean() sim.Time {
 	return r.sum / sim.Time(len(r.samples))
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) using
-// nearest-rank on the sorted samples.
+// Percentile returns the p-th percentile (0 < p <= 100) of the
+// samples by NearestRank.
 func (r *Recorder) Percentile(p float64) sim.Time {
-	if len(r.samples) == 0 {
-		return 0
-	}
 	if !r.sorted {
 		slices.Sort(r.samples)
 		r.sorted = true
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))
-	if rank < 1 {
-		rank = 1
+	return NearestRank(r.samples, p)
+}
+
+// NearestRank returns the p-th percentile (0 < p <= 100) of an
+// ascending slice: the value at 1-based rank ceil(p/100·n), clamped to
+// [1, n], and the zero value for an empty slice. It is the rank rule
+// of every percentile the simulator reports or acts on.
+func NearestRank[T cmp.Ordered](sorted []T, p float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
 	}
-	if rank > len(r.samples) {
-		rank = len(r.samples)
-	}
-	return r.samples[rank-1]
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Merge folds all of other's samples into r, invalidating r's sort

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"accelflow/internal/metrics"
 	"accelflow/internal/sim"
 )
 
@@ -127,8 +128,8 @@ func (s *Sink) BuildReport() *Report {
 			}
 		}
 		sr.MeanUs = sum / float64(len(lats))
-		sr.P50Us = usec(nearestRank(lats, 50))
-		sr.P99Us = usec(nearestRank(lats, 99))
+		sr.P50Us = usec(metrics.NearestRank(lats, 50))
+		sr.P99Us = usec(metrics.NearestRank(lats, 99))
 		sr.MaxUs = usec(lats[len(lats)-1])
 		sr.Histogram = make([]int, maxBucket+1)
 		for b, n := range buckets {
@@ -159,22 +160,6 @@ func (s *Sink) BuildReport() *Report {
 		rep.Utilization = append(rep.Utilization, sr)
 	}
 	return rep
-}
-
-// nearestRank is the nearest-rank percentile of a sorted slice,
-// matching metrics.Recorder.Percentile.
-func nearestRank(sorted []sim.Time, p float64) sim.Time {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // WriteReport writes the report as indented JSON, handing w the whole

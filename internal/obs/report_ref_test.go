@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"accelflow/internal/metrics"
 	"accelflow/internal/sim"
 )
 
@@ -74,8 +75,8 @@ func buildReportRef(s *Sink) *Report {
 			}
 		}
 		sr.MeanUs = sum / float64(len(lats))
-		sr.P50Us = usec(nearestRank(lats, 50))
-		sr.P99Us = usec(nearestRank(lats, 99))
+		sr.P50Us = usec(metrics.NearestRank(lats, 50))
+		sr.P99Us = usec(metrics.NearestRank(lats, 99))
 		sr.MaxUs = usec(lats[len(lats)-1])
 		sr.Histogram = make([]int, maxBucket+1)
 		for b, n := range buckets {

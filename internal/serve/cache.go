@@ -8,32 +8,19 @@
 // the execution-only Parallelism knob. Submit computes the key before
 // it takes the scheduler lock.
 //
-// One bounded LRU holds two kinds of entries under one capacity:
-//
-//   - job entries (*jobResultEntry): a finished job's values body and
-//     artifact bytes, keyed "job|...". The entry is the job's own
-//     result, whose bytes were rendered once when the run completed,
-//     so a hit serves the exact bytes the cold job serves.
-//     A hit completes the submission synchronously without occupying a
-//     queue slot.
-//   - cell entries: individual sweep-cell outputs, keyed
-//     "cell|<job key>|<cell key>" through the cellCache adapter
-//     (experiments.Options.Cache). These exist so a cancelled sweep's
-//     completed cells are reusable when the job is resubmitted.
+// One bounded LRU holds finished jobs' results (*jobResultEntry),
+// keyed by ResultKey: a job's values body and artifact bytes, rendered
+// once when the run completed, so a hit serves the exact bytes the
+// cold job serves. A hit completes the submission synchronously
+// without occupying a queue slot. Entries are immutable, so a hit
+// hands out a shared pointer.
 //
 // Concurrency: the cache's own mutex guards the LRU; it never takes
 // the scheduler lock, so the scheduler may call into it while holding
-// its own. Cached cell values are handed back by reference and may
-// contain types that are not concurrency-safe (*metrics.Recorder
-// lazily sorts in place), which is safe only because singleflight
-// coalescing in the scheduler guarantees at most one execution per
-// job key is in flight at a time — same-key runs are serialized, and
-// the scheduler mutex plus the sweep pool's WaitGroup join establish
-// the happens-before edges between them.
+// its own.
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"accelflow/internal/obs"
@@ -41,8 +28,7 @@ import (
 
 // CacheStats is the /v1/cache stats payload.
 type CacheStats struct {
-	// Entries and Capacity describe the LRU (job + cell entries share
-	// the bound).
+	// Entries and Capacity describe the LRU of finished jobs.
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 	// Hits/Misses count submissions served from / not found in the
@@ -54,10 +40,6 @@ type CacheStats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts LRU entries dropped to stay under Capacity.
 	Evictions uint64 `json:"evictions"`
-	// CellHits/CellMisses count per-sweep-cell lookups (partial-result
-	// reuse after a cancelled sweep).
-	CellHits   uint64 `json:"cellHits"`
-	CellMisses uint64 `json:"cellMisses"`
 }
 
 // jobResultEntry is a finished job's output: everything a client can
@@ -72,75 +54,74 @@ type jobResultEntry struct {
 	artifacts map[obs.Artifact][]byte
 }
 
-// resultCache is a bounded LRU over job and cell entries. Safe for
-// concurrent use; see the package comment for the value-ownership
-// contract.
+// resultCache is a bounded LRU of finished jobs' results. Safe for
+// concurrent use.
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	stats    CacheStats
+	items    map[string]*cacheItem
+	// root is the recency list's sentinel: root.next is the most
+	// recently used item, root.prev the least.
+	root  cacheItem
+	stats CacheStats
 }
 
 type cacheItem struct {
-	key string
-	val any
+	key        string
+	e          *jobResultEntry
+	prev, next *cacheItem
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
+	c := &resultCache{capacity: capacity, items: make(map[string]*cacheItem)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
-// get looks a key up and bumps it to most-recent.
-func (c *resultCache) get(key string) (any, bool) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheItem).val, true
+// toFront makes it the most recently used item, unlinking it first
+// when it is already listed.
+func (c *resultCache) toFront(it *cacheItem) {
+	if it.next != nil {
+		it.prev.next, it.next.prev = it.next, it.prev
 	}
-	return nil, false
+	it.prev, it.next = &c.root, c.root.next
+	it.prev.next, it.next.prev = it, it
 }
 
-// put inserts or refreshes a key, evicting from the LRU tail to stay
-// under capacity.
-func (c *resultCache) put(key string, v any) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheItem).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheItem{key: key, val: v})
-	for c.ll.Len() > c.capacity {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*cacheItem).key)
-		c.stats.Evictions++
-	}
-}
-
-// getJob returns a completed-job entry, counting the hit/miss.
+// getJob returns a completed-job entry, bumping it to most recent and
+// counting the hit or miss.
 func (c *resultCache) getJob(key string) (*jobResultEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.get(key); ok {
-		if e, ok := v.(*jobResultEntry); ok {
-			c.stats.Hits++
-			return e, true
-		}
+	it, ok := c.items[key]
+	if !ok {
+		c.stats.Misses++
+		return nil, false
 	}
-	c.stats.Misses++
-	return nil, false
+	c.stats.Hits++
+	c.toFront(it)
+	return it.e, true
 }
 
-// putJob publishes a completed-job entry.
+// putJob publishes a completed-job entry, evicting from the LRU tail
+// to stay under capacity.
 func (c *resultCache) putJob(key string, e *jobResultEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(key, e)
+	if it, ok := c.items[key]; ok {
+		it.e = e
+		c.toFront(it)
+		return
+	}
+	it := &cacheItem{key: key, e: e}
+	c.items[key] = it
+	c.toFront(it)
+	for len(c.items) > c.capacity {
+		tail := c.root.prev
+		tail.prev.next, c.root.prev = &c.root, tail.prev
+		delete(c.items, tail.key)
+		c.stats.Evictions++
+	}
 }
 
 // coalesced records a submission that joined an in-flight run.
@@ -150,41 +131,12 @@ func (c *resultCache) coalesced() {
 	c.stats.Coalesced++
 }
 
-func (c *resultCache) getCell(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.get(key); ok {
-		c.stats.CellHits++
-		return v, true
-	}
-	c.stats.CellMisses++
-	return nil, false
-}
-
-func (c *resultCache) putCell(key string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(key, v)
-}
-
 // Stats snapshots the counters.
 func (c *resultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Entries = c.ll.Len()
+	st.Entries = len(c.items)
 	st.Capacity = c.capacity
 	return st
 }
-
-// cellCache adapts the result cache to experiments.CellCache for one
-// job, prefixing cell keys with the job's result key so cells from
-// different (experiment, requests, seed, quick) sweeps never collide —
-// the key-namespace obligation Options.Cache puts on its caller.
-type cellCache struct {
-	c      *resultCache
-	prefix string
-}
-
-func (cc cellCache) GetCell(key string) (any, bool) { return cc.c.getCell(cc.prefix + key) }
-func (cc cellCache) PutCell(key string, v any)      { cc.c.putCell(cc.prefix+key, v) }

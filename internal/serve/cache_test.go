@@ -224,52 +224,6 @@ func TestCoalesceConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestCancelledSweepCellsReused: a cancelled sweep's completed cells
-// are served from the per-cell cache when the job is resubmitted.
-func TestCancelledSweepCellsReused(t *testing.T) {
-	sched := NewScheduler(Config{Workers: 1, QueueDepth: 4, CacheEntries: 256})
-	defer sched.Close()
-
-	req := JobRequest{Type: JobExperiment, Experiment: "fig19", Quick: true, Requests: 200, Seed: 5, Parallelism: 1}
-	j, err := sched.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the first finished cell (its output is in the cache
-	// before its event appears), then cancel the sweep.
-	deadline := time.Now().Add(30 * time.Second)
-	for j.snapshot().CellsDone == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no cell finished")
-		}
-		if j.snapshot().State.Terminal() {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	j.requestCancel()
-	<-j.Done()
-
-	j2, err := sched.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j2.Done()
-	if state := j2.snapshot().State; state != StateDone {
-		t.Fatalf("resubmission ended %s", state)
-	}
-	stats, _ := sched.CacheStats()
-	if first := j.snapshot().State; first == StateCancelled {
-		if stats.CellHits == 0 {
-			t.Errorf("cancelled sweep's completed cells were not reused: %+v", stats)
-		}
-	} else if !j2.snapshot().Cached {
-		// The sweep outran the cancel; then the resubmission must at
-		// least be a whole-job cache hit.
-		t.Errorf("first run ended %s yet resubmission was not cached", first)
-	}
-}
-
 // TestResubmitAfterCancelledQueuedLeader: a cacheable job cancelled
 // while queued retires its flight before its done channel closes, so a
 // client that waits for the cancellation and resubmits gets a fresh

@@ -11,8 +11,8 @@
 // execute it through Run (run.go), which owns the mapping onto
 // experiments.Options, workload.ObservedParams and tune.Params and
 // assembles each job type's values, lines and artifacts. What differs
-// between the callers — the -check flag, the daemon's cell cache and
-// progress hooks, the CLI's tune snapshots — travels in Env and never
+// between the callers — the -check flag, the daemon's progress hooks,
+// the CLI's tune snapshots — travels in Env and never
 // changes a byte of output. Values and artifact bytes therefore depend
 // only on the request, never on the binary, the transport, queueing
 // delay, or concurrent jobs; determinism_test.go pins this against
@@ -226,19 +226,19 @@ func (r JobRequest) ResultKey() string {
 	case JobExperiment:
 		sum := sha256.Sum256([]byte(fmt.Sprintf("experiment|%s|requests=%d|seed=%d|quick=%t",
 			r.Experiment, r.Requests, r.Seed, r.Quick)))
-		return "job|exp|" + hex.EncodeToString(sum[:])
+		return "exp|" + hex.EncodeToString(sum[:])
 	case JobObserved:
 		key, err := r.observedParams(Env{}).Key()
 		if err != nil {
 			return ""
 		}
-		return "job|obs|" + key
+		return "obs|" + key
 	case JobTune:
 		sig, err := r.tuneParams(Env{}).Signature()
 		if err != nil {
 			return ""
 		}
-		return "job|tune|" + sig
+		return "tune|" + sig
 	}
 	return ""
 }
@@ -251,7 +251,10 @@ type Event struct {
 	// State is set on "done" events (done/failed/cancelled).
 	State JobState `json:"state,omitempty"`
 	// Key/Index/Total identify the finished sweep cell on "cell"
-	// events; Done counts cells finished so far.
+	// events; Done counts cells finished so far. A tune job's cells are
+	// the evaluations it runs: revisits served from the search's memo
+	// run nothing and send no event, and Index/Total are positions in
+	// the generation's batch of misses.
 	Key   string `json:"key,omitempty"`
 	Index int    `json:"index,omitempty"`
 	Total int    `json:"total,omitempty"`
@@ -272,7 +275,9 @@ type JobView struct {
 	Priority   string   `json:"priority,omitempty"`
 	State      JobState `json:"state"`
 	Error      string   `json:"error,omitempty"`
-	CellsDone  int      `json:"cellsDone"`
+	// CellsDone counts finished sweep cells: for a tune job, the
+	// evaluations it ran, leaving out revisits served from its memo.
+	CellsDone int `json:"cellsDone"`
 	// Cached marks a job served from the content-addressed result
 	// cache (directly or by coalescing onto an identical in-flight
 	// run) instead of executing.

@@ -15,19 +15,18 @@ import (
 )
 
 // Env carries what differs between Run's callers: accelsimd sets the
-// cell cache and progress hooks, accelsim the tune snapshot callback
-// and resume state, both the -check flag. Nothing in Env changes a
-// run's values, lines or artifact bytes.
+// progress hooks, accelsim the tune snapshot callback and resume state,
+// both the -check flag. Nothing in Env changes a run's values, lines or
+// artifact bytes.
 type Env struct {
 	// Check attaches the runtime invariant checker to every simulation.
 	Check bool
-	// Cache memoizes experiment cells and tune evaluations; the caller
-	// scopes it to the request's ResultKey (see experiments.Options.Cache).
-	Cache experiments.CellCache
-	// OnCell receives every finished experiment cell and tune evaluation,
-	// from concurrent goroutines; OnGeneration each finished tune
-	// generation with its serialized state, which TuneState (nil: start
-	// fresh) resumes from.
+	// OnCell receives every finished experiment cell and every tune
+	// evaluation the search runs, from concurrent goroutines (a tune
+	// search serves revisits from a memo private to the run, and they
+	// send no event); OnGeneration each finished tune generation with
+	// its serialized state, which TuneState (nil: start fresh) resumes
+	// from.
 	OnCell       func(experiments.CellEvent)
 	OnGeneration func(pr tune.Progress, state []byte)
 	TuneState    []byte
@@ -89,7 +88,7 @@ func Run(ctx context.Context, req JobRequest, env Env) (*Result, error) {
 			return nil, err
 		}
 	}
-	res, err := tune.Run(ctx, p, st, tune.Hooks{OnGeneration: env.OnGeneration, OnEval: env.OnCell, Cache: env.Cache})
+	res, err := tune.Run(ctx, p, st, tune.Hooks{OnGeneration: env.OnGeneration, OnEval: env.OnCell})
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +126,6 @@ func (r JobRequest) Options(env Env) experiments.Options {
 		Parallelism: r.Parallelism,
 		Check:       env.Check,
 		OnCell:      env.OnCell,
-		Cache:       env.Cache,
 	}
 }
 

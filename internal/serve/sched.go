@@ -102,8 +102,8 @@ type Config struct {
 	// or artifact bytes; a violated invariant fails the job with a
 	// structured error instead.
 	Check bool
-	// CacheEntries bounds the content-addressed result cache (completed
-	// jobs and sweep cells share the bound; see cache.go). <= 0
+	// CacheEntries bounds the content-addressed result cache, counted in
+	// finished jobs (see cache.go). <= 0
 	// disables caching AND singleflight coalescing: every submission
 	// runs, exactly the pre-cache behavior.
 	CacheEntries int
@@ -588,14 +588,6 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) {
 		Check:        s.cfg.Check,
 		OnCell:       j.cellDone,
 		OnGeneration: func(pr tune.Progress, _ []byte) { j.generationDone(pr) },
-	}
-	if j.flight != nil {
-		// Per-cell memoization of sweep cells and tune evaluations,
-		// namespaced under the job's result key so a cancelled run's
-		// completed cells are reusable on resubmission. Safe despite
-		// non-concurrency-safe cell values: singleflight guarantees one
-		// execution per key at a time (see cache.go).
-		env.Cache = cellCache{c: s.cache, prefix: "cell|" + j.flight.key + "|"}
 	}
 	res, err := Run(ctx, j.Req, env)
 	if err != nil {

@@ -12,7 +12,8 @@
 //	GET    /v1/jobs/{id}/progress        NDJSON event stream until the job ends
 //	GET    /v1/jobs/{id}/artifacts/{kind} Chrome trace / JSON report
 //	GET    /v1/experiments               registered experiment IDs
-//	GET    /v1/cache                     result-cache stats ({"enabled":false} when off)
+//	GET    /v1/cache                     result-cache stats: entries, capacity, hits, misses,
+//	                                               coalesced, evictions ({"enabled":false} when off)
 //	GET    /healthz                      liveness + drain state
 //
 // Artifact and values bytes come from the same exporters the CLI uses,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -137,42 +138,72 @@ func TestTuneJobMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestTuneJobUsesCellCache: with the result cache on, a tune job's
-// revisited candidates are served from the per-cell cache (cellHits
-// delta > 0), and resubmitting the identical search completes from the
-// job-level result cache without re-running.
-func TestTuneJobUsesCellCache(t *testing.T) {
-	sched, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, CacheEntries: 256}, nil)
-
-	before, ok := sched.CacheStats()
-	if !ok {
-		t.Fatal("cache disabled")
-	}
-	id := submitAndWait(t, ts.URL, tuneBody)
-	after, _ := sched.CacheStats()
-	if after.CellHits <= before.CellHits {
-		t.Errorf("cellHits %d -> %d: no revisited candidate was served from the cell cache",
-			before.CellHits, after.CellHits)
-	}
-
-	// Identical resubmission: job-level cache hit, no execution.
-	resp := postJSON(t, ts.URL+"/v1/jobs", tuneBody)
-	v := decodeView(t, resp)
-	if !v.Cached || v.State != StateDone {
-		t.Errorf("resubmitted tune job: cached=%t state=%s, want cached done", v.Cached, v.State)
-	}
-	var first, second struct {
-		Values map[string]float64 `json:"values"`
-	}
-	if err := json.Unmarshal(fetchBytes(t, ts.URL+"/v1/jobs/"+id+"/values"), &first); err != nil {
+// TestTuneResubmissionMatchesRun: a tune job cancelled after its
+// first evaluation and then resubmitted serves the /values bytes that
+// Run computes for the same request, cacheHits included. Nothing the
+// cancelled run evaluated may leak into the resubmission. An identical
+// submission after that is a job-cache hit with the same bytes.
+func TestTuneResubmissionMatchesRun(t *testing.T) {
+	// Parallelism is execution-only: one worker runs the evaluations
+	// one at a time, so the cancel lands long before the search ends.
+	body := strings.Replace(tuneBody, "{", `{"parallelism":1,`, 1)
+	var req JobRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(fetchBytes(t, ts.URL+"/v1/jobs/"+v.ID+"/values"), &second); err != nil {
+	direct, err := Run(context.Background(), req, Env{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Values["bestScore"] != second.Values["bestScore"] {
-		t.Errorf("cached bestScore %v differs from original %v",
-			second.Values["bestScore"], first.Values["bestScore"])
+	want, err := renderValues(direct.Values, direct.Lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var sched *Scheduler
+	first := true
+	sched, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, CacheEntries: 256},
+		func(ctx context.Context, j *Job) {
+			if first {
+				first = false
+				go cancelAfterFirstCell(j)
+			}
+			sched.execute(ctx, j)
+		})
+
+	cancelled := decodeView(t, postJSON(t, ts.URL+"/v1/jobs", body))
+	evs := drainProgress(t, ts.URL+"/v1/jobs/"+cancelled.ID+"/progress")
+	if last := evs[len(evs)-1]; last.State != StateCancelled {
+		t.Skipf("the first search ended %s before its cancel landed", last.State)
+	}
+	for _, cached := range []bool{false, true} {
+		id := submitAndWait(t, ts.URL, body)
+		if v := jobView(t, ts.URL, id); v.Cached != cached {
+			t.Errorf("job %s: cached %t, want %t", id, v.Cached, cached)
+		}
+		got := fetchBytes(t, ts.URL+"/v1/jobs/"+id+"/values")
+		if exp := append([]byte(`{"id":"`+id+`",`), want...); !bytes.Equal(got, exp) {
+			t.Errorf("job %s /values:\n%s\nRun on the same request:\n%s", id, got, exp)
+		}
+	}
+}
+
+// cancelAfterFirstCell cancels j once it reports its first finished
+// cell.
+func cancelAfterFirstCell(j *Job) {
+	for n := 0; ; {
+		evs, more, terminal := j.eventsSince(n)
+		for _, ev := range evs {
+			if ev.Event == "cell" {
+				j.requestCancel()
+				return
+			}
+		}
+		if terminal {
+			return
+		}
+		n += len(evs)
+		<-more
 	}
 }
 

@@ -9,10 +9,8 @@ import (
 )
 
 // Eval is one candidate's measured outcome: the objective score (lower
-// is better) plus the raw metrics it was derived from. It is the cell
-// value stored in the sweep cell cache, so it must stay a plain
-// comparable-by-value struct of scalars: a cached Eval is handed back
-// by reference and never mutated.
+// is better) plus the raw metrics it was derived from. The search's
+// memo stores it by value, so it stays a plain struct of scalars.
 type Eval struct {
 	Score         float64 `json:"score"`
 	P99Us         float64 `json:"p99us"`

@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"accelflow/internal/check"
 	"accelflow/internal/energy"
@@ -150,7 +148,7 @@ func (p Params) Signature() (string, error) {
 type Progress struct {
 	Gen       int     `json:"gen"`
 	Evaluated int     `json:"evaluated"` // candidates requested this generation
-	Cached    int     `json:"cached"`    // of those, served from the cell cache
+	Cached    int     `json:"cached"`    // of those, served from the run's memo
 	Moved     bool    `json:"moved"`
 	CurKey    string  `json:"curKey"`
 	CurScore  float64 `json:"curScore"`
@@ -164,21 +162,16 @@ type Progress struct {
 	TotalCached int             `json:"totalCached"`
 }
 
-// Hooks are Run's observation and caching points. All are optional.
+// Hooks are Run's observation points. Both are optional.
 type Hooks struct {
 	// OnGeneration fires after each generation with the progress record
 	// and the freshly serialized SearchState (the resume snapshot).
 	// Called from the driver goroutine, in generation order.
 	OnGeneration func(pr Progress, state []byte)
-	// OnEval forwards every sweep-cell event (concurrent; see
-	// experiments.Options.OnCell for the contract).
+	// OnEval forwards the sweep-cell event of every evaluation the
+	// search runs; revisits served from the memo run nothing and send
+	// none (concurrent; see experiments.Options.OnCell for the contract).
 	OnEval func(ev experiments.CellEvent)
-	// Cache memoizes candidate evaluations across generations and — when
-	// provided by the serve layer — across searches. Keys are candidate
-	// keys, so the caller must namespace the cache by Params.Signature()
-	// (the serve layer's cellCache prefix does exactly this). Nil gets a
-	// run-private cache: revisits within one search still hit.
-	Cache experiments.CellCache
 }
 
 // Result is a finished search.
@@ -191,7 +184,7 @@ type Result struct {
 
 	Generations int  `json:"generations"`
 	Evals       int  `json:"evals"`
-	CacheHits   int  `json:"cacheHits"` // environment-dependent: excluded from determinism comparisons
+	CacheHits   int  `json:"cacheHits"` // revisits served from the memo; a resumed run's memo starts empty
 	Converged   bool `json:"converged"`
 
 	// State is the final SearchState snapshot; resumed and
@@ -199,32 +192,13 @@ type Result struct {
 	State json.RawMessage `json:"state"`
 }
 
-// memoCache is the run-private Hooks.Cache default.
-type memoCache struct {
-	mu sync.Mutex
-	m  map[string]any
-}
-
-func (c *memoCache) GetCell(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *memoCache) PutCell(key string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = v
-}
-
 // Run executes (or, when st is non-nil, resumes) the search to
 // completion and returns the result. st must come from LoadState with
 // the same Params; passing nil starts fresh. Determinism contract:
 // the full trajectory — every candidate visited, every score, the
 // final SearchState bytes — is a pure function of Params, regardless
-// of Parallelism, Check, cache warmth, or where a resumed
-// snapshot was taken. Only Result.CacheHits may differ.
+// of Parallelism, Check, or where a resumed snapshot was taken. Only
+// Result.CacheHits may differ, and only after a resume.
 func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -253,9 +227,6 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if h.Cache == nil {
-		h.Cache = &memoCache{m: map[string]any{}}
-	}
 
 	// The service mix evaluated against: the paper's SocialNetwork
 	// catalog, trimmed under Quick exactly like experiments does.
@@ -264,15 +235,25 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 		svcs = svcs[:3]
 	}
 
-	var totalCached atomic.Int64
-	var cacheHits int // driver-goroutine view, summed per generation
+	// memo holds every evaluation this run has made, by candidate key.
+	// Only Run's own goroutine touches it: evaluate serves revisits
+	// from it and sends only the misses to the sweep pool.
+	memo := map[string]Eval{}
+	cacheHits := 0
 
 	evaluate := func(batch [][]int) ([]Eval, int, error) {
-		cells := make([]experiments.Cell[Eval], len(batch))
+		evals := make([]Eval, len(batch))
+		var misses []int
+		var cells []experiments.Cell[Eval]
 		for i, cand := range batch {
-			cand := cand
-			cells[i] = experiments.Cell[Eval]{
-				Key: sp.Key(cand),
+			key := sp.Key(cand)
+			if ev, ok := memo[key]; ok {
+				evals[i] = ev
+				continue
+			}
+			misses = append(misses, i)
+			cells = append(cells, experiments.Cell[Eval]{
+				Key: key,
 				Run: func(seed int64) (Eval, error) {
 					cfg, pol, err := sp.Materialize(cand)
 					if err != nil {
@@ -299,25 +280,22 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 					}
 					return ev, nil
 				},
-			}
+			})
 		}
-		genCached := int64(0)
-		evals, err := experiments.RunCells(experiments.Options{
+		ran, err := experiments.RunCells(experiments.Options{
 			Seed:        p.Seed,
 			Parallelism: p.Parallelism,
 			Ctx:         ctx,
-			Cache:       h.Cache,
-			OnCell: func(ev experiments.CellEvent) {
-				if ev.Cached {
-					atomic.AddInt64(&genCached, 1)
-					totalCached.Add(1)
-				}
-				if h.OnEval != nil {
-					h.OnEval(ev)
-				}
-			},
+			OnCell:      h.OnEval,
 		}, cells)
-		return evals, int(genCached), err
+		if err != nil {
+			return nil, 0, err
+		}
+		for j, i := range misses {
+			evals[i] = ran[j]
+			memo[cells[j].Key] = ran[j]
+		}
+		return evals, len(batch) - len(misses), nil
 	}
 
 	// validBatch drops candidates the space rejects and deduplicates by
@@ -429,7 +407,7 @@ func Run(ctx context.Context, p Params, st *SearchState, h Hooks) (*Result, erro
 				BestKey: st.BestKey, BestScore: st.BestScore,
 				Stagnant: st.Stagnant, Radius: st.Radius,
 				Frontier:   append([]FrontierEntry(nil), st.Frontier...),
-				TotalEvals: st.Evals, TotalCached: int(totalCached.Load()),
+				TotalEvals: st.Evals, TotalCached: cacheHits,
 			}
 			h.OnGeneration(pr, snap)
 		}

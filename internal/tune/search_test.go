@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
-
-	"accelflow/internal/experiments"
 )
 
 // quickParams is the suite's shared small-but-real search: three
@@ -97,19 +94,15 @@ func TestRevisitedCandidateServedFromCache(t *testing.T) {
 	// a neighbor of the new one; without a move, the widened radius-2
 	// neighborhood still contains every radius-1 neighbor.
 	p := quickParams()
-	var cached atomic.Int64
+	cached := 0
 	res := runSearch(t, p, nil, Hooks{
-		OnEval: func(ev experiments.CellEvent) {
-			if ev.Cached {
-				cached.Add(1)
-			}
-		},
+		OnGeneration: func(pr Progress, _ []byte) { cached += pr.Cached },
 	})
-	if cached.Load() < 1 {
-		t.Errorf("no candidate evaluation was served from the cell cache")
+	if cached < 1 {
+		t.Errorf("no candidate evaluation was served from the memo")
 	}
-	if res.CacheHits != int(cached.Load()) {
-		t.Errorf("Result.CacheHits = %d, observed %d cached cell events", res.CacheHits, cached.Load())
+	if res.CacheHits != cached {
+		t.Errorf("Result.CacheHits = %d, generations reported %d cached evaluations", res.CacheHits, cached)
 	}
 }
 

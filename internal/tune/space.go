@@ -238,8 +238,8 @@ func (s *Space) Size() int {
 
 // Key renders a candidate's canonical identity: "name=label" pairs in
 // dimension order. The key names the candidate's RNG stream (via
-// sim.DeriveSeed) and its cell-cache slot, so it must be a pure
-// function of the candidate.
+// sim.DeriveSeed) and its slot in the search's memo, so it must be a
+// pure function of the candidate.
 func (s *Space) Key(cand []int) string {
 	var b strings.Builder
 	for i, d := range s.Dims {

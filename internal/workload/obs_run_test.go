@@ -146,3 +146,36 @@ func TestSamplerRecordsUtilizationSeries(t *testing.T) {
 		t.Error("all PE utilization samples are zero under load")
 	}
 }
+
+// TestReportPercentilesMatchRecorders: the report's per-service P50
+// and P99 are the ones the run's recorders report for the same
+// requests, so the observed run's artifact and its Values agree on
+// every percentile.
+func TestReportPercentilesMatchRecorders(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		spec, sink, err := BuildObserved(ObservedParams{Seed: seed, Requests: 600, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := spec.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := sink.BuildReport()
+		if len(rep.Services) != len(res.PerService) {
+			t.Fatalf("seed %d: report has %d services, run %d", seed, len(rep.Services), len(res.PerService))
+		}
+		for _, sr := range rep.Services {
+			rec := res.PerService[sr.Service]
+			if rec == nil || rec.Count() != sr.Count {
+				t.Fatalf("seed %d: %s has %d report requests, recorder %v", seed, sr.Service, sr.Count, rec)
+			}
+			if want := rec.P50().Micros(); sr.P50Us != want {
+				t.Errorf("seed %d: %s report P50 %v us, recorder %v us", seed, sr.Service, sr.P50Us, want)
+			}
+			if want := rec.P99().Micros(); sr.P99Us != want {
+				t.Errorf("seed %d: %s report P99 %v us, recorder %v us", seed, sr.Service, sr.P99Us, want)
+			}
+		}
+	}
+}

@@ -148,16 +148,5 @@ func (p ObservedParams) faults() *fault.Spec {
 	if win <= 0 {
 		win = 200 * sim.Microsecond
 	}
-	return &fault.Spec{
-		Rate:           p.FaultRate,
-		MeanWindow:     win,
-		Horizon:        sim.Second,
-		PEDegradeFrac:  0.5,
-		PEFail:         true,
-		ADMARemove:     2,
-		ManagerStall:   true,
-		ATMStall:       500 * sim.Nanosecond,
-		NoCInflate:     4,
-		RemoteLossRate: p.FaultLoss,
-	}
+	return fault.Mix(p.FaultRate, win, p.FaultLoss)
 }
