@@ -74,16 +74,17 @@ func TestRunAllocBudgetPerRequest(t *testing.T) {
 }
 
 // TestFleetAllocBudgetPerRequest pins allocations per request of the
-// FleetSpec path: the benchmark's 8-replica fleet, obs disabled, run
-// by the serial reference coordinator (Workers 1), so no goroutine or
-// worker scheduling adds to the count. Besides the engine's per-request
-// work it covers the ingress: arrival booking, balancing and the
-// cross-domain forward to a replica.
+// FleetSpec path: the benchmark's 8-replica fleet, obs disabled, at
+// GOMAXPROCS 1 (allocsPerRun), so replicas run one after another on
+// the caller's goroutine. Besides the engine's per-request work it
+// covers the ingress: drawing, merging and dealing the arrivals, and
+// booking each replica's share.
 //
 // Trajectory: 15.5 allocs/request before requests, chains and each
 // source's job and callbacks were pooled or built once, 1.3 after,
-// under a budget of 2 (~1.5x). A closure per forwarded arrival or per
-// completion lands above it.
+// 1.1 once replicas ran on their own kernels, under a budget of 2
+// (~1.5x). A closure per dealt arrival or per completion lands above
+// it.
 func TestFleetAllocBudgetPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run allocation measurement")
@@ -92,7 +93,7 @@ func TestFleetAllocBudgetPerRequest(t *testing.T) {
 	cfg := config.Default()
 	pol := engine.AccelFlow()
 	allocs, bytes := allocsPerRun(2, func() {
-		if _, err := benchFleetSpec(svcs, cfg, pol, 1).Run(); err != nil {
+		if _, err := benchFleetSpec(svcs, cfg, pol).Run(); err != nil {
 			t.Fatal(err)
 		}
 	})

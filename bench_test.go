@@ -11,7 +11,6 @@ package main
 
 import (
 	"bufio"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -204,50 +203,43 @@ const (
 
 // benchFleetSpec builds the FleetSpec for one fleet benchmark
 // iteration; like benchRunSpec, it assembles only the per-run state.
-func benchFleetSpec(svcs []*services.Service, cfg *config.Config, pol engine.Policy, workers int) *workload.FleetSpec {
+func benchFleetSpec(svcs []*services.Service, cfg *config.Config, pol engine.Policy) *workload.FleetSpec {
 	return &workload.FleetSpec{
 		Config:   cfg,
 		Policy:   pol,
 		Sources:  workload.Mix(svcs, benchFleetReplicas, benchFleetRequests),
 		Seed:     1,
 		Replicas: benchFleetReplicas,
-		Workers:  workers,
 	}
 }
 
-// benchRunSharded measures the sharded kernel's real parallelism: an
-// 8-replica fleet (workload.FleetSpec) executed at 1/2/4/8 workers.
-// Results are byte-identical at every worker count — the determinism
-// tests enforce it — so the sub-benchmarks differ only in wall clock,
-// and events/op divided by ns/op gives the events/sec scaling curve.
-// Compare against BenchmarkRunBaseline for the serial single-server
-// baseline:
+// BenchmarkRunFleet measures the fleet's real parallelism: an
+// 8-replica fleet (workload.FleetSpec) whose replicas run on up to
+// GOMAXPROCS goroutines. Results are byte-identical at every
+// GOMAXPROCS — the determinism tests enforce it — so runs at different
+// -cpu values differ only in wall clock, and events/op divided by
+// ns/op gives the events/sec scaling curve. Compare against
+// BenchmarkRunBaseline for the serial single-server baseline:
 //
-//	go test -run '^$' -bench 'BenchmarkRun(Baseline|Sharded)' -benchtime 5x
-var benchRunShardedResult *workload.FleetResult
+//	go test -run '^$' -bench 'BenchmarkRun(Baseline|Fleet)' -cpu 1,2,4,8 -benchtime 5x
+var benchRunFleetResult *workload.FleetResult
 
-func benchRunSharded(b *testing.B, workers int) {
+func BenchmarkRunFleet(b *testing.B) {
 	svcs := services.SocialNetwork()
 	cfg := config.Default()
 	pol := engine.AccelFlow()
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := benchFleetSpec(svcs, cfg, pol, workers).Run()
+		res, err := benchFleetSpec(svcs, cfg, pol).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
 		events += res.Events
-		benchRunShardedResult = res
+		benchRunFleetResult = res
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-func BenchmarkRunSharded(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchRunSharded(b, workers) })
-	}
 }
 
 // serveQuickJob is the round-trip benchmarks' experiment job.

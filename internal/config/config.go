@@ -114,15 +114,14 @@ type Config struct {
 	QueueEntryBytes int // 2.1KB total per entry (§VI area discussion)
 
 	// Memory hierarchy (Table III + §V-3).
-	LLCLatency      sim.Time // 36-cycle slice round trip, converted
-	DRAMLatency     sim.Time
-	MemCtrls        int     // 4
-	MemGBsPerCtrl   float64 // 102.4 GB/s
-	AccelTLBEntries int
-	TLBHitRate      float64  // probability an accel TLB access hits
-	IOMMUWalk       sim.Time // miss service time via IOMMU
-	PageFaultRate   float64  // faults per accelerator invocation
-	PageFaultCost   sim.Time // OS handling, CPU involved
+	LLCLatency    sim.Time // 36-cycle slice round trip, converted
+	DRAMLatency   sim.Time
+	MemCtrls      int      // 4
+	MemGBsPerCtrl float64  // 102.4 GB/s
+	TLBHitRate    float64  // probability an accel TLB access hits
+	IOMMUWalk     sim.Time // miss service time via IOMMU
+	PageFaultRate float64  // faults per accelerator invocation
+	PageFaultCost sim.Time // OS handling, CPU involved
 
 	// Dispatcher cost model (§VII-B.2): RISC-like instruction counts,
 	// executed at one instruction per cycle.
@@ -206,15 +205,14 @@ func Default() *Config {
 		InlineDataBytes: 2048,
 		QueueEntryBytes: 2150,
 
-		LLCLatency:      sim.FromNanos(15),
-		DRAMLatency:     sim.FromNanos(80),
-		MemCtrls:        4,
-		MemGBsPerCtrl:   102.4,
-		AccelTLBEntries: 128,
-		TLBHitRate:      0.985,
-		IOMMUWalk:       sim.FromNanos(180),
-		PageFaultRate:   1.3e-6,
-		PageFaultCost:   5 * sim.Microsecond,
+		LLCLatency:    sim.FromNanos(15),
+		DRAMLatency:   sim.FromNanos(80),
+		MemCtrls:      4,
+		MemGBsPerCtrl: 102.4,
+		TLBHitRate:    0.985,
+		IOMMUWalk:     sim.FromNanos(180),
+		PageFaultRate: 1.3e-6,
+		PageFaultCost: 5 * sim.Microsecond,
 
 		DispBaseInstrs:      15,
 		DispBranchInstrs:    7,

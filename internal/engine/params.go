@@ -8,10 +8,12 @@ import (
 
 // Params collects the engine's optional behavior in one documented
 // struct — the single options surface for engine assembly.
-// workload.RunSpec and workload.FleetSpec are the user-facing specs: each maps its fields onto Params and hands them to
-// the workload package's one server builder (newServer), which calls
-// New and Register for the single server and for every fleet replica,
-// so there is exactly one knob per behavior and one assembly path.
+// workload.RunSpec and workload.FleetSpec are the user-facing specs:
+// each maps its fields onto Params and hands them to the workload
+// package's one server builder (newServer), which calls New and
+// Register for the single server and for every fleet replica, each
+// replica on its own kernel, so there is exactly one knob per behavior
+// and one assembly path.
 // The zero value is valid: seed 0, no observability, no faults, no
 // checking.
 type Params struct {

@@ -65,9 +65,9 @@ type event struct {
 }
 
 // Kernel is the event loop. It is not safe for concurrent use: a
-// simulation is a single-threaded, deterministic program. (A Sharded
-// coordinator runs one Kernel per domain, each still single-threaded;
-// see shard.go.)
+// simulation is a single-threaded, deterministic program. (A fleet
+// runs one Kernel per replica, each on one goroutine at a time; see
+// workload.FleetSpec.)
 type Kernel struct {
 	now       Time
 	seq       uint64
@@ -76,16 +76,6 @@ type Kernel struct {
 
 	// onEvent is the installed per-event observer (OnEvent).
 	onEvent func(at Time)
-
-	// shard/domain backlink when this kernel is one domain of a
-	// Sharded coordinator; shard is nil for a standalone kernel.
-	shard  *Sharded
-	domain int
-
-	// ctxBatch counts events since the last cancellation poll. It
-	// persists across run calls so a sharded run polls ctx at the same
-	// amortized cadence as a serial one.
-	ctxBatch uint64
 
 	// queuedTicks counts Every ticks currently in the event queue, so
 	// a ticker's liveness check can exclude other tickers' pending
@@ -109,10 +99,6 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 // determinism is lost. Install it before the run starts: the run loop
 // reads the observer once, when it starts.
 func (k *Kernel) OnEvent(fn func(at Time)) { k.onEvent = fn }
-
-// Domain returns this kernel's domain index within its Sharded
-// coordinator (0 for a standalone kernel).
-func (k *Kernel) Domain() int { return k.domain }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it indicates a modeling bug rather than a recoverable error.
@@ -188,29 +174,19 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 	return k.run(ctx, math.MaxInt64)
 }
 
-// runEpoch executes events with timestamps strictly below horizon. It
-// is the per-domain unit of work between two Sharded epoch barriers;
-// the strict bound means an event scheduled exactly at the horizon
-// belongs to the next epoch, matching the conservative send rule (Send
-// requires at >= horizon, so mail can never land inside the epoch that
-// produced it).
-func (k *Kernel) runEpoch(ctx context.Context, horizon Time) error {
-	return k.run(ctx, horizon-1)
-}
-
 // run is the kernel's one event loop: it executes events with
 // timestamps <= last, in (at, seq) order, polling ctx once per
-// checkEvery events through the persistent k.ctxBatch counter. Each
-// event runs in place at the heap root, which its callback's first
-// booking overwrites (see eventQueue); between events no root is
-// running, so minAt and a Sharded coordinator see a plain heap. A
-// callback that panics leaves its root running: such a kernel is
-// discarded, never resumed.
+// checkEvery events it runs. Each event runs in place at the heap
+// root, which its callback's first booking overwrites (see
+// eventQueue); between events no root is running, so minAt sees a
+// plain heap. A callback that panics leaves its root running: such a
+// kernel is discarded, never resumed.
 func (k *Kernel) run(ctx context.Context, last Time) error {
 	onEvent := k.onEvent
+	batch := 0
 	for k.events.Len() > 0 && k.events.minAt() <= last {
-		if k.ctxBatch++; k.ctxBatch >= checkEvery {
-			k.ctxBatch = 0
+		if batch++; batch >= checkEvery {
+			batch = 0
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -259,23 +235,3 @@ func (k *Kernel) Every(d Time, fn func()) {
 // Pending reports the number of queued events. Inside a callback the
 // running event no longer counts.
 func (k *Kernel) Pending() int { return k.events.Len() }
-
-// Send schedules fn at absolute time t on domain to of this kernel's
-// Sharded coordinator. Sends to the kernel's own domain are ordinary
-// local At scheduling (any future time). Cross-domain sends go through
-// the coordinator's mailbox and are delivered at the next epoch
-// barrier; the conservative rule t >= current epoch horizon must hold
-// (i.e. the model's cross-domain latency must be at least the
-// coordinator's lookahead) or Send panics — a violation means the
-// barrier sizing is wrong and determinism would be lost. On a
-// standalone kernel (no coordinator) only to == 0 is valid.
-func (k *Kernel) Send(to int, t Time, fn func()) {
-	if k.shard == nil || to == k.domain {
-		if k.shard == nil && to != 0 {
-			panic(fmt.Sprintf("sim: Send to domain %d on a standalone kernel", to))
-		}
-		k.At(t, fn)
-		return
-	}
-	k.shard.post(k.domain, to, t, fn)
-}

@@ -108,9 +108,7 @@ func TestKernelRunUntil(t *testing.T) {
 
 // TestKernelRunBoundaries pins the edges of the kernel's one event
 // loop as each entry point drives it: RunUntil's deadline is
-// inclusive, runEpoch's horizon is exclusive (an event at the horizon
-// belongs to the next epoch), and an already-cancelled RunCtx runs
-// nothing.
+// inclusive, and an already-cancelled RunCtx runs nothing.
 func TestKernelRunBoundaries(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -122,7 +120,6 @@ func TestKernelRunBoundaries(t *testing.T) {
 		wantErr     error
 	}{
 		{"RunUntil runs an event at the deadline", func(k *Kernel) error { k.RunUntil(10 * Nanosecond); return nil }, 2, 1, nil},
-		{"runEpoch leaves an event at the horizon queued", func(k *Kernel) error { return k.runEpoch(context.Background(), 10*Nanosecond) }, 1, 2, nil},
 		{"cancelled RunCtx runs zero events", func(k *Kernel) error { return k.RunCtx(cancelled) }, 0, 3, context.Canceled},
 		{"RunCtx drains", func(k *Kernel) error { return k.RunCtx(context.Background()) }, 3, 0, nil},
 	}

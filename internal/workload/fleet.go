@@ -1,8 +1,13 @@
 package workload
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"accelflow/internal/check"
 	"accelflow/internal/config"
@@ -12,20 +17,16 @@ import (
 )
 
 // FleetSpec describes a multi-server run: an ingress that round-robins
-// arrivals over Replicas identical AccelFlow servers, each server its
-// own resource domain on a sharded kernel (sim.Sharded). This is where
-// intra-run parallelism is real: a single server is one indivisible
-// domain (every component shares engine state), but a fleet's servers
-// only interact through the ingress, and the ingress-to-server
-// forwarding latency — Config.RemoteRTT/2, the one-way peer network
-// latency, which is also the kernel's lookahead — is orders of
-// magnitude above the epoch floor, so domains run concurrently with
-// barriers that stay off the critical path.
+// arrivals over Replicas identical AccelFlow servers, each forwarded
+// with the one-way peer network latency Config.RemoteRTT/2.
 //
-// Determinism: results are byte-identical at every Workers value
-// because the sharded coordinator's execution is worker-count
-// invariant (see sim.Sharded) and the merge below walks replicas in
-// index order.
+// The ingress is feed-forward: every arrival time is drawn up front,
+// its only state is the round-robin cursor, and no replica sends
+// anything back. So the whole schedule is dealt before any replica
+// runs, and each replica is an independent serial simulation on its
+// own kernel. Replicas run concurrently (at most GOMAXPROCS at once)
+// but share no state, and the merge walks them in index order, so
+// results are byte-identical at every GOMAXPROCS.
 type FleetSpec struct {
 	Config  *config.Config
 	Policy  engine.Policy
@@ -35,10 +36,6 @@ type FleetSpec struct {
 	// injector's seed (DeriveSeed(Seed, "faults/replica/<i>")).
 	Seed     int64
 	Replicas int
-	// Workers is the execution worker count for the sharded kernel:
-	// <= 0 means one worker per domain (ingress + replicas), 1 forces
-	// the serial reference execution. Never changes results.
-	Workers int
 	// Faults, when non-nil, attaches an independently seeded injector
 	// to every replica.
 	Faults *fault.Spec
@@ -50,16 +47,14 @@ type FleetSpec struct {
 // FleetResult aggregates a finished fleet run.
 type FleetResult struct {
 	// Merged combines all replicas in replica-index order: recorders
-	// merged, counters summed. Merged.Engine is nil — per-engine state
-	// lives in Replicas.
+	// merged, counters summed, Elapsed the latest replica's. Merged.Engine
+	// is nil — per-engine state lives in Replicas.
 	Merged *RunResult
 	// Replicas holds each server's own result (Engine populated).
 	Replicas []*RunResult
-	// Events is the total executed event count across all domains;
-	// Epochs and Mail are the coordinator's barrier statistics.
+	// Events is the total executed event count across all replicas'
+	// kernels.
 	Events uint64
-	Epochs uint64
-	Mail   uint64
 }
 
 // Run drives the fleet to completion.
@@ -81,9 +76,6 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 		return nil, fmt.Errorf("workload: fleet forwarding latency must be positive, got %v", forward)
 	}
 
-	nd := 1 + s.Replicas // domain 0 = ingress, 1..R = servers
-	sk := sim.NewSharded(nd, forward, s.Workers)
-
 	out := &FleetResult{Replicas: make([]*RunResult, s.Replicas)}
 	for i := range out.Replicas {
 		p := engine.Params{Seed: sim.DeriveSeed(s.Seed, fmt.Sprintf("replica/%d", i))}
@@ -94,44 +86,57 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 		if s.Check {
 			p.Check = check.New()
 		}
-		rr, err := newServer(sk.Domain(1+i), s.Config, s.Policy, p, defaultPrograms, defaultRemote)
+		rr, err := newServer(sim.NewKernel(), s.Config, s.Policy, p, defaultPrograms, defaultRemote)
 		if err != nil {
 			return nil, err
 		}
+		rr.size(s.Sources, s.Replicas)
 		out.Replicas[i] = rr
 	}
-
-	// Sized, and so created, before the run: arrival events on the
-	// ingress domain read the replicas' maps, so no domain may write
-	// them later.
-	for _, rr := range out.Replicas {
-		rr.size(s.Sources, s.Replicas)
-	}
-	rng := sim.NewRNG(s.Seed ^ 0x5eed)
-	total := 0
-	next := 0 // round-robin cursor shared by every source
-	for si, src := range s.Sources {
-		total += src.Requests
-		scheduleFleetSource(sk, src, rng.Fork(int64(si)+1), &next, out, forward)
+	times, srcs := s.deal(forward)
+	for i, rr := range out.Replicas {
+		bookFleetArrivals(s.Sources, times[i], srcs[i], rr)
 	}
 
-	if err := sk.RunCtx(ctx); err != nil {
-		return nil, fmt.Errorf("workload: fleet run interrupted: %w", err)
+	// Replicas share nothing, so any number may run at once; each
+	// writes only its own slot of errs.
+	errs := make([]error, s.Replicas)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < s.Replicas; i = int(next.Add(1) - 1) {
+			rr := out.Replicas[i]
+			errs[i] = rr.Engine.K.RunCtx(ctx)
+			rr.Elapsed = rr.Engine.K.Now()
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), s.Replicas); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("workload: fleet run interrupted: %w", err)
+		}
 	}
 
 	// Merge in replica-index order — the only order-sensitive step of
 	// result assembly, fixed independent of worker scheduling.
 	merged := newResult(s.Policy.Name)
 	merged.size(s.Sources, 1)
-	merged.Elapsed = sk.Now()
 	for _, rr := range out.Replicas {
 		merged.merge(rr)
+		merged.Elapsed = max(merged.Elapsed, rr.Elapsed)
+		out.Events += rr.Engine.K.Processed()
 	}
 	out.Merged = merged
-	out.Events = sk.Processed()
-	out.Epochs = sk.Stats.Epochs
-	out.Mail = sk.Stats.Delivered
 
+	total := 0
+	for _, src := range s.Sources {
+		total += src.Requests
+	}
 	if uint64(total) != merged.Completed {
 		return out, fmt.Errorf("workload: fleet lost requests: %d submitted, %d completed",
 			total, merged.Completed)
@@ -146,30 +151,68 @@ func (s *FleetSpec) RunCtx(ctx context.Context) (*FleetResult, error) {
 	return out, nil
 }
 
-// scheduleFleetSource books one source's arrivals on the ingress
-// domain, keeping only the next one queued (see bookArrivals). Each
-// arrival takes the replica under the round-robin cursor next, which
-// only ingress events touch, then forwards the job across domains with
-// the modeled one-way latency; the completion callback runs on the
-// replica's domain and owns that replica's recorders (domain
-// confinement keeps the merge deterministic and the run race-free).
-// The source's job and, per replica, its forward callback are built
-// once.
-func scheduleFleetSource(sk *sim.Sharded, src Source, rng *sim.RNG, next *int, out *FleetResult, forward sim.Time) {
-	ing := sk.Domain(0)
-	job := src.Service.Job(src.Tenant)
-	submit := make([]func(), len(out.Replicas))
-	for ri, rr := range out.Replicas {
+// arrival is one request reaching the ingress: when, and from which
+// source.
+type arrival struct {
+	at  sim.Time
+	src int
+}
+
+// deal computes the ingress schedule: every source's arrivals, drawn
+// from its own fork of the seed's stream, in (time, source index,
+// arrival index) order — the order one kernel would run them in, since
+// each source reserves its sequence numbers in source order (see
+// bookArrivals) — dealt round-robin over the replicas and delayed by
+// the forwarding latency. times[i] and srcs[i] hold replica i's
+// arrival times and source indices in dealt order.
+func (s *FleetSpec) deal(forward sim.Time) (times [][]sim.Time, srcs [][]int) {
+	rng := sim.NewRNG(s.Seed ^ 0x5eed)
+	total := 0
+	for _, src := range s.Sources {
+		total += src.Requests
+	}
+	all := make([]arrival, 0, total)
+	for si, src := range s.Sources {
+		for _, at := range drawArrivals(src, rng.Fork(int64(si)+1)) {
+			all = append(all, arrival{at: at, src: si})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	times, srcs = make([][]sim.Time, s.Replicas), make([][]int, s.Replicas)
+	share := (total + s.Replicas - 1) / s.Replicas
+	for i := range times {
+		times[i], srcs[i] = make([]sim.Time, 0, share), make([]int, 0, share)
+	}
+	for j, a := range all {
+		i := j % s.Replicas
+		times[i] = append(times[i], a.at+forward)
+		srcs[i] = append(srcs[i], a.src)
+	}
+	return times, srcs
+}
+
+// bookFleetArrivals books one replica's dealt arrivals on its kernel,
+// keeping only the next one queued (see bookArrivals); the arrival at
+// times[j] submits source srcs[j]'s job to the replica's engine. Every
+// source's job and completion callback is built once. A replica dealt
+// nothing (more replicas than requests) stays idle.
+func bookFleetArrivals(sources []Source, times []sim.Time, srcs []int, rr *RunResult) {
+	if len(times) == 0 {
+		return
+	}
+	submit := make([]func(), len(sources))
+	for si, src := range sources {
+		job := src.Service.Job(src.Tenant)
 		rec := rr.PerService[src.Service.Name]
 		done := func(r engine.Result) {
 			rr.count(r)
 			rr.record(rec, r)
 		}
-		submit[ri] = func() { rr.Engine.Submit(job, done) }
+		submit[si] = func() { rr.Engine.Submit(job, done) }
 	}
-	bookArrivals(ing, drawArrivals(src, rng), func() {
-		ri := *next
-		*next = (ri + 1) % len(submit)
-		ing.Send(1+ri, ing.Now()+forward, submit[ri])
+	next := 0
+	bookArrivals(rr.Engine.K, times, func() {
+		submit[srcs[next]]()
+		next++
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"accelflow/internal/config"
 	"accelflow/internal/engine"
+	"accelflow/internal/services"
 	"accelflow/internal/sim"
 )
 
@@ -39,29 +40,38 @@ func pinOf(t *testing.T, res *FleetResult) fleetPin {
 // drift fleet output unnoticed: the worker-invariance tests only
 // compare a fleet with itself. The wanted values are the simulator's
 // output for these specs; regenerate them only for an intended model
-// change.
+// change. "bench" is the repository benchmark's sim-parallel fleet.
 func TestFleetPinnedOutput(t *testing.T) {
 	cases := []struct {
 		name string
 		spec *FleetSpec
 		want fleetPin
 	}{
-		{"rr", fleetSpec(4, 240, 0), fleetPin{
+		{"rr", fleetSpec(4, 240), fleetPin{
 			fp: fleetFingerprint{mean: 71807822, p99: 234493520, p50: 61355413,
-				completed: 240, accels: 5291, events: 20578, epochs: 42, mail: 240, elapsed: 397909754,
+				completed: 240, accels: 5291, events: 20338, elapsed: 397909754,
 				perReplica: [8]uint64{60, 60, 60, 60}},
 			netMean: 35178377, netP99: 103841411, perService: 240,
 			breakdown: engine.Breakdown{CPU: 5143000000, Accel: 4112888418, Orch: 148039634,
 				Comm: 883681459, Remote: 10507443541, App: 5143000000},
 		}},
-		{"faults+check", faultedFleetSpec(0), fleetPin{
+		{"faults+check", faultedFleetSpec(), fleetPin{
 			fp: fleetFingerprint{mean: 74603159, p99: 229813067, p50: 61766097,
-				completed: 150, fellBack: 16, accels: 3309, events: 31095, epochs: 15468, mail: 150,
-				elapsed: 999987210659, perReplica: [8]uint64{50, 50, 50}},
+				completed: 150, fellBack: 16, accels: 3309, events: 30945, elapsed: 999987210659, perReplica: [8]uint64{50, 50, 50}},
 			netMean: 36122085, netP99: 111803384, perService: 150,
 			breakdown: engine.Breakdown{CPU: 3374406000, Accel: 2610086210, Orch: 76508160,
 				Comm: 534842000, Remote: 6855271074, App: 3245000000,
 				Tax: [config.NumAccelKinds]sim.Time{7: 91606000, 8: 37800000}},
+		}},
+		{"bench", &FleetSpec{Config: config.Default(), Policy: engine.AccelFlow(),
+			Sources: Mix(services.SocialNetwork(), 8, 9000), Seed: 1, Replicas: 8}, fleetPin{
+			fp: fleetFingerprint{mean: 71821090, p99: 221089876, p50: 60891640,
+				completed: 9000, fellBack: 1, accels: 198057, events: 762396, elapsed: 10374269321,
+				perReplica: [8]uint64{1125, 1125, 1125, 1125, 1125, 1125, 1125, 1125}},
+			netMean: 35449100, netP99: 98862152, perService: 9000,
+			breakdown: engine.Breakdown{CPU: 192551265120, Accel: 155600390257, Orch: 5579112222,
+				Comm: 33223295826, Remote: 391869183331, App: 192535000000,
+				Tax: [config.NumAccelKinds]sim.Time{0: 3987200, 1: 2060800, 3: 797920, 4: 2820000, 6: 6599200}},
 		}},
 	}
 	for _, tc := range cases {
