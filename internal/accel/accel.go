@@ -121,8 +121,13 @@ type Accelerator struct {
 
 	Stats Stats
 
-	sampleEvery int
-	sampleCnt   int
+	// cycle is one output-dispatcher instruction's time,
+	// cfg.DispatcherTime(1), computed once; GluePass multiplies it.
+	cycle sim.Time
+
+	// sampleIn counts the PE completions left until the size sampler
+	// next records one: every sampleEvery-th invocation, from the first.
+	sampleIn int
 
 	// freePE recycles peTask records so each PE invocation reuses one
 	// pooled struct instead of allocating a Task and two closures;
@@ -182,21 +187,25 @@ func (p *peTask) done() {
 	e.Span.Seg(obs.SegQueue, a.peName, offered, now-e.LastPEHold)
 	e.Span.Seg(obs.SegCompute, a.peName, now-e.LastPEHold, now)
 	a.Stats.Invocations++
-	if a.sampleCnt%a.sampleEvery == 0 {
-		a.Stats.InSizes = append(a.Stats.InSizes, e.DataBytes)
-	}
-	a.Stats.InBytesTotal += uint64(e.DataBytes)
-	out := OutputBytes(a.cfg, a.Kind, e.DataBytes)
+	in := e.DataBytes
+	a.Stats.InBytesTotal += uint64(in)
+	out := OutputBytes(a.cfg, a.Kind, in)
 	e.DataBytes = out
 	a.Stats.OutBytesTotal += uint64(out)
-	if a.sampleCnt%a.sampleEvery == 0 {
+	if a.sampleIn == 0 {
+		a.sampleIn = sampleEvery
+		a.Stats.InSizes = append(a.Stats.InSizes, in)
 		a.Stats.OutSizes = append(a.Stats.OutSizes, out)
 	}
-	a.sampleCnt++
+	a.sampleIn--
 	if a.OnReady != nil {
 		a.OnReady(e)
 	}
 }
+
+// sampleEvery is the size sampler's stride (Fig. 5): invocations 0,
+// sampleEvery, 2·sampleEvery, … record their input and output sizes.
+const sampleEvery = 7
 
 type pendingEntry struct {
 	e      *Entry
@@ -216,7 +225,7 @@ func New(k *sim.Kernel, cfg *config.Config, kind config.AccelKind, node noc.Node
 		inCap:       cfg.InputQueueEntries,
 		ovCap:       cfg.OverflowEntries,
 		lastTenant:  -1,
-		sampleEvery: 7,
+		cycle:       cfg.DispatcherTime(1),
 		peName:      "pe/" + kind.String(),
 		ovName:      "overflow/" + kind.String(),
 		OutDispName: "outdisp/" + kind.String(),
@@ -431,7 +440,7 @@ func OutputBytes(cfg *config.Config, k config.AccelKind, in int) int {
 func (a *Accelerator) GluePass(instrs int) sim.Time {
 	a.Stats.GlueInstrs += uint64(instrs)
 	a.Stats.GluePasses++
-	return a.cfg.DispatcherTime(instrs)
+	return sim.Time(instrs) * a.cycle
 }
 
 // MeanGlueInstrs is the average instructions per output-dispatcher

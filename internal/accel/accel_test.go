@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"slices"
 	"testing"
 
 	"accelflow/internal/config"
@@ -430,5 +431,48 @@ func TestDMATransferAllocsSpillPath(t *testing.T) {
 	if perTransfer := avg / transfers; perTransfer > 0.05 {
 		t.Errorf("spill-path Transfer allocates %.3f allocs/transfer (%.0f per %d-transfer run), budget 0.05",
 			perTransfer, avg, transfers)
+	}
+}
+
+// TestGluePassMatchesDispatcherTime holds the hoisted dispatcher cycle
+// to the config formula it replaces, at the default clock and at
+// clocks whose cycle time rounds.
+func TestGluePassMatchesDispatcherTime(t *testing.T) {
+	for _, ghz := range []float64{2.4, 3.0, 1.7} {
+		cfg := config.Default()
+		cfg.CPUFreqGHz = ghz
+		_, a := newAccel(t, cfg, config.TCP)
+		for n := 0; n <= 64; n++ {
+			if got, want := a.GluePass(n), cfg.DispatcherTime(n); got != want {
+				t.Fatalf("%v GHz: GluePass(%d) = %v, want DispatcherTime %v", ghz, n, got, want)
+			}
+		}
+	}
+}
+
+// TestSizeSamplerKeepsEverySeventhInvocation pins Fig. 5's size
+// sampler: invocations 0, 7, 14, … record their input and output
+// sizes, and no others do.
+func TestSizeSamplerKeepsEverySeventhInvocation(t *testing.T) {
+	cfg := config.Default()
+	k, a := newAccel(t, cfg, config.Ser)
+	const invocations = 50
+	var wantIn, wantOut []int
+	for i := 0; i < invocations; i++ {
+		in := 100 + i
+		if i%7 == 0 {
+			wantIn = append(wantIn, in)
+			wantOut = append(wantOut, OutputBytes(cfg, config.Ser, in))
+		}
+		if got := a.Offer(entry(in, 0), false); got != Admitted {
+			t.Fatalf("Offer %d = %v", i, got)
+		}
+		k.Run() // one at a time, so invocations complete in offer order
+	}
+	if a.Stats.Invocations != invocations {
+		t.Fatalf("invocations = %d, want %d", a.Stats.Invocations, invocations)
+	}
+	if !slices.Equal(a.Stats.InSizes, wantIn) || !slices.Equal(a.Stats.OutSizes, wantOut) {
+		t.Errorf("sampled sizes in %v out %v, want in %v out %v", a.Stats.InSizes, a.Stats.OutSizes, wantIn, wantOut)
 	}
 }

@@ -35,6 +35,7 @@ func (c *Config) ApplyChipletPlan(p ChipletPlan) error {
 		for k := AccelKind(0); k < NumAccelKinds; k++ {
 			c.ChipletOf[k] = 0
 		}
+		// order-insensitive: each kind's chiplet is written once.
 		for k, ch := range m {
 			c.ChipletOf[k] = ch
 		}

@@ -103,6 +103,7 @@ func (e *Engine) CheckEnd(c *check.Checker) {
 	// Tenant trace accounting must return to zero once every chain has
 	// completed; a leak here silently tightens the §IV-D limit.
 	var leaked []int
+	// order-insensitive: the leaked tenants are sorted below.
 	for t, n := range e.tenantActive {
 		if n != 0 {
 			leaked = append(leaked, t)

@@ -66,6 +66,9 @@ type Engine struct {
 	// centralQDispatchCost is the serialization cost of the base
 	// RELIEF single shared queue per dispatch.
 	centralQDispatchCost sim.Time
+	// notifyDelay is the completion notification's cost,
+	// Cfg.NotifyLatency() + Cfg.PollPickupDelay, computed once.
+	notifyDelay sim.Time
 
 	// Free lists recycling the engine's pooled records: requests and
 	// entries, which also carry their pending continuation (exec.go),
@@ -102,6 +105,7 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 		lossRate:     defaultRemoteLossRate,
 
 		centralQDispatchCost: sim.FromNanos(150),
+		notifyDelay:          cfg.NotifyLatency() + cfg.PollPickupDelay,
 	}
 	e.DMA = accel.NewDMAPool(k, cfg, e.Net, e.Mem)
 	disc := sim.FIFO
@@ -156,6 +160,7 @@ func (e *Engine) Register(programs []*trace.Program, remote map[string]RemoteKin
 			return err
 		}
 	}
+	// order-insensitive: a map copy.
 	for name, rk := range remote {
 		e.RemoteTails[name] = rk
 	}
@@ -417,6 +422,10 @@ type entryState struct {
 	// forks collects the walk's fork names; the glue pass spawns them.
 	// Its backing array is reused by the entry's later walks.
 	forks []string
+	// progBytes is Prog.EncodedBytes(), the trace payload every
+	// transfer charges; it is refreshed whenever Prog is set (newEntry,
+	// tailLoaded).
+	progBytes int
 
 	next *entryState
 	fn   func()
@@ -438,6 +447,7 @@ func (e *Engine) newEntry(r *request, c *chainState, prog *trace.Program, f trac
 		DataBytes: payload, Tenant: r.job.Tenant,
 		Deadline: r.deadline, EnqueuedAt: e.K.Now(),
 	}
+	ent.progBytes = prog.EncodedBytes()
 	ent.chain = c
 	ent.retries = 0
 	ent.sp = c.sp.Child(obs.SpanEntry, prog.Name)

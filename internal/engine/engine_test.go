@@ -397,3 +397,42 @@ func TestDeterminism(t *testing.T) {
 		t.Error("identical seeds produced different results")
 	}
 }
+
+// TestTailRefreshesTraceBytes checks that every A-DMA transfer charges
+// the encoded size of the program the entry is running, so the size
+// the entry caches when a tail program replaces its trace cannot go
+// stale. Each invoke is reached through one transfer (the core's DMA
+// for the first, a dispatcher hop for the rest; the head does not
+// start with TCP, whose receive trace the arriving message triggers),
+// and the final results DMA carries no trace. So with a fixed,
+// size-preserving payload the trace bytes moved are the head's size
+// per head invoke plus the tail's size per tail invoke.
+func TestTailRefreshesTraceBytes(t *testing.T) {
+	head := trace.New("head").Seq(config.Encr).Tail("tail").MustBuild()
+	tail := trace.New("tail").
+		Seq(config.Encr, config.TCP, config.LdB, config.TCP, config.Encr, config.TCP, config.LdB).
+		MustBuild()
+	hb, tb := head.EncodedBytes(), tail.EncodedBytes()
+	if hb == tb {
+		t.Fatalf("head and tail both encode to %d bytes; the test needs them to differ", hb)
+	}
+	e, err := New(sim.NewKernel(), config.Default(), AccelFlow(), Params{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register([]*trace.Program{head, tail}, nil); err != nil {
+		t.Fatal(err)
+	}
+	const payload = 1024
+	job := &Job{Service: "test", Steps: []Step{{Kind: StepChain, Trace: "head"}}, PayloadMedian: payload}
+	var got *Result
+	e.Submit(job, func(r Result) { got = &r })
+	e.K.Run()
+	if got == nil || got.Accels != 8 {
+		t.Fatalf("request result %+v, want completion through 8 accelerators", got)
+	}
+	traceBytes := e.DMA.BytesMoved - e.DMA.Transfers*payload
+	if want := uint64(1*hb + 7*tb); traceBytes != want {
+		t.Errorf("transfers moved %d trace bytes, want %d (1 x %d head + 7 x %d tail)", traceBytes, want, hb, tb)
+	}
+}

@@ -235,7 +235,7 @@ func (e *Engine) enqueueFromCore(ent *entryState) {
 // current target accelerator via an A-DMA engine, then delivers it.
 func (e *Engine) dmaToAccel(ent *entryState) {
 	dst := e.Accels[ent.Prog.Instrs[ent.PC].Accel]
-	e.transfer(ent, e.Place.CoreNode(0), dst.Node, ent.Prog.EncodedBytes(), doDeliver, false)
+	e.transfer(ent, e.Place.CoreNode(0), dst.Node, ent.progBytes, doDeliver, false)
 }
 
 // transfer moves the entry's payload (and traceBytes of trace) from src
@@ -444,7 +444,7 @@ func (e *Engine) hop(a *accel.Accelerator, ent *entryState) {
 			e.mediate(ent)
 			return
 		}
-		e.transfer(ent, a.Node, dst.Node, ent.Prog.EncodedBytes(), doDeliver, true)
+		e.transfer(ent, a.Node, dst.Node, ent.progBytes, doDeliver, true)
 	case HopManager:
 		// One manager engagement per completion (~1.5us, §VII-A.1)
 		// covers the interrupt, processing, and next dispatch. The
@@ -457,7 +457,7 @@ func (e *Engine) hop(a *accel.Accelerator, ent *entryState) {
 		e.engage(ent, e.Cores, "cores", obs.SegInterrupt, e.Cfg.InterruptCost)
 	case HopSWQueue:
 		if e.Pol.CohortPairs[[2]config.AccelKind{a.Kind, dst.Kind}] {
-			e.transfer(ent, a.Node, dst.Node, ent.Prog.EncodedBytes(), doDeliver, true)
+			e.transfer(ent, a.Node, dst.Node, ent.progBytes, doDeliver, true)
 			return
 		}
 		// Unlinked hop: the entry sits in a shared-memory software
@@ -520,6 +520,7 @@ func (e *Engine) loadTail(a *accel.Accelerator, ent *entryState, name string, vi
 func (e *Engine) tailLoaded(ent *entryState) {
 	a, rk := ent.a, ent.rk
 	ent.Prog = ent.prog
+	ent.progBytes = ent.prog.EncodedBytes()
 	ent.PC = 0
 	if rk == RemoteNone {
 		e.resumeProgram(a, ent)
@@ -633,7 +634,7 @@ func (e *Engine) finishFin(a *accel.Accelerator, ent *entryState) {
 // notifyCore delivers the user-level completion notification (§IV-A:
 // not an interrupt; the core polls or MWAITs) and completes the chain.
 func (e *Engine) notifyCore(ent *entryState) {
-	d := e.Cfg.NotifyLatency() + e.Cfg.PollPickupDelay
+	d := e.notifyDelay
 	if e.Pol.Ideal {
 		d = 0
 	}

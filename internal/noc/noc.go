@@ -28,6 +28,14 @@ type Network struct {
 	// links[a][b] serializes traffic between chiplet pair (a<b).
 	links map[[2]int]*sim.Resource
 
+	// hop and cross are the mesh-hop and inter-chiplet head latencies,
+	// and meshBPS the mesh link's bytes per ns; each is computed once,
+	// at construction, with the expression Latency and serialization
+	// would otherwise evaluate per message. The config fields behind
+	// them are fixed once a network is built.
+	hop, cross sim.Time
+	meshBPS    float64
+
 	// latScale multiplies head latency during a fault window (link
 	// degradation). Zero means unset and is treated as 1; the scale-1
 	// path avoids float math entirely so the default is bit-exact.
@@ -42,7 +50,13 @@ type Network struct {
 
 // NewNetwork builds the link set for the configured chiplet count.
 func NewNetwork(k *sim.Kernel, cfg *config.Config) *Network {
-	n := &Network{k: k, cfg: cfg, links: map[[2]int]*sim.Resource{}}
+	n := &Network{
+		k: k, cfg: cfg, links: map[[2]int]*sim.Resource{},
+		hop:   cfg.Cycles(cfg.MeshHopCycles),
+		cross: cfg.Cycles(cfg.InterChipletCycles),
+		// Intra-chiplet: 16B per 1 cycle per link.
+		meshBPS: float64(cfg.MeshLinkBytes) * cfg.CPUFreqGHz, // bytes per ns
+	}
 	for a := 0; a < cfg.Chiplets; a++ {
 		for b := a + 1; b < cfg.Chiplets; b++ {
 			n.links[[2]int{a, b}] = sim.NewResource(k, fmt.Sprintf("link%d-%d", a, b), 1, sim.FIFO)
@@ -89,13 +103,12 @@ func (n *Network) LatencyScale() float64 {
 // Latency returns the head latency of a message from a to b (no
 // serialization, no contention).
 func (n *Network) Latency(a, b Node) sim.Time {
-	hop := n.cfg.Cycles(n.cfg.MeshHopCycles)
+	hop := n.hop
 	var t sim.Time
 	if a.Chiplet == b.Chiplet {
 		t = sim.Time(meshHops(a, b)) * hop
 	} else {
-		cross := n.cfg.Cycles(n.cfg.InterChipletCycles)
-		t = sim.Time(edgeHops(a))*hop + cross + sim.Time(edgeHops(b))*hop
+		t = sim.Time(edgeHops(a))*hop + n.cross + sim.Time(edgeHops(b))*hop
 	}
 	if n.latScale != 0 && n.latScale != 1 {
 		t = sim.Time(float64(t) * n.latScale)
@@ -109,9 +122,7 @@ func (n *Network) serialization(a, b Node, bytes int) sim.Time {
 	if bytes <= 0 {
 		return 0
 	}
-	// Intra-chiplet: 16B per 1 cycle per link.
-	meshBPS := float64(n.cfg.MeshLinkBytes) * n.cfg.CPUFreqGHz // bytes per ns
-	t := sim.FromNanos(float64(bytes) / meshBPS)
+	t := sim.FromNanos(float64(bytes) / n.meshBPS)
 	if a.Chiplet != b.Chiplet {
 		interBPS := n.cfg.InterChipletGBs // GB/s == bytes/ns
 		cross := sim.FromNanos(float64(bytes) / interBPS)
@@ -128,10 +139,9 @@ func (n *Network) TransferTime(a, b Node, bytes int) sim.Time {
 }
 
 // LinkBusy sums cumulative busy time across the inter-chiplet links.
-// Map iteration order varies but summation is commutative, so the
-// result is deterministic.
 func (n *Network) LinkBusy() sim.Time {
 	var t sim.Time
+	// order-insensitive: an integer sum.
 	for _, l := range n.links {
 		t += l.BusyTime
 	}

@@ -198,3 +198,85 @@ func TestMoreChipletsMeansLongerRoutes(t *testing.T) {
 		t.Errorf("average route latency not increasing with chiplets: %v %v %v", l1, l2, l6)
 	}
 }
+
+// refLatency and refSerialization evaluate the route formulas straight
+// from the config, as Latency and serialization did before the network
+// kept its per-run constants.
+func refLatency(cfg *config.Config, scale float64, a, b Node) sim.Time {
+	hop := cfg.Cycles(cfg.MeshHopCycles)
+	var t sim.Time
+	if a.Chiplet == b.Chiplet {
+		t = sim.Time(meshHops(a, b)) * hop
+	} else {
+		t = sim.Time(edgeHops(a))*hop + cfg.Cycles(cfg.InterChipletCycles) + sim.Time(edgeHops(b))*hop
+	}
+	if scale != 1 {
+		t = sim.Time(float64(t) * scale)
+	}
+	return t
+}
+
+func refSerialization(cfg *config.Config, a, b Node, bytes int) sim.Time {
+	if bytes <= 0 {
+		return 0
+	}
+	t := sim.FromNanos(float64(bytes) / (float64(cfg.MeshLinkBytes) * cfg.CPUFreqGHz))
+	if a.Chiplet != b.Chiplet {
+		if cross := sim.FromNanos(float64(bytes) / cfg.InterChipletGBs); cross > t {
+			t = cross
+		}
+	}
+	return t
+}
+
+// TestHoistedRouteConstantsMatchConfig holds the network's per-run
+// constants to the config formulas they replace, for every pair of
+// placed nodes (each accelerator, core 0, memory): at the default
+// config, at each chiplet plan and inter-chiplet latency sens2 sweeps,
+// and under fault-window latency scales.
+func TestHoistedRouteConstantsMatchConfig(t *testing.T) {
+	type setup struct {
+		plan config.ChipletPlan // 0 keeps the default plan
+		lat  int                // 0 keeps the default latency
+	}
+	setups := []setup{{}}
+	for _, plan := range []config.ChipletPlan{config.TwoChiplets, config.SixChiplets} {
+		for _, lat := range []int{20, 60, 100} {
+			setups = append(setups, setup{plan, lat})
+		}
+	}
+	sizes := []int{0, 1, 15, 64, 1000, 2048 + 8, 64 * 1024}
+	for _, s := range setups {
+		cfg := config.Default()
+		if s.plan != 0 {
+			if err := cfg.ApplyChipletPlan(s.plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.lat != 0 {
+			cfg.InterChipletCycles = s.lat
+		}
+		p := NewPlacement(cfg)
+		nodes := []Node{p.CoreNode(0), p.MemNode()}
+		for _, kd := range config.AllAccelKinds() {
+			nodes = append(nodes, p.AccelNode(kd))
+		}
+		n := NewNetwork(sim.NewKernel(), cfg)
+		for _, scale := range []float64{1, 1.5, 2.7, 1} {
+			n.SetLatencyScale(scale)
+			for _, a := range nodes {
+				for _, b := range nodes {
+					if got, want := n.Latency(a, b), refLatency(cfg, scale, a, b); got != want {
+						t.Fatalf("plan %v, %d cycles, scale %v: Latency(%+v, %+v) = %v, want %v", s.plan, s.lat, scale, a, b, got, want)
+					}
+					for _, bytes := range sizes {
+						want := refLatency(cfg, scale, a, b) + refSerialization(cfg, a, b, bytes)
+						if got := n.TransferTime(a, b, bytes); got != want {
+							t.Fatalf("plan %v, %d cycles, scale %v: TransferTime(%+v, %+v, %d) = %v, want %v", s.plan, s.lat, scale, a, b, bytes, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

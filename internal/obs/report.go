@@ -132,6 +132,7 @@ func (s *Sink) BuildReport() *Report {
 		sr.P99Us = usec(metrics.NearestRank(lats, 99))
 		sr.MaxUs = usec(lats[len(lats)-1])
 		sr.Histogram = make([]int, maxBucket+1)
+		// order-insensitive: each bucket fills its own slot.
 		for b, n := range buckets {
 			sr.Histogram[b] = n
 		}

@@ -491,6 +491,7 @@ func (j *Job) setResult(e *jobResultEntry) {
 // same immutable bytes.
 func renderValues(values map[string]float64, lines []string) ([]byte, error) {
 	var bad []string
+	// order-insensitive: the bad keys are sorted below.
 	for k, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			bad = append(bad, fmt.Sprintf("%q is %v", k, v))

@@ -108,6 +108,7 @@ func Run(ctx context.Context, req JobRequest, env Env) (*Result, error) {
 		fmt.Sprintf("generations=%d evals=%d cacheHits=%d converged=%t",
 			res.Generations, res.Evals, res.CacheHits, res.Converged),
 	}
+	// order-insensitive: the lines are sorted below.
 	for name, level := range res.BestConfig {
 		lines = append(lines, fmt.Sprintf("  %s = %s", name, level))
 	}

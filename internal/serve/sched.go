@@ -315,6 +315,7 @@ func (s *Scheduler) next() *Job {
 // Requires mu.
 func (s *Scheduler) pickLocked() *Job {
 	active := make([]*tenantState, 0, len(s.tenants))
+	// order-insensitive: sorted below by the unique tenant name.
 	for _, t := range s.tenants {
 		if len(t.fifo) > 0 {
 			active = append(active, t)

@@ -134,12 +134,17 @@ func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) {
 	k.events.push(event{at: t, seq: seq, fn: fn})
 }
 
-// After schedules fn to run d after the current time.
+// After schedules fn to run d after the current time. A negative
+// delay, or one that overflows the clock, panics. Past that check it
+// books like At without At's checks, which cannot fail here: the time
+// is not in the past, and the sequence number it takes is reserved.
 func (k *Kernel) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
+	t := k.now + d
+	if t < k.now {
+		panic(fmt.Sprintf("sim: delay %v out of range at %v", d, k.now))
 	}
-	k.At(k.now+d, fn)
+	k.seq++
+	k.events.push(event{at: t, seq: k.seq, fn: fn})
 }
 
 // checkEvery is the cooperative-cancellation poll cadence: the run

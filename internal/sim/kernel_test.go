@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -308,6 +309,20 @@ func TestKernelNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	k.After(-1, func() {})
+}
+
+// A delay that overflows the clock would book an event in the past.
+func TestKernelOverflowingDelayPanics(t *testing.T) {
+	k := NewKernel()
+	k.At(Nanosecond, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("overflowing delay did not panic")
+			}
+		}()
+		k.After(math.MaxInt64, func() {})
+	})
+	k.Run()
 }
 
 // Property: for any set of non-negative delays, Run executes all events

@@ -245,8 +245,7 @@ func (r *Resource) resize() {
 		n = 1
 	}
 	// Accrue the capacity integral at the old server count before the
-	// change takes effect (advance is idempotent per instant, so the
-	// extra call is accounting-only and changes no event order).
+	// change takes effect.
 	r.advance()
 	r.Servers = n
 	if n > r.maxServers {
@@ -308,8 +307,9 @@ func (r *Resource) InService() int { return r.busy }
 // Idle reports whether the resource has no queued or running work.
 func (r *Resource) Idle() bool { return r.busy == 0 && len(r.q.tasks) == 0 }
 
+// tryStart admits queued tasks to free servers. Every caller (run,
+// Submit, resize) has advanced the integrals at this instant already.
 func (r *Resource) tryStart() {
-	r.advance()
 	for r.busy < r.Servers && len(r.q.tasks) > 0 {
 		t := r.q.pop()
 		r.busy++

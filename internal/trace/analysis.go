@@ -96,6 +96,7 @@ func (c *Connectivity) TopPairs(n int) [][2]config.AccelKind {
 		n int
 	}
 	var all []pc
+	// order-insensitive: sorted below by count, then pair, a total order.
 	for p, cnt := range c.PairCount {
 		all = append(all, pc{p, cnt})
 	}

@@ -247,6 +247,7 @@ func (res *RunResult) size(sources []Source, replicas int) {
 		per[src.Service.Name] += n
 		total += n
 	}
+	// order-insensitive: each service grows its own recorder.
 	for name, n := range per {
 		res.service(name).Grow(n)
 	}
@@ -287,6 +288,7 @@ func (res *RunResult) record(rec *metrics.Recorder, r engine.Result) {
 func (res *RunResult) merge(o *RunResult) {
 	res.All.Merge(o.All)
 	res.Net.Merge(o.Net)
+	// order-insensitive: each service merges into its own recorder.
 	for name, rec := range o.PerService {
 		res.service(name).Merge(rec)
 	}
