@@ -27,7 +27,6 @@ type Entry struct {
 
 	DataBytes int // current payload size
 	Tenant    int
-	CoreID    int // initiating core (notified at the end, §IV-B)
 
 	Deadline sim.Time // for the EDF input-dispatcher policy (§IV-C)
 
@@ -62,15 +61,9 @@ type Stats struct {
 	BusyTime      sim.Time
 	GlueInstrs    uint64 // output-dispatcher RISC instructions (§VII-B.2)
 	GluePasses    uint64
-	Branches      uint64
-	Transforms    uint64
-	ATMReads      uint64
-	Notifies      uint64
 	Overflows     uint64
 	Rejections    uint64
 	TenantWipes   uint64
-	InBytesTotal  uint64
-	OutBytesTotal uint64
 	InSizes       []int // sampled input payload sizes (Fig. 5)
 	OutSizes      []int
 	ArmedTimeouts uint64
@@ -188,10 +181,8 @@ func (p *peTask) done() {
 	e.Span.Seg(obs.SegCompute, a.peName, now-e.LastPEHold, now)
 	a.Stats.Invocations++
 	in := e.DataBytes
-	a.Stats.InBytesTotal += uint64(in)
 	out := OutputBytes(a.cfg, a.Kind, in)
 	e.DataBytes = out
-	a.Stats.OutBytesTotal += uint64(out)
 	if a.sampleIn == 0 {
 		a.sampleIn = sampleEvery
 		a.Stats.InSizes = append(a.Stats.InSizes, in)
@@ -342,10 +333,6 @@ func (p *armTask) fire() {
 	}
 }
 
-// start runs the input-dispatcher path for an admitted entry: TLB
-// access, queue-to-scratchpad transfer, PE compute, and deposit into
-// the output queue. The queue slot frees when the entry moves into a
-// PE, which is when overflow entries are pulled in (§V-1).
 // start runs the input-dispatcher path for an admitted entry via a
 // pooled peTask. The inter-tenant scratchpad wipe (§IV-D) is decided
 // in peTask.started — in PE execution order — not at submission:
@@ -428,9 +415,8 @@ func OutputBytes(cfg *config.Config, k config.AccelKind, in int) int {
 		return int(float64(in) * cfg.SerOverhead)
 	case config.Dser:
 		return int(float64(in) / cfg.SerOverhead)
-	case config.LdB:
-		return in
 	default:
+		// Size-preserving, LdB included.
 		return in
 	}
 }

@@ -345,7 +345,7 @@ func TestEDFDisciplineInPEs(t *testing.T) {
 func TestDMAPoolTransfer(t *testing.T) {
 	cfg := config.Default()
 	k := sim.NewKernel()
-	net := noc.NewNetwork(k, cfg)
+	net := noc.NewNetwork(cfg)
 	memory := mem.NewMemory(k, cfg)
 	d := NewDMAPool(k, cfg, net, memory)
 	src := noc.Node{Chiplet: 1, X: 0}
@@ -354,7 +354,7 @@ func TestDMAPoolTransfer(t *testing.T) {
 	d.Transfer(src, dst, 1024, 8, nil, func() { small = k.Now() })
 	k.Run()
 	k2 := sim.NewKernel()
-	d2 := NewDMAPool(k2, cfg, noc.NewNetwork(k2, cfg), mem.NewMemory(k2, cfg))
+	d2 := NewDMAPool(k2, cfg, noc.NewNetwork(cfg), mem.NewMemory(k2, cfg))
 	d2.Transfer(src, dst, 64*1024, 8, nil, func() { big = k2.Now() })
 	k2.Run()
 	if big <= small {
@@ -369,7 +369,8 @@ func TestDMAPoolContention(t *testing.T) {
 	cfg := config.Default()
 	cfg.ADMAEngines = 1
 	k := sim.NewKernel()
-	d := NewDMAPool(k, cfg, noc.NewNetwork(k, cfg), mem.NewMemory(k, cfg))
+	net := noc.NewNetwork(cfg)
+	d := NewDMAPool(k, cfg, net, mem.NewMemory(k, cfg))
 	src := noc.Node{Chiplet: 1, X: 0}
 	dst := noc.Node{Chiplet: 1, X: 3}
 	var times []sim.Time
@@ -380,21 +381,26 @@ func TestDMAPoolContention(t *testing.T) {
 	if len(times) != 3 {
 		t.Fatalf("completed %d", len(times))
 	}
-	if times[1] <= times[0] || times[2] <= times[1] {
-		t.Errorf("single engine did not serialize: %v", times)
+	// The payload fits inline, so each transfer holds the one engine for
+	// exactly its route time, back to back.
+	hold := net.TransferTime(src, dst, 2048+8)
+	for i, at := range times {
+		if want := sim.Time(i+1) * hold; at != want {
+			t.Errorf("single engine did not serialize: transfer %d done at %v, want %v", i, at, want)
+		}
 	}
-	if d.QueueLen() != 0 {
-		t.Error("queue not drained")
+	if d.Transfers != 3 || d.BytesMoved != 3*(2048+8) {
+		t.Errorf("stats = %d/%d", d.Transfers, d.BytesMoved)
 	}
-	if d.Utilization(k.Now()) <= 0 {
-		t.Error("no utilization recorded")
+	if d.Busy() != 3*hold {
+		t.Errorf("engine busy %v, want %v", d.Busy(), 3*hold)
 	}
 }
 
 func TestDMAResultDeposit(t *testing.T) {
 	cfg := config.Default()
 	k := sim.NewKernel()
-	d := NewDMAPool(k, cfg, noc.NewNetwork(k, cfg), mem.NewMemory(k, cfg))
+	d := NewDMAPool(k, cfg, noc.NewNetwork(cfg), mem.NewMemory(k, cfg))
 	ran := false
 	// A result deposit is a Transfer to the memory node with no trace.
 	d.Transfer(noc.Node{Chiplet: 1}, noc.Node{Chiplet: 0, Y: 6}, 4096, 0, nil, func() { ran = true })
@@ -416,7 +422,7 @@ func TestDMATransferAllocsSpillPath(t *testing.T) {
 	dst := noc.Node{Chiplet: 1, X: 1}
 	avg := testing.AllocsPerRun(5, func() {
 		k := sim.NewKernel()
-		d := NewDMAPool(k, cfg, noc.NewNetwork(k, cfg), mem.NewMemory(k, cfg))
+		d := NewDMAPool(k, cfg, noc.NewNetwork(cfg), mem.NewMemory(k, cfg))
 		left := transfers
 		var next func()
 		next = func() {

@@ -117,12 +117,6 @@ func (d *DMAPool) Transfer(src, dst noc.Node, bytes int, traceBytes int, sp *obs
 	}
 }
 
-// Utilization reports engine-pool utilization.
-func (d *DMAPool) Utilization(elapsed sim.Time) float64 { return d.pool.Utilization(elapsed) }
-
-// QueueLen reports transfers waiting for an engine.
-func (d *DMAPool) QueueLen() int { return d.pool.QueueLen() }
-
 // Busy reports cumulative engine busy time (utilization sampling).
 func (d *DMAPool) Busy() sim.Time { return d.pool.BusyTime }
 

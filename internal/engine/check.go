@@ -16,8 +16,8 @@ import (
 
 // CheckedResources enumerates every sim.Resource the engine owns, in
 // a deterministic order: cores, manager, central queue, per-accelerator
-// PE pools and output dispatchers, the A-DMA pool, DRAM controllers,
-// and inter-chiplet NoC links.
+// PE pools and output dispatchers, the A-DMA pool and DRAM
+// controllers.
 func (e *Engine) CheckedResources() []*sim.Resource {
 	out := []*sim.Resource{e.Cores, e.Manager, e.CentralQ}
 	for _, kd := range config.AllAccelKinds() {
@@ -25,7 +25,6 @@ func (e *Engine) CheckedResources() []*sim.Resource {
 	}
 	out = append(out, e.DMA.Resource())
 	out = append(out, e.Mem.Ctrls()...)
-	out = append(out, e.Net.Links()...)
 	return out
 }
 

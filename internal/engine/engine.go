@@ -92,7 +92,7 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 	rng := sim.NewRNG(p.Seed)
 	e := &Engine{
 		K: k, Cfg: cfg, Pol: pol,
-		Net:          noc.NewNetwork(k, cfg),
+		Net:          noc.NewNetwork(cfg),
 		Place:        noc.NewPlacement(cfg),
 		Mem:          mem.NewMemory(k, cfg),
 		ATM:          atm.New(cfg.ATMReadLatency),
@@ -303,7 +303,6 @@ func (r *request) stepProbs(st *Step) FlagProbs {
 // r's running step; the chain resumes r when it — including all its
 // forks — completes.
 func (e *Engine) startChain(r *request, traceName string, probs FlagProbs) {
-	e.Stats.ChainsStarted++
 	prog, ok := e.ATM.Lookup(traceName)
 	if !ok {
 		panic(fmt.Sprintf("engine: trace %q not registered", traceName))

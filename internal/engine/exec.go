@@ -194,7 +194,6 @@ func (e *Engine) act(ent *entryState) {
 	case doMedTrans:
 		// The mediator moves the data out, transforms it on the
 		// CPU/manager, and moves it back.
-		e.Stats.MediatorTrans++
 		ent.plan(doWalk, false, 1, 2*ent.DataBytes)
 		e.mediate(ent)
 	}
@@ -268,7 +267,6 @@ func (e *Engine) admit(a *accel.Accelerator, ent *entryState, fromDispatcher boo
 	if a.TLB.PageFault() {
 		// The accelerator stops; a core runs the OS handler, then
 		// execution resumes (§V-3).
-		e.Stats.FallbacksFault++
 		ent.a = a
 		ent.plan(doOffer, fromDispatcher, 0, 0)
 		e.engage(ent, e.Cores, "cores", obs.SegInterrupt, e.Cfg.PageFaultCost)
@@ -345,7 +343,6 @@ func (e *Engine) walk(a *accel.Accelerator, ent *entryState, pc int, instrs int)
 			}
 			if e.Pol.DispatcherBranch {
 				instrs += e.Cfg.DispBranchInstrs
-				a.Stats.Branches++
 				pc = prog.Next(pc, ent.Flags)
 				continue
 			}
@@ -356,7 +353,6 @@ func (e *Engine) walk(a *accel.Accelerator, ent *entryState, pc int, instrs int)
 			if e.Pol.DispatcherTransform {
 				instrs += e.Cfg.DispTransformInstrs
 				dte += e.dteTime(ent.DataBytes)
-				a.Stats.Transforms++
 				pc++
 				continue
 			}
@@ -490,7 +486,6 @@ func (e *Engine) mediate(ent *entryState) {
 // the remote response when the tail crosses the network, and resume.
 func (e *Engine) handleTail(a *accel.Accelerator, ent *entryState, name string) {
 	if !e.Pol.ATMChaining {
-		e.Stats.MediatorTails++
 		ent.a, ent.tail = a, name
 		ent.plan(doLoadTail, false, 0, 0)
 		e.mediate(ent)
@@ -627,7 +622,6 @@ func (e *Engine) finishTrace(a *accel.Accelerator, ent *entryState) {
 }
 
 func (e *Engine) finishFin(a *accel.Accelerator, ent *entryState) {
-	a.Stats.Notifies++
 	e.transfer(ent, a.Node, e.Place.MemNode(), 0, doNotify, false)
 }
 

@@ -159,15 +159,11 @@ type Stats struct {
 	Requests         uint64
 	FallbacksQueue   uint64 // input queue + overflow full
 	FallbacksTenant  uint64 // tenant trace limit (§IV-D)
-	FallbacksFault   uint64 // page faults
 	FallbacksFailed  uint64 // accelerator in a failure window (fault injection)
 	Timeouts         uint64 // genuine TCP timeouts (lost responses)
 	ArmRejects       uint64 // response-trace arms refused for lack of a queue slot
 	TimeoutRearms    uint64 // re-arm attempts after a TCP timeout (Cfg.TimeoutRearms)
 	EnqueueBackoffs  uint64 // delayed Enqueue retries (Cfg.EnqueueBackoff)
-	ChainsStarted    uint64
 	ForksSpawned     uint64
 	MediatorBranches uint64
-	MediatorTails    uint64
-	MediatorTrans    uint64
 }

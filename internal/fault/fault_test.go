@@ -16,7 +16,7 @@ import (
 func testTargets(t *testing.T, k *sim.Kernel) (Targets, *config.Config) {
 	t.Helper()
 	cfg := config.Default()
-	net := noc.NewNetwork(k, cfg)
+	net := noc.NewNetwork(cfg)
 	memory := mem.NewMemory(k, cfg)
 	tg := Targets{
 		DMA:     accel.NewDMAPool(k, cfg, net, memory),

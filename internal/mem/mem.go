@@ -15,21 +15,18 @@ import (
 // Memory models the DRAM controllers as parallel bandwidth servers.
 // A transfer occupies one controller for latency + bytes/bandwidth.
 type Memory struct {
-	k     *sim.Kernel
 	cfg   *config.Config
 	ctrls []*sim.Resource
 	next  int
 
 	// Stats.
-	Transfers    uint64
-	BytesMoved   uint64
-	OverflowPuts uint64
-	OverflowGets uint64
+	Transfers  uint64
+	BytesMoved uint64
 }
 
 // NewMemory builds the controller pool from the config.
 func NewMemory(k *sim.Kernel, cfg *config.Config) *Memory {
-	m := &Memory{k: k, cfg: cfg}
+	m := &Memory{cfg: cfg}
 	for i := 0; i < cfg.MemCtrls; i++ {
 		m.ctrls = append(m.ctrls, sim.NewResource(k, fmt.Sprintf("memctrl%d", i), 1, sim.FIFO))
 	}
@@ -53,13 +50,6 @@ func (m *Memory) Transfer(bytes int, done func()) {
 	m.BytesMoved += uint64(bytes)
 	c := m.pick()
 	c.Do(m.transferHold(bytes), done)
-}
-
-// LLCTouch returns the time to move bytes through the LLC without DRAM
-// involvement (cache-resident spill data, §IV-A memory-pointer reads).
-func (m *Memory) LLCTouch(bytes int) sim.Time {
-	// LLC bandwidth is high; model latency plus a light serialization.
-	return m.cfg.LLCLatency + sim.FromNanos(float64(bytes)/400.0)
 }
 
 func (m *Memory) pick() *sim.Resource {
@@ -90,15 +80,6 @@ func (m *Memory) CtrlCount() int { return len(m.ctrls) }
 // submit work through them.
 func (m *Memory) Ctrls() []*sim.Resource {
 	return append([]*sim.Resource(nil), m.ctrls...)
-}
-
-// Utilization returns mean controller utilization over elapsed time.
-func (m *Memory) Utilization(elapsed sim.Time) float64 {
-	var u float64
-	for _, c := range m.ctrls {
-		u += c.Utilization(elapsed)
-	}
-	return u / float64(len(m.ctrls))
 }
 
 // TLB models one accelerator's address-translation cache backed by the
@@ -138,12 +119,4 @@ func (t *TLB) PageFault() bool {
 		return true
 	}
 	return false
-}
-
-// MissRate returns misses per access.
-func (t *TLB) MissRate() float64 {
-	if t.Accesses == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Accesses)
 }

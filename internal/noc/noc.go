@@ -1,14 +1,13 @@
 // Package noc models the on-package interconnect of the AccelFlow
 // processor (paper §V-3): a 2D mesh inside each chiplet (3 cycles/hop,
 // 16-byte links) and a fully-connected inter-chiplet network (60 cycles
-// by default). Inter-chiplet links are contended resources; intra-mesh
-// transfers are modeled by latency plus serialization.
+// by default). A message costs route latency plus serialization on the
+// narrowest link of its path; the contended resource that carries it is
+// the A-DMA engine holding for that time (accel.DMAPool), not the link.
 package noc
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"accelflow/internal/config"
 	"accelflow/internal/sim"
@@ -20,13 +19,9 @@ type Node struct {
 	X, Y    int
 }
 
-// Network computes route latencies and arbitrates inter-chiplet links.
+// Network computes route latencies and transfer times.
 type Network struct {
-	k   *sim.Kernel
 	cfg *config.Config
-
-	// links[a][b] serializes traffic between chiplet pair (a<b).
-	links map[[2]int]*sim.Resource
 
 	// hop and cross are the mesh-hop and inter-chiplet head latencies,
 	// and meshBPS the mesh link's bytes per ns; each is computed once,
@@ -40,29 +35,17 @@ type Network struct {
 	// degradation). Zero means unset and is treated as 1; the scale-1
 	// path avoids float math entirely so the default is bit-exact.
 	latScale float64
-
-	// Stats for the energy model.
-	Messages   uint64
-	BytesMoved uint64
-	HopCount   uint64
-	CrossChip  uint64
 }
 
-// NewNetwork builds the link set for the configured chiplet count.
-func NewNetwork(k *sim.Kernel, cfg *config.Config) *Network {
-	n := &Network{
-		k: k, cfg: cfg, links: map[[2]int]*sim.Resource{},
+// NewNetwork builds the network for the configured chiplet map.
+func NewNetwork(cfg *config.Config) *Network {
+	return &Network{
+		cfg:   cfg,
 		hop:   cfg.Cycles(cfg.MeshHopCycles),
 		cross: cfg.Cycles(cfg.InterChipletCycles),
 		// Intra-chiplet: 16B per 1 cycle per link.
 		meshBPS: float64(cfg.MeshLinkBytes) * cfg.CPUFreqGHz, // bytes per ns
 	}
-	for a := 0; a < cfg.Chiplets; a++ {
-		for b := a + 1; b < cfg.Chiplets; b++ {
-			n.links[[2]int{a, b}] = sim.NewResource(k, fmt.Sprintf("link%d-%d", a, b), 1, sim.FIFO)
-		}
-	}
-	return n
 }
 
 // meshHops is the Manhattan distance between two nodes in one chiplet.
@@ -101,7 +84,7 @@ func (n *Network) LatencyScale() float64 {
 }
 
 // Latency returns the head latency of a message from a to b (no
-// serialization, no contention).
+// serialization).
 func (n *Network) Latency(a, b Node) sim.Time {
 	hop := n.hop
 	var t sim.Time
@@ -133,70 +116,10 @@ func (n *Network) serialization(a, b Node, bytes int) sim.Time {
 	return t
 }
 
-// TransferTime returns the uncontended end-to-end time for a message.
+// TransferTime returns the end-to-end time for a message: head
+// latency plus serialization.
 func (n *Network) TransferTime(a, b Node, bytes int) sim.Time {
 	return n.Latency(a, b) + n.serialization(a, b, bytes)
-}
-
-// LinkBusy sums cumulative busy time across the inter-chiplet links.
-func (n *Network) LinkBusy() sim.Time {
-	var t sim.Time
-	// order-insensitive: an integer sum.
-	for _, l := range n.links {
-		t += l.BusyTime
-	}
-	return t
-}
-
-// LinkCount reports the number of inter-chiplet links.
-func (n *Network) LinkCount() int { return len(n.links) }
-
-// Links returns the inter-chiplet link resources in a deterministic
-// (chiplet-pair) order, for read-only inspection by the invariant
-// checker. Callers must not submit work through them.
-func (n *Network) Links() []*sim.Resource {
-	keys := make([][2]int, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]*sim.Resource, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, n.links[k])
-	}
-	return out
-}
-
-// Send models a message: latency plus serialization, with inter-chiplet
-// messages serializing on the shared pair link. done fires at delivery.
-func (n *Network) Send(a, b Node, bytes int, done func()) {
-	n.Messages++
-	n.BytesMoved += uint64(bytes)
-	lat := n.Latency(a, b)
-	ser := n.serialization(a, b, bytes)
-	if a.Chiplet == b.Chiplet {
-		n.HopCount += uint64(meshHops(a, b))
-		n.k.After(lat+ser, done)
-		return
-	}
-	n.CrossChip++
-	n.HopCount += uint64(edgeHops(a) + edgeHops(b) + 1)
-	key := [2]int{a.Chiplet, b.Chiplet}
-	if key[0] > key[1] {
-		key[0], key[1] = key[1], key[0]
-	}
-	link := n.links[key]
-	// The link is held for the serialization time; head latency is
-	// pipelined on top.
-	link.Submit(&sim.Task{
-		Hold: ser,
-		Done: func() { n.k.After(lat, done) },
-	})
 }
 
 // Placement assigns mesh coordinates to the accelerators of each

@@ -9,7 +9,7 @@ import (
 
 func TestIntraChipletLatency(t *testing.T) {
 	cfg := config.Default()
-	n := NewNetwork(sim.NewKernel(), cfg)
+	n := NewNetwork(cfg)
 	a := Node{Chiplet: 1, X: 0, Y: 0}
 	b := Node{Chiplet: 1, X: 2, Y: 1}
 	want := cfg.Cycles(3 * cfg.MeshHopCycles) // 3 hops
@@ -23,7 +23,7 @@ func TestIntraChipletLatency(t *testing.T) {
 
 func TestInterChipletLatencyDominates(t *testing.T) {
 	cfg := config.Default()
-	n := NewNetwork(sim.NewKernel(), cfg)
+	n := NewNetwork(cfg)
 	same := n.Latency(Node{Chiplet: 1, X: 0, Y: 0}, Node{Chiplet: 1, X: 2, Y: 2})
 	cross := n.Latency(Node{Chiplet: 0, X: 0, Y: 0}, Node{Chiplet: 1, X: 0, Y: 0})
 	if cross <= same {
@@ -40,8 +40,8 @@ func TestInterChipletLatencyScalesWithConfig(t *testing.T) {
 	far.InterChipletCycles = 100
 	a := Node{Chiplet: 0}
 	b := Node{Chiplet: 1}
-	ln := NewNetwork(sim.NewKernel(), near).Latency(a, b)
-	lf := NewNetwork(sim.NewKernel(), far).Latency(a, b)
+	ln := NewNetwork(near).Latency(a, b)
+	lf := NewNetwork(far).Latency(a, b)
 	if lf-ln != near.Cycles(40) {
 		t.Errorf("latency delta = %v, want 40 cycles", lf-ln)
 	}
@@ -49,7 +49,7 @@ func TestInterChipletLatencyScalesWithConfig(t *testing.T) {
 
 func TestTransferTimeSerialization(t *testing.T) {
 	cfg := config.Default()
-	n := NewNetwork(sim.NewKernel(), cfg)
+	n := NewNetwork(cfg)
 	a := Node{Chiplet: 1, X: 0, Y: 0}
 	b := Node{Chiplet: 1, X: 1, Y: 0}
 	small := n.TransferTime(a, b, 64)
@@ -61,52 +61,6 @@ func TestTransferTimeSerialization(t *testing.T) {
 	delta := (big - small).Nanos()
 	if delta < 1500 || delta > 1900 {
 		t.Errorf("64KB serialization delta = %vns, want ~1706ns", delta)
-	}
-}
-
-func TestSendIntraChiplet(t *testing.T) {
-	cfg := config.Default()
-	k := sim.NewKernel()
-	n := NewNetwork(k, cfg)
-	a := Node{Chiplet: 1, X: 0, Y: 0}
-	b := Node{Chiplet: 1, X: 2, Y: 0}
-	var at sim.Time
-	n.Send(a, b, 1024, func() { at = k.Now() })
-	k.Run()
-	if at != n.TransferTime(a, b, 1024) {
-		t.Errorf("send arrived at %v, want %v", at, n.TransferTime(a, b, 1024))
-	}
-	if n.Messages != 1 || n.BytesMoved != 1024 {
-		t.Error("stats not recorded")
-	}
-}
-
-func TestSendCrossChipletContention(t *testing.T) {
-	cfg := config.Default()
-	k := sim.NewKernel()
-	n := NewNetwork(k, cfg)
-	a := Node{Chiplet: 0, X: 0, Y: 0}
-	b := Node{Chiplet: 1, X: 0, Y: 0}
-	var times []sim.Time
-	const msgs = 4
-	const bytes = 64 * 1024
-	for i := 0; i < msgs; i++ {
-		n.Send(a, b, bytes, func() { times = append(times, k.Now()) })
-	}
-	k.Run()
-	if len(times) != msgs {
-		t.Fatalf("only %d messages arrived", len(times))
-	}
-	// Messages serialize on the pair link: arrivals must be spaced by
-	// at least the serialization time.
-	ser := sim.FromNanos(float64(bytes) / cfg.InterChipletGBs)
-	for i := 1; i < msgs; i++ {
-		if gap := times[i] - times[i-1]; gap < ser {
-			t.Errorf("messages %d,%d spaced %v < serialization %v", i-1, i, gap, ser)
-		}
-	}
-	if n.CrossChip != msgs {
-		t.Errorf("CrossChip = %d, want %d", n.CrossChip, msgs)
 	}
 }
 
@@ -157,7 +111,7 @@ func TestPlacementSingleChiplet(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPlacement(cfg)
-	n := NewNetwork(sim.NewKernel(), cfg)
+	n := NewNetwork(cfg)
 	for _, kd := range config.AllAccelKinds() {
 		if p.AccelNode(kd).Chiplet != 0 {
 			t.Errorf("%v off chiplet 0 in 1-chiplet plan", kd)
@@ -177,7 +131,7 @@ func TestMoreChipletsMeansLongerRoutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := NewPlacement(cfg)
-		n := NewNetwork(sim.NewKernel(), cfg)
+		n := NewNetwork(cfg)
 		var sum sim.Time
 		var cnt int
 		for _, a := range config.AllAccelKinds() {
@@ -261,7 +215,7 @@ func TestHoistedRouteConstantsMatchConfig(t *testing.T) {
 		for _, kd := range config.AllAccelKinds() {
 			nodes = append(nodes, p.AccelNode(kd))
 		}
-		n := NewNetwork(sim.NewKernel(), cfg)
+		n := NewNetwork(cfg)
 		for _, scale := range []float64{1, 1.5, 2.7, 1} {
 			n.SetLatencyScale(scale)
 			for _, a := range nodes {

@@ -376,6 +376,48 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 	}
 }
 
+// TestTwoBadFieldsSameBody: a request with two bad fields is answered
+// with the same 400 body on every submission, and that body names the
+// field checked first: top-level fields in Validate's order, knobs in
+// knobs order, and space entries in SpaceSpec.Build's order (peMix by
+// accelerator kind, unknown kinds by name), never in map order.
+func TestTwoBadFieldsSameBody(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
+	for _, tc := range []struct {
+		name, body, want, other string
+	}{
+		{"top-level fields", `{"type":"observed","requests":-1,"parallelism":-1}`,
+			"requests must be", "parallelism"},
+		{"observed knobs", `{"type":"observed","faultRate":-1,"faultLoss":2}`,
+			"fault rate must be", "fault loss"},
+		{"tune space levels", `{"type":"tune","space":{"peMix":{"Ser":[0],"TCP":[0]}}}`,
+			"peMix[TCP]", "peMix[Ser]"},
+		{"tune space kinds", `{"type":"tune","space":{"peMix":{"Zeta":[1],"Alpha":[1]}}}`,
+			"Alpha", "Zeta"},
+	} {
+		var first string
+		for i := 0; i < 32; i++ {
+			resp := postJSON(t, ts.URL+"/v1/jobs", tc.body)
+			msg, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status %d body %q, want 400", tc.name, resp.StatusCode, msg)
+			}
+			if i == 0 {
+				first = string(msg)
+				if !strings.Contains(first, tc.want) || strings.Contains(first, tc.other) {
+					t.Errorf("%s: body %q, want it to name %s and not %s", tc.name, first, tc.want, tc.other)
+				}
+			} else if string(msg) != first {
+				t.Fatalf("%s: submission %d answered %q, first answered %q", tc.name, i, msg, first)
+			}
+		}
+	}
+}
+
 // fetchBytes GETs a URL and returns the body, failing on non-200.
 func fetchBytes(t *testing.T, url string) []byte {
 	t.Helper()

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"accelflow/internal/config"
@@ -108,7 +110,7 @@ func TestSamplerRecordsUtilizationSeries(t *testing.T) {
 	for _, sv := range sink.SeriesList() {
 		series[sv.Name] = sv
 	}
-	want := []string{"util/cores", "util/manager", "util/dram", "util/noc", "util/adma"}
+	want := []string{"util/cores", "util/manager", "util/dram", "util/adma"}
 	for _, k := range config.AllAccelKinds() {
 		want = append(want, "util/pe/"+k.String())
 	}
@@ -144,6 +146,44 @@ func TestSamplerRecordsUtilizationSeries(t *testing.T) {
 	}
 	if peBusy == 0 {
 		t.Error("all PE utilization samples are zero under load")
+	}
+}
+
+// TestSampledSeriesAreDriven runs the canonical observed mix and
+// checks that every sampled utilization series reads a resource the run
+// drives: each has a nonzero sample, except util/manager, which must
+// stay zero throughout because the AccelFlow policy never reaches the
+// ATM manager. A sampler over a resource no run touches fails here.
+func TestSampledSeriesAreDriven(t *testing.T) {
+	spec, sink, err := BuildObserved(ObservedParams{Seed: 3, Requests: 600, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Run(); err != nil {
+		t.Fatal(err)
+	}
+	sawManager := false
+	for _, sv := range sink.SeriesList() {
+		if !strings.HasPrefix(sv.Name, "util/") {
+			continue
+		}
+		peak := 0.0
+		for _, v := range sv.Values {
+			peak = math.Max(peak, v)
+		}
+		if sv.Name == "util/manager" {
+			sawManager = true
+			if peak != 0 {
+				t.Errorf("util/manager peaks at %v; AccelFlow never reaches the manager", peak)
+			}
+			continue
+		}
+		if peak == 0 {
+			t.Errorf("%s is zero in all %d samples: it samples a resource the run never drives", sv.Name, len(sv.Values))
+		}
+	}
+	if !sawManager {
+		t.Error("missing series util/manager")
 	}
 }
 

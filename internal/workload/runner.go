@@ -333,8 +333,8 @@ func sampler(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) func() {
 		return u
 	}
 	var last struct {
-		cores, manager, dram, noc, adma sim.Time
-		pes                             [config.NumAccelKinds]sim.Time
+		cores, manager, dram, adma sim.Time
+		pes                        [config.NumAccelKinds]sim.Time
 	}
 	// Interned per-kind sample names: the tick fires every interval for
 	// the whole run, so building them inside the closure would allocate
@@ -362,10 +362,6 @@ func sampler(k *sim.Kernel, e *engine.Engine, sink *obs.Sink) func() {
 		dram := e.Mem.BusyTime()
 		sink.Sample("util/dram", now, util(dram-last.dram, e.Mem.CtrlCount()))
 		last.dram = dram
-
-		nocBusy := e.Net.LinkBusy()
-		sink.Sample("util/noc", now, util(nocBusy-last.noc, e.Net.LinkCount()))
-		last.noc = nocBusy
 
 		adma := e.DMA.Busy()
 		sink.Sample("util/adma", now, util(adma-last.adma, e.DMA.Engines()))
