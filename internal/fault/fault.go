@@ -72,6 +72,12 @@ func (s Spec) Validate() error {
 			s.Rate, s.PEDegradeFrac, s.NoCInflate, s.RemoteLossRate)
 	case s.Rate < 0:
 		return fmt.Errorf("fault: Rate must be non-negative, got %v", s.Rate)
+	case s.Rate > 0 && float64(sim.Second)/s.Rate >= math.MaxInt64:
+		// Attach draws gaps of mean 1/Rate seconds as a sim.Time; below
+		// about 1.08e-7 windows/s that mean overflows to a negative one,
+		// every gap clamps to 1ns and the schedule grows toward 1e9
+		// windows per simulated second.
+		return fmt.Errorf("fault: Rate %v is too low: the mean gap between windows, 1/Rate seconds, overflows the clock", s.Rate)
 	case s.MeanWindow < 0 || s.Horizon < 0:
 		return fmt.Errorf("fault: MeanWindow/Horizon must be non-negative")
 	case s.Rate*s.horizon().Seconds() > MaxWindows:

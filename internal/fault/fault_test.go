@@ -9,6 +9,7 @@ import (
 	"accelflow/internal/config"
 	"accelflow/internal/mem"
 	"accelflow/internal/noc"
+	"accelflow/internal/obs"
 	"accelflow/internal/sim"
 )
 
@@ -186,10 +187,73 @@ func TestSpecValidate(t *testing.T) {
 		{"window count at cap", Spec{Rate: MaxWindows, Horizon: sim.Second}, true},
 		{"window count above cap", Spec{Rate: 1e8, Horizon: sim.Second}, false},
 		{"window count above cap at default horizon", Spec{Rate: 2e6}, false},
+		{"mean gap overflows the clock", Spec{Rate: 1e-7}, false},
+		{"smallest positive rate", Spec{Rate: math.SmallestNonzeroFloat64}, false},
+		{"mean gap fits the clock", Spec{Rate: 1e-6}, true},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestAcceptedRatesDrawBoundedWindows: over log-spaced rates from
+// 1e-300 to 1e6 windows/s, Validate rejects exactly the rates whose mean
+// gap overflows sim.Time (below about 1.08e-7), and every rate it
+// accepts draws a bounded number of windows. An accepted rate whose
+// mean gap overflowed would clamp every gap to 1ns and draw a window per
+// nanosecond of horizon: 1e9 over the one-second horizon of Mix, which
+// ends the process out of memory. The horizon here is 1ms, so such a
+// rate fails the bound with 1e6 windows instead.
+func TestAcceptedRatesDrawBoundedWindows(t *testing.T) {
+	const minRate = float64(sim.Second) / (1 << 63)
+	for e := -300.0; e <= 6; e += 0.25 {
+		spec := allMechanisms(math.Pow(10, e))
+		spec.Horizon = sim.Millisecond
+		err := spec.Validate()
+		if ok := spec.Rate >= minRate; (err == nil) != ok {
+			t.Fatalf("rate %g: Validate() = %v, want ok=%v", spec.Rate, err, ok)
+		}
+		if err != nil {
+			continue
+		}
+		k := sim.NewKernel()
+		in := New(spec, 3)
+		in.Attach(k, Targets{})
+		k.Run()
+		mean := spec.Rate * spec.Horizon.Seconds()
+		if got := float64(in.Stats.Windows); got > 2*mean+16 {
+			t.Fatalf("rate %g drew %v windows over %v, expected about %.3g", spec.Rate, got, spec.Horizon, mean)
+		}
+	}
+}
+
+// TestShortestWindowLastsOneMicrosecond: Attach stretches every drawn
+// window to at least 1µs. With a 1ns mean every draw is shorter, so
+// every window opens for exactly 1µs; the fault spans' segments and
+// their open/close times show it. The windows are the kernel's only
+// events, so each one fires.
+func TestShortestWindowLastsOneMicrosecond(t *testing.T) {
+	k := sim.NewKernel()
+	sink := obs.New()
+	sink.SetClock(k)
+	spec := allMechanisms(1e5) // about 100 windows over 1ms
+	spec.MeanWindow = sim.Nanosecond
+	spec.Horizon = sim.Millisecond
+	in := New(spec, 5)
+	in.Attach(k, Targets{Sink: sink})
+	k.Run()
+	spans := sink.Spans()
+	if in.Stats.Windows < 50 || len(spans) != int(in.Stats.Windows) {
+		t.Fatalf("%d windows applied, %d fault spans; want about 100 of each", in.Stats.Windows, len(spans))
+	}
+	for _, sp := range spans {
+		if sp.End-sp.Start != sim.Microsecond {
+			t.Fatalf("window %s open from %v to %v, want exactly 1µs", sp.Name, sp.Start, sp.End)
+		}
+		if len(sp.Segs) != 1 || sp.Segs[0].End-sp.Segs[0].Start != sim.Microsecond {
+			t.Fatalf("window %s segments %+v, want one of exactly 1µs", sp.Name, sp.Segs)
 		}
 	}
 }

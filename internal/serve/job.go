@@ -297,6 +297,11 @@ type Job struct {
 	ID  string
 	Req JobRequest
 
+	// num is the job's number, the N of its "job-N" ID, and table the
+	// scheduler's index, which finishLocked tells the job has ended.
+	num   int64
+	table *jobTable
+
 	// flight is the job's singleflight entry when it was admitted as a
 	// cacheable leader (nil otherwise); its key is the job's result key.
 	// Written once under the scheduler lock before the job is queued;
@@ -325,10 +330,12 @@ type Job struct {
 	submitted, started, finished time.Time
 }
 
-func newJob(id string, req JobRequest) *Job {
+func newJob(table *jobTable, num int64, req JobRequest) *Job {
 	j := &Job{
-		ID:        id,
+		ID:        jobID(num),
 		Req:       req,
+		num:       num,
+		table:     table,
 		state:     StateQueued,
 		updated:   make(chan struct{}),
 		done:      make(chan struct{}),
@@ -383,7 +390,9 @@ func (j *Job) finish(state JobState, errMsg string) {
 // finishLocked requires mu. A leader that fails or is cancelled
 // retires its flight before done closes, so a client that waits for
 // the outcome and resubmits starts a fresh run instead of joining this
-// dead one, and its followers report the same outcome.
+// dead one, and its followers report the same outcome. The finished
+// job then counts toward the scheduler's retention bound, which may
+// evict an older finished job (retain.go).
 func (j *Job) finishLocked(state JobState, errMsg string) {
 	if j.state.Terminal() {
 		return
@@ -398,6 +407,7 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 	j.finished = time.Now()
 	j.appendEvent(Event{Event: "done", State: state, Error: errMsg})
 	close(j.done)
+	j.table.finished(j)
 	for _, fo := range followers {
 		fo.finish(state, errMsg)
 	}

@@ -173,3 +173,89 @@ func TestConcurrentSnapshotProgress(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
+
+// TestEvictionRace runs the scheduler well past the retention bound
+// with every way a job can finish happening at once: cache hits
+// completed under the scheduler lock, runs finished by workers, failed
+// leaders retiring their flights under their own locks, followers
+// finished by their leaders, and cancellations, while readers look
+// jobs up and list them. Eviction must neither deadlock (the test would
+// hang) nor race, and afterwards the table holds exactly the newest
+// retainedJobs finished jobs while every older ID answers ErrEvicted.
+func TestEvictionRace(t *testing.T) {
+	var s *Scheduler
+	s = newScheduler(Config{Workers: 2, QueueDepth: 64, CacheEntries: 16}, func(ctx context.Context, j *Job) {
+		if j.Req.Seed%3 == 0 {
+			j.finish(StateFailed, "stub failure") // never cached, so always rerun
+			return
+		}
+		s.succeed(j, retainedEntry())
+	})
+	defer s.Close()
+
+	const submitters, each = 4, 400
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r := stubReq()
+				r.Seed = int64(i % 24) // repeats: hits, followers and reruns
+				r.Tenant = fmt.Sprintf("t%d", g)
+				j, err := s.Submit(r)
+				if errors.Is(err, ErrQueueFull) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if i%5 == 0 {
+					_ = s.Cancel(j.ID)
+				}
+				_, _ = s.Get(fmt.Sprintf("job-%d", i+1))
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			for _, j := range s.Jobs() {
+				_ = j.snapshot()
+			}
+		}
+	}()
+	wg.Wait()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	s.table.mu.Lock()
+	last := s.table.last
+	s.table.mu.Unlock()
+	if last <= retainedJobs {
+		t.Fatalf("only %d jobs admitted; the test needs more than %d", last, retainedJobs)
+	}
+	if n := retained(s); n != retainedJobs {
+		t.Fatalf("table holds %d jobs with none active, want %d", n, retainedJobs)
+	}
+	for _, j := range s.Jobs() {
+		if st := j.snapshot().State; !st.Terminal() {
+			t.Errorf("job %s ended in non-terminal state %s", j.ID, st)
+		}
+	}
+	evicted := 0
+	for n := int64(1); n <= last; n++ {
+		switch _, err := s.Get(jobID(n)); {
+		case errors.Is(err, ErrEvicted):
+			evicted++
+		case err != nil:
+			t.Fatalf("job-%d: %v", n, err)
+		}
+	}
+	if want := int(last) - retainedJobs; evicted != want {
+		t.Errorf("%d IDs answer ErrEvicted, want %d", evicted, want)
+	}
+}

@@ -38,8 +38,12 @@ var (
 	ErrQueueFull = errors.New("serve: job queue full")
 	// ErrDraining means the scheduler is shutting down (HTTP 503).
 	ErrDraining = errors.New("serve: scheduler draining, not accepting jobs")
-	// ErrNotFound means no job has the requested ID (HTTP 404).
+	// ErrNotFound means no job was ever issued the requested ID (HTTP
+	// 404).
 	ErrNotFound = errors.New("serve: no such job")
+	// ErrEvicted means the job with the requested ID finished and was
+	// evicted to keep the newest retainedJobs finished jobs (HTTP 410).
+	ErrEvicted = fmt.Errorf("serve: job evicted; the scheduler keeps only its %d newest finished jobs", retainedJobs)
 	// ErrBadRequest is the sentinel all request-validation errors match
 	// via errors.Is (HTTP 400). Errors that do NOT match it — and are
 	// not one of the sentinels above — are internal failures and map to
@@ -133,7 +137,9 @@ func (c Config) withDefaults() Config {
 
 // tenantState is one tenant's admission state: its FIFO of queued
 // jobs, its deficit-round-robin credit, and its token bucket. All
-// fields are guarded by the scheduler mutex.
+// fields are guarded by the scheduler mutex. A state that holds nothing
+// a new one would not is deleted (dropIdleLocked), so clients choosing
+// tenant names cannot grow the tenants map.
 type tenantState struct {
 	name string
 	fifo []*Job
@@ -193,12 +199,10 @@ type Scheduler struct {
 	wg         sync.WaitGroup
 	cache      *resultCache // nil when CacheEntries <= 0
 
+	table      jobTable // the retained jobs; locked on its own (retain.go)
 	mu         sync.Mutex
 	cond       *sync.Cond // signals workers when work or drain arrives
-	jobs       map[string]*Job
-	order      []string
 	draining   bool
-	nextID     int64
 	tenants    map[string]*tenantState
 	lastTenant string // DRR cursor: iteration resumes after this name
 	flights    map[string]*flight
@@ -227,7 +231,6 @@ func newScheduler(cfg Config, runFn func(ctx context.Context, j *Job)) *Schedule
 		cfg:        cfg,
 		root:       root,
 		rootCancel: cancel,
-		jobs:       map[string]*Job{},
 		tenants:    map[string]*tenantState{},
 		flights:    map[string]*flight{},
 		now:        time.Now,
@@ -312,13 +315,17 @@ func (s *Scheduler) next() *Job {
 // head whose cost is covered dispatches. Rotations repeat until a job
 // dispatches (credit grows every rotation, so a rotation count bounded
 // by the maximum job cost suffices) or no tenant has anything queued.
-// Requires mu.
+// The scan also drops the idle tenants whose buckets have refilled
+// since they went idle. Requires mu.
 func (s *Scheduler) pickLocked() *Job {
 	active := make([]*tenantState, 0, len(s.tenants))
-	// order-insensitive: sorted below by the unique tenant name.
+	// Dropping one idle tenant never affects another.
+	// order-insensitive: active is sorted below by the unique tenant name.
 	for _, t := range s.tenants {
 		if len(t.fifo) > 0 {
 			active = append(active, t)
+		} else {
+			s.dropIdleLocked(t)
 		}
 	}
 	if len(active) == 0 {
@@ -339,11 +346,15 @@ func (s *Scheduler) pickLocked() *Job {
 			if c := jobCost(t.fifo[0]); t.deficit >= c {
 				t.deficit -= c
 				j := t.fifo[0]
+				// Clear the slot so the backing array does not keep
+				// the job alive after it is evicted.
+				t.fifo[0] = nil
 				t.fifo = t.fifo[1:]
 				if len(t.fifo) == 0 {
 					// Classic DRR: an emptied queue forfeits its credit,
 					// so an idle tenant cannot bank an unbounded burst.
 					t.deficit = 0
+					s.dropIdleLocked(t)
 				}
 				s.lastTenant = t.name
 				return j
@@ -361,6 +372,23 @@ func (s *Scheduler) tenantLocked(name string) *tenantState {
 		s.tenants[name] = t
 	}
 	return t
+}
+
+// dropIdleLocked deletes t's state when it holds nothing a new tenant's
+// would not: no queued job, and a token bucket that would refill to its
+// burst by now (always, when rate limiting is off). Its DRR credit is
+// already zero, since an emptied queue forfeits it. A bucket still
+// refilling is kept, so dropping never grants tokens early. Requires
+// mu.
+func (s *Scheduler) dropIdleLocked(t *tenantState) {
+	if len(t.fifo) > 0 {
+		return
+	}
+	if s.cfg.TenantRate > 0 && t.inited &&
+		t.tokens+s.now().Sub(t.lastRefill).Seconds()*s.cfg.TenantRate < float64(s.cfg.TenantBurst) {
+		return
+	}
+	delete(s.tenants, t.name)
 }
 
 // admitLocked charges one token from the tenant's bucket, refilling
@@ -388,24 +416,14 @@ func (s *Scheduler) admitLocked(t *tenantState) error {
 	return &RateLimitError{Tenant: t.name, RetryAfter: wait}
 }
 
-// registerLocked assigns the next job ID and records the job; only
-// accepted submissions reach it, so rejections never burn IDs.
-// Requires mu.
-func (s *Scheduler) registerLocked(req JobRequest) *Job {
-	s.nextID++
-	j := newJob(fmt.Sprintf("job-%d", s.nextID), req)
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	return j
-}
-
 // maxRequests caps a job's request budget at admission. An observed
 // run's sink keeps about 2.8 KiB per request live until its artifacts
-// are rendered, and the trace and report the job then keeps take about
-// 15.5 KiB per request (both measured at 2,000 and 8,000 full-fidelity
-// requests), so without a cap one job could exhaust the daemon's
-// memory; at the cap its artifacts alone hold about 1.5 GiB. It bounds
-// the daemon only: accelsim runs whatever budget its user asks for.
+// are rendered, and the trace and report a finished job then keeps,
+// while it is retained or cached, take about 15.5 KiB per request (both
+// measured at 2,000 and 8,000 full-fidelity requests), so without a cap
+// one job could exhaust the daemon's memory; at the cap its artifacts
+// alone hold about 1.5 GiB. It bounds the daemon only: accelsim runs
+// whatever budget its user asks for.
 const maxRequests = 100_000
 
 // Submit validates and admits one job. It never blocks, and it computes
@@ -422,6 +440,9 @@ const maxRequests = 100_000
 //     (also no queue slot);
 //   - a full tenant queue returns ErrQueueFull;
 //   - otherwise the job enqueues on its tenant's FIFO.
+//
+// Only accepted submissions are issued an ID, so rejections never burn
+// one.
 func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -439,18 +460,21 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 		return nil, ErrDraining
 	}
 	t := s.tenantLocked(req.Tenant)
+	// A cache hit or a coalesced follower queues nothing, so it can
+	// leave the tenant idle.
+	defer s.dropIdleLocked(t)
 	if err := s.admitLocked(t); err != nil {
 		return nil, err
 	}
 	if key != "" {
 		if e, ok := s.cache.getJob(key); ok {
-			j := s.registerLocked(req)
+			j := s.table.add(req)
 			j.completeCached(e)
 			return j, nil
 		}
 		if f := s.flights[key]; f != nil {
 			s.cache.coalesced()
-			j := s.registerLocked(req)
+			j := s.table.add(req)
 			f.followers = append(f.followers, j)
 			return j, nil
 		}
@@ -458,7 +482,7 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if len(t.fifo) >= s.cfg.QueueDepth {
 		return nil, ErrQueueFull
 	}
-	j := s.registerLocked(req)
+	j := s.table.add(req)
 	if key != "" {
 		j.flight = &flight{sched: s, key: key}
 		s.flights[key] = j.flight
@@ -501,30 +525,19 @@ func (s *Scheduler) settle(j *Job) {
 	}
 }
 
-// Get returns a job by ID (nil when unknown).
-func (s *Scheduler) Get(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
+// Get returns a retained job by ID. An evicted job's ID returns
+// ErrEvicted, and an ID never issued ErrNotFound.
+func (s *Scheduler) Get(id string) (*Job, error) { return s.table.get(id) }
 
-// Jobs returns all admitted jobs in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
-	return out
-}
+// Jobs returns the retained jobs in submission order.
+func (s *Scheduler) Jobs() []*Job { return s.table.list() }
 
 // Cancel requests cancellation of one job: queued jobs die
 // immediately, running ones stop at their sweep/kernel checkpoints.
 func (s *Scheduler) Cancel(id string) error {
-	j := s.Get(id)
-	if j == nil {
-		return ErrNotFound
+	j, err := s.Get(id)
+	if err != nil {
+		return err
 	}
 	j.requestCancel()
 	return nil

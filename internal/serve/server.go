@@ -3,7 +3,7 @@
 //	POST   /v1/jobs                      submit  -> 202 JobView (400 invalid, 429 + Retry-After
 //	                                               when the tenant's queue or token bucket is full,
 //	                                               503 draining, 500 internal)
-//	GET    /v1/jobs                      list    -> {"jobs":[JobView...]}; optional
+//	GET    /v1/jobs                      list    -> {"jobs":[JobView...]}, the retained jobs; optional
 //	                                               ?state= ?type= ?tenant= filters
 //	                                               (400 on unknown state/type)
 //	GET    /v1/jobs/{id}                 status  -> JobView ("cached": true when served from cache)
@@ -15,6 +15,9 @@
 //	GET    /v1/cache                     result-cache stats: entries, capacity, hits, misses,
 //	                                               coalesced, evictions ({"enabled":false} when off)
 //	GET    /healthz                      liveness + drain state
+//
+// Every per-job route answers 404 for an ID never issued and 410 Gone
+// for a finished job the scheduler no longer retains (retain.go).
 //
 // Artifact and values bytes come from the same exporters the CLI uses,
 // so they are byte-identical to a local run with the same parameters.
@@ -145,7 +148,7 @@ func submitErrorStatus(err error) (code int, retryAfter string) {
 	}
 }
 
-// handleList returns all admitted jobs in submission order. Optional
+// handleList returns the retained jobs in submission order. Optional
 // query filters compose conjunctively: ?state= (queued, running, done,
 // failed, cancelled), ?type= (experiment, observed, tune), and
 // ?tenant= (exact match; "tenant=" selects the default tenant — an
@@ -188,12 +191,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
-// job resolves the {id} path segment, writing the 404 itself when
-// unknown.
+// job resolves the {id} path segment, writing the error itself when
+// no job is retained under it: 410 for an evicted job, 404 for an ID
+// never issued.
 func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
-	j := s.sched.Get(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, ErrNotFound)
+	j, err := s.sched.Get(r.PathValue("id"))
+	switch {
+	case errors.Is(err, ErrEvicted):
+		writeError(w, http.StatusGone, err)
+	case err != nil:
+		writeError(w, http.StatusNotFound, err)
 	}
 	return j
 }

@@ -304,7 +304,11 @@ func TestDrainRejectsHTTP(t *testing.T) {
 	if err := sched.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := sched.Get(view.ID).snapshot().State; st != StateDone {
+	j, err := sched.Get(view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.snapshot().State; st != StateDone {
 		t.Fatalf("admitted job state %s after drain, want done", st)
 	}
 }
@@ -337,6 +341,9 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		`{"type":"experiment","experiment":"fig11","bogusField":1}`,
 		`{"type":"observed","shards":2}`,        // removed field: a stale client gets a 400
 		`{"type":"observed","requests":100001}`, // over the request cap
+		// A mean fault gap past the clock's range: before Validate caught
+		// it, this drew ~1e9 windows and the daemon died out of memory.
+		`{"type":"observed","requests":20,"quick":true,"seed":1,"faultRate":1e-7}`,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		resp.Body.Close()

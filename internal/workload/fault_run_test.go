@@ -124,6 +124,7 @@ func TestInvalidFaultSpecRejectedBeforeRun(t *testing.T) {
 		{"over window cap", fault.Spec{Rate: 1e9, Horizon: sim.Second}},
 		{"NaN rate", fault.Spec{Rate: math.NaN()}},
 		{"infinite NoC inflation", fault.Spec{Rate: 10, NoCInflate: math.Inf(1)}},
+		{"mean gap overflows the clock", fault.Spec{Rate: 1e-7}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
