@@ -22,7 +22,10 @@
 // repeated identical submissions are served byte-identically from a
 // bounded content-addressed cache (-cache; "cached": true in the job
 // view, stats on /v1/cache) and identical in-flight submissions
-// coalesce into one run. SIGINT/SIGTERM drain gracefully — admission
+// coalesce into one run. Finished jobs' rendered artifacts are held
+// within a fixed 32 MiB budget, least recently used evicted first; a
+// job whose artifacts were evicted answers 410 on them and still
+// serves its values. SIGINT/SIGTERM drain gracefully — admission
 // closes (503), running and queued jobs finish, then the process exits
 // 0; jobs still running when -draintimeout expires are cancelled
 // through their contexts. Results are deterministic: a job yields

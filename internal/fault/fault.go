@@ -267,10 +267,12 @@ func (in *Injector) Attach(k *sim.Kernel, tg Targets) {
 		if gap <= 0 {
 			gap = sim.Nanosecond
 		}
-		t += gap
-		if t >= hz {
+		// Compared before it is added: near the clock's end t+gap
+		// would overflow.
+		if gap >= hz-t {
 			break
 		}
+		t += gap
 		dur := durs.Exp(mw)
 		if dur < sim.Microsecond {
 			dur = sim.Microsecond

@@ -229,6 +229,29 @@ func TestAcceptedRatesDrawBoundedWindows(t *testing.T) {
 	}
 }
 
+// TestLowestRatesApplyNoWindows: at 1.2e-7 windows/s, just above the
+// lowest rate Validate accepts, a one-second horizon expects about
+// 1.2e-7 windows per seed, so none over 200 seeds. The mean gap nearly
+// fills the clock: a gap drawn past it once wrapped to a negative
+// value, clamped to 1ns and opened a window at the start of the run.
+func TestLowestRatesApplyNoWindows(t *testing.T) {
+	spec := Mix(1.2e-7, 0, 0)
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var windows uint64
+	for seed := int64(1); seed <= 200; seed++ {
+		k := sim.NewKernel()
+		in := New(*spec, seed)
+		in.Attach(k, Targets{})
+		k.Run()
+		windows += in.Stats.Windows
+	}
+	if windows != 0 {
+		t.Fatalf("rate %g over seeds 1-200 applied %d windows, want 0", spec.Rate, windows)
+	}
+}
+
 // TestShortestWindowLastsOneMicrosecond: Attach stretches every drawn
 // window to at least 1µs. With a 1ns mean every draw is shorter, so
 // every window opens for exactly 1µs; the fault spans' segments and

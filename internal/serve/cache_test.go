@@ -209,9 +209,9 @@ func TestCoalesceConcurrentSubmissions(t *testing.T) {
 	}
 	// Every job serves the one trace rendering the leader made when
 	// its run completed, not a copy or a re-render.
-	trace, _ := jobs[0].artifact(obs.ArtifactTrace)
+	trace, _, _ := jobs[0].artifact(obs.ArtifactTrace)
 	for i, j := range jobs {
-		if b, _ := j.artifact(obs.ArtifactTrace); len(b) == 0 || &b[0] != &trace[0] {
+		if b, _, _ := j.artifact(obs.ArtifactTrace); len(b) == 0 || &b[0] != &trace[0] {
 			t.Fatalf("job %d serves its own trace bytes, not the leader's rendering", i)
 		}
 	}
@@ -424,12 +424,12 @@ func TestCacheDisabledByDefault(t *testing.T) {
 // and evicts least-recently-used first.
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	c.putJob("a", &jobResultEntry{})
-	c.putJob("b", &jobResultEntry{})
+	c.publish("a", &jobResultEntry{})
+	c.publish("b", &jobResultEntry{})
 	if _, ok := c.getJob("a"); !ok { // bump a; b is now LRU
 		t.Fatal("entry a missing")
 	}
-	c.putJob("c", &jobResultEntry{})
+	c.publish("c", &jobResultEntry{})
 	if _, ok := c.getJob("b"); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}

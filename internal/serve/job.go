@@ -283,7 +283,8 @@ type JobView struct {
 	// run) instead of executing.
 	Cached bool `json:"cached"`
 	// Artifacts lists downloadable exports once the job is done
-	// (observed jobs only, whether run or served from cache).
+	// (observed jobs only, whether run or served from cache), until the
+	// artifact budget evicts them.
 	Artifacts   []string  `json:"artifacts,omitempty"`
 	SubmittedAt time.Time `json:"submittedAt"`
 	StartedAt   time.Time `json:"startedAt,omitempty"`
@@ -315,8 +316,9 @@ type Job struct {
 	cancelRequested bool
 	cellsDone       int
 	// result is the finished job's values, lines, and artifact bytes
-	// (nil until it succeeds). Immutable once set, and shared read-only
-	// with its cache entry and coalesced followers.
+	// (nil until it succeeds). Set once, and shared read-only with its
+	// cache entry and coalesced followers; the artifact budget may
+	// revoke its artifacts (cache.go).
 	result *jobResultEntry
 	// cached marks completion from the result cache.
 	cached bool
@@ -433,7 +435,7 @@ func (j *Job) requestCancel() {
 // completeCached finishes the job from a cache entry, emitting the
 // same started/done event sequence a run would so the progress-stream
 // contract (EOF after the "done" event) holds for cached jobs. The
-// entry is immutable and shared read-only. A job already terminal
+// entry is shared read-only. A job already terminal
 // (e.g. a coalesced follower cancelled while its leader ran) is left
 // untouched.
 func (j *Job) completeCached(e *jobResultEntry) {
@@ -452,8 +454,8 @@ func (j *Job) completeCached(e *jobResultEntry) {
 	j.finishLocked(StateDone, "")
 }
 
-// cacheEntry returns a successful job's immutable result (nil unless
-// the job is done).
+// cacheEntry returns a successful job's result (nil unless the job is
+// done).
 func (j *Job) cacheEntry() *jobResultEntry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -557,7 +559,7 @@ func (j *Job) snapshot() JobView {
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 	}
-	if j.state == StateDone && j.result != nil && len(j.result.artifacts) > 0 {
+	if j.state == StateDone && j.result != nil && j.result.hasArtifacts() {
 		for _, a := range obs.Artifacts() {
 			v.Artifacts = append(v.Artifacts, string(a))
 		}
@@ -590,14 +592,17 @@ func (j *Job) values() ([]byte, JobState) {
 }
 
 // artifact returns the rendered bytes of one export (nil when the job
-// has none) and the job state. The bytes are shared read-only.
-func (j *Job) artifact(a obs.Artifact) ([]byte, JobState) {
+// has none) and the job state; evicted reports that the job had
+// artifacts and the artifact budget revoked them. The bytes are shared
+// read-only.
+func (j *Job) artifact(a obs.Artifact) (b []byte, state JobState, evicted bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.result == nil {
-		return nil, j.state
+		return nil, j.state, false
 	}
-	return j.result.artifacts[a], j.state
+	b, evicted = j.result.artifact(a)
+	return b, j.state, evicted
 }
 
 // Done exposes the terminal-state channel (closed when finished).

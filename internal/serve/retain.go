@@ -10,8 +10,9 @@
 //
 // Eviction drops the job, not its result: the result cache shares the
 // job's *jobResultEntry, so a resubmission of an evicted job's body
-// still hits the cache while the cache holds the entry, and the bytes
-// are freed only when neither holds them.
+// still hits the cache while the cache holds the entry. Its artifact
+// bytes stay under the artifact budget until it revokes them
+// (cache.go), whether or not a job still holds the entry.
 package serve
 
 import (
@@ -23,8 +24,9 @@ import (
 
 // retainedJobs bounds the finished jobs the scheduler keeps. A retained
 // cache hit costs about 1.2 KB of heap, so the bound holds about 1.2 MB
-// of job state; the result bytes it may pin are bounded by the result
-// cache for cached results and by the request cap for the rest.
+// of job state plus their values bodies; the artifact bytes they may
+// pin are bounded by artifactBudget (cache.go), whether or not the
+// result cache holds them.
 const retainedJobs = 1024
 
 // jobTable indexes the retained jobs by number. Its mutex is taken

@@ -18,10 +18,8 @@ import (
 // values body and a trace, so every per-job route has something to
 // serve.
 func retainedEntry() *jobResultEntry {
-	return &jobResultEntry{
-		values:    []byte("\"lines\":[],\"values\":{}}\n"),
-		artifacts: map[obs.Artifact][]byte{obs.ArtifactTrace: []byte("{}\n")},
-	}
+	return newResultEntry([]byte("\"lines\":[],\"values\":{}}\n"),
+		map[obs.Artifact][]byte{obs.ArtifactTrace: []byte("{}\n")})
 }
 
 // submitDone submits req and waits for the job to finish.

@@ -21,13 +21,16 @@
 package serve
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
+	"accelflow/internal/obs"
 	"accelflow/internal/tune"
 )
 
@@ -44,6 +47,10 @@ var (
 	// ErrEvicted means the job with the requested ID finished and was
 	// evicted to keep the newest retainedJobs finished jobs (HTTP 410).
 	ErrEvicted = fmt.Errorf("serve: job evicted; the scheduler keeps only its %d newest finished jobs", retainedJobs)
+	// ErrArtifactsEvicted means a retained job's artifacts were revoked
+	// to keep rendered artifacts within artifactBudget (HTTP 410); its
+	// values remain.
+	ErrArtifactsEvicted = fmt.Errorf("serve: artifacts evicted; the daemon holds at most %d MiB of rendered artifacts, resubmit the job to render them again", artifactBudget>>20)
 	// ErrBadRequest is the sentinel all request-validation errors match
 	// via errors.Is (HTTP 400). Errors that do NOT match it — and are
 	// not one of the sentinels above — are internal failures and map to
@@ -107,9 +114,10 @@ type Config struct {
 	// structured error instead.
 	Check bool
 	// CacheEntries bounds the content-addressed result cache, counted in
-	// finished jobs (see cache.go). <= 0
-	// disables caching AND singleflight coalescing: every submission
-	// runs, exactly the pre-cache behavior.
+	// finished jobs (see cache.go). <= 0 disables caching AND
+	// singleflight coalescing: every submission runs, exactly the
+	// pre-cache behavior. Artifact bytes are bounded by artifactBudget
+	// either way, not by this count.
 	CacheEntries int
 	// TenantRate is the per-tenant token-bucket refill rate in
 	// submissions per second; <= 0 disables rate limiting entirely.
@@ -152,6 +160,37 @@ type tenantState struct {
 	tokens     float64
 	lastRefill time.Time
 	inited     bool
+	// full is when an idle tenant's bucket holds TenantBurst again, and
+	// at its index in the scheduler's refilling heap (-1 when absent).
+	full time.Time
+	at   int
+}
+
+// cmpTenant orders tenants by name, the DRR rotation order.
+func cmpTenant(t *tenantState, name string) int { return strings.Compare(t.name, name) }
+
+// refillHeap is a min-heap, on the time each bucket is full again, of
+// the idle tenants kept only because their buckets are refilling.
+type refillHeap []*tenantState
+
+func (h refillHeap) Len() int           { return len(h) }
+func (h refillHeap) Less(i, k int) bool { return h[i].full.Before(h[k].full) }
+func (h refillHeap) Swap(i, k int) {
+	h[i], h[k] = h[k], h[i]
+	h[i].at, h[k].at = i, k
+}
+func (h *refillHeap) Push(x any) {
+	t := x.(*tenantState)
+	t.at = len(*h)
+	*h = append(*h, t)
+}
+func (h *refillHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	t.at = -1
+	return t
 }
 
 // flight is one in-flight cacheable run: the leader executes, the
@@ -197,13 +236,20 @@ type Scheduler struct {
 	root       context.Context
 	rootCancel context.CancelFunc
 	wg         sync.WaitGroup
-	cache      *resultCache // nil when CacheEntries <= 0
+	// cache keys results only when CacheEntries > 0, and owns the
+	// artifact budget always.
+	cache *resultCache
 
-	table      jobTable // the retained jobs; locked on its own (retain.go)
-	mu         sync.Mutex
-	cond       *sync.Cond // signals workers when work or drain arrives
-	draining   bool
-	tenants    map[string]*tenantState
+	table    jobTable // the retained jobs; locked on its own (retain.go)
+	mu       sync.Mutex
+	cond     *sync.Cond // signals workers when work or drain arrives
+	draining bool
+	tenants  map[string]*tenantState
+	// active holds the tenants with queued jobs, sorted by name, so a
+	// dispatch neither scans the tenants map nor sorts; refilling holds
+	// the idle tenants kept for a bucket still refilling.
+	active     []*tenantState
+	refilling  refillHeap
 	lastTenant string // DRR cursor: iteration resumes after this name
 	flights    map[string]*flight
 
@@ -236,9 +282,7 @@ func newScheduler(cfg Config, runFn func(ctx context.Context, j *Job)) *Schedule
 		now:        time.Now,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheEntries)
-	}
+	s.cache = newResultCache(max(cfg.CacheEntries, 0))
 	s.runJob = s.execute
 	if runFn != nil {
 		s.runJob = runFn
@@ -254,12 +298,9 @@ func newScheduler(cfg Config, runFn func(ctx context.Context, j *Job)) *Schedule
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // CacheStats snapshots the result cache ("ok" false when caching is
-// disabled).
+// disabled, when only the artifact counters move).
 func (s *Scheduler) CacheStats() (CacheStats, bool) {
-	if s.cache == nil {
-		return CacheStats{}, false
-	}
-	return s.cache.Stats(), true
+	return s.cache.Stats(), s.cfg.CacheEntries > 0
 }
 
 func (s *Scheduler) worker() {
@@ -315,33 +356,21 @@ func (s *Scheduler) next() *Job {
 // head whose cost is covered dispatches. Rotations repeat until a job
 // dispatches (credit grows every rotation, so a rotation count bounded
 // by the maximum job cost suffices) or no tenant has anything queued.
-// The scan also drops the idle tenants whose buckets have refilled
-// since they went idle. Requires mu.
+// It first drops the idle tenants whose buckets have refilled since
+// they went idle. Requires mu.
 func (s *Scheduler) pickLocked() *Job {
-	active := make([]*tenantState, 0, len(s.tenants))
-	// Dropping one idle tenant never affects another.
-	// order-insensitive: active is sorted below by the unique tenant name.
-	for _, t := range s.tenants {
-		if len(t.fifo) > 0 {
-			active = append(active, t)
-		} else {
-			s.dropIdleLocked(t)
-		}
-	}
-	if len(active) == 0 {
+	s.dropRefilledLocked()
+	if len(s.active) == 0 {
 		return nil
 	}
-	sort.Slice(active, func(i, k int) bool { return active[i].name < active[k].name })
-	start := 0
-	for i, t := range active {
-		if t.name > s.lastTenant {
-			start = i
-			break
-		}
+	start, found := slices.BinarySearchFunc(s.active, s.lastTenant, cmpTenant)
+	if found {
+		start++
 	}
 	for {
-		for i := 0; i < len(active); i++ {
-			t := active[(start+i)%len(active)]
+		for i := range s.active {
+			k := (start + i) % len(s.active)
+			t := s.active[k]
 			t.deficit++
 			if c := jobCost(t.fifo[0]); t.deficit >= c {
 				t.deficit -= c
@@ -354,6 +383,7 @@ func (s *Scheduler) pickLocked() *Job {
 					// Classic DRR: an emptied queue forfeits its credit,
 					// so an idle tenant cannot bank an unbounded burst.
 					t.deficit = 0
+					s.active = slices.Delete(s.active, k, k+1)
 					s.dropIdleLocked(t)
 				}
 				s.lastTenant = t.name
@@ -368,27 +398,59 @@ func (s *Scheduler) pickLocked() *Job {
 func (s *Scheduler) tenantLocked(name string) *tenantState {
 	t := s.tenants[name]
 	if t == nil {
-		t = &tenantState{name: name}
+		t = &tenantState{name: name, at: -1}
 		s.tenants[name] = t
 	}
 	return t
+}
+
+// enqueueLocked appends j to its tenant's queue, making the tenant
+// active if the queue was empty. Requires mu.
+func (s *Scheduler) enqueueLocked(t *tenantState, j *Job) {
+	if len(t.fifo) == 0 {
+		i, _ := slices.BinarySearchFunc(s.active, t.name, cmpTenant)
+		s.active = slices.Insert(s.active, i, t)
+	}
+	t.fifo = append(t.fifo, j)
+}
+
+// refillingLocked reports whether t's token bucket would still be
+// short of its burst now. Requires mu.
+func (s *Scheduler) refillingLocked(t *tenantState) bool {
+	return s.cfg.TenantRate > 0 && t.inited &&
+		t.tokens+s.now().Sub(t.lastRefill).Seconds()*s.cfg.TenantRate < float64(s.cfg.TenantBurst)
 }
 
 // dropIdleLocked deletes t's state when it holds nothing a new tenant's
 // would not: no queued job, and a token bucket that would refill to its
 // burst by now (always, when rate limiting is off). Its DRR credit is
 // already zero, since an emptied queue forfeits it. A bucket still
-// refilling is kept, so dropping never grants tokens early. Requires
-// mu.
+// refilling is kept, so dropping never grants tokens early, and goes on
+// the refilling heap for dropRefilledLocked. Requires mu.
 func (s *Scheduler) dropIdleLocked(t *tenantState) {
+	if t.at >= 0 {
+		heap.Remove(&s.refilling, t.at)
+	}
 	if len(t.fifo) > 0 {
 		return
 	}
-	if s.cfg.TenantRate > 0 && t.inited &&
-		t.tokens+s.now().Sub(t.lastRefill).Seconds()*s.cfg.TenantRate < float64(s.cfg.TenantBurst) {
+	if s.refillingLocked(t) {
+		short := (float64(s.cfg.TenantBurst) - t.tokens) / s.cfg.TenantRate
+		t.full = t.lastRefill.Add(time.Duration(short * float64(time.Second)))
+		heap.Push(&s.refilling, t)
 		return
 	}
 	delete(s.tenants, t.name)
+}
+
+// dropRefilledLocked deletes the idle tenants whose buckets have
+// refilled, soonest full first, stopping at the first still refilling.
+// Requires mu.
+func (s *Scheduler) dropRefilledLocked() {
+	for len(s.refilling) > 0 && !s.refillingLocked(s.refilling[0]) {
+		t := heap.Pop(&s.refilling).(*tenantState)
+		delete(s.tenants, t.name)
+	}
 }
 
 // admitLocked charges one token from the tenant's bucket, refilling
@@ -418,12 +480,13 @@ func (s *Scheduler) admitLocked(t *tenantState) error {
 
 // maxRequests caps a job's request budget at admission. An observed
 // run's sink keeps about 2.8 KiB per request live until its artifacts
-// are rendered, and the trace and report a finished job then keeps,
-// while it is retained or cached, take about 15.5 KiB per request (both
-// measured at 2,000 and 8,000 full-fidelity requests), so without a cap
-// one job could exhaust the daemon's memory; at the cap its artifacts
-// alone hold about 1.5 GiB. It bounds the daemon only: accelsim runs
-// whatever budget its user asks for.
+// are rendered, and the trace and report a finished job then keeps
+// take about 15.5 KiB per request (both measured at 2,000 and 8,000
+// full-fidelity requests). The artifact budget keeps the newest entry
+// whatever its size, so without a cap one job could exhaust the
+// daemon's memory; at the cap its artifacts alone hold about 1.5 GiB.
+// It bounds the daemon only: accelsim runs whatever budget its user
+// asks for.
 const maxRequests = 100_000
 
 // Submit validates and admits one job. It never blocks, and it computes
@@ -451,7 +514,7 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 		return nil, fieldErrorf("requests", "serve: requests must be at most %d, got %d", maxRequests, req.Requests)
 	}
 	var key string
-	if s.cache != nil {
+	if s.cfg.CacheEntries > 0 {
 		key = req.ResultKey()
 	}
 	s.mu.Lock()
@@ -487,20 +550,24 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 		j.flight = &flight{sched: s, key: key}
 		s.flights[key] = j.flight
 	}
-	t.fifo = append(t.fifo, j)
+	s.enqueueLocked(t, j)
 	s.cond.Broadcast()
 	return j, nil
 }
 
-// succeed completes a job whose run succeeded. A cacheable leader
-// publishes its entry before the "done" event: a client that waits for
-// done and resubmits then hits the entry instead of coalescing onto the
-// flight, which settle retires only after the worker returns.
+// succeed completes a job whose run succeeded. Every job publishes its
+// entry to the cache before the "done" event, which puts its artifacts
+// under the budget; a cacheable leader's entry is also keyed, so a
+// client that waits for done and resubmits hits the entry instead of
+// coalescing onto the flight, which settle retires only after the
+// worker returns.
 func (s *Scheduler) succeed(j *Job, e *jobResultEntry) {
 	j.setResult(e)
+	var key string
 	if j.flight != nil {
-		s.cache.putJob(j.flight.key, e)
+		key = j.flight.key
 	}
+	s.cache.publish(key, e)
 	j.finish(StateDone, "")
 }
 
@@ -610,15 +677,16 @@ func (s *Scheduler) execute(ctx context.Context, j *Job) {
 	}
 	// Render once, for every fetch to come, and drop the sink: the job
 	// keeps only the bytes.
-	e := &jobResultEntry{}
-	if e.values, err = renderValues(res.Values, res.Lines); err == nil && res.Sink != nil {
-		e.artifacts, err = renderArtifacts(res.Sink)
+	var arts map[obs.Artifact][]byte
+	values, err := renderValues(res.Values, res.Lines)
+	if err == nil && res.Sink != nil {
+		arts, err = renderArtifacts(res.Sink)
 	}
 	if err != nil {
 		j.finish(StateFailed, err.Error())
 		return
 	}
-	s.succeed(j, e)
+	s.succeed(j, newResultEntry(values, arts))
 }
 
 // classify distinguishes a cancelled run from a genuine failure.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -354,5 +355,48 @@ func TestJobIDsSequential(t *testing.T) {
 	}
 	if a.ID != "job-1" || b.ID != "job-2" || c.ID != "job-3" {
 		t.Fatalf("IDs = %s, %s, %s; want job-1..3 (rejections must not burn IDs)", a.ID, b.ID, c.ID)
+	}
+}
+
+// TestDispatchAllocFree: with 1,000 tenants holding queued work, a
+// dispatch allocates nothing: the tenants with queued jobs are kept in
+// name order as they enqueue and empty, so picking the next job scans
+// no map and sorts nothing.
+func TestDispatchAllocFree(t *testing.T) {
+	gate, open := gated()
+	sched := newScheduler(Config{Workers: 1, QueueDepth: 4}, func(ctx context.Context, j *Job) {
+		<-gate
+		j.finish(StateDone, "")
+	})
+	defer sched.Close()
+	defer open()
+	req := func(tenant string) JobRequest { r := stubReq(); r.Tenant = tenant; return r }
+	blocker, err := sched.Submit(req("hold"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning)
+	const tenants = 1000
+	for i := 0; i < tenants; i++ {
+		for k := 0; k < 2; k++ {
+			if _, err := sched.Submit(req(fmt.Sprintf("t%04d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	picked := 0
+	sched.mu.Lock()
+	allocs := testing.AllocsPerRun(100, func() {
+		if sched.pickLocked() != nil {
+			picked++
+		}
+	})
+	n := len(sched.tenants)
+	sched.mu.Unlock()
+	if picked != 101 || n != tenants {
+		t.Fatalf("%d of 101 picks dispatched a job, %d tenants left; want every pick to, and %d tenants", picked, n, tenants)
+	}
+	if allocs != 0 {
+		t.Fatalf("a dispatch among %d active tenants made %v allocations, want 0", tenants, allocs)
 	}
 }

@@ -10,10 +10,13 @@
 //	POST   /v1/jobs/{id}/cancel         cancel  -> 202 JobView
 //	GET    /v1/jobs/{id}/values          results -> {"id":...,"lines":[...],"values":{...}}
 //	GET    /v1/jobs/{id}/progress        NDJSON event stream until the job ends
-//	GET    /v1/jobs/{id}/artifacts/{kind} Chrome trace / JSON report
+//	GET    /v1/jobs/{id}/artifacts/{kind} Chrome trace / JSON report (410 once the artifact
+//	                                               budget has evicted them; /values still answers)
 //	GET    /v1/experiments               registered experiment IDs
 //	GET    /v1/cache                     result-cache stats: entries, capacity, hits, misses,
-//	                                               coalesced, evictions ({"enabled":false} when off)
+//	                                               coalesced, evictions ({"enabled":false} when off),
+//	                                               and artifactBytes, artifactBudget,
+//	                                               artifactEvictions (counted either way)
 //	GET    /healthz                      liveness + drain state
 //
 // Every per-job route answers 404 for an ID never issued and 410 Gone
@@ -23,7 +26,8 @@
 // so they are byte-identical to a local run with the same parameters.
 // A job renders its values body and an observed job its artifacts once,
 // when its run completes; every fetch from that job, from a cache hit
-// on it, or from a follower coalesced onto it serves those same bytes.
+// on it, or from a follower coalesced onto it serves those same bytes,
+// until the artifact budget (cache.go) evicts the artifacts.
 package serve
 
 import (
@@ -323,10 +327,14 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown artifact %q (want trace or report)", kind))
 		return
 	}
-	b, state := j.artifact(kind)
+	b, state, evicted := j.artifact(kind)
 	if !state.Terminal() {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("serve: job %s is %s; artifacts are available once it finishes", j.ID, state))
+		return
+	}
+	if evicted {
+		writeError(w, http.StatusGone, ErrArtifactsEvicted)
 		return
 	}
 	if b == nil {
@@ -334,17 +342,20 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: job %s has no %s artifact (only successful observed jobs export artifacts)", j.ID, kind))
 		return
 	}
-	// The bytes were rendered when the run finished and are immutable,
-	// so concurrent downloads share them. A write error means the
-	// client went away; there is no one left to report it to.
+	// The bytes were rendered when the run finished and are never
+	// written again, so concurrent downloads share them, and one that
+	// began before the budget revoked them still writes them whole. A
+	// write error means the client went away; there is no one left to
+	// report it to.
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s-%s.json", j.ID, kind))
 	_, _ = w.Write(b)
 }
 
-// handleCache reports result-cache statistics; a daemon started
-// without -cache answers {"enabled": false} and zero stats.
+// handleCache reports result-cache statistics; a daemon started with
+// -cache 0 answers {"enabled": false}, and only its artifact counters
+// move.
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	stats, ok := s.sched.CacheStats()
 	writeJSON(w, http.StatusOK, map[string]any{"enabled": ok, "stats": stats})

@@ -70,16 +70,17 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
 // Exp returns an exponentially distributed duration with the given
-// mean; used for Poisson inter-arrival times.
+// mean; used for Poisson inter-arrival times. A draw past the largest
+// Time saturates there: converting it would overflow.
 func (g *RNG) Exp(mean Time) Time {
 	if mean <= 0 {
 		return 0
 	}
-	d := Time(math.Round(g.r.ExpFloat64() * float64(mean)))
-	if d < 0 {
-		d = 0
+	f := math.Round(g.r.ExpFloat64() * float64(mean))
+	if f >= math.MaxInt64 {
+		return math.MaxInt64
 	}
-	return d
+	return Time(f)
 }
 
 // LogNormal returns a lognormally distributed value with the given

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -184,6 +186,29 @@ func TestRNGExpMean(t *testing.T) {
 	want := float64(10 * Microsecond)
 	if mean < 0.95*want || mean > 1.05*want {
 		t.Errorf("exp mean = %v, want within 5%% of %v", mean, want)
+	}
+}
+
+// TestRNGExpSaturates: a draw past the largest Time returns the
+// largest Time instead of wrapping to a negative value, and every draw
+// that fits is the rounded product it always was.
+func TestRNGExpSaturates(t *testing.T) {
+	const mean = Time(math.MaxInt64 / 2)
+	g, ref := NewRNG(1), rand.New(rand.NewSource(1))
+	saturated := 0
+	for i := 0; i < 1000; i++ {
+		want := Time(math.MaxInt64)
+		if f := math.Round(ref.ExpFloat64() * float64(mean)); f < math.MaxInt64 {
+			want = Time(f)
+		} else {
+			saturated++
+		}
+		if got := g.Exp(mean); got != want {
+			t.Fatalf("draw %d: Exp = %d, want %d", i, got, want)
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no draw reached the largest Time; the test checks nothing")
 	}
 }
 
