@@ -121,7 +121,7 @@ func parseArgs(args []string) cliArgs {
 	fs.IntVar(&a.ctlMax, "ctlmax", 8, "autoscaler ceiling: servers it may add over the base pool")
 	fs.IntVar(&a.ctlShedQ, "ctlshedq", 0, "shed observed-run arrivals when this many requests are outstanding (0 = off)")
 	fs.Float64Var(&a.ctlShedP, "ctlshedp", 0, "shed observed-run arrivals with this probability in [0,1] (0 = off)")
-	fs.IntVar(&a.ctlRetry, "ctlretry", 0, "per-tenant retry budget for timed-out observed-run requests (0 = off)")
+	fs.IntVar(&a.ctlRetry, "ctlretry", 0, "the run's retry budget for timed-out observed-run requests (0 = off)")
 	fs.StringVar(&a.tune, "tune", "", "run a design-space search for this objective: p99, energy, or costperf")
 	fs.IntVar(&a.tuneGens, "tunegens", 0, "max search generations (0 = default)")
 	fs.IntVar(&a.tunePatience, "tunepatience", 0, "stop after this many stagnant generations (0 = default)")

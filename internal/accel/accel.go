@@ -30,7 +30,6 @@ type Entry struct {
 
 	Deadline sim.Time // for the EDF input-dispatcher policy (§IV-C)
 
-	EnqueuedAt sim.Time
 	// LastPEHold records the most recent PE occupancy (load + wipe +
 	// compute), for execution-time breakdowns.
 	LastPEHold sim.Time

@@ -106,6 +106,3 @@ func (a *ATM) VerifyEncodable() error {
 	}
 	return nil
 }
-
-// Size reports the number of registered traces.
-func (a *ATM) Size() int { return len(a.programs) }

@@ -46,25 +46,27 @@ func (v Violation) Error() string {
 
 // Failure wraps all violations of one run into a single error.
 type Failure struct {
+	// Violations holds the first maxReported breaches; Dropped counts
+	// the rest.
 	Violations []Violation
+	Dropped    uint64
 }
 
 func (f *Failure) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "check: %d invariant violation(s):", len(f.Violations))
-	for i, v := range f.Violations {
-		if i == maxReported {
-			fmt.Fprintf(&b, "\n  ... and %d more", len(f.Violations)-maxReported)
-			break
-		}
+	fmt.Fprintf(&b, "check: %d invariant violation(s):", uint64(len(f.Violations))+f.Dropped)
+	for _, v := range f.Violations {
 		b.WriteString("\n  ")
 		b.WriteString(v.Error())
+	}
+	if f.Dropped > 0 {
+		fmt.Fprintf(&b, "\n  ... and %d more", f.Dropped)
 	}
 	return b.String()
 }
 
-// maxReported caps both the stored violation list and the rendered
-// error, so a systematically broken model cannot balloon memory.
+// maxReported caps the stored violation list, so a systematically
+// broken model cannot balloon memory.
 const maxReported = 64
 
 // Checker accumulates runtime observations and verifies invariants.
@@ -122,7 +124,7 @@ func (c *Checker) Err() error {
 	if c == nil || len(c.violations) == 0 {
 		return nil
 	}
-	return &Failure{Violations: c.violations}
+	return &Failure{Violations: c.violations, Dropped: c.dropped}
 }
 
 // Event is the kernel hook (sim.Kernel.OnEvent): it verifies that

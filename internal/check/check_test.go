@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -70,6 +71,27 @@ func TestViolationCapAndRendering(t *testing.T) {
 	one := Violation{Rule: "littles-law", Resource: "cores", At: 7, Detail: "off by one"}
 	if s := one.Error(); !strings.Contains(s, "littles-law") || !strings.Contains(s, "cores") {
 		t.Fatalf("unexpected single-violation rendering: %s", s)
+	}
+}
+
+// TestFailureCountsDroppedViolations: past the stored cap, the error
+// still states the run's true violation count, and its tail names how
+// many it does not list.
+func TestFailureCountsDroppedViolations(t *testing.T) {
+	c := New()
+	for i := 0; i < 70; i++ {
+		c.Violationf("conservation", "", sim.Time(i), "violation %d", i)
+	}
+	msg := c.Err().Error()
+	lines := strings.Split(msg, "\n")
+	if want := "check: 70 invariant violation(s):"; lines[0] != want {
+		t.Errorf("header = %q, want %q", lines[0], want)
+	}
+	if got, want := len(lines), 1+maxReported+1; got != want {
+		t.Errorf("%d lines, want the header, %d violations and a tail", got, maxReported)
+	}
+	if got, want := lines[len(lines)-1], fmt.Sprintf("  ... and %d more", 70-maxReported); got != want {
+		t.Errorf("tail = %q, want %q", got, want)
 	}
 }
 

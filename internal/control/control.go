@@ -15,8 +15,8 @@
 //   - Shed: request-layer load shedding, probabilistic (a dedicated
 //     DeriveSeed(seed, "control/shed") stream) and/or queue-depth
 //     triggered on the controller-observed outstanding count.
-//   - Retry: per-tenant retry budgets for timed-out requests: one
-//     retry per request, after a fixed backoff.
+//   - Retry: the run's retry budget for timed-out requests: one retry
+//     per request, after a fixed backoff.
 //
 // Determinism contract, mirroring internal/fault: every decision is a
 // pure function of (Spec, seed, observed simulation state), so
@@ -115,10 +115,9 @@ type ShedSpec struct {
 	Queue int `json:"queue,omitempty"`
 }
 
-// RetrySpec configures per-tenant retry budgets for timed-out
-// requests.
+// RetrySpec configures the run's retry budget for timed-out requests.
 type RetrySpec struct {
-	// Budget is each tenant's total retry allowance for the run.
+	// Budget is the total retry allowance for the run.
 	Budget int `json:"budget"`
 }
 
@@ -219,7 +218,7 @@ type Controller struct {
 	lastBusy   []sim.Time
 	levelSince sim.Time
 
-	retryLeft map[int]int
+	retryLeft int
 }
 
 // New builds a controller. Derive the seed from the run seed
@@ -234,8 +233,8 @@ func New(spec Spec, seed int64) *Controller {
 	if sh := spec.Shed; sh != nil && sh.Prob > 0 {
 		c.shedRNG = sim.NewRNG(sim.DeriveSeed(seed, "control/shed"))
 	}
-	if r := spec.Retry; r != nil && r.Budget > 0 {
-		c.retryLeft = map[int]int{}
+	if r := spec.Retry; r != nil {
+		c.retryLeft = r.Budget
 	}
 	return c
 }
@@ -294,26 +293,18 @@ func (c *Controller) Shed() bool {
 }
 
 // RetryAfter decides whether a timed-out request may go again,
-// consuming the tenant's budget and returning the backoff delay. A
+// consuming the run's budget and returning the backoff delay. A
 // request that was already retried gets no second retry.
-func (c *Controller) RetryAfter(tenant int, retried bool) (sim.Time, bool) {
+func (c *Controller) RetryAfter(retried bool) (sim.Time, bool) {
 	r := c.Spec.Retry
 	if r == nil || r.Budget <= 0 {
 		return 0, false
 	}
-	if retried {
+	if retried || c.retryLeft <= 0 {
 		c.Stats.RetriesExhausted++
 		return 0, false
 	}
-	left, seen := c.retryLeft[tenant]
-	if !seen {
-		left = r.Budget
-	}
-	if left <= 0 {
-		c.Stats.RetriesExhausted++
-		return 0, false
-	}
-	c.retryLeft[tenant] = left - 1
+	c.retryLeft--
 	c.Stats.Retries++
 	return retryBackoff, true
 }

@@ -169,13 +169,10 @@ func TestControllerZeroRNGContract(t *testing.T) {
 	if c.shedRNG != nil {
 		t.Error("Prob 0 created the shed RNG stream")
 	}
-	if c.retryLeft != nil {
-		t.Error("Budget 0 allocated retry state")
-	}
 	if c.Shed() {
 		t.Error("empty controller shed a request")
 	}
-	if _, ok := c.RetryAfter(0, false); ok {
+	if _, ok := c.RetryAfter(false); ok {
 		t.Error("Budget 0 granted a retry")
 	}
 }
@@ -230,29 +227,27 @@ func TestControllerShedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRetryBudget pins the retry grant rules: per-tenant budgets, one
-// retry per request, and the fixed backoff.
+// TestRetryBudget pins the retry grant rules: one budget for the run,
+// one retry per request, and the fixed backoff.
 func TestRetryBudget(t *testing.T) {
 	c := New(Spec{Retry: &RetrySpec{Budget: 2}}, 1)
 
-	for i := 0; i < 2; i++ {
-		if d, ok := c.RetryAfter(0, false); !ok || d != retryBackoff {
-			t.Fatalf("tenant 0 retry %d = %v/%t, want a %v grant", i, d, ok, retryBackoff)
-		}
-	}
-	// Tenant 0's budget of 2 is spent; tenant 1's is untouched.
-	if _, ok := c.RetryAfter(0, false); ok {
-		t.Fatal("exhausted budget granted a retry")
-	}
-	if d, ok := c.RetryAfter(1, false); !ok || d != retryBackoff {
-		t.Fatalf("tenant 1 retry = %v/%t, want a %v grant", d, ok, retryBackoff)
-	}
-	// A retried request that times out again gets no second retry.
-	if _, ok := c.RetryAfter(1, true); ok {
+	// A retried request that times out again gets no second retry,
+	// and the refusal spends no budget.
+	if _, ok := c.RetryAfter(true); ok {
 		t.Fatal("second attempt granted a retry")
 	}
-	if c.Stats.Retries != 3 || c.Stats.RetriesExhausted != 2 {
-		t.Fatalf("stats = %d granted / %d exhausted, want 3/2", c.Stats.Retries, c.Stats.RetriesExhausted)
+	for i := 0; i < 2; i++ {
+		if d, ok := c.RetryAfter(false); !ok || d != retryBackoff {
+			t.Fatalf("retry %d = %v/%t, want a %v grant", i, d, ok, retryBackoff)
+		}
+	}
+	// The budget of 2 is spent.
+	if _, ok := c.RetryAfter(false); ok {
+		t.Fatal("exhausted budget granted a retry")
+	}
+	if c.Stats.Retries != 2 || c.Stats.RetriesExhausted != 2 {
+		t.Fatalf("stats = %d granted / %d exhausted, want 2/2", c.Stats.Retries, c.Stats.RetriesExhausted)
 	}
 }
 

@@ -99,7 +99,6 @@ type PowerModel struct {
 	CoreIdleW     float64 // per idle core
 	AccelMaxW     float64 // all accelerators at full load (paper: 12.5)
 	OrchMaxW      float64 // queues/dispatchers/DMA/ATM at full load (paper: 5.0)
-	ServerMaxW    float64 // whole server (paper: accelerators are 3.1%)
 	UncoreStaticW float64
 }
 
@@ -110,7 +109,6 @@ func DefaultPower() PowerModel {
 		CoreIdleW:     1.2,
 		AccelMaxW:     12.5,
 		OrchMaxW:      5.0,
-		ServerMaxW:    400,
 		UncoreStaticW: 55,
 	}
 }

@@ -114,6 +114,7 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 	}
 	for _, kd := range config.AllAccelKinds() {
 		a := accel.New(k, cfg, kd, e.Place.AccelNode(kd), rng.Fork(int64(kd)+100), disc)
+		a.OnReady = func(ent *accel.Entry) { e.onPEComplete(a, ent.UserData.(*entryState)) }
 		e.Accels[kd] = a
 	}
 	e.Obs = p.Obs
@@ -444,7 +445,7 @@ func (e *Engine) newEntry(r *request, c *chainState, prog *trace.Program, f trac
 	ent.Entry = accel.Entry{
 		Prog: prog, PC: 0, Flags: f,
 		DataBytes: payload, Tenant: r.job.Tenant,
-		Deadline: r.deadline, EnqueuedAt: e.K.Now(),
+		Deadline: r.deadline,
 	}
 	ent.progBytes = prog.EncodedBytes()
 	ent.chain = c

@@ -11,19 +11,6 @@ import (
 	"accelflow/internal/trace"
 )
 
-// wireAccels connects the accelerators' PE-completion callbacks to the
-// engine's output-dispatcher logic. Called lazily on first use so that
-// tests can construct engines piecemeal.
-func (e *Engine) wireAccels() {
-	if e.Accels[0].OnReady != nil {
-		return
-	}
-	for _, kd := range config.AllAccelKinds() {
-		a := e.Accels[kd]
-		a.OnReady = func(ent *accel.Entry) { e.onPEComplete(a, ent.UserData.(*entryState)) }
-	}
-}
-
 // waitKind names the callback an entry's fn is waiting for.
 type waitKind uint8
 
@@ -205,7 +192,6 @@ func (e *Engine) act(ent *entryState) {
 // interrupt-driven invocation under CPU-Centric, and a software-queue
 // push under Cohort.
 func (e *Engine) enqueueFromCore(ent *entryState) {
-	e.wireAccels()
 	in := ent.Prog.Instrs[ent.PC]
 	if in.Kind != trace.OpInvoke {
 		panic(fmt.Sprintf("engine: chain trace %q does not start with an invoke", ent.Prog.Name))
@@ -251,7 +237,6 @@ func (e *Engine) transfer(ent *entryState, src, dst noc.Node, traceBytes int, th
 // through the shared central queue under base RELIEF, and drawing
 // page-fault exceptions.
 func (e *Engine) deliver(ent *entryState, fromDispatcher bool) {
-	e.wireAccels()
 	a := e.Accels[ent.Prog.Instrs[ent.PC].Accel]
 	if e.Pol.SharedQueue {
 		ent.a = a

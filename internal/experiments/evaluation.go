@@ -301,7 +301,7 @@ func Fig14Throughput(o Options) (*Result, error) {
 						return 0, err
 					}
 					slo := sim.FromMicros(5 * um)
-					measure := func(rps float64) sim.Time {
+					measure := func(rps float64) (sim.Time, error) {
 						// Sustain the load long enough for queues to
 						// reach steady state: at least 40ms of simulated
 						// arrivals, capped so extreme probe loads stay
@@ -315,15 +315,15 @@ func Fig14Throughput(o Options) (*Result, error) {
 						}
 						run, err := runOne(o, config.Default(), pol, svc, workload.Poisson{RPS: rps}, reqs, seed)
 						if err != nil {
-							return sim.Time(1) << 60
+							return 0, err
 						}
-						return run.Net.P99()
+						return run.Net.P99(), nil
 					}
 					tol := 0.08
 					if o.Quick {
 						tol = 0.2
 					}
-					return metrics.ThroughputSearch(measure, slo, 2000, hiCap, tol), nil
+					return metrics.ThroughputSearch(measure, slo, 2000, hiCap, tol)
 				},
 			})
 		}
@@ -401,7 +401,7 @@ func Fig15Coarse(o Options) (*Result, error) {
 						return 0, err
 					}
 					slo := sim.FromMicros(5 * um)
-					measure := func(rps float64) sim.Time {
+					measure := func(rps float64) (sim.Time, error) {
 						spec := &workload.RunSpec{
 							Config:   cfg,
 							Policy:   pol,
@@ -412,15 +412,15 @@ func Fig15Coarse(o Options) (*Result, error) {
 						}
 						run, err := o.run(spec)
 						if err != nil {
-							return sim.Time(1) << 60
+							return 0, err
 						}
-						return run.All.P99()
+						return run.All.P99(), nil
 					}
 					tol := 0.1
 					if o.Quick {
 						tol = 0.25
 					}
-					return metrics.ThroughputSearch(measure, slo, 500, 5e5, tol), nil
+					return metrics.ThroughputSearch(measure, slo, 500, 5e5, tol)
 				},
 			})
 		}

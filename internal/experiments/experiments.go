@@ -79,9 +79,6 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// DefaultOptions is the CLI default.
-func DefaultOptions() Options { return Options{Requests: 2500, Seed: 1} }
-
 func (o Options) reqs() int {
 	n := o.Requests
 	if n <= 0 {

@@ -61,9 +61,6 @@ func TestOptionsScaling(t *testing.T) {
 	if (Options{Requests: 100, Quick: true}).reqs() != 100 {
 		t.Error("Quick should not raise small budgets")
 	}
-	if DefaultOptions().Requests <= 0 {
-		t.Error("DefaultOptions has no budget")
-	}
 }
 
 // TestFig1ShapeMatchesPaper checks the headline Fig. 1 claim at test

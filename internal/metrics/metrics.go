@@ -137,19 +137,24 @@ func Sizes(samples []int) SizeStats {
 // measured P99 stays within the SLO, via bracketed binary search.
 // measure runs a fresh simulation at the given load and returns its
 // P99. The search doubles from loStart until violation (or hiCap), then
-// bisects to the given relative tolerance.
-func ThroughputSearch(measure func(rps float64) sim.Time, slo sim.Time, loStart, hiCap float64, tol float64) float64 {
+// bisects to the given relative tolerance. A probe that fails is not a
+// latency: the search stops and returns its error.
+func ThroughputSearch(measure func(rps float64) (sim.Time, error), slo sim.Time, loStart, hiCap float64, tol float64) (float64, error) {
 	if loStart <= 0 {
 		loStart = 100
 	}
 	if slo <= 0 {
-		return 0
+		return 0, nil
 	}
 	lo := 0.0
 	hi := loStart
 	// Grow until the SLO is violated.
 	for hi < hiCap {
-		if measure(hi) > slo {
+		p99, err := measure(hi)
+		if err != nil {
+			return 0, err
+		}
+		if p99 > slo {
 			break
 		}
 		lo = hi
@@ -162,11 +167,15 @@ func ThroughputSearch(measure func(rps float64) sim.Time, slo sim.Time, loStart,
 	// finite when even the starting load violates the SLO.
 	for hi-lo > tol*hi && hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if measure(mid) <= slo {
+		p99, err := measure(mid)
+		if err != nil {
+			return 0, err
+		}
+		if p99 <= slo {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, nil
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -90,29 +91,29 @@ func TestSizes(t *testing.T) {
 
 func TestThroughputSearchFindsKnee(t *testing.T) {
 	// Synthetic system: P99 = 10us below 50k rps, 100us above.
-	measure := func(rps float64) sim.Time {
+	measure := func(rps float64) (sim.Time, error) {
 		if rps <= 50000 {
-			return 10 * sim.Microsecond
+			return 10 * sim.Microsecond, nil
 		}
-		return 100 * sim.Microsecond
+		return 100 * sim.Microsecond, nil
 	}
-	got := ThroughputSearch(measure, 50*sim.Microsecond, 1000, 1e6, 0.02)
+	got, _ := ThroughputSearch(measure, 50*sim.Microsecond, 1000, 1e6, 0.02)
 	if got < 45000 || got > 50000 {
 		t.Errorf("knee found at %v, want ~50000", got)
 	}
 }
 
 func TestThroughputSearchAllPass(t *testing.T) {
-	measure := func(float64) sim.Time { return sim.Microsecond }
-	got := ThroughputSearch(measure, 10*sim.Microsecond, 1000, 1e5, 0.05)
+	measure := func(float64) (sim.Time, error) { return sim.Microsecond, nil }
+	got, _ := ThroughputSearch(measure, 10*sim.Microsecond, 1000, 1e5, 0.05)
 	if got < 0.9e5 {
 		t.Errorf("unconstrained system capped at %v", got)
 	}
 }
 
 func TestThroughputSearchAllFail(t *testing.T) {
-	measure := func(float64) sim.Time { return sim.Second }
-	got := ThroughputSearch(measure, sim.Microsecond, 1000, 1e5, 0.05)
+	measure := func(float64) (sim.Time, error) { return sim.Second, nil }
+	got, _ := ThroughputSearch(measure, sim.Microsecond, 1000, 1e5, 0.05)
 	if got > 1000 {
 		t.Errorf("hopeless system reported %v", got)
 	}
@@ -120,12 +121,41 @@ func TestThroughputSearchAllFail(t *testing.T) {
 
 func TestThroughputSearchMonotoneSystem(t *testing.T) {
 	// P99 grows linearly with load; SLO crossed at 30k.
-	measure := func(rps float64) sim.Time {
-		return sim.Time(rps * float64(sim.Microsecond) / 1000)
+	measure := func(rps float64) (sim.Time, error) {
+		return sim.Time(rps * float64(sim.Microsecond) / 1000), nil
 	}
-	got := ThroughputSearch(measure, 30*sim.Microsecond, 500, 1e6, 0.02)
+	got, _ := ThroughputSearch(measure, 30*sim.Microsecond, 500, 1e6, 0.02)
 	if got < 28000 || got > 30000 {
 		t.Errorf("found %v, want ~30000", got)
+	}
+}
+
+// TestThroughputSearchStopsOnProbeError: a failed probe is an error,
+// not a latency. The search returns the probe's error and runs no
+// further probe, whether the failure comes while growing or while
+// bisecting.
+func TestThroughputSearchStopsOnProbeError(t *testing.T) {
+	errProbe := errors.New("probe failed")
+	// Knee at 30k: the search grows 1k..32k, then bisects.
+	for _, failAt := range []int{1, 3, 7} {
+		probes := 0
+		measure := func(rps float64) (sim.Time, error) {
+			probes++
+			if probes == failAt {
+				return 0, errProbe
+			}
+			return sim.Time(rps * float64(sim.Microsecond) / 1000), nil
+		}
+		got, err := ThroughputSearch(measure, 30*sim.Microsecond, 1000, 1e6, 0.02)
+		if !errors.Is(err, errProbe) {
+			t.Errorf("failure at probe %d: err = %v, want the probe's error", failAt, err)
+		}
+		if got != 0 {
+			t.Errorf("failure at probe %d: returned %v rps alongside the error", failAt, got)
+		}
+		if probes != failAt {
+			t.Errorf("failure at probe %d: ran %d probes, want none after the failure", failAt, probes)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func emptySink() *Sink {
 // and sample path exercised: request -> step -> chain -> entry, queue
 // and compute segments, a remote wait, and one time series.
 func singleRequestSink() *Sink {
-	s := New(WithSampleInterval(5 * sim.Microsecond))
+	s := New()
 	clk := &tick{}
 	s.SetClock(clk)
 

@@ -210,8 +210,7 @@ type Series struct {
 //
 // A nil *Sink is valid everywhere and records nothing.
 type Sink struct {
-	clock    Clock
-	interval sim.Time
+	clock Clock
 
 	// spans and segs are the chunked slabs; span i is
 	// spans[i>>spanShift][i&(spanChunk-1)], and likewise for segments.
@@ -240,43 +239,29 @@ type Sink struct {
 // handleChunk is the Span-handle arena chunk size.
 const handleChunk = 256
 
-// Option configures a Sink.
-type Option func(*Sink)
-
-// WithSampleInterval sets the utilization sampling period (default
-// 20us). The sampler itself is driven by the harness (workload.RunSpec)
-// via sim.Kernel.Every.
-func WithSampleInterval(d sim.Time) Option {
-	return func(s *Sink) {
-		if d > 0 {
-			s.interval = d
-		}
-	}
-}
+// sampleInterval is the utilization sampling period. The sampler
+// itself is driven by the harness (workload.RunSpec) via
+// sim.Kernel.Every.
+const sampleInterval = 20 * sim.Microsecond
 
 // New returns an empty Sink.
-func New(opts ...Option) *Sink {
-	s := &Sink{
-		interval: 20 * sim.Microsecond,
-		nameIdx:  map[string]int32{},
-		attrIdx:  map[attrKey]int32{},
-		byName:   map[string]*Series{},
+func New() *Sink {
+	return &Sink{
+		nameIdx: map[string]int32{},
+		attrIdx: map[attrKey]int32{},
+		byName:  map[string]*Series{},
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // Enabled reports whether the sink is recording (non-nil).
 func (s *Sink) Enabled() bool { return s != nil }
 
-// SampleInterval returns the configured sampling period (0 when nil).
+// SampleInterval returns the sampling period (0 when nil).
 func (s *Sink) SampleInterval() sim.Time {
 	if s == nil {
 		return 0
 	}
-	return s.interval
+	return sampleInterval
 }
 
 // SetClock binds the simulated time source. Idempotent; later calls

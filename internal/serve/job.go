@@ -309,12 +309,11 @@ type Job struct {
 	// read-only after.
 	flight *flight
 
-	mu              sync.Mutex
-	state           JobState
-	errMsg          string
-	cancel          func() // non-nil while running
-	cancelRequested bool
-	cellsDone       int
+	mu        sync.Mutex
+	state     JobState
+	errMsg    string
+	cancel    func() // non-nil while running
+	cellsDone int
 	// result is the finished job's values, lines, and artifact bytes
 	// (nil until it succeeds). Set once, and shared read-only with its
 	// cache entry and coalesced followers; the artifact budget may
@@ -421,7 +420,6 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 func (j *Job) requestCancel() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.cancelRequested = true
 	switch j.state {
 	case StateQueued:
 		j.finishLocked(StateCancelled, "cancelled before start")

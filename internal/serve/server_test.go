@@ -8,11 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"accelflow/internal/experiments"
 )
 
 // testServer boots a scheduler (real runner unless runFn is given)
@@ -499,13 +502,20 @@ func TestRemovedKnobsRejected(t *testing.T) {
 	}
 }
 
-// TestUnencodableValuesFailJob: a quick fig15 at one request ends with
-// NaN throughput ratios, which JSON cannot encode. The job fails with
-// an error naming those keys, /values answers 409 rather than 200 with
-// an empty body, and nothing is cached: a resubmission runs again.
+// TestUnencodableValuesFailJob: an experiment whose Values hold NaN,
+// which JSON cannot encode, fails its job with an error naming those
+// keys, /values answers 409 rather than 200 with an empty body, and
+// nothing is cached: a resubmission runs again.
 func TestUnencodableValuesFailJob(t *testing.T) {
+	nan := math.NaN()
+	experiments.Registry["nan"] = func(experiments.Options) (*experiments.Result, error) {
+		return &experiments.Result{Name: "nan", Values: map[string]float64{
+			"CannyEdge/ratio": nan, "HarrisCorner/ratio": nan, "avg_ratio": nan,
+		}}, nil
+	}
+	t.Cleanup(func() { delete(experiments.Registry, "nan") })
 	sched, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, CacheEntries: 64}, nil)
-	const body = `{"type":"experiment","experiment":"fig15","requests":1,"quick":true}`
+	const body = `{"type":"experiment","experiment":"nan","requests":1,"quick":true}`
 	for round := 0; round < 2; round++ {
 		view := decodeView(t, postJSON(t, ts.URL+"/v1/jobs", body))
 		evs := drainProgress(t, ts.URL+"/v1/jobs/"+view.ID+"/progress")

@@ -229,8 +229,8 @@ func TestServicesHaveValidSteps(t *testing.T) {
 					}
 				}
 			}
-			j := svc.Job(3)
-			if j.Tenant != 3 || j.Service != svc.Name {
+			j := svc.Job()
+			if j.Service != svc.Name {
 				t.Errorf("%s Job() lost fields", svc.Name)
 			}
 		}

@@ -30,14 +30,13 @@ type Service struct {
 }
 
 // Job materializes one request of the service.
-func (s *Service) Job(tenant int) *engine.Job {
+func (s *Service) Job() *engine.Job {
 	return &engine.Job{
 		Service:       s.Name,
 		Steps:         s.Steps,
 		Probs:         s.Probs,
 		PayloadMedian: s.PayloadMedian,
 		PayloadSigma:  s.PayloadSigma,
-		Tenant:        tenant,
 		SLO:           sim.FromMicros(s.SLOus),
 	}
 }

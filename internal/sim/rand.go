@@ -100,13 +100,3 @@ func (g *RNG) Pareto(min float64, alpha float64, max float64) float64 {
 	}
 	return v
 }
-
-// Normal returns a normal sample with the given mean and stddev,
-// truncated below at lo.
-func (g *RNG) Normal(mean, stddev, lo float64) float64 {
-	v := mean + g.r.NormFloat64()*stddev
-	if v < lo {
-		v = lo
-	}
-	return v
-}

@@ -243,15 +243,6 @@ func TestRNGParetoBounds(t *testing.T) {
 	}
 }
 
-func TestRNGNormalTruncation(t *testing.T) {
-	g := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		if v := g.Normal(1, 10, 0.5); v < 0.5 {
-			t.Fatalf("truncated normal returned %v < 0.5", v)
-		}
-	}
-}
-
 func TestRNGBoolProbability(t *testing.T) {
 	g := NewRNG(9)
 	hits := 0

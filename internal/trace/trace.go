@@ -376,17 +376,6 @@ func (p *Program) HasBranch() bool {
 	return false
 }
 
-// BranchCount counts real conditionals.
-func (p *Program) BranchCount() int {
-	n := 0
-	for _, in := range p.Instrs {
-		if in.Kind == OpBranch && in.Cond != CondNone {
-			n++
-		}
-	}
-	return n
-}
-
 // Invocations walks the program with the given flags and returns the
 // accelerator sequence executed, the transforms crossed, and the tail
 // name ("" if the trace ends).
@@ -407,29 +396,6 @@ func (p *Program) Invocations(f Flags) (accels []config.AccelKind, transforms in
 		pc = p.Next(pc, f)
 	}
 	return accels, transforms, ""
-}
-
-// MaxInvocations returns the largest number of accelerator invocations
-// over all 32 flag combinations (useful for capacity reasoning).
-func (p *Program) MaxInvocations() int {
-	max := 0
-	for f := 0; f < 32; f++ {
-		a, _, _ := p.Invocations(Flags(f))
-		if len(a) > max {
-			max = len(a)
-		}
-	}
-	return max
-}
-
-// FirstAccel returns the first accelerator the trace invokes for the
-// given flags (the Enqueue target), or false if the trace invokes none.
-func (p *Program) FirstAccel(f Flags) (config.AccelKind, bool) {
-	a, _, _ := p.Invocations(f)
-	if len(a) == 0 {
-		return 0, false
-	}
-	return a[0], true
 }
 
 // String renders a human-readable disassembly.

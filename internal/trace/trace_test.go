@@ -67,16 +67,6 @@ func TestBranchMetadata(t *testing.T) {
 	if !p.HasBranch() {
 		t.Error("HasBranch = false")
 	}
-	if p.BranchCount() != 1 {
-		t.Errorf("BranchCount = %d, want 1", p.BranchCount())
-	}
-	if p.MaxInvocations() != 6 {
-		t.Errorf("MaxInvocations = %d, want 6", p.MaxInvocations())
-	}
-	first, ok := p.FirstAccel(0)
-	if !ok || first != config.TCP {
-		t.Errorf("FirstAccel = %v,%v, want TCP,true", first, ok)
-	}
 }
 
 func TestTailInBranchArm(t *testing.T) {

@@ -10,8 +10,8 @@
 // (Params.Seed, candidate key) via sim.DeriveSeed, and each
 // generation's batch fans out through experiments.RunCells — the same
 // worker pool the sweeps use — so a search is bit-reproducible at any
-// parallelism, and a revisited candidate is served from the cell
-// cache instead of re-simulating. All mutable search state lives in a
+// parallelism, and a revisited candidate is served from the run's
+// memo instead of re-simulating. All mutable search state lives in a
 // serializable SearchState, making an interrupted search resumable
 // with a byte-identical trajectory.
 package tune
@@ -226,15 +226,6 @@ func DefaultSpace() SpaceSpec {
 // Start is the search's deterministic starting candidate: the first
 // level of every dimension.
 func (s *Space) Start() []int { return make([]int, len(s.Dims)) }
-
-// Size is the candidate count (the product of the level counts).
-func (s *Space) Size() int {
-	n := 1
-	for _, d := range s.Dims {
-		n *= len(d.Levels)
-	}
-	return n
-}
 
 // Key renders a candidate's canonical identity: "name=label" pairs in
 // dimension order. The key names the candidate's RNG stream (via

@@ -48,9 +48,6 @@ func TestSpaceKeyAndStart(t *testing.T) {
 		PEs:      []int{8, 4},
 		Policies: []string{"accelflow", "relief"},
 	})
-	if got, want := sp.Size(), 8; got != want {
-		t.Fatalf("Size = %d, want %d", got, want)
-	}
 	start := sp.Start()
 	if got, want := sp.Key(start), "chiplets=2,pes=8,policy=accelflow"; got != want {
 		t.Fatalf("Key(start) = %q, want %q", got, want)

@@ -202,7 +202,7 @@ func bookFleetArrivals(sources []Source, times []sim.Time, srcs []int, rr *RunRe
 	}
 	submit := make([]func(), len(sources))
 	for si, src := range sources {
-		job := src.Service.Job(src.Tenant)
+		job := src.Service.Job()
 		rec := rr.PerService[src.Service.Name]
 		done := func(r engine.Result) {
 			rr.count(r)

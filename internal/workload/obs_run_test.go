@@ -93,7 +93,7 @@ func TestObservedMixInvariants(t *testing.T) {
 // must produce every documented series, with timestamps advancing by
 // the sample interval and values in [0,1].
 func TestSamplerRecordsUtilizationSeries(t *testing.T) {
-	sink := obs.New(obs.WithSampleInterval(10 * sim.Microsecond))
+	sink := obs.New()
 	svc := services.SocialNetwork()[6]
 	spec := &RunSpec{
 		Config:  config.Default(),
@@ -125,7 +125,7 @@ func TestSamplerRecordsUtilizationSeries(t *testing.T) {
 			continue
 		}
 		for i, ts := range sv.Times {
-			if wantTS := sim.Time(i+1) * 10 * sim.Microsecond; ts != wantTS {
+			if wantTS := sim.Time(i+1) * sink.SampleInterval(); ts != wantTS {
 				t.Errorf("%s: sample %d at %v, want %v", name, i, ts, wantTS)
 				break
 			}

@@ -22,7 +22,6 @@ type Source struct {
 	Service  *services.Service
 	Arrivals Arrivals
 	Requests int
-	Tenant   int
 }
 
 // RunResult aggregates a finished simulation.
@@ -80,8 +79,8 @@ type RunSpec struct {
 	Faults *fault.Spec
 	// Control, when non-nil, attaches the dynamic-control subsystem
 	// seeded with DeriveSeed(Seed, "control"): an autoscaler over the
-	// PE pools or the core pool, request-layer load shedding, and
-	// per-tenant retry budgets. A controller whose policies can never
+	// PE pools or the core pool, request-layer load shedding, and the
+	// run's retry budget. A controller whose policies can never
 	// fire draws from no RNG stream and leaves results bit-identical to
 	// Control == nil except that its decision tick, like the obs
 	// sampler, may extend Elapsed by up to one interval past the last
@@ -385,7 +384,7 @@ type stream struct {
 
 func newStream(res *RunResult, ctl *control.Controller, src Source) *stream {
 	st := &stream{res: res, rec: res.service(src.Service.Name), ctl: ctl, src: src,
-		job: src.Service.Job(src.Tenant)}
+		job: src.Service.Job()}
 	st.done = func(r engine.Result) { st.complete(r, false) }
 	st.retryDone = func(r engine.Result) { st.complete(r, true) }
 	return st
@@ -459,7 +458,7 @@ func (st *stream) complete(r engine.Result, retried bool) {
 		e := st.res.Engine
 		st.ctl.NoteDone(e.K.Now(), r.Latency)
 		if r.TimedOut {
-			if backoff, ok := st.ctl.RetryAfter(st.src.Tenant, retried); ok {
+			if backoff, ok := st.ctl.RetryAfter(retried); ok {
 				st.res.Retries++
 				e.K.After(backoff, func() { st.submit(st.retryDone) })
 				return

@@ -239,13 +239,13 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRepeatedServiceKeepsEverySample: two sources of one service
-// (two tenants) share that service's recorder, so PerService counts
+// share that service's recorder, so PerService counts
 // both sources' requests in a single server and in a fleet alike.
 func TestRepeatedServiceKeepsEverySample(t *testing.T) {
 	svc := services.SocialNetwork()[4] // Login
 	sources := []Source{
 		{Service: svc, Arrivals: Poisson{RPS: 3000}, Requests: 40},
-		{Service: svc, Arrivals: Poisson{RPS: 3000}, Requests: 60, Tenant: 1},
+		{Service: svc, Arrivals: Poisson{RPS: 3000}, Requests: 60},
 	}
 	run, err := (&RunSpec{Config: config.Default(), Policy: engine.AccelFlow(), Sources: sources, Seed: 3}).Run()
 	if err != nil {
