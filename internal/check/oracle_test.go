@@ -70,7 +70,7 @@ func simQueue(t *testing.T, seed int64, lambda float64, k int, n int, draw func(
 	if err := c.Err(); err != nil {
 		t.Fatalf("oracle queue violated invariants: %v", err)
 	}
-	return r.MeanWait()
+	return sim.Time(int64(r.WaitTime) / int64(r.TaskCount))
 }
 
 // relErr is the simulated-vs-analytic relative error.

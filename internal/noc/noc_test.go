@@ -58,7 +58,7 @@ func TestTransferTimeSerialization(t *testing.T) {
 		t.Error("serialization did not grow with payload")
 	}
 	// 64KB over 16B*2.4GHz = 38.4 B/ns -> ~1706ns.
-	delta := (big - small).Nanos()
+	delta := float64(big-small) / float64(sim.Nanosecond)
 	if delta < 1500 || delta > 1900 {
 		t.Errorf("64KB serialization delta = %vns, want ~1706ns", delta)
 	}

@@ -43,9 +43,6 @@ func (t Time) String() string {
 // Micros returns the time as a float64 number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Nanos returns the time as a float64 number of nanoseconds.
-func (t Time) Nanos() float64 { return float64(t) / float64(Nanosecond) }
-
 // Seconds returns the time as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

@@ -41,9 +41,6 @@ func TestTimeConversions(t *testing.T) {
 	if (2 * Second).Seconds() != 2.0 {
 		t.Errorf("Seconds() = %v", (2 * Second).Seconds())
 	}
-	if (5 * Nanosecond).Nanos() != 5.0 {
-		t.Errorf("Nanos() = %v", (5 * Nanosecond).Nanos())
-	}
 }
 
 func TestKernelOrdering(t *testing.T) {

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // eventQueue is the kernel's pending-event store: a concrete binary
 // min-heap popping in strict (at, seq) order — the total order that
 // makes runs deterministic. Unlike container/heap there is no
@@ -21,6 +23,9 @@ package sim
 // finish pops it. Replacing the root with any key and sifting down
 // leaves a valid heap, and (at, seq) is a total order over unique
 // keys, so the pop sequence is the one a pop-then-push heap gives.
+//
+// down picks the smaller child without a branch, by adding evLess's
+// 0/1 result to the left child's index.
 type eventQueue struct {
 	heap []event
 	// running is 1 while heap[0] is the executing event, whose slot the
@@ -29,9 +34,15 @@ type eventQueue struct {
 	running int
 }
 
-// evLess is the total event order: time, then scheduling sequence.
-func evLess(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// evLess is the total event order, time then scheduling sequence: it
+// returns 1 if a precedes b and 0 otherwise. The result is the borrow
+// out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq), which
+// orders the pair as unsigned integers; that is the signed order
+// because the kernel never holds a negative time.
+func evLess(a, b *event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
 
 // Len reports queued events, not counting a running root.
@@ -71,7 +82,7 @@ func (q *eventQueue) push(e event) {
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !evLess(&s[i], &s[p]) {
+		if evLess(&s[i], &s[p]) == 0 {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -101,10 +112,10 @@ func (q *eventQueue) down() {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && evLess(&s[r], &s[l]) {
-			m = r
+		if l+1 < n {
+			m += int(evLess(&s[l+1], &s[l]))
 		}
-		if !evLess(&s[m], &s[i]) {
+		if evLess(&s[m], &s[i]) == 0 {
 			break
 		}
 		s[i], s[m] = s[m], s[i]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -28,9 +29,13 @@ func (h *refHeap) Pop() interface{} {
 
 // queueRegime is one random stream shape. Delta draws the offset of a
 // new event's timestamp from the current simulated time.
+// Start and firstSeq, when set, place the stream's clock and sequence
+// numbers far from zero.
 type queueRegime struct {
-	name  string
-	delta func(r *rand.Rand) Time
+	name     string
+	delta    func(r *rand.Rand) Time
+	start    Time
+	firstSeq uint64
 }
 
 // serviceScale is the accelerator service-time scale (2^20 ps ~= 1.05us) the
@@ -46,24 +51,33 @@ const serviceScale = Time(1) << 20
 func TestEventQueueDifferential(t *testing.T) {
 	regimes := []queueRegime{
 		// Sub-service-time offsets on a coarse grid: heavy tie ordering.
-		{"dense-ties", func(r *rand.Rand) Time {
+		{name: "dense-ties", delta: func(r *rand.Rand) Time {
 			return Time(r.Intn(3)) * (serviceScale / 4)
 		}},
 		// Service-time scale offsets spread over 128 service times.
-		{"near-window", func(r *rand.Rand) Time {
+		{name: "near-window", delta: func(r *rand.Rand) Time {
 			return Time(r.Int63n(128 * int64(serviceScale)))
 		}},
 		// Mostly near, occasionally very far: a bimodal heap.
-		{"far-refill", func(r *rand.Rand) Time {
+		{name: "far-refill", delta: func(r *rand.Rand) Time {
 			if r.Intn(8) == 0 {
 				return Time(r.Int63n(int64(serviceScale) * 256 * 50))
 			}
 			return Time(r.Int63n(int64(serviceScale) * 4))
 		}},
 		// Pre-scheduled-arrival shape: a huge spread.
-		{"arrivals", func(r *rand.Rand) Time {
+		{name: "arrivals", delta: func(r *rand.Rand) Time {
 			return Time(r.Int63n(int64(Millisecond)))
 		}},
+		// Times above 2^62 ps and sequence numbers above 2^32, so the
+		// compare's high words carry the order; offsets up to 2^40
+		// also differ in the high bits of the low word.
+		{name: "high-bits", delta: func(r *rand.Rand) Time {
+			if r.Intn(4) == 0 {
+				return Time(r.Intn(2))
+			}
+			return Time(r.Int63n(1 << 40))
+		}, start: 1<<62 + 1<<61, firstSeq: 1<<32 + 7},
 	}
 	for _, reg := range regimes {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -71,8 +85,8 @@ func TestEventQueueDifferential(t *testing.T) {
 				r := rand.New(rand.NewSource(seed * 7919))
 				var q eventQueue
 				ref := refHeap{}
-				var now Time // kernel invariant: pushes are never in the past
-				var seq uint64
+				now := reg.start // kernel invariant: pushes are never in the past
+				seq := reg.firstSeq
 				push := func() {
 					seq++
 					e := event{at: now + reg.delta(r), seq: seq}
@@ -139,6 +153,38 @@ func TestEventQueueSameInstantOrder(t *testing.T) {
 		e := q.pop()
 		if e.seq != uint64(i+1) {
 			t.Fatalf("pop %d: seq %d, want %d", i, e.seq, i+1)
+		}
+	}
+}
+
+// TestEvLess pins the branch-free compare to the (at, seq) order at its
+// edges: ties on at, times that differ only in high bits, and the
+// largest time.
+func TestEvLess(t *testing.T) {
+	const max = Time(math.MaxInt64)
+	cases := []struct {
+		a, b event
+		want uint64
+	}{
+		{event{at: 5, seq: 1}, event{at: 5, seq: 2}, 1},
+		{event{at: 5, seq: 2}, event{at: 5, seq: 1}, 0},
+		{event{at: 5, seq: 3}, event{at: 5, seq: 3}, 0},
+		{event{at: 5, seq: 0}, event{at: 5, seq: math.MaxUint64}, 1},
+		{event{at: 5, seq: math.MaxUint64}, event{at: 5, seq: 0}, 0},
+		{event{at: 1 << 40, seq: 9}, event{at: 1<<40 | 1<<62, seq: 1}, 1},
+		{event{at: 1<<40 | 1<<62, seq: 1}, event{at: 1 << 40, seq: 9}, 0},
+		{event{at: 1 << 61, seq: math.MaxUint64}, event{at: 1 << 62, seq: 0}, 1},
+		{event{at: 1 << 62, seq: 0}, event{at: 1 << 61, seq: math.MaxUint64}, 0},
+		{event{at: max - 1, seq: 1 << 40}, event{at: max, seq: 1}, 1},
+		{event{at: max, seq: 1}, event{at: max - 1, seq: 1 << 40}, 0},
+		{event{at: max, seq: 1}, event{at: max, seq: 2}, 1},
+		{event{at: max, seq: 2}, event{at: max, seq: 1}, 0},
+		{event{at: 0, seq: math.MaxUint64}, event{at: max, seq: 0}, 1},
+		{event{at: max, seq: 0}, event{at: 0, seq: math.MaxUint64}, 0},
+	}
+	for _, c := range cases {
+		if got := evLess(&c.a, &c.b); got != c.want {
+			t.Errorf("evLess((%d, %d), (%d, %d)) = %d, want %d", c.a.at, c.a.seq, c.b.at, c.b.seq, got, c.want)
 		}
 	}
 }

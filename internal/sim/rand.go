@@ -17,13 +17,22 @@ import (
 // still produce bit-identical results at any worker count: a cell's
 // stream depends only on (root seed, cell key), never on which
 // goroutine ran it or in what order.
+//
+// The stream is exactly rand.New(rand.NewSource(seed))'s. RNG owns its
+// copy of math/rand's source, so Float64 and Bool draw from it
+// directly, with no rand.Source interface call; the other
+// distributions run on a rand.Rand over the same source.
 type RNG struct {
-	r *rand.Rand
+	src source
+	r   *rand.Rand
 }
 
 // NewRNG returns a deterministic stream for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
 
 // mix64 is the splitmix64 finalizer (Steele et al., "Fast splittable
@@ -42,7 +51,7 @@ func mix64(x uint64) uint64 {
 // which plain multiplicative salting degenerates to no salting at all)
 // still select well-separated streams.
 func (g *RNG) Fork(salt int64) *RNG {
-	return NewRNG(int64(mix64(uint64(g.r.Int63()) ^ mix64(uint64(salt)))))
+	return NewRNG(int64(mix64(uint64(g.src.Int63()) ^ mix64(uint64(salt)))))
 }
 
 // DeriveSeed maps (seed, key) to a child seed, deterministically and
@@ -60,14 +69,21 @@ func DeriveSeed(seed int64, key string) int64 {
 	return int64(mix64(uint64(seed) ^ mix64(h)))
 }
 
-// Float64 returns a uniform value in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform value in [0,1), drawn as rand.Rand.Float64
+// draws it.
+func (g *RNG) Float64() float64 {
+	for {
+		if f := float64(g.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform int in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
 // Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
+func (g *RNG) Bool(p float64) bool { return g.Float64() < p }
 
 // Exp returns an exponentially distributed duration with the given
 // mean; used for Poisson inter-arrival times. A draw past the largest
@@ -93,7 +109,7 @@ func (g *RNG) LogNormal(median float64, sigma float64) float64 {
 // Pareto returns a bounded Pareto sample with the given minimum and
 // shape alpha, capped at max. Used for bursty serverless arrivals.
 func (g *RNG) Pareto(min float64, alpha float64, max float64) float64 {
-	u := g.r.Float64()
+	u := g.Float64()
 	v := min / math.Pow(1-u, 1/alpha)
 	if v > max {
 		v = max

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -123,5 +124,56 @@ func TestDeriveSeedStreamsIndependent(t *testing.T) {
 	b := draws(NewRNG(DeriveSeed(1, "cell/b")), n)
 	if r := corr(a, b); math.Abs(r) > 0.08 {
 		t.Errorf("derived-seed streams correlated: r=%.3f", r)
+	}
+}
+
+// TestStreamMatchesMathRand pins RNG to math/rand: for every seed the
+// source must yield rand.NewSource(seed)'s stream, through direct draws
+// (Int63, Float64) and through the rand.Rand distributions
+// (ExpFloat64, NormFloat64, Intn) interleaved on one stream. The seeds
+// cover math/rand's normalisation (0 becomes 89482311, negatives wrap,
+// multiples of 2^31−1 reduce to 0) and the derived seeds the sweep
+// engine uses.
+func TestStreamMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	seeds := []int64{0, 1, -1, 2, -2, 89482311, m, -m, 2 * m, -2 * m, 3 * m, m - 1, m + 1,
+		1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64, math.MaxInt64 / m * m}
+	for i := 0; i < 2000; i++ {
+		seeds = append(seeds, DeriveSeed(int64(i), "stream"))
+	}
+	const draws = 3000
+	for _, seed := range seeds {
+		g := NewRNG(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < draws; i++ {
+			if got, want := g.src.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d draw %d: Int63 = %d, want %d", seed, i, got, want)
+			}
+			if got, want := g.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 = %v, want %v", seed, i, got, want)
+			}
+			if got, want := g.r.ExpFloat64(), ref.ExpFloat64(); got != want {
+				t.Fatalf("seed %d draw %d: ExpFloat64 = %v, want %v", seed, i, got, want)
+			}
+			if got, want := g.r.NormFloat64(), ref.NormFloat64(); got != want {
+				t.Fatalf("seed %d draw %d: NormFloat64 = %v, want %v", seed, i, got, want)
+			}
+			// Small bounds take Int31n's path, large ones Int63n's.
+			n := 1 + i%1000
+			if i%2 == 1 {
+				n = 1<<40 + i
+			}
+			if got, want := g.Intn(n), ref.Intn(n); got != want {
+				t.Fatalf("seed %d draw %d: Intn(%d) = %d, want %d", seed, i, n, got, want)
+			}
+		}
+	}
+}
+
+var rngSink *RNG
+
+func BenchmarkNewRNG(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		rngSink = NewRNG(int64(i))
 	}
 }

@@ -120,7 +120,6 @@ type Resource struct {
 	BusyTime  Time // summed over servers
 	WaitTime  Time // summed queueing delay
 	TaskCount uint64
-	MaxQueue  int
 
 	// Occupancy integrals, advanced lazily on every queue/busy change.
 	// qArea is ∫(queue length)dt in task-picoseconds; at any instant it
@@ -254,37 +253,31 @@ func (r *Resource) resize() {
 	r.tryStart()
 }
 
-// Submit enqueues a task. If a server is free it starts immediately.
+// Submit enqueues a task. If a server is free and nothing is queued it
+// starts at once, without a round trip through the queue.
 func (r *Resource) Submit(t *Task) {
 	r.advance()
+	if r.busy < r.Servers && len(r.q.tasks) == 0 {
+		r.start(t)
+		return
+	}
 	r.seq++
 	t.seq = r.seq
 	t.enq = r.k.Now()
 	r.q.push(t)
-	if len(r.q.tasks) > r.MaxQueue {
-		r.MaxQueue = len(r.q.tasks)
-	}
 	r.tryStart()
 }
 
 // Do is shorthand for submitting a FIFO task with only a hold and a
 // completion callback. When a server is free and nothing is queued it
-// skips the Task allocation and queue round trip entirely — the
-// accounting below is exactly what Submit+tryStart would have done
-// for an immediately-admitted Task (zero wait, nil Started), and the
-// completion is scheduled from the same program point, so kernel event
-// order and every statistic except MaxQueue (which no longer counts
-// the instantaneously-popped task) are bit-identical to the slow path.
-// A task that has to queue comes from the resource's free list and
-// returns to it when admitted, so the busy path allocates nothing
-// either once the list has warmed up.
+// starts the task at once from a Task on the stack, as Submit does, so
+// it allocates nothing. A task that has to queue comes from the
+// resource's free list and returns to it when admitted, so the busy
+// path allocates nothing either once the list has warmed up.
 func (r *Resource) Do(hold Time, done func()) {
 	if r.busy < r.Servers && len(r.q.tasks) == 0 {
 		r.advance()
-		r.busy++
-		r.TaskCount++
-		r.BusyTime += hold
-		r.complete(done, hold)
+		r.start(&Task{Hold: hold, Done: done})
 		return
 	}
 	t := r.freeTask
@@ -312,22 +305,28 @@ func (r *Resource) Idle() bool { return r.busy == 0 && len(r.q.tasks) == 0 }
 func (r *Resource) tryStart() {
 	for r.busy < r.Servers && len(r.q.tasks) > 0 {
 		t := r.q.pop()
-		r.busy++
-		r.TaskCount++
-		wait := r.k.Now() - t.enq
-		r.WaitTime += wait
-		if t.Started != nil {
-			t.Started()
-		}
-		r.BusyTime += t.Hold
-		done, hold := t.Done, t.Hold
+		r.WaitTime += r.k.Now() - t.enq
+		r.start(t)
 		if t.pooled {
 			t.Done = nil
 			t.next = r.freeTask
 			r.freeTask = t
 		}
-		r.complete(done, hold)
 	}
+}
+
+// start puts t on a free server now; the caller has advanced the
+// integrals and taken t off the queue if it was queued. Started runs
+// before the hold is charged, so the hold it leaves in t.Hold is the
+// one charged and booked.
+func (r *Resource) start(t *Task) {
+	r.busy++
+	r.TaskCount++
+	if t.Started != nil {
+		t.Started()
+	}
+	r.BusyTime += t.Hold
+	r.complete(t.Done, t.Hold)
 }
 
 // Utilization returns the fraction of server-time spent busy over the
@@ -337,14 +336,6 @@ func (r *Resource) Utilization(elapsed Time) float64 {
 		return 0
 	}
 	return float64(r.BusyTime) / (float64(elapsed) * float64(r.Servers))
-}
-
-// MeanWait returns the average queueing delay per task.
-func (r *Resource) MeanWait() Time {
-	if r.TaskCount == 0 {
-		return 0
-	}
-	return Time(int64(r.WaitTime) / int64(r.TaskCount))
 }
 
 // QueueArea returns ∫(queue length)dt up to now, in task-picoseconds.

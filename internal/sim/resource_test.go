@@ -86,8 +86,8 @@ func TestResourceUtilizationAndWait(t *testing.T) {
 		t.Errorf("utilization = %v, want 0.5", got)
 	}
 	// Second task waited 10ns.
-	if r.MeanWait() != 5*Nanosecond {
-		t.Errorf("mean wait = %v, want 5ns", r.MeanWait())
+	if r.WaitTime != 10*Nanosecond {
+		t.Errorf("wait = %v, want 10ns", r.WaitTime)
 	}
 	if r.TaskCount != 2 {
 		t.Errorf("task count = %d, want 2", r.TaskCount)
@@ -109,16 +109,45 @@ func TestResourceStartedCallback(t *testing.T) {
 	}
 }
 
-func TestResourceMaxQueue(t *testing.T) {
+// TestResourceStartedLengthensHold: a task that starts at once, on the
+// immediate-start path, runs Started before its hold is charged, so a
+// Started that lengthens Hold (the accelerators' scratchpad wipe) has
+// the longer hold charged and completes after it. A queued task gets
+// the same treatment when it is admitted later.
+func TestResourceStartedLengthensHold(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "srv", 1, FIFO)
+	var done []Time
+	tasks := make([]*Task, 2)
+	for i := range tasks {
+		task := &Task{Hold: 10 * Nanosecond, Done: func() { done = append(done, k.Now()) }}
+		task.Started = func() { task.Hold += 5 * Nanosecond }
+		tasks[i] = task
+	}
+	r.Submit(tasks[0])
+	if r.InService() != 1 || r.QueueLen() != 0 {
+		t.Fatalf("first task did not start at once: %d in service, %d queued", r.InService(), r.QueueLen())
+	}
+	r.Submit(tasks[1])
+	k.Run()
+	if want := []Time{15 * Nanosecond, 30 * Nanosecond}; len(done) != 2 || done[0] != want[0] || done[1] != want[1] {
+		t.Errorf("completions at %v, want %v", done, want)
+	}
+	if r.BusyTime != 30*Nanosecond {
+		t.Errorf("BusyTime = %v, want 30ns (the lengthened holds)", r.BusyTime)
+	}
+	if r.WaitTime != 15*Nanosecond {
+		t.Errorf("WaitTime = %v, want 15ns", r.WaitTime)
+	}
+}
+
+func TestResourceQueueCounts(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "srv", 1, FIFO)
 	for i := 0; i < 5; i++ {
 		r.Do(Nanosecond, nil)
 	}
 	// One in service, four queued.
-	if r.MaxQueue != 4 {
-		t.Errorf("MaxQueue = %d, want 4", r.MaxQueue)
-	}
 	if r.InService() != 1 {
 		t.Errorf("InService = %d, want 1", r.InService())
 	}
