@@ -14,15 +14,13 @@
 //	curl -XPOST localhost:8080/v1/jobs -d '{"type":"observed","requests":600,"faultRate":2000}'
 //	curl -o trace.json localhost:8080/v1/jobs/job-2/artifacts/trace
 //
-// Admission is bounded per tenant: a full tenant queue or exhausted
-// token bucket (-tenantrate/-tenantburst) answers 429 with a
-// Retry-After hint, and tenants dequeue via weighted-fair deficit
-// round-robin so one tenant's batch backlog never starves another's
-// interactive jobs. Determinism makes results cacheable forever, so
-// repeated identical submissions are served byte-identically from a
-// bounded content-addressed cache (-cache; "cached": true in the job
-// view, stats on /v1/cache) and identical in-flight submissions
-// coalesce into one run. Finished jobs' rendered artifacts are held
+// Admission is bounded: jobs wait in one FIFO queue of -queue slots,
+// and a submission to a full queue answers 429 with a Retry-After
+// hint. Determinism makes results cacheable forever, so repeated
+// identical submissions are served byte-identically from a bounded
+// content-addressed cache (-cache; "cached": true in the job view,
+// stats on /v1/cache) and identical in-flight submissions coalesce
+// into one run. Finished jobs' rendered artifacts are held
 // within a fixed 32 MiB budget, least recently used evicted first; a
 // job whose artifacts were evicted answers 410 on them and still
 // serves its values. SIGINT/SIGTERM drain gracefully — admission
@@ -59,8 +57,6 @@ type daemonArgs struct {
 	retryAfter   time.Duration
 	drainTimeout time.Duration
 	cacheSize    int
-	tenantRate   float64
-	tenantBurst  int
 	heartbeat    time.Duration
 }
 
@@ -86,12 +82,6 @@ func (a daemonArgs) validate() error {
 	if a.cacheSize < 0 {
 		return fmt.Errorf("-cache must be non-negative (0 disables caching), got %d", a.cacheSize)
 	}
-	if a.tenantRate < 0 {
-		return fmt.Errorf("-tenantrate must be non-negative (0 disables rate limiting), got %v", a.tenantRate)
-	}
-	if a.tenantBurst <= 0 {
-		return fmt.Errorf("-tenantburst must be positive, got %d", a.tenantBurst)
-	}
 	if a.heartbeat < 0 {
 		return fmt.Errorf("-heartbeat must be non-negative (0 disables heartbeats), got %v", a.heartbeat)
 	}
@@ -107,8 +97,6 @@ func main() {
 	flag.DurationVar(&a.drainTimeout, "draintimeout", 2*time.Minute, "graceful-drain budget on SIGTERM before running jobs are cancelled")
 	check := flag.Bool("check", false, "run every job with runtime invariant checking (same results; violations fail the job)")
 	flag.IntVar(&a.cacheSize, "cache", 512, "content-addressed result cache entries (finished jobs); 0 disables caching and coalescing")
-	flag.Float64Var(&a.tenantRate, "tenantrate", 0, "per-tenant admission rate in jobs/sec (token bucket); 0 disables rate limiting")
-	flag.IntVar(&a.tenantBurst, "tenantburst", 8, "per-tenant token-bucket burst capacity")
 	flag.DurationVar(&a.heartbeat, "heartbeat", 15*time.Second, "progress-stream keep-alive interval; 0 disables heartbeats")
 	flag.Parse()
 
@@ -123,8 +111,6 @@ func main() {
 		RetryAfter:   a.retryAfter,
 		Check:        *check,
 		CacheEntries: a.cacheSize,
-		TenantRate:   a.tenantRate,
-		TenantBurst:  a.tenantBurst,
 	})
 	api := serve.NewServer(sched)
 	api.SetHeartbeat(a.heartbeat)

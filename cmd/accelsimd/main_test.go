@@ -14,7 +14,6 @@ func goodDaemonArgs() daemonArgs {
 		retryAfter:   time.Second,
 		drainTimeout: 2 * time.Minute,
 		cacheSize:    512,
-		tenantBurst:  8,
 		heartbeat:    15 * time.Second,
 	}
 }
@@ -32,9 +31,6 @@ func TestDaemonValidateFlags(t *testing.T) {
 		{"cache disabled", func(a *daemonArgs) { a.cacheSize = 0 }, ""},
 		{"cache sized", func(a *daemonArgs) { a.cacheSize = 64 }, ""},
 		{"negative cache", func(a *daemonArgs) { a.cacheSize = -1 }, "-cache"},
-		{"rate limiting on", func(a *daemonArgs) { a.tenantRate = 5 }, ""},
-		{"negative tenantrate", func(a *daemonArgs) { a.tenantRate = -2 }, "-tenantrate"},
-		{"zero tenantburst", func(a *daemonArgs) { a.tenantBurst = 0 }, "-tenantburst"},
 		{"zero workers", func(a *daemonArgs) { a.workers = 0 }, "-workers"},
 		{"negative workers", func(a *daemonArgs) { a.workers = -4 }, "-workers"},
 		{"zero queue", func(a *daemonArgs) { a.queue = 0 }, "-queue"},

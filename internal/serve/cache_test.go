@@ -1,6 +1,5 @@
-// Tests for the content-addressed result cache, singleflight
-// coalescing, and per-tenant admission (token buckets + weighted-fair
-// dequeue). Byte-equality tests go through the HTTP surface so they
+// Tests for the content-addressed result cache and singleflight
+// coalescing. Byte-equality tests go through the HTTP surface so they
 // pin what clients actually receive.
 package serve
 
@@ -8,7 +7,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -253,9 +251,7 @@ func TestResubmitAfterCancelledQueuedLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Cancel(a.ID); err != nil {
-		t.Fatal(err)
-	}
+	a.requestCancel()
 	<-a.Done()
 	again, err := sched.Submit(req)
 	if err != nil {
@@ -273,122 +269,6 @@ func TestResubmitAfterCancelledQueuedLeader(t *testing.T) {
 	}
 	if st, _ := sched.CacheStats(); st.Coalesced != 0 {
 		t.Errorf("resubmission coalesced onto the cancelled job: %+v", st)
-	}
-}
-
-// TestTenantRateLimit: token-bucket exhaustion rejects one tenant with
-// a per-tenant Retry-After while a second tenant still admits, and the
-// bucket refills with (injected) time.
-func TestTenantRateLimit(t *testing.T) {
-	release := make(chan struct{})
-	sched := newScheduler(Config{Workers: 1, QueueDepth: 16, TenantRate: 0.5, TenantBurst: 2},
-		func(ctx context.Context, j *Job) {
-			<-release
-			j.finish(StateDone, "")
-		})
-	defer sched.Close()
-	defer close(release) // LIFO: unblock workers before Close joins them
-	now := time.Unix(1_000_000, 0)
-	sched.now = func() time.Time { return now }
-
-	reqFor := func(tenant string, seed int64) JobRequest {
-		r := stubReq()
-		r.Tenant = tenant
-		r.Seed = seed
-		return r
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := sched.Submit(reqFor("alpha", int64(i))); err != nil {
-			t.Fatalf("alpha submit %d within burst: %v", i, err)
-		}
-	}
-	_, err := sched.Submit(reqFor("alpha", 99))
-	var rle *RateLimitError
-	if !errors.As(err, &rle) {
-		t.Fatalf("exhausted bucket returned %v, want *RateLimitError", err)
-	}
-	if rle.Tenant != "alpha" || rle.RetryAfter <= 0 {
-		t.Fatalf("rate-limit error %+v", rle)
-	}
-	// ~2s until the next token at 0.5 tokens/sec.
-	if rle.RetryAfter > 3*time.Second {
-		t.Errorf("RetryAfter %v, want about 2s", rle.RetryAfter)
-	}
-
-	// A second tenant's admission is untouched by alpha's exhaustion.
-	for i := 0; i < 2; i++ {
-		if _, err := sched.Submit(reqFor("beta", int64(i))); err != nil {
-			t.Fatalf("beta submit %d while alpha limited: %v", i, err)
-		}
-	}
-
-	// Refill: advancing the clock past the deficit re-admits alpha.
-	now = now.Add(rle.RetryAfter + time.Second)
-	if _, err := sched.Submit(reqFor("alpha", 100)); err != nil {
-		t.Fatalf("alpha submit after refill: %v", err)
-	}
-}
-
-// TestWeightedFairDequeue: with one tenant holding a batch backlog and
-// another submitting interactive jobs, deficit round-robin dispatches
-// all the interactive work ahead of most of the batch queue.
-func TestWeightedFairDequeue(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	blockerStarted := make(chan struct{})
-	gate := make(chan struct{})
-	sched := newScheduler(Config{Workers: 1, QueueDepth: 8},
-		func(ctx context.Context, j *Job) {
-			if j.Req.Tenant == "hold" {
-				blockerStarted <- struct{}{}
-				<-gate
-			} else {
-				mu.Lock()
-				order = append(order, j.Req.Tenant)
-				mu.Unlock()
-			}
-			j.finish(StateDone, "")
-		})
-	defer sched.Close()
-
-	submit := func(tenant, prio string, seed int64) {
-		t.Helper()
-		r := stubReq()
-		r.Tenant, r.Priority, r.Seed = tenant, prio, seed
-		if _, err := sched.Submit(r); err != nil {
-			t.Fatalf("submit %s/%s: %v", tenant, prio, err)
-		}
-	}
-	// Pin the single worker so the contest jobs all queue up first.
-	submit("hold", "", 0)
-	<-blockerStarted
-	for i := int64(1); i <= 4; i++ {
-		submit("batcher", PriorityBatch, i)
-	}
-	for i := int64(1); i <= 4; i++ {
-		submit("clicker", PriorityInteractive, i)
-	}
-	close(gate)
-	if err := sched.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 8 {
-		t.Fatalf("ran %d contest jobs, want 8: %v", len(order), order)
-	}
-	last := -1
-	for i, tenant := range order {
-		if tenant == "clicker" {
-			last = i
-		}
-	}
-	// With batch cost 4 vs interactive cost 1, every interactive job
-	// dispatches within the first five slots; FIFO would leave them in
-	// the last four.
-	if last > 4 {
-		t.Errorf("interactive job dispatched at position %d of %v, want all within first 5", last, order)
 	}
 }
 
@@ -478,24 +358,22 @@ func TestCoalescedFollowerMirrorsCancel(t *testing.T) {
 	}
 }
 
-// TestSubmitError500HTTP: an internal (non-validation) submit failure
-// surfaces as 500, not 400 — pinned through a request that passes
-// Validate but whose experiment the HTTP layer cannot classify as a
-// client mistake. Exercised directly against submitErrorStatus in
-// server_test.go; here we confirm the full HTTP path keeps 400 for
-// validation and never mislabels sentinel-free errors.
+// TestSubmitStatusTaxonomyHTTP: through the full HTTP path, a request
+// that fails validation is a 400 and a valid one a 202. Every Submit
+// error's status, 500 for an error no sentinel matches included, is
+// pinned against submitErrorStatus in server_test.go.
 func TestSubmitStatusTaxonomyHTTP(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, func(ctx context.Context, j *Job) {
 		j.finish(StateDone, "")
 	})
-	resp := postJSON(t, ts.URL+"/v1/jobs", `{"type":"experiment","experiment":"area","priority":"urgent"}`)
+	resp := postJSON(t, ts.URL+"/v1/jobs", `{"type":"experiment","experiment":"no-such-figure"}`)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid priority: status %d, want 400", resp.StatusCode)
+		t.Errorf("unknown experiment: status %d, want 400", resp.StatusCode)
 	}
-	resp = postJSON(t, ts.URL+"/v1/jobs", `{"type":"experiment","experiment":"area","quick":true,"tenant":"t1","priority":"batch"}`)
+	resp = postJSON(t, ts.URL+"/v1/jobs", `{"type":"experiment","experiment":"area","quick":true}`)
 	view := decodeView(t, resp)
-	if resp.StatusCode != http.StatusAccepted || view.Tenant != "t1" || view.Priority != PriorityBatch {
-		t.Errorf("tenant submit: status %d view %+v", resp.StatusCode, view)
+	if resp.StatusCode != http.StatusAccepted || view.Experiment != "area" {
+		t.Errorf("valid submit: status %d view %+v", resp.StatusCode, view)
 	}
 }

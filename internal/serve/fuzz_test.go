@@ -26,7 +26,7 @@ func FuzzJobRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"type":"observed","requests":200,"quick":true,"seed":2,"faultRate":2000,"faultLoss":0.001}`,
 		`{"type":"observed","faultRate":2000,"faultWindowUs":50,"control":{"autoscale":{"target":"pe","upUtil":0.3,"downUtil":0.05,"sloUs":300,"maxAdd":8},"shed":{"queue":48,"prob":0.02},"retry":{"budget":16}}}`,
-		`{"type":"experiment","experiment":"fig11","quick":true,"requests":40,"parallelism":2,"tenant":"a","priority":"batch"}`,
+		`{"type":"experiment","experiment":"fig11","quick":true,"requests":40,"parallelism":2}`,
 		`{"type":"tune","objective":"costperf","generations":3,"patience":2,"sloUs":400,"loadScale":1.5}`,
 		`{"type":"tune","space":{"chiplets":[1,2],"pes":[1,4],"peMix":{"TCP":[2,8]},"policies":["accelflow","relief"],"queueDepths":[16],"tcpTimeoutUs":[100]}}`,
 		`{"type":"tune","space":{"peMix":{"TCP":[]}}}`,

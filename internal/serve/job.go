@@ -66,15 +66,6 @@ const (
 	JobTune = "tune"
 )
 
-// Priorities bias the weighted-fair scheduler: within a tenant's
-// queue, order stays FIFO, but a batch job costs 4x an interactive
-// one to dispatch, so under contention interactive work across tenants
-// dequeues first. Empty means interactive.
-const (
-	PriorityInteractive = "interactive"
-	PriorityBatch       = "batch"
-)
-
 // JobRequest describes one run: the POST /v1/jobs body for accelsimd,
 // and what accelsim builds from its flags.
 type JobRequest struct {
@@ -111,13 +102,6 @@ type JobRequest struct {
 	Patience    int             `json:"patience,omitempty"`
 	SLOUs       float64         `json:"sloUs,omitempty"`
 	LoadScale   float64         `json:"loadScale,omitempty"`
-	// Tenant names the submitting tenant for admission control (its
-	// own bounded queue and token bucket). Empty is the default tenant.
-	// Tenancy never affects results, only scheduling.
-	Tenant string `json:"tenant,omitempty"`
-	// Priority is "interactive" (default) or "batch"; see the priority
-	// constants. Like Tenant, it only biases scheduling.
-	Priority string `json:"priority,omitempty"`
 }
 
 // knobs lists the type-specific request fields: the job type each one
@@ -161,8 +145,6 @@ func (r JobRequest) Validate() error {
 		return fieldErrorf("requests", "serve: requests must be non-negative, got %d", r.Requests)
 	case r.Parallelism < 0:
 		return fieldErrorf("parallelism", "serve: parallelism must be non-negative, got %d", r.Parallelism)
-	case r.Priority != "" && r.Priority != PriorityInteractive && r.Priority != PriorityBatch:
-		return fieldErrorf("priority", "serve: priority must be %q or %q, got %q", PriorityInteractive, PriorityBatch, r.Priority)
 	}
 	// The knobs that are set join one at a time and the type's checks
 	// rerun after each, so an error names the knob that broke them; a
@@ -218,9 +200,9 @@ func (r JobRequest) checkKnobs() error {
 // building anything it would run: experiment jobs their raw parameter
 // tuple, observed jobs workload.ObservedParams.Key, tune jobs their
 // search signature. Parallelism is an execution knob that provably never
-// changes bytes, Tenant/Priority only steer scheduling, and everything
-// in Env is observe-only, so none of them joins. Empty means "not
-// cacheable" (never the case for a validated request).
+// changes bytes, and everything in Env is observe-only, so neither
+// joins. Empty means "not cacheable" (never the case for a validated
+// request).
 func (r JobRequest) ResultKey() string {
 	switch r.Type {
 	case JobExperiment:
@@ -271,8 +253,6 @@ type JobView struct {
 	ID         string   `json:"id"`
 	Type       string   `json:"type"`
 	Experiment string   `json:"experiment,omitempty"`
-	Tenant     string   `json:"tenant,omitempty"`
-	Priority   string   `json:"priority,omitempty"`
 	State      JobState `json:"state"`
 	Error      string   `json:"error,omitempty"`
 	// CellsDone counts finished sweep cells: for a tune job, the
@@ -547,8 +527,6 @@ func (j *Job) snapshot() JobView {
 		ID:          j.ID,
 		Type:        j.Req.Type,
 		Experiment:  j.Req.Experiment,
-		Tenant:      j.Req.Tenant,
-		Priority:    j.Req.Priority,
 		State:       j.state,
 		Error:       j.errMsg,
 		CellsDone:   j.cellsDone,

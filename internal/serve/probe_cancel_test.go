@@ -30,9 +30,7 @@ func TestAbortedThroughputJobNotCached(t *testing.T) {
 			t.Fatal(err)
 		}
 		awaitFirstCell(j)
-		if err := sched.Cancel(j.ID); err != nil {
-			t.Fatal(err)
-		}
+		j.requestCancel()
 		<-j.Done()
 		state := j.snapshot().State
 		switch state {
@@ -61,9 +59,7 @@ func TestAbortedThroughputJobNotCached(t *testing.T) {
 		if cached := again.snapshot().Cached; cached != (state == StateDone) {
 			t.Fatalf("job %d ended %s, and its resubmission has cached=%t", i, state, cached)
 		}
-		if err := sched.Cancel(again.ID); err != nil {
-			t.Fatal(err)
-		}
+		again.requestCancel()
 		<-again.Done()
 	}
 }

@@ -123,7 +123,9 @@ func TestSubmitCancelRace(t *testing.T) {
 		for id := range ids {
 			// Cancel races the worker picking the job up; both outcomes
 			// (canceled or already terminal) are legal, crashes are not.
-			_ = s.Cancel(id)
+			if j, err := s.Get(id); err == nil {
+				j.requestCancel()
+			}
 		}
 	}()
 	wg.Wait()
@@ -202,7 +204,6 @@ func TestEvictionRace(t *testing.T) {
 			for i := 0; i < each; i++ {
 				r := stubReq()
 				r.Seed = int64(i % 24) // repeats: hits, followers and reruns
-				r.Tenant = fmt.Sprintf("t%d", g)
 				j, err := s.Submit(r)
 				if errors.Is(err, ErrQueueFull) {
 					continue
@@ -212,7 +213,7 @@ func TestEvictionRace(t *testing.T) {
 					return
 				}
 				if i%5 == 0 {
-					_ = s.Cancel(j.ID)
+					j.requestCancel()
 				}
 				_, _ = s.Get(fmt.Sprintf("job-%d", i+1))
 			}

@@ -24,8 +24,8 @@ func observedKey(t *testing.T, r JobRequest) string {
 // simulation share a key, each next to a near miss that does not. The
 // budget joins after BuildObserved's normalization (<= 0 takes 2500,
 // Quick caps at 600), so Quick itself is no part of the key; a fault
-// window attaches nothing while both fault knobs are off; parallelism,
-// tenant, priority and Env.Check never change a byte.
+// window attaches nothing while both fault knobs are off; parallelism
+// and Env.Check never change a byte.
 func TestObservedResultKeyEquivalence(t *testing.T) {
 	ctl := &control.Spec{Shed: &control.ShedSpec{Queue: 64}}
 	cases := []struct {
@@ -43,8 +43,7 @@ func TestObservedResultKeyEquivalence(t *testing.T) {
 		{"fault window with faults off", JobRequest{FaultWindowUs: 500}, JobRequest{}, true},
 		{"fault window with faults off, controlled", JobRequest{FaultWindowUs: 500, Control: ctl}, JobRequest{Control: ctl}, true},
 		{"default fault window", JobRequest{FaultRate: 2000, FaultWindowUs: 200}, JobRequest{FaultRate: 2000}, true},
-		{"execution and scheduling knobs",
-			JobRequest{Seed: 3, Parallelism: 4, Tenant: "t1", Priority: PriorityBatch}, JobRequest{Seed: 3}, true},
+		{"execution knobs", JobRequest{Seed: 3, Parallelism: 4}, JobRequest{Seed: 3}, true},
 	}
 	for _, c := range cases {
 		if got := observedKey(t, c.a) == observedKey(t, c.b); got != c.same {

@@ -98,8 +98,8 @@ func TestEvictedJobsAnswerGone(t *testing.T) {
 	}
 	for n := 1; n <= k; n++ {
 		check(fmt.Sprintf("job-%d", n), http.StatusGone)
-		if err := sched.Cancel(fmt.Sprintf("job-%d", n)); !errors.Is(err, ErrEvicted) {
-			t.Errorf("Cancel(job-%d) = %v, want ErrEvicted", n, err)
+		if _, err := sched.Get(fmt.Sprintf("job-%d", n)); !errors.Is(err, ErrEvicted) {
+			t.Errorf("Get(job-%d) = %v, want ErrEvicted", n, err)
 		}
 	}
 	for _, n := range []int{k + 1, k + 2, retainedJobs + k} {
@@ -211,28 +211,54 @@ func collected(t *testing.T, what string, cs ...<-chan struct{}) {
 // TestEvictedJobCollected: once evicted, a job whose result the cache
 // does not hold is garbage, result bytes included. Nothing the
 // scheduler keeps still points at it, not even the backing array of
-// its tenant's queue: the tenant outlives the job here, because a
-// bucket that never refills keeps its state.
+// its queue: the job waits there behind a busy worker with
+// retainedJobs+1 more behind it, and the queue still holds that array
+// when the job is evicted, so only the slot a dispatch clears lets it
+// go.
 func TestEvictedJobCollected(t *testing.T) {
-	sched := newScheduler(Config{Workers: 1, QueueDepth: 1, TenantRate: 1e-9, TenantBurst: 2},
+	gate, open := gated()
+	var result <-chan struct{}
+	sched := newScheduler(Config{Workers: 1, QueueDepth: retainedJobs + 2},
 		func(ctx context.Context, j *Job) {
-			j.setResult(retainedEntry())
+			if j.ID == "job-1" {
+				<-gate
+			}
+			e := retainedEntry()
+			if j.ID == "job-2" {
+				result = finalized(e)
+			}
+			j.setResult(e)
 			j.finish(StateDone, "")
 		})
 	defer sched.Close()
-	// The first job's pointers stay inside this closure, so nothing on
-	// the test's stack keeps it alive.
-	job, result := func() (<-chan struct{}, <-chan struct{}) {
-		j := submitDone(t, sched, stubReq())
-		return finalized(j), finalized(j.cacheEntry())
-	}()
-	for i := 0; i < retainedJobs; i++ {
-		r := stubReq()
-		r.Tenant = fmt.Sprintf("t%d", i)
-		submitDone(t, sched, r)
+	defer open()
+	blocker, err := sched.Submit(stubReq())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sched.Get("job-1"); !errors.Is(err, ErrEvicted) {
-		t.Fatalf("job-1: err %v, want ErrEvicted", err)
+	waitState(t, blocker, StateRunning)
+	// job-2's pointer stays inside this closure, so nothing on the
+	// test's stack keeps it alive.
+	job := func() <-chan struct{} {
+		j, err := sched.Submit(stubReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return finalized(j)
+	}()
+	var last *Job
+	for i := 0; i <= retainedJobs; i++ {
+		if last, err = sched.Submit(stubReq()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
+	// One worker takes the queue in order. A job counts toward the
+	// retention bound just after its done channel closes, so when the
+	// last job is done, the retainedJobs+2 before it have counted.
+	<-last.Done()
+	if _, err := sched.Get("job-2"); !errors.Is(err, ErrEvicted) {
+		t.Fatalf("job-2: err %v, want ErrEvicted", err)
 	}
 	collected(t, "the evicted job and its result", job, result)
 }
@@ -270,124 +296,5 @@ func TestResubmitEvictedHits(t *testing.T) {
 	want := bytes.Replace(values, []byte(first), []byte(last), 1)
 	if b := fetchBytes(t, ts.URL+"/v1/jobs/"+last+"/values"); !bytes.Equal(b, want) {
 		t.Error("values of the cache hit differ from the evicted job's")
-	}
-}
-
-// TestIdleTenantsDropped: 10,000 tenants that submit one job each leave
-// only the tenants with queued work in the tenants map, and none once
-// that work has run: a cache hit drops its tenant at once, a dispatch
-// drops the tenant it empties.
-func TestIdleTenantsDropped(t *testing.T) {
-	gate, open := gated()
-	var sched *Scheduler
-	sched = newScheduler(Config{Workers: 1, QueueDepth: 1, CacheEntries: 8}, func(ctx context.Context, j *Job) {
-		if j.Req.Seed == 1 {
-			<-gate
-		}
-		sched.succeed(j, retainedEntry())
-	})
-	defer sched.Close()
-	defer open()
-	req := func(tenant string, seed int64) JobRequest {
-		r := stubReq()
-		r.Tenant, r.Seed = tenant, seed
-		return r
-	}
-	tenants := func() (n, idle int) {
-		sched.mu.Lock()
-		defer sched.mu.Unlock()
-		// order-insensitive: counts only.
-		for _, t := range sched.tenants {
-			if len(t.fifo) == 0 {
-				idle++
-			}
-		}
-		return len(sched.tenants), idle
-	}
-
-	submitDone(t, sched, req("prime", 0))
-	blocker, err := sched.Submit(req("blocker", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, blocker, StateRunning)
-	var queued []*Job
-	for i := 0; i < 10_000; i++ {
-		seed := int64(0) // a cache hit
-		if i%100 == 99 {
-			seed = int64(100 + i) // queued behind the blocker
-		}
-		j, err := sched.Submit(req(fmt.Sprintf("t%d", i), seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seed != 0 {
-			queued = append(queued, j)
-		}
-	}
-	if n, idle := tenants(); n != len(queued) || idle != 0 {
-		t.Fatalf("tenants map holds %d tenants, %d of them idle; want the %d with queued work", n, idle, len(queued))
-	}
-	open()
-	for _, j := range queued {
-		<-j.Done()
-	}
-	if n, _ := tenants(); n != 0 {
-		t.Fatalf("tenants map holds %d tenants after every job ran, want 0", n)
-	}
-}
-
-// TestDroppedTenantKeepsNoTokens: a rate-limited tenant that drained its
-// bucket is kept until the bucket refills, through the scans other
-// tenants' dispatches make, so its next submission is still refused;
-// dropped once the bucket is full, it starts again with a full one.
-func TestDroppedTenantKeepsNoTokens(t *testing.T) {
-	sched := newScheduler(Config{Workers: 1, QueueDepth: 4, TenantRate: 1, TenantBurst: 2},
-		func(ctx context.Context, j *Job) { j.finish(StateDone, "") })
-	defer sched.Close()
-	now := time.Unix(1_000_000, 0)
-	sched.mu.Lock()
-	sched.now = func() time.Time { return now }
-	sched.mu.Unlock()
-	req := func(tenant string) JobRequest { r := stubReq(); r.Tenant = tenant; return r }
-	advance := func(d time.Duration) {
-		sched.mu.Lock()
-		defer sched.mu.Unlock()
-		now = now.Add(d)
-	}
-	has := func(tenant string) bool {
-		sched.mu.Lock()
-		defer sched.mu.Unlock()
-		return sched.tenants[tenant] != nil
-	}
-
-	submitDone(t, sched, req("alpha"))
-	submitDone(t, sched, req("alpha"))
-	// Another tenant's dispatches scan alpha, idle with an empty bucket.
-	submitDone(t, sched, req("beta"))
-	if !has("alpha") {
-		t.Fatal("alpha dropped with an empty bucket")
-	}
-	var rle *RateLimitError
-	if _, err := sched.Submit(req("alpha")); !errors.As(err, &rle) {
-		t.Fatalf("alpha's submission with an empty bucket: err %v, want *RateLimitError", err)
-	}
-	advance(1500 * time.Millisecond) // 1.5 of 2 tokens back
-	submitDone(t, sched, req("beta"))
-	if !has("alpha") {
-		t.Fatal("alpha dropped with a bucket still refilling")
-	}
-	advance(time.Second) // full again
-	submitDone(t, sched, req("gamma"))
-	if has("alpha") || has("beta") {
-		t.Fatal("tenants with full buckets and no queued work kept")
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := sched.Submit(req("alpha")); err != nil {
-			t.Fatalf("alpha's submission %d with a full bucket: %v", i, err)
-		}
-	}
-	if _, err := sched.Submit(req("alpha")); !errors.As(err, &rle) {
-		t.Fatalf("alpha's third submission: err %v, want *RateLimitError", err)
 	}
 }

@@ -1,32 +1,20 @@
-// The in-process job scheduler: per-tenant bounded admission queues
-// feeding a fixed worker pool via weighted-fair (deficit round-robin)
-// dequeue, with per-job cancellation, graceful drain, per-tenant token
-// buckets, and a content-addressed result cache with singleflight
-// coalescing (cache.go).
+// The in-process job scheduler: one bounded FIFO queue feeding a fixed
+// worker pool, with per-job cancellation, graceful drain, and a
+// content-addressed result cache with singleflight coalescing
+// (cache.go).
 //
-// Admission control is strict — a tenant's full queue rejects
-// immediately with ErrQueueFull and an exhausted token bucket with
-// *RateLimitError (the HTTP layer maps both to 429 + Retry-After)
-// instead of queueing unboundedly, which is what keeps a daemon under
-// heavy traffic from accumulating hours of simulation backlog. Both
-// bounds are per tenant: one tenant hammering its bucket or filling
-// its queue never delays another tenant's admission, and the
-// weighted-fair dequeue keeps one tenant's deep batch backlog from
-// starving another's interactive jobs.
-//
-// The zero-value knobs opt out: CacheEntries <= 0 disables caching and
-// coalescing, TenantRate <= 0 disables rate limiting, and every
-// request without a tenant falls into the "" tenant — so a zero
-// Config behaves exactly like the original single-queue scheduler.
+// Admission control is strict — a full queue rejects immediately with
+// ErrQueueFull (the HTTP layer maps it to 429 + Retry-After) instead of
+// queueing unboundedly, which is what keeps a daemon under heavy
+// traffic from accumulating hours of simulation backlog. Workers take
+// queued jobs in submission order. CacheEntries <= 0 disables caching
+// and coalescing.
 package serve
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,8 +24,7 @@ import (
 
 // Admission errors; the HTTP layer maps them to status codes.
 var (
-	// ErrQueueFull means the submitting tenant's bounded queue is at
-	// capacity (HTTP 429).
+	// ErrQueueFull means the bounded queue is at capacity (HTTP 429).
 	ErrQueueFull = errors.New("serve: job queue full")
 	// ErrDraining means the scheduler is shutting down (HTTP 503).
 	ErrDraining = errors.New("serve: scheduler draining, not accepting jobs")
@@ -83,30 +70,15 @@ func fieldErrorf(field, format string, args ...any) error {
 	return &requestError{fields: []string{field}, msg: fmt.Sprintf(format, args...)}
 }
 
-// RateLimitError reports token-bucket exhaustion for one tenant; the
-// HTTP layer maps it to 429 with the per-tenant Retry-After.
-type RateLimitError struct {
-	// Tenant is the rejected tenant ("" is the default tenant).
-	Tenant string
-	// RetryAfter is when the bucket will next hold a full token.
-	RetryAfter time.Duration
-}
-
-func (e *RateLimitError) Error() string {
-	return fmt.Sprintf("serve: tenant %q rate limited; retry in %s", e.Tenant, e.RetryAfter)
-}
-
 // Config sizes the scheduler.
 type Config struct {
 	// Workers bounds concurrently running jobs; <= 0 means 2.
 	Workers int
 	// QueueDepth bounds jobs admitted but not yet picked up by a
-	// worker, per tenant; <= 0 means 8. Submissions beyond it fail with
-	// ErrQueueFull.
+	// worker; <= 0 means 8. Submissions beyond it fail with ErrQueueFull.
 	QueueDepth int
 	// RetryAfter is the backoff hint returned with queue-full/draining
-	// responses; <= 0 means 1s. (Rate-limit rejections compute their
-	// own per-tenant Retry-After from the bucket instead.)
+	// responses; <= 0 means 1s.
 	RetryAfter time.Duration
 	// Check attaches the runtime invariant checker to every job the
 	// daemon runs (the -check flag). Checking never changes job values
@@ -119,11 +91,8 @@ type Config struct {
 	// pre-cache behavior. Artifact bytes are bounded by artifactBudget
 	// either way, not by this count.
 	CacheEntries int
-	// TenantRate is the per-tenant token-bucket refill rate in
-	// submissions per second; <= 0 disables rate limiting entirely.
-	TenantRate float64
-	// TenantBurst is the bucket capacity (tokens a previously idle
-	// tenant can spend at once); <= 0 means 8 when TenantRate is set.
+	// Deprecated: TenantBurst is ignored. It is kept only so that
+	// bench/daemon.go, which sets it, still compiles.
 	TenantBurst int
 }
 
@@ -137,60 +106,7 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.TenantRate > 0 && c.TenantBurst <= 0 {
-		c.TenantBurst = 8
-	}
 	return c
-}
-
-// tenantState is one tenant's admission state: its FIFO of queued
-// jobs, its deficit-round-robin credit, and its token bucket. All
-// fields are guarded by the scheduler mutex. A state that holds nothing
-// a new one would not is deleted (dropIdleLocked), so clients choosing
-// tenant names cannot grow the tenants map.
-type tenantState struct {
-	name string
-	fifo []*Job
-	// deficit is the DRR credit in cost units; a visit credits one
-	// quantum and a dispatch debits the job's cost (see jobCost).
-	deficit int
-	// Token bucket (TenantRate/TenantBurst). tokens lazily refills on
-	// each admission attempt; inited distinguishes a fresh (full)
-	// bucket from a drained one.
-	tokens     float64
-	lastRefill time.Time
-	inited     bool
-	// full is when an idle tenant's bucket holds TenantBurst again, and
-	// at its index in the scheduler's refilling heap (-1 when absent).
-	full time.Time
-	at   int
-}
-
-// cmpTenant orders tenants by name, the DRR rotation order.
-func cmpTenant(t *tenantState, name string) int { return strings.Compare(t.name, name) }
-
-// refillHeap is a min-heap, on the time each bucket is full again, of
-// the idle tenants kept only because their buckets are refilling.
-type refillHeap []*tenantState
-
-func (h refillHeap) Len() int           { return len(h) }
-func (h refillHeap) Less(i, k int) bool { return h[i].full.Before(h[k].full) }
-func (h refillHeap) Swap(i, k int) {
-	h[i], h[k] = h[k], h[i]
-	h[i].at, h[k].at = i, k
-}
-func (h *refillHeap) Push(x any) {
-	t := x.(*tenantState)
-	t.at = len(*h)
-	*h = append(*h, t)
-}
-func (h *refillHeap) Pop() any {
-	old := *h
-	t := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	t.at = -1
-	return t
 }
 
 // flight is one in-flight cacheable run: the leader executes, the
@@ -220,16 +136,6 @@ func (f *flight) retire() []*Job {
 	return fo
 }
 
-// jobCost is the DRR cost of dispatching a job: batch jobs weigh 4x an
-// interactive one, so under contention a tenant's interactive work
-// dispatches ~4x as often per unit of credit.
-func jobCost(j *Job) int {
-	if j.Req.Priority == PriorityBatch {
-		return 4
-	}
-	return 1
-}
-
 // Scheduler admits, runs, cancels, and drains jobs.
 type Scheduler struct {
 	cfg        Config
@@ -244,18 +150,8 @@ type Scheduler struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signals workers when work or drain arrives
 	draining bool
-	tenants  map[string]*tenantState
-	// active holds the tenants with queued jobs, sorted by name, so a
-	// dispatch neither scans the tenants map nor sorts; refilling holds
-	// the idle tenants kept for a bucket still refilling.
-	active     []*tenantState
-	refilling  refillHeap
-	lastTenant string // DRR cursor: iteration resumes after this name
-	flights    map[string]*flight
-
-	// now is the clock, injectable so token-bucket tests can step time
-	// deterministically.
-	now func() time.Time
+	queue    []*Job // admitted jobs no worker has taken yet, oldest first
+	flights  map[string]*flight
 
 	// runJob executes one started job; tests swap it for a stub to
 	// exercise admission/cancel/drain without real simulations.
@@ -277,9 +173,7 @@ func newScheduler(cfg Config, runFn func(ctx context.Context, j *Job)) *Schedule
 		cfg:        cfg,
 		root:       root,
 		rootCancel: cancel,
-		tenants:    map[string]*tenantState{},
 		flights:    map[string]*flight{},
-		now:        time.Now,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.cache = newResultCache(max(cfg.CacheEntries, 0))
@@ -333,149 +227,24 @@ func (s *Scheduler) run(ctx context.Context, j *Job) {
 	s.runJob(ctx, j)
 }
 
-// next blocks until a job is dispatchable (returning it) or the
-// scheduler is draining with nothing queued (returning nil, which
-// exits the worker).
+// next blocks until a job is queued and takes the oldest (returning
+// it), or until the scheduler is draining with nothing queued
+// (returning nil, which exits the worker).
 func (s *Scheduler) next() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if j := s.pickLocked(); j != nil {
-			return j
-		}
+	for len(s.queue) == 0 {
 		if s.draining {
 			return nil
 		}
 		s.cond.Wait()
 	}
-}
-
-// pickLocked runs deficit round-robin over the tenants that have
-// queued jobs: tenant names iterate in sorted order starting after the
-// last-served tenant, each visit credits one quantum, and the first
-// head whose cost is covered dispatches. Rotations repeat until a job
-// dispatches (credit grows every rotation, so a rotation count bounded
-// by the maximum job cost suffices) or no tenant has anything queued.
-// It first drops the idle tenants whose buckets have refilled since
-// they went idle. Requires mu.
-func (s *Scheduler) pickLocked() *Job {
-	s.dropRefilledLocked()
-	if len(s.active) == 0 {
-		return nil
-	}
-	start, found := slices.BinarySearchFunc(s.active, s.lastTenant, cmpTenant)
-	if found {
-		start++
-	}
-	for {
-		for i := range s.active {
-			k := (start + i) % len(s.active)
-			t := s.active[k]
-			t.deficit++
-			if c := jobCost(t.fifo[0]); t.deficit >= c {
-				t.deficit -= c
-				j := t.fifo[0]
-				// Clear the slot so the backing array does not keep
-				// the job alive after it is evicted.
-				t.fifo[0] = nil
-				t.fifo = t.fifo[1:]
-				if len(t.fifo) == 0 {
-					// Classic DRR: an emptied queue forfeits its credit,
-					// so an idle tenant cannot bank an unbounded burst.
-					t.deficit = 0
-					s.active = slices.Delete(s.active, k, k+1)
-					s.dropIdleLocked(t)
-				}
-				s.lastTenant = t.name
-				return j
-			}
-		}
-	}
-}
-
-// tenantLocked returns (creating on first use) a tenant's state.
-// Requires mu.
-func (s *Scheduler) tenantLocked(name string) *tenantState {
-	t := s.tenants[name]
-	if t == nil {
-		t = &tenantState{name: name, at: -1}
-		s.tenants[name] = t
-	}
-	return t
-}
-
-// enqueueLocked appends j to its tenant's queue, making the tenant
-// active if the queue was empty. Requires mu.
-func (s *Scheduler) enqueueLocked(t *tenantState, j *Job) {
-	if len(t.fifo) == 0 {
-		i, _ := slices.BinarySearchFunc(s.active, t.name, cmpTenant)
-		s.active = slices.Insert(s.active, i, t)
-	}
-	t.fifo = append(t.fifo, j)
-}
-
-// refillingLocked reports whether t's token bucket would still be
-// short of its burst now. Requires mu.
-func (s *Scheduler) refillingLocked(t *tenantState) bool {
-	return s.cfg.TenantRate > 0 && t.inited &&
-		t.tokens+s.now().Sub(t.lastRefill).Seconds()*s.cfg.TenantRate < float64(s.cfg.TenantBurst)
-}
-
-// dropIdleLocked deletes t's state when it holds nothing a new tenant's
-// would not: no queued job, and a token bucket that would refill to its
-// burst by now (always, when rate limiting is off). Its DRR credit is
-// already zero, since an emptied queue forfeits it. A bucket still
-// refilling is kept, so dropping never grants tokens early, and goes on
-// the refilling heap for dropRefilledLocked. Requires mu.
-func (s *Scheduler) dropIdleLocked(t *tenantState) {
-	if t.at >= 0 {
-		heap.Remove(&s.refilling, t.at)
-	}
-	if len(t.fifo) > 0 {
-		return
-	}
-	if s.refillingLocked(t) {
-		short := (float64(s.cfg.TenantBurst) - t.tokens) / s.cfg.TenantRate
-		t.full = t.lastRefill.Add(time.Duration(short * float64(time.Second)))
-		heap.Push(&s.refilling, t)
-		return
-	}
-	delete(s.tenants, t.name)
-}
-
-// dropRefilledLocked deletes the idle tenants whose buckets have
-// refilled, soonest full first, stopping at the first still refilling.
-// Requires mu.
-func (s *Scheduler) dropRefilledLocked() {
-	for len(s.refilling) > 0 && !s.refillingLocked(s.refilling[0]) {
-		t := heap.Pop(&s.refilling).(*tenantState)
-		delete(s.tenants, t.name)
-	}
-}
-
-// admitLocked charges one token from the tenant's bucket, refilling
-// lazily from elapsed time. Requires mu.
-func (s *Scheduler) admitLocked(t *tenantState) error {
-	if s.cfg.TenantRate <= 0 {
-		return nil
-	}
-	now := s.now()
-	if !t.inited {
-		t.tokens = float64(s.cfg.TenantBurst)
-		t.inited = true
-	} else {
-		t.tokens += now.Sub(t.lastRefill).Seconds() * s.cfg.TenantRate
-		if max := float64(s.cfg.TenantBurst); t.tokens > max {
-			t.tokens = max
-		}
-	}
-	t.lastRefill = now
-	if t.tokens >= 1 {
-		t.tokens--
-		return nil
-	}
-	wait := time.Duration((1 - t.tokens) / s.cfg.TenantRate * float64(time.Second))
-	return &RateLimitError{Tenant: t.name, RetryAfter: wait}
+	j := s.queue[0]
+	// Clear the slot so the backing array does not keep the job alive
+	// after it is evicted.
+	s.queue[0] = nil
+	s.queue = s.queue[1:]
+	return j
 }
 
 // maxRequests caps a job's request budget at admission. An observed
@@ -496,13 +265,12 @@ const maxRequests = 100_000
 //   - a malformed request, or one over the maxRequests budget, returns
 //     its validation error (matches ErrBadRequest);
 //   - a draining scheduler returns ErrDraining;
-//   - an exhausted tenant bucket returns *RateLimitError;
 //   - with caching on, a completed identical result completes the job
 //     synchronously from cache ("cached": true, no queue slot), and an
 //     in-flight identical run coalesces the job onto it as a follower
 //     (also no queue slot);
-//   - a full tenant queue returns ErrQueueFull;
-//   - otherwise the job enqueues on its tenant's FIFO.
+//   - a full queue returns ErrQueueFull;
+//   - otherwise the job joins the tail of the queue.
 //
 // Only accepted submissions are issued an ID, so rejections never burn
 // one.
@@ -522,13 +290,6 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	t := s.tenantLocked(req.Tenant)
-	// A cache hit or a coalesced follower queues nothing, so it can
-	// leave the tenant idle.
-	defer s.dropIdleLocked(t)
-	if err := s.admitLocked(t); err != nil {
-		return nil, err
-	}
 	if key != "" {
 		if e, ok := s.cache.getJob(key); ok {
 			j := s.table.add(req)
@@ -542,7 +303,7 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 			return j, nil
 		}
 	}
-	if len(t.fifo) >= s.cfg.QueueDepth {
+	if len(s.queue) >= s.cfg.QueueDepth {
 		return nil, ErrQueueFull
 	}
 	j := s.table.add(req)
@@ -550,8 +311,8 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 		j.flight = &flight{sched: s, key: key}
 		s.flights[key] = j.flight
 	}
-	s.enqueueLocked(t, j)
-	s.cond.Broadcast()
+	s.queue = append(s.queue, j)
+	s.cond.Signal()
 	return j, nil
 }
 
@@ -599,17 +360,6 @@ func (s *Scheduler) Get(id string) (*Job, error) { return s.table.get(id) }
 // Jobs returns the retained jobs in submission order.
 func (s *Scheduler) Jobs() []*Job { return s.table.list() }
 
-// Cancel requests cancellation of one job: queued jobs die
-// immediately, running ones stop at their sweep/kernel checkpoints.
-func (s *Scheduler) Cancel(id string) error {
-	j, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	j.requestCancel()
-	return nil
-}
-
 // Draining reports whether admission is closed.
 func (s *Scheduler) Draining() bool {
 	s.mu.Lock()
@@ -628,7 +378,7 @@ func (s *Scheduler) StartDrain() {
 	}
 	s.draining = true
 	// Wake every idle worker so it can observe the drain and exit once
-	// the tenant queues are empty.
+	// the queue is empty.
 	s.cond.Broadcast()
 }
 

@@ -132,37 +132,52 @@ func TestValidateNamesFields(t *testing.T) {
 	}
 }
 
-// TestQueueFull: with one busy worker and a depth-1 queue, a third
-// submission is rejected with ErrQueueFull and admitted work still
-// completes after the worker frees up.
+// TestQueueFull: with one busy worker and a queue of QueueDepth slots,
+// QueueDepth submissions queue and the next is rejected with
+// ErrQueueFull; the queued jobs then dispatch in submission order once
+// the worker frees up, and admission opens again.
 func TestQueueFull(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan string, 8)
-	s := newScheduler(Config{Workers: 1, QueueDepth: 1}, func(ctx context.Context, j *Job) {
-		started <- j.ID
-		<-release
-		j.finish(StateDone, "")
-	})
-	defer s.Close()
+	for _, depth := range []int{1, 3} {
+		t.Run(fmt.Sprintf("depth %d", depth), func(t *testing.T) {
+			release := make(chan struct{})
+			started := make(chan string, 8)
+			s := newScheduler(Config{Workers: 1, QueueDepth: depth}, func(ctx context.Context, j *Job) {
+				started <- j.ID
+				<-release
+				j.finish(StateDone, "")
+			})
+			defer s.Close()
 
-	a, err := s.Submit(stubReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started // a is running, queue is empty again
-	b, err := s.Submit(stubReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(stubReq()); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
-	}
-	close(release)
-	waitState(t, a, StateDone)
-	waitState(t, b, StateDone)
-	// Queue drained: admission opens again.
-	if _, err := s.Submit(stubReq()); err != nil {
-		t.Fatalf("submit after drain of backlog: %v", err)
+			a, err := s.Submit(stubReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started // a is running, the queue is empty again
+			jobs := []*Job{a}
+			for i := 0; i < depth; i++ {
+				j, err := s.Submit(stubReq())
+				if err != nil {
+					t.Fatalf("submit %d of %d into the queue: %v", i+1, depth, err)
+				}
+				jobs = append(jobs, j)
+			}
+			if _, err := s.Submit(stubReq()); !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("submit past a full queue: err = %v, want ErrQueueFull", err)
+			}
+			close(release)
+			for _, j := range jobs[1:] {
+				if id := <-started; id != j.ID {
+					t.Fatalf("dispatched %s, want %s: queued jobs run in submission order", id, j.ID)
+				}
+			}
+			for _, j := range jobs {
+				waitState(t, j, StateDone)
+			}
+			// Queue drained: admission opens again.
+			if _, err := s.Submit(stubReq()); err != nil {
+				t.Fatalf("submit after drain of backlog: %v", err)
+			}
+		})
 	}
 }
 
@@ -181,9 +196,7 @@ func TestCancelQueued(t *testing.T) {
 	a, _ := s.Submit(stubReq())
 	<-ran
 	b, _ := s.Submit(stubReq())
-	if err := s.Cancel(b.ID); err != nil {
-		t.Fatal(err)
-	}
+	b.requestCancel()
 	waitState(t, b, StateCancelled) // immediate — before the worker frees up
 	close(release)
 	waitState(t, a, StateDone)
@@ -192,8 +205,8 @@ func TestCancelQueued(t *testing.T) {
 		t.Fatalf("cancelled queued job %s was executed", id)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if s.Cancel("job-999") == nil {
-		t.Fatal("cancelling an unknown job did not error")
+	if _, err := s.Get("job-999"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("looking up an unknown job: err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -213,9 +226,7 @@ func TestCancelRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if err := s.Cancel(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	j.requestCancel()
 	waitState(t, j, StateCancelled)
 }
 
@@ -358,45 +369,38 @@ func TestJobIDsSequential(t *testing.T) {
 	}
 }
 
-// TestDispatchAllocFree: with 1,000 tenants holding queued work, a
-// dispatch allocates nothing: the tenants with queued jobs are kept in
-// name order as they enqueue and empty, so picking the next job scans
-// no map and sorts nothing.
+// TestDispatchAllocFree: with 1,000 jobs queued behind a blocked
+// worker, a dispatch allocates nothing: it takes the head of the one
+// queue.
 func TestDispatchAllocFree(t *testing.T) {
 	gate, open := gated()
-	sched := newScheduler(Config{Workers: 1, QueueDepth: 4}, func(ctx context.Context, j *Job) {
+	const queued = 1000
+	sched := newScheduler(Config{Workers: 1, QueueDepth: queued}, func(ctx context.Context, j *Job) {
 		<-gate
 		j.finish(StateDone, "")
 	})
 	defer sched.Close()
 	defer open()
-	req := func(tenant string) JobRequest { r := stubReq(); r.Tenant = tenant; return r }
-	blocker, err := sched.Submit(req("hold"))
+	blocker, err := sched.Submit(stubReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, blocker, StateRunning)
-	const tenants = 1000
-	for i := 0; i < tenants; i++ {
-		for k := 0; k < 2; k++ {
-			if _, err := sched.Submit(req(fmt.Sprintf("t%04d", i))); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < queued; i++ {
+		if _, err := sched.Submit(stubReq()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	picked := 0
-	sched.mu.Lock()
 	allocs := testing.AllocsPerRun(100, func() {
-		if sched.pickLocked() != nil {
+		if sched.next() != nil {
 			picked++
 		}
 	})
-	n := len(sched.tenants)
-	sched.mu.Unlock()
-	if picked != 101 || n != tenants {
-		t.Fatalf("%d of 101 picks dispatched a job, %d tenants left; want every pick to, and %d tenants", picked, n, tenants)
+	if picked != 101 {
+		t.Fatalf("%d of 101 picks dispatched a job, want every one", picked)
 	}
 	if allocs != 0 {
-		t.Fatalf("a dispatch among %d active tenants made %v allocations, want 0", tenants, allocs)
+		t.Fatalf("a dispatch with %d jobs queued made %v allocations, want 0", queued, allocs)
 	}
 }

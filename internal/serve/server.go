@@ -1,11 +1,10 @@
 // HTTP surface of the job daemon. Endpoints (all JSON):
 //
 //	POST   /v1/jobs                      submit  -> 202 JobView (400 invalid, 429 + Retry-After
-//	                                               when the tenant's queue or token bucket is full,
-//	                                               503 draining, 500 internal)
+//	                                               when the queue is full, 503 draining, 500 internal)
 //	GET    /v1/jobs                      list    -> {"jobs":[JobView...]}, the retained jobs; optional
-//	                                               ?state= ?type= ?tenant= filters
-//	                                               (400 on unknown state/type)
+//	                                               ?state= ?type= filters (400 on an unknown
+//	                                               state, type or query parameter)
 //	GET    /v1/jobs/{id}                 status  -> JobView ("cached": true when served from cache)
 //	POST   /v1/jobs/{id}/cancel         cancel  -> 202 JobView
 //	GET    /v1/jobs/{id}/values          results -> {"id":...,"lines":[...],"values":{...}}
@@ -35,8 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"time"
 
@@ -110,14 +109,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.sched.Submit(req)
 	if err != nil {
-		code, retryAfter := submitErrorStatus(err)
+		code := submitErrorStatus(err)
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			// Admission control: tell the client when to come back
 			// instead of letting the backlog grow.
-			if retryAfter == "" {
-				retryAfter = s.retryAfterSeconds()
-			}
-			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Retry-After", s.retryAfterSeconds())
 		}
 		writeError(w, code, err)
 		return
@@ -126,56 +122,53 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-// submitErrorStatus maps a Submit error to its HTTP status plus, for
-// rate-limit rejections, the per-tenant Retry-After seconds (empty
-// otherwise; the caller falls back to the configured hint for
-// queue-full/draining). Only errors matching ErrBadRequest are client
-// errors — anything unrecognized is an internal failure and surfaces
-// as 500, never 400.
-func submitErrorStatus(err error) (code int, retryAfter string) {
-	var rle *RateLimitError
+// submitErrorStatus maps a Submit error to its HTTP status. Only errors
+// matching ErrBadRequest are client errors — anything unrecognized is
+// an internal failure and surfaces as 500, never 400.
+func submitErrorStatus(err error) int {
 	switch {
-	case errors.As(err, &rle):
-		secs := int(math.Ceil(rle.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		return http.StatusTooManyRequests, strconv.Itoa(secs)
 	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests, ""
+		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, ""
+		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrBadRequest):
-		return http.StatusBadRequest, ""
+		return http.StatusBadRequest
 	default:
-		return http.StatusInternalServerError, ""
+		return http.StatusInternalServerError
 	}
 }
 
 // handleList returns the retained jobs in submission order. Optional
 // query filters compose conjunctively: ?state= (queued, running, done,
-// failed, cancelled), ?type= (experiment, observed, tune), and
-// ?tenant= (exact match; "tenant=" selects the default tenant — an
-// absent parameter means no filtering). Unknown state/type values are
-// a 400, not an empty result, so typos fail loudly.
+// failed, cancelled) and ?type= (experiment, observed, tune). Any other
+// query parameter, and an unknown state or type value, is a 400, not
+// an unfiltered or empty result, so typos fail loudly.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	state := JobState(q.Get("state"))
+	state, typ := JobState(q.Get("state")), q.Get("type")
+	delete(q, "state")
+	delete(q, "type")
+	if len(q) > 0 {
+		var names []string
+		for name := range q {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		writeError(w, http.StatusBadRequest, badRequestf("serve: unknown query parameters %q; GET /v1/jobs filters on state and type only", names))
+		return
+	}
 	switch state {
 	case "", StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
 	default:
 		writeError(w, http.StatusBadRequest, badRequestf("serve: unknown state filter %q", state))
 		return
 	}
-	typ := q.Get("type")
 	switch typ {
 	case "", JobExperiment, JobObserved, JobTune:
 	default:
 		writeError(w, http.StatusBadRequest, badRequestf("serve: unknown type filter %q", typ))
 		return
 	}
-	_, filterTenant := q["tenant"]
-	tenant := q.Get("tenant")
 
 	jobs := s.sched.Jobs()
 	views := make([]JobView, 0, len(jobs))
@@ -185,9 +178,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if typ != "" && v.Type != typ {
-			continue
-		}
-		if filterTenant && v.Tenant != tenant {
 			continue
 		}
 		views = append(views, v)

@@ -477,9 +477,11 @@ func TestRemovedReplicaCapRejected(t *testing.T) {
 }
 
 // TestRemovedKnobsRejected: the autoscale and retry fields that only
-// ever took their defaults are now constants, and hill climbing is the
-// only tune searcher. A body that still sets one of them is an unknown
-// field: a 400 naming it, never a job that silently ignores it.
+// ever took their defaults are now constants, hill climbing is the
+// only tune searcher, and one queue admits every job, so no request
+// names a tenant or a priority. A body that still sets one of them is
+// an unknown field: a 400 naming it, never a job that silently ignores
+// it.
 func TestRemovedKnobsRejected(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
 	for field, body := range map[string]string{
@@ -492,6 +494,8 @@ func TestRemovedKnobsRejected(t *testing.T) {
 		"backoff":     `{"type":"observed","control":{"retry":{"budget":4,"backoff":20000}}}`,
 		"backoffCap":  `{"type":"observed","control":{"retry":{"budget":4,"backoffCap":160000}}}`,
 		"strategy":    `{"type":"tune","strategy":"hill"}`,
+		"tenant":      `{"type":"experiment","experiment":"area","quick":true,"tenant":"a"}`,
+		"priority":    `{"type":"experiment","experiment":"area","quick":true,"priority":"batch"}`,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		msg, _ := io.ReadAll(resp.Body)
@@ -646,33 +650,25 @@ func TestProgressHeartbeat(t *testing.T) {
 }
 
 // TestSubmitErrorStatus pins the submit error taxonomy: only
-// validation errors are 400s; unrecognized failures surface as 500,
-// and rate-limit rejections carry their own per-tenant Retry-After.
+// validation errors are 400s, and unrecognized failures surface as 500.
 func TestSubmitErrorStatus(t *testing.T) {
 	cases := []struct {
-		err        error
-		code       int
-		retryAfter string
+		err  error
+		code int
 	}{
-		{badRequestf("serve: bad field"), http.StatusBadRequest, ""},
-		{ErrQueueFull, http.StatusTooManyRequests, ""},
-		{ErrDraining, http.StatusServiceUnavailable, ""},
-		{&RateLimitError{Tenant: "a", RetryAfter: 1400 * time.Millisecond}, http.StatusTooManyRequests, "2"},
-		{&RateLimitError{Tenant: "a", RetryAfter: 10 * time.Millisecond}, http.StatusTooManyRequests, "1"},
-		{errors.New("scheduler exploded"), http.StatusInternalServerError, ""},
-		{context.DeadlineExceeded, http.StatusInternalServerError, ""},
+		{badRequestf("serve: bad field"), http.StatusBadRequest},
+		{ErrQueueFull, http.StatusTooManyRequests},
+		{ErrDraining, http.StatusServiceUnavailable},
+		{errors.New("scheduler exploded"), http.StatusInternalServerError},
+		{context.DeadlineExceeded, http.StatusInternalServerError},
 	}
 	for _, c := range cases {
-		code, ra := submitErrorStatus(c.err)
-		if code != c.code || ra != c.retryAfter {
-			t.Errorf("submitErrorStatus(%v) = (%d, %q), want (%d, %q)", c.err, code, ra, c.code, c.retryAfter)
+		if code := submitErrorStatus(c.err); code != c.code {
+			t.Errorf("submitErrorStatus(%v) = %d, want %d", c.err, code, c.code)
 		}
 	}
 	// Every Validate failure must map to 400 via the sentinel.
 	if err := (JobRequest{Type: "nope"}).Validate(); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("Validate error %v does not match ErrBadRequest", err)
-	}
-	if err := (JobRequest{Type: JobExperiment, Experiment: "area", Priority: "urgent"}).Validate(); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("priority validation error %v does not match ErrBadRequest", err)
 	}
 }
