@@ -56,14 +56,17 @@ const (
 
 // Stats aggregates one accelerator's activity counters.
 type Stats struct {
-	Invocations   uint64
-	BusyTime      sim.Time
-	GlueInstrs    uint64 // output-dispatcher RISC instructions (§VII-B.2)
-	GluePasses    uint64
-	Overflows     uint64
-	Rejections    uint64
-	TenantWipes   uint64
-	InSizes       []int // sampled input payload sizes (Fig. 5)
+	Invocations uint64
+	BusyTime    sim.Time
+	GlueInstrs  uint64 // output-dispatcher RISC instructions (§VII-B.2)
+	GluePasses  uint64
+	Overflows   uint64
+	Rejections  uint64
+	TenantWipes uint64
+	// InSizes and OutSizes are the sampled input and output payload
+	// sizes (Fig. 5); they stay nil unless the accelerator's
+	// SampleSizes is set.
+	InSizes       []int
 	OutSizes      []int
 	ArmedTimeouts uint64
 	// ArmRejections counts Arm calls that found no free queue slot.
@@ -111,6 +114,12 @@ type Accelerator struct {
 	// dispatcher from here.
 	OnReady func(*Entry)
 
+	// SampleSizes turns on Fig. 5's size sampler: every sampleEvery-th
+	// PE completion, from the first, appends its input and output sizes
+	// to Stats.InSizes and Stats.OutSizes. Only fig5 reads them, so
+	// every other run leaves it off and allocates nothing for them.
+	SampleSizes bool
+
 	Stats Stats
 
 	// cycle is one output-dispatcher instruction's time,
@@ -118,7 +127,7 @@ type Accelerator struct {
 	cycle sim.Time
 
 	// sampleIn counts the PE completions left until the size sampler
-	// next records one: every sampleEvery-th invocation, from the first.
+	// next records one (see SampleSizes).
 	sampleIn int
 
 	// freePE recycles peTask records so each PE invocation reuses one
@@ -182,12 +191,14 @@ func (p *peTask) done() {
 	in := e.DataBytes
 	out := OutputBytes(a.cfg, a.Kind, in)
 	e.DataBytes = out
-	if a.sampleIn == 0 {
-		a.sampleIn = sampleEvery
-		a.Stats.InSizes = append(a.Stats.InSizes, in)
-		a.Stats.OutSizes = append(a.Stats.OutSizes, out)
+	if a.SampleSizes {
+		if a.sampleIn == 0 {
+			a.sampleIn = sampleEvery
+			a.Stats.InSizes = append(a.Stats.InSizes, in)
+			a.Stats.OutSizes = append(a.Stats.OutSizes, out)
+		}
+		a.sampleIn--
 	}
-	a.sampleIn--
 	if a.OnReady != nil {
 		a.OnReady(e)
 	}

@@ -457,11 +457,12 @@ func TestGluePassMatchesDispatcherTime(t *testing.T) {
 }
 
 // TestSizeSamplerKeepsEverySeventhInvocation pins Fig. 5's size
-// sampler: invocations 0, 7, 14, … record their input and output
-// sizes, and no others do.
+// sampler: with SampleSizes on, invocations 0, 7, 14, … record their
+// input and output sizes, and no others do.
 func TestSizeSamplerKeepsEverySeventhInvocation(t *testing.T) {
 	cfg := config.Default()
 	k, a := newAccel(t, cfg, config.Ser)
+	a.SampleSizes = true
 	const invocations = 50
 	var wantIn, wantOut []int
 	for i := 0; i < invocations; i++ {

@@ -115,6 +115,7 @@ func New(k *sim.Kernel, cfg *config.Config, pol Policy, p Params) (*Engine, erro
 	for _, kd := range config.AllAccelKinds() {
 		a := accel.New(k, cfg, kd, e.Place.AccelNode(kd), rng.Fork(int64(kd)+100), disc)
 		a.OnReady = func(ent *accel.Entry) { e.onPEComplete(a, ent.UserData.(*entryState)) }
+		a.SampleSizes = p.SampleSizes
 		e.Accels[kd] = a
 	}
 	e.Obs = p.Obs

@@ -15,7 +15,7 @@ import (
 // replica on its own kernel, so there is exactly one knob per behavior
 // and one assembly path.
 // The zero value is valid: seed 0, no observability, no faults, no
-// checking.
+// checking, no size sampling.
 type Params struct {
 	// Seed seeds the engine's RNG (flag draws, payload sizes, remote
 	// waits, TLB streams). Used as-is; equal seeds give bit-identical
@@ -40,4 +40,9 @@ type Params struct {
 	// Checker hooks only read state — they never touch RNG streams or
 	// schedule events — so an attached checker cannot change results.
 	Check *check.Checker
+
+	// SampleSizes turns on every accelerator's Fig. 5 size sampler
+	// (accel.Accelerator.SampleSizes). It only fills Stats.InSizes and
+	// Stats.OutSizes, so it never changes a run's events or draws.
+	SampleSizes bool
 }

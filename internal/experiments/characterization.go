@@ -219,12 +219,13 @@ func Fig5DataSizes(o Options) (*Result, error) {
 	res := newResult("fig5")
 	res.Linef("Fig. 5 — input/output data sizes per accelerator (bytes)")
 	res.Linef("%-6s %28s %28s", "accel", "input min/med/max", "output min/med/max")
-	// Run the full mix under AccelFlow to populate the samplers.
+	// Run the full mix under AccelFlow with the size samplers on.
 	spec := &workload.RunSpec{
-		Config:  config.Default(),
-		Policy:  engine.AccelFlow(),
-		Sources: workload.Mix(services.SocialNetwork(), 0.3, o.reqs()),
-		Seed:    o.Seed,
+		Config:      config.Default(),
+		Policy:      engine.AccelFlow(),
+		Sources:     workload.Mix(services.SocialNetwork(), 0.3, o.reqs()),
+		Seed:        o.Seed,
+		SampleSizes: true,
 	}
 	run, err := o.run(spec)
 	if err != nil {

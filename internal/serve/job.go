@@ -372,8 +372,9 @@ func (j *Job) finish(state JobState, errMsg string) {
 // retires its flight before done closes, so a client that waits for
 // the outcome and resubmits starts a fresh run instead of joining this
 // dead one, and its followers report the same outcome. The finished
-// job then counts toward the scheduler's retention bound, which may
-// evict an older finished job (retain.go).
+// job also counts toward the scheduler's retention bound before done
+// closes, so the older finished job that this may evict (retain.go)
+// already answers ErrEvicted to a client woken by "done".
 func (j *Job) finishLocked(state JobState, errMsg string) {
 	if j.state.Terminal() {
 		return
@@ -386,9 +387,9 @@ func (j *Job) finishLocked(state JobState, errMsg string) {
 	j.errMsg = errMsg
 	j.cancel = nil
 	j.finished = time.Now()
+	j.table.finished(j)
 	j.appendEvent(Event{Event: "done", State: state, Error: errMsg})
 	close(j.done)
-	j.table.finished(j)
 	for _, fo := range followers {
 		fo.finish(state, errMsg)
 	}

@@ -119,6 +119,45 @@ func TestEvictedJobsAnswerGone(t *testing.T) {
 	}
 }
 
+// TestEvictedBeforeDone checks that a job counts toward the retention
+// bound before its done channel closes: once it has closed, the job
+// that finished retainedJobs jobs earlier already answers ErrEvicted,
+// so a client woken by "done" cannot read a job that this finish
+// evicts. Each job finishes while the test holds the table's lock, so
+// a done that closes before the job is counted is caught on every job,
+// not only when a reader happens to win a race.
+func TestEvictedBeforeDone(t *testing.T) {
+	const past = 100
+	var table jobTable
+	jobs := make([]*Job, retainedJobs+past)
+	for i := range jobs {
+		jobs[i] = table.add(stubReq())
+	}
+	for i, j := range jobs {
+		if i < retainedJobs {
+			j.finish(StateDone, "")
+			continue
+		}
+		table.mu.Lock()
+		go j.finish(StateDone, "")
+		select {
+		case <-j.Done():
+			table.mu.Unlock()
+			t.Fatalf("%s reported done before it counted toward the retention bound", j.ID)
+		case <-time.After(200 * time.Microsecond):
+		}
+		table.mu.Unlock()
+		<-j.Done()
+		old := jobs[i-retainedJobs]
+		if _, err := table.get(old.ID); !errors.Is(err, ErrEvicted) {
+			t.Fatalf("when %s reported done, %s answered %v, want ErrEvicted", j.ID, old.ID, err)
+		}
+		if _, err := table.get(j.ID); err != nil {
+			t.Fatalf("%s: %v", j.ID, err)
+		}
+	}
+}
+
 // TestActiveJobsNotEvicted: a running and a queued job older than every
 // retained finished job stay retained however many jobs finish after
 // them, and the table never holds more than retainedJobs finished jobs

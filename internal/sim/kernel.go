@@ -54,11 +54,14 @@ func FromNanos(ns float64) Time { return Time(math.Round(ns * float64(Nanosecond
 
 // event is a scheduled callback. seq breaks ties so that events scheduled
 // first at the same instant run first, keeping the simulation
-// deterministic.
+// deterministic. An event with a resource ends one hold of res, and fn
+// is that task's Done callback, which may be nil; the kernel ends the
+// hold itself (see run). Every other event runs fn.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	res *Resource
 }
 
 // Kernel is the event loop. It is not safe for concurrent use: a
@@ -135,13 +138,16 @@ func (k *Kernel) AtSeq(t Time, seq uint64, fn func()) {
 // delay, or one that overflows the clock, panics. Past that check it
 // books like At without At's checks, which cannot fail here: the time
 // is not in the past, and the sequence number it takes is reserved.
-func (k *Kernel) After(d Time, fn func()) {
+func (k *Kernel) After(d Time, fn func()) { k.after(d, fn, nil) }
+
+// after is After for an event that may end a hold of res (see event).
+func (k *Kernel) after(d Time, fn func(), res *Resource) {
 	t := k.now + d
 	if t < k.now {
 		panic(fmt.Sprintf("sim: delay %v out of range at %v", d, k.now))
 	}
 	k.seq++
-	k.events.push(event{at: t, seq: k.seq, fn: fn})
+	k.events.push(event{at: t, seq: k.seq, fn: fn, res: res})
 }
 
 // checkEvery is the cooperative-cancellation poll cadence: the run
@@ -183,6 +189,13 @@ func (k *Kernel) RunCtx(ctx context.Context) error {
 // eventQueue); between events no root is running, so minAt sees a
 // plain heap. A callback that panics leaves its root running: such a
 // kernel is discarded, never resumed.
+//
+// An event that names a resource ends one of its holds, in this order:
+// the resource's integrals advance to now, the server is released, the
+// task's Done runs if it has one, and then queued tasks are admitted.
+// So Done already sees the server free, a task queued before the hold
+// ended is admitted before any task Done submits, and a task Done
+// submits to an empty queue starts at once.
 func (k *Kernel) run(ctx context.Context, last Time) error {
 	onEvent := k.onEvent
 	batch := 0
@@ -199,7 +212,16 @@ func (k *Kernel) run(ctx context.Context, last Time) error {
 		if onEvent != nil {
 			onEvent(e.at)
 		}
-		e.fn()
+		if r := e.res; r != nil {
+			r.advance()
+			r.busy--
+			if e.fn != nil {
+				e.fn()
+			}
+			r.tryStart()
+		} else {
+			e.fn()
+		}
 		k.events.finish()
 	}
 	return nil

@@ -142,52 +142,8 @@ type Resource struct {
 	// utilization bounds stay valid across mid-run resizes.
 	maxServers int
 
-	// freeComp is a free list of recycled completion nodes, so admitting
-	// a task does not allocate a fresh closure for its completion event.
-	freeComp *compNode
 	// freeTask recycles the Tasks that Do queues behind busy servers.
 	freeTask *Task
-}
-
-// compNode is a pooled task completion: the kernel event that ends a
-// hold runs fn (a method value bound once, at node creation) instead
-// of a per-admission closure. Nodes recycle through Resource.freeComp.
-type compNode struct {
-	r    *Resource
-	done func()
-	next *compNode
-	fn   func()
-}
-
-// run ends one hold: it extracts the completion callback, returns the
-// node to the pool (safe even if done re-enters Do/Submit and reuses
-// it — nothing below reads the node again), then performs exactly what
-// the old inline closure did.
-func (n *compNode) run() {
-	r := n.r
-	done := n.done
-	n.done = nil
-	n.next = r.freeComp
-	r.freeComp = n
-	r.advance()
-	r.busy--
-	if done != nil {
-		done()
-	}
-	r.tryStart()
-}
-
-// complete schedules the end of a hold that is starting now.
-func (r *Resource) complete(done func(), hold Time) {
-	n := r.freeComp
-	if n == nil {
-		n = &compNode{r: r}
-		n.fn = n.run
-	} else {
-		r.freeComp = n.next
-	}
-	n.done = done
-	r.k.After(hold, n.fn)
 }
 
 // NewResource creates a Resource with the given number of servers and
@@ -300,8 +256,9 @@ func (r *Resource) InService() int { return r.busy }
 // Idle reports whether the resource has no queued or running work.
 func (r *Resource) Idle() bool { return r.busy == 0 && len(r.q.tasks) == 0 }
 
-// tryStart admits queued tasks to free servers. Every caller (run,
-// Submit, resize) has advanced the integrals at this instant already.
+// tryStart admits queued tasks to free servers. Every caller (the
+// kernel ending a hold, Submit, resize) has advanced the integrals at
+// this instant already.
 func (r *Resource) tryStart() {
 	for r.busy < r.Servers && len(r.q.tasks) > 0 {
 		t := r.q.pop()
@@ -318,7 +275,8 @@ func (r *Resource) tryStart() {
 // start puts t on a free server now; the caller has advanced the
 // integrals and taken t off the queue if it was queued. Started runs
 // before the hold is charged, so the hold it leaves in t.Hold is the
-// one charged and booked.
+// one charged and booked. The booked event names r, and the kernel
+// ends the hold when it fires (see Kernel.run).
 func (r *Resource) start(t *Task) {
 	r.busy++
 	r.TaskCount++
@@ -326,7 +284,7 @@ func (r *Resource) start(t *Task) {
 		t.Started()
 	}
 	r.BusyTime += t.Hold
-	r.complete(t.Done, t.Hold)
+	r.k.after(t.Hold, t.Done, r)
 }
 
 // Utilization returns the fraction of server-time spent busy over the

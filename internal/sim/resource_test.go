@@ -141,6 +141,77 @@ func TestResourceStartedLengthensHold(t *testing.T) {
 	}
 }
 
+// TestResourceHoldEndOrder pins how the kernel ends a hold: the server
+// is released before the task's Done runs, and the queue is served
+// after it. So inside Done the server already shows as free; a task
+// queued before the hold ended is admitted ahead of any task Done
+// submits (here when Done's Submit serves the queue); and with nothing
+// queued, a task Done submits starts at once, inside Done.
+func TestResourceHoldEndOrder(t *testing.T) {
+	type step struct {
+		what string
+		at   Time
+	}
+	run := func(queueFirst bool) []step {
+		k := NewKernel()
+		r := NewResource(k, "srv", 1, FIFO)
+		var log []step
+		note := func(what string) func() {
+			return func() { log = append(log, step{what, k.Now()}) }
+		}
+		task := func(name string, done func()) *Task {
+			return &Task{Hold: 10 * Nanosecond, Started: note(name + " started"), Done: done}
+		}
+		r.Submit(task("a", func() {
+			note("a done")()
+			if got := r.InService(); got != 0 {
+				t.Errorf("InService inside Done = %d, want 0: the server is released first", got)
+			}
+			r.Submit(task("c", note("c done")))
+			note("a done returns")()
+		}))
+		if queueFirst {
+			r.Submit(task("b", note("b done")))
+		}
+		k.Run()
+		return log
+	}
+	for _, tc := range []struct {
+		name       string
+		queueFirst bool
+		want       []step
+	}{
+		{"queued task first", true, []step{
+			{"a started", 0},
+			{"a done", 10 * Nanosecond},
+			{"b started", 10 * Nanosecond},
+			{"a done returns", 10 * Nanosecond},
+			{"b done", 20 * Nanosecond},
+			{"c started", 20 * Nanosecond},
+			{"c done", 30 * Nanosecond},
+		}},
+		{"empty queue starts at once", false, []step{
+			{"a started", 0},
+			{"a done", 10 * Nanosecond},
+			{"c started", 10 * Nanosecond},
+			{"a done returns", 10 * Nanosecond},
+			{"c done", 20 * Nanosecond},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := run(tc.queueFirst)
+			if len(got) != len(tc.want) {
+				t.Fatalf("callbacks ran as %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("callbacks ran as %v, want %v", got, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestResourceQueueCounts(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "srv", 1, FIFO)

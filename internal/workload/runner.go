@@ -95,6 +95,11 @@ type RunSpec struct {
 	// read state, so an attached checker never changes Values. Each
 	// Checker covers exactly one run.
 	Check *check.Checker
+	// SampleSizes fills every accelerator's Fig. 5 size samples
+	// (accel.Stats.InSizes and OutSizes), which stay nil otherwise.
+	// Only the fig5 experiment sets it; it changes no event, draw or
+	// other result.
+	SampleSizes bool
 }
 
 // Run drives one engine with the spec's sources until every request
@@ -118,7 +123,7 @@ func (s *RunSpec) RunCtx(ctx context.Context) (*RunResult, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	p := engine.Params{Seed: s.Seed, Obs: s.Obs, Check: s.Check}
+	p := engine.Params{Seed: s.Seed, Obs: s.Obs, Check: s.Check, SampleSizes: s.SampleSizes}
 	if s.Faults != nil {
 		p.Faults = fault.New(*s.Faults, sim.DeriveSeed(s.Seed, "faults"))
 	}

@@ -305,3 +305,44 @@ func TestRunCoarseCatalog(t *testing.T) {
 		t.Errorf("coarse app mean %v implausibly fast", res.All.Mean())
 	}
 }
+
+// TestSizeSamplesOnlyWhenAsked runs the benchmark's sim-serial spec
+// (the SocialNetwork mix at load 1.0 under AccelFlow, nothing
+// attached) without SampleSizes: no accelerator may hold a Fig. 5 size
+// sample. The same spec with SampleSizes samples, and runs the same
+// events to the same latencies.
+func TestSizeSamplesOnlyWhenAsked(t *testing.T) {
+	run := func(sample bool) *RunResult {
+		t.Helper()
+		spec := &RunSpec{
+			Config:      config.Default(),
+			Policy:      engine.AccelFlow(),
+			Sources:     Mix(services.SocialNetwork(), 1.0, 300),
+			Seed:        1,
+			SampleSizes: sample,
+		}
+		res, err := spec.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	off, on := run(false), run(true)
+	sampled := 0
+	for kd, a := range off.Engine.Accels {
+		if a.Stats.InSizes != nil || a.Stats.OutSizes != nil {
+			t.Errorf("%v sampled %d input and %d output sizes without SampleSizes",
+				config.AccelKind(kd), len(a.Stats.InSizes), len(a.Stats.OutSizes))
+		}
+		sampled += len(on.Engine.Accels[kd].Stats.InSizes)
+	}
+	if sampled == 0 {
+		t.Error("no accelerator sampled a size with SampleSizes")
+	}
+	if p0, p1 := off.Engine.K.Processed(), on.Engine.K.Processed(); p0 != p1 {
+		t.Errorf("SampleSizes changed the event count: %d without, %d with", p0, p1)
+	}
+	if m0, m1 := off.Net.Mean(), on.Net.Mean(); m0 != m1 {
+		t.Errorf("SampleSizes changed the mean latency: %v without, %v with", m0, m1)
+	}
+}
